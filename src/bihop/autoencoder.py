@@ -9,10 +9,11 @@ identity, so the feature matrix never appears):
 Both share the inner-product decoder ``sigmoid(z_i . z_j)`` and a weighted
 binary cross-entropy reconstruction loss over all n^2 node pairs against the
 label matrix ``A_train + I``.  Gradients are computed analytically (verified
-against finite differences in the test suite).  For graphs above
-``dense_threshold`` nodes the n x n logit matrix is never materialized; loss
-and gradient stream over fixed-size row blocks in a fixed order, so results
-are deterministic and match the dense computation.
+against finite differences in the test suite).  Loss and gradient stream
+over row blocks of at most ``BLOCK_ROWS`` rows in index order for every n,
+so results are deterministic.  Each block scores all its pairs as negatives,
+then corrects the label-one entries read from the sparse labels; no dense
+label matrix is ever built.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ class TrainConfig:
     learning_rate: float = 0.01
     epochs: int = 200
     seed: int = 0
-    dense_threshold: int = 4096
 
     def __post_init__(self):
         if self.embed_dim < 1:
@@ -129,10 +129,7 @@ def decode_pairs(z: np.ndarray, us, vs) -> np.ndarray:
 
 def training_labels(a_train: sp.spmatrix) -> sp.csr_matrix:
     """Label matrix for reconstruction: training adjacency plus self-loops."""
-    n = a_train.shape[0]
-    labels = sp.csr_matrix(a_train, dtype=np.float64) + sp.identity(
-        n, format="csr", dtype=np.float64
-    )
+    labels = sp.csr_matrix(a_train, dtype=np.float64) + sp.identity(a_train.shape[0], format="csr")
     labels.sort_indices()
     return labels
 
@@ -149,36 +146,39 @@ def loss_weights(n: int, s: int) -> LossWeights:
     return LossWeights(pos_weight=(total - s) / s, norm=total / (2.0 * (total - s)))
 
 
-def _block_spans(n: int, block_rows) -> list:
-    if block_rows is None or block_rows >= n:
-        return [(0, n)]
-    block_rows = max(1, int(block_rows))
-    return [(lo, min(lo + block_rows, n)) for lo in range(0, n, block_rows)]
-
-
 def _loss_and_gz(z, labels, lw, block_rows, want_grad):
     """Shared streaming kernel: loss and (optionally) dL/dZ.
 
-    Blocks are processed in index order and each block's contribution is
-    reduced immediately, so the result is independent of block size up to
-    float round-off and identical for a fixed block size.
+    Each stored label counts as a one.  Every logit theta of a row block is
+    scored as a negative (softplus and sigmoid share one exp(-|theta|)); the
+    label-one entries are then overwritten with their positive terms, so no
+    term comes from a cancellation.  Block size changes only round-off.
     """
+    labels = sp.csr_matrix(labels)
     n = z.shape[0]
-    scale = lw.norm / (n * n)
+    step = max(1, n if block_rows is None else int(block_rows))
+    pw, scale = lw.pos_weight, lw.norm / (n * n)
     loss = 0.0
-    gz = np.zeros_like(z) if want_grad else None
-    for lo, hi in _block_spans(n, block_rows):
+    gz = np.empty_like(z) if want_grad else None
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        ptr = labels.indptr[lo : hi + 1]
+        flat = np.repeat(np.arange(hi - lo) * n, np.diff(ptr)) + labels.indices[ptr[0] : ptr[-1]]
         theta = z[lo:hi] @ z.T
-        y = np.asarray(labels[lo:hi].todense())
-        # pos_weight*y*softplus(-theta) + (1-y)*softplus(theta), stable form
-        loss += float(
-            np.sum(lw.pos_weight * y * np.logaddexp(0.0, -theta))
-            + np.sum((1.0 - y) * np.logaddexp(0.0, theta))
-        )
+        t = theta.ravel()[flat]
+        e = np.abs(theta)
+        np.exp(np.negative(e, out=e), out=e)
+        np.maximum(theta, 0.0, out=theta)
+        term = np.log1p(e)
+        term += theta  # softplus(theta) = max(theta, 0) + log1p(exp(-|theta|))
+        term.ravel()[flat] = pw * np.logaddexp(0.0, -t)
+        loss += float(term.sum())
         if want_grad:
-            sig = expit(theta)
-            g = scale * (lw.pos_weight * y * (sig - 1.0) + (1.0 - y) * sig)
-            gz[lo:hi] = g @ z
+            np.divide(e, np.add(e, 1.0, out=term), out=e)  # sigmoid(-|theta|)
+            np.subtract(1.0, e, out=e, where=theta > 0.0)
+            e.ravel()[flat] = -pw * expit(-t)
+            # theta = Z Z^T is symmetric, so each pair reaches dL/dZ twice
+            gz[lo:hi] = (2.0 * scale) * (e @ z)
     return scale * loss, gz
 
 
@@ -196,10 +196,7 @@ def loss_gradient(weights, norm_adj, labels, lw: LossWeights, block_rows=None) -
 
 def _loss_value_and_gradient(weights, norm_adj, labels, lw, block_rows):
     z = forward(weights, norm_adj)
-    loss, gz = _loss_and_gz(z, labels, lw, block_rows, True)
-    # d theta / dZ contributes both (i,j) and (j,i) terms; the residual
-    # matrix is symmetric, so dL/dZ = 2 * G @ Z.
-    dz = 2.0 * gz
+    loss, dz = _loss_and_gz(z, labels, lw, block_rows, True)
     if len(weights) == 1:
         return loss, (sparse_dense_product(norm_adj, dz),)
     w0, w1 = weights
@@ -231,22 +228,25 @@ def init_weights(config: TrainConfig, n: int) -> tuple:
 def train(norm_adj: NormalizedAdjacency, labels: sp.spmatrix, config: TrainConfig) -> EmbeddingModel:
     """Full-batch Adam on the reconstruction loss; deterministic given the seed.
 
-    Raises TrainingDivergedError (carrying the epoch index) if the loss ever
+    Raises ValueError unless every stored label is a one, and
+    TrainingDivergedError (carrying the epoch index) if the loss ever
     becomes non-finite.
     """
     n = norm_adj.n
     if labels.shape != (n, n):
         raise ValueError(f"labels shape {labels.shape} does not match n={n}")
-    labels = sp.csr_matrix(labels, dtype=np.float64)
+    labels = sp.csr_matrix(labels, dtype=np.float64, copy=True)
+    labels.sort_indices()
+    if not labels.has_canonical_format or np.any(labels.data != 1.0):
+        raise ValueError("labels must store only ones: no stored zeros, duplicates or other values")
     lw = loss_weights(n, int(labels.nnz))
-    block_rows = BLOCK_ROWS if n > config.dense_threshold else None
 
     weights = [w.copy() for w in init_weights(config, n)]
     m_state = [np.zeros_like(w) for w in weights]
     v_state = [np.zeros_like(w) for w in weights]
     history = []
     for epoch in range(config.epochs):
-        loss, grads = _loss_value_and_gradient(tuple(weights), norm_adj, labels, lw, block_rows)
+        loss, grads = _loss_value_and_gradient(tuple(weights), norm_adj, labels, lw, BLOCK_ROWS)
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss at epoch {epoch}", epoch=epoch)
         history.append(loss)
@@ -260,7 +260,7 @@ def train(norm_adj: NormalizedAdjacency, labels: sp.spmatrix, config: TrainConfi
 
     final_weights = tuple(weights)
     z = forward(final_weights, norm_adj)
-    final_loss = reconstruction_loss(z, labels, lw, block_rows)
+    final_loss = reconstruction_loss(z, labels, lw, BLOCK_ROWS)
     if not np.isfinite(final_loss):
         raise TrainingDivergedError(
             f"non-finite loss after final epoch {config.epochs - 1}",
@@ -284,8 +284,8 @@ def save_model(model: EmbeddingModel, config: TrainConfig, path) -> None:
     Layout (all float64 unless noted): ``format_version`` (int),
     ``model_kind`` (str), ``weight_<k>`` for each weight matrix, ``Z``,
     ``loss_history``, and the scalar config fields ``embed_dim``,
-    ``hidden_dim``, ``learning_rate``, ``epochs``, ``seed``,
-    ``dense_threshold``.  Values round-trip exactly.
+    ``hidden_dim``, ``learning_rate``, ``epochs``, ``seed``.  Values
+    round-trip exactly.
     """
     payload = {
         "format_version": np.int64(CHECKPOINT_VERSION),
@@ -297,7 +297,6 @@ def save_model(model: EmbeddingModel, config: TrainConfig, path) -> None:
         "learning_rate": np.float64(config.learning_rate),
         "epochs": np.int64(config.epochs),
         "seed": np.int64(config.seed),
-        "dense_threshold": np.int64(config.dense_threshold),
     }
     for k, w in enumerate(model.weights):
         payload[f"weight_{k}"] = w
@@ -305,7 +304,10 @@ def save_model(model: EmbeddingModel, config: TrainConfig, path) -> None:
 
 
 def load_model(path):
-    """Read a checkpoint written by save_model; returns (model, config)."""
+    """Read a checkpoint written by save_model; returns (model, config).
+
+    A stored ``dense_threshold`` (written by older versions) is ignored.
+    """
     with np.load(path) as data:
         version = int(data["format_version"])
         if version != CHECKPOINT_VERSION:
@@ -323,7 +325,6 @@ def load_model(path):
             learning_rate=float(data["learning_rate"]),
             epochs=int(data["epochs"]),
             seed=int(data["seed"]),
-            dense_threshold=int(data["dense_threshold"]),
         )
         model = EmbeddingModel(
             Z=data["Z"],

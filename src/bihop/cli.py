@@ -6,7 +6,8 @@ Subcommands:
   diagnose    calibration diagnostics for one dataset
   split       materialize a train/val/test split file for one dataset
 
-Failures print a one-line JSON error record to stderr and exit nonzero.
+Failures print a one-line JSON error record (error, message, notes) to
+stderr and exit nonzero.
 """
 
 from __future__ import annotations
@@ -177,7 +178,11 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except Exception as exc:
-        record = {"error": type(exc).__name__, "message": str(exc)}
+        record = {
+            "error": type(exc).__name__,
+            "message": str(exc),
+            "notes": list(getattr(exc, "__notes__", ())),
+        }
         print(json.dumps(record), file=sys.stderr)
         return 1
 

@@ -36,6 +36,7 @@ from .metrics import (
 )
 from .scoring import (
     HEURISTIC_KINDS,
+    KatzDivergenceError,
     ScorerKind,
     decode_score,
     heuristic_scores,
@@ -137,13 +138,7 @@ def build_run_artifacts(
         key = (mk, _param_key(params))
         if key in models:
             continue
-        tc = TrainConfig(
-            model_kind=mk,
-            seed=split.seed,
-            dense_threshold=config.dense_threshold,
-            **params,
-        )
-        models[key] = train(norm, labels, tc)
+        models[key] = train(norm, labels, TrainConfig(model_kind=mk, seed=split.seed, **params))
     return RunArtifacts(split=split, g_train=gt, a_train=a_train, norm=norm, models=models)
 
 
@@ -191,7 +186,9 @@ def grid_search(
     """Pick the grid point maximizing validation AUC of ``scorer``.
 
     Exhaustive; ties keep the earlier grid point.  Returns
-    (chosen_params, validation_auc).
+    (chosen_params, validation_auc).  Katz points at or above
+    1 / spectral_radius of the training graph are logged and skipped;
+    ValueError lists them all if no point is feasible.
     """
     grid = [dict(p) if isinstance(p, dict) else {"beta": float(p)} for p in grid]
     if not grid:
@@ -201,6 +198,7 @@ def grid_search(
     val_pos = _global_pairs(g, split.val_pos)
     val_neg = _global_pairs(g, split.val_neg)
     best = None
+    skipped = []
     for point in grid:
         probe = BenchmarkConfig(
             scorers=(scorer,),
@@ -209,12 +207,19 @@ def grid_search(
             dense_threshold=config.dense_threshold,
         )
         artifacts = build_run_artifacts(g, probe, split, {scorer: point})
-        auc = roc_auc(
-            _score_pairs(scorer, val_pos, artifacts, {scorer: point}, probe),
-            _score_pairs(scorer, val_neg, artifacts, {scorer: point}, probe),
-        )
+        try:
+            auc = roc_auc(
+                _score_pairs(scorer, val_pos, artifacts, {scorer: point}, probe),
+                _score_pairs(scorer, val_neg, artifacts, {scorer: point}, probe),
+            )
+        except KatzDivergenceError as exc:
+            logger.warning("%s grid point %s skipped on seed %d: %s", scorer.value, point, split.seed, exc)
+            skipped.append(f"{point}: {exc}")
+            continue
         if best is None or auc > best[1]:
             best = (point, auc)
+    if best is None:
+        raise ValueError(f"no feasible {scorer.value} grid point; skipped " + "; ".join(skipped))
     return best
 
 
@@ -273,9 +278,13 @@ def run_experiment(
             )
         return reports
     except Exception as exc:
-        if hasattr(exc, "add_note"):
-            exc.add_note(f"while running {dataset_id!r} run {run_index} (seed {seed_r})")
+        _add_run_note(exc, dataset_id, run_index, seed_r)
         raise
+
+
+def _add_run_note(exc: Exception, dataset_id: str, run_index: int, seed: int) -> None:
+    if hasattr(exc, "add_note"):  # Python 3.11+
+        exc.add_note(f"while running {dataset_id!r} run {run_index} (seed {seed})")
 
 
 @dataclass(frozen=True)
@@ -353,8 +362,11 @@ def run_benchmark(config: BenchmarkConfig, data_dir=None) -> Summary:
             logger.warning("dataset %s unavailable: %s", spec.id, exc)
             missing.append((spec.id, f"{type(exc).__name__}: {exc}"))
             continue
-        split0 = split_edges(g, config.ratios, config.base_seed)
-        tuned = tune_scorers(g, split0, config)
+        try:
+            tuned = tune_scorers(g, split_edges(g, config.ratios, config.base_seed), config)
+        except Exception as exc:
+            _add_run_note(exc, spec.id, 0, config.base_seed)
+            raise
         started = time.monotonic()
         reports = []
         for r in range(config.runs):

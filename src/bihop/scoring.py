@@ -257,6 +257,10 @@ def heuristic_scores(g_train: BipartiteGraph, kind: ScorerKind, pairs) -> PairSc
     return PairScores(pairs=pairs, scores=scores, scorer=kind)
 
 
+class KatzDivergenceError(ValueError):
+    """The closed-form Katz resolvent needs beta < 1 / spectral_radius(A)."""
+
+
 def adjacency_spectral_radius(a: sp.spmatrix) -> float:
     """Largest absolute eigenvalue of a symmetric adjacency."""
     n = a.shape[0]
@@ -279,7 +283,8 @@ def katz_score(
     """Katz index: damped walk counts (I - beta A)^{-1} - I at the pairs.
 
     Closed form (dense solve) for graphs up to dense_threshold nodes, which
-    requires beta < 1 / spectral_radius(A); otherwise a truncated series
+    requires beta < 1 / spectral_radius(A) (KatzDivergenceError otherwise);
+    larger graphs use a truncated series
     sum_{l=1..L} (beta A)^l evaluated column-wise, which never materializes
     an n x n dense matrix.
     """
@@ -291,7 +296,7 @@ def katz_score(
     if _pick_mode(mode, n, dense_threshold) == "dense":
         radius = adjacency_spectral_radius(a)
         if radius > 0 and beta >= 1.0 / radius:
-            raise ValueError(
+            raise KatzDivergenceError(
                 f"beta={beta} >= 1/spectral_radius={1.0 / radius:.6g}; "
                 "the resolvent series diverges (use series mode)"
             )

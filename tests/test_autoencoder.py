@@ -7,11 +7,17 @@ scale.  Loss identities used below:
   * Z = 0 makes every logit 0, and with the class-balanced weights the
     total loss collapses to exactly ln 2
   * W = 0 is a stationary point for both encoders
+  * dL/dZ = 2 R Z, where R is the n x n residual of the weighted loss
+
+``dense_reference`` keeps the former dense kernel (two logaddexp and one
+expit over every logit against the densified labels) as an oracle for the
+sparse-label kernel.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.special import expit
 
 from bihop.autoencoder import (
     EmbeddingModel,
@@ -33,7 +39,7 @@ from bihop.autoencoder import (
     train,
     training_labels,
 )
-from bihop.graph import adjacency, normalized_adjacency
+from bihop.graph import NormalizedAdjacency, adjacency, build_graph, normalized_adjacency
 
 from conftest import random_bipartite
 
@@ -70,6 +76,61 @@ def fd_gradient(weights, norm, labels, lw, h=1e-5):
             grad[idx] = (hi - lo) / (2.0 * h)
         grads.append(grad)
     return tuple(grads)
+
+
+def dense_reference(z, labels, lw):
+    """Loss and residual R (dL/dZ = 2 R Z) from dense n x n arrays."""
+    n = z.shape[0]
+    theta = z @ z.T
+    y = labels.toarray()
+    scale = lw.norm / (n * n)
+    loss = scale * float(
+        np.sum(lw.pos_weight * y * np.logaddexp(0.0, -theta))
+        + np.sum((1.0 - y) * np.logaddexp(0.0, theta))
+    )
+    sig = expit(theta)
+    return loss, scale * (lw.pos_weight * y * (sig - 1.0) + (1.0 - y) * sig)
+
+
+def closed_form_gradient(weights, norm, r):
+    """dL/dW from dL/dZ = 2 R Z, back through the encoder with dense An."""
+    an = norm.matrix.toarray()
+    if len(weights) == 1:
+        return (an.T @ (2.0 * r @ (an @ weights[0])),)
+    w0, w1 = weights
+    pre = an @ w0
+    hidden = np.maximum(pre, 0.0)
+    a_dz = an.T @ (2.0 * r @ (an @ hidden @ w1))
+    return (an.T @ ((a_dz @ w1.T) * (pre > 0.0)), hidden.T @ a_dz)
+
+
+def double_loop_oracle(z, labels, lw):
+    """Loss and dL/dZ pair by pair, each term in its exact scalar form."""
+    n = z.shape[0]
+    dense = labels.toarray()
+    scale = lw.norm / (n * n)
+    loss = 0.0
+    gz = np.zeros_like(z)
+    for i in range(n):
+        for j in range(n):
+            theta = float(z[i] @ z[j])
+            if dense[i, j]:
+                loss += lw.pos_weight * np.logaddexp(0.0, -theta)
+                g = -lw.pos_weight * expit(-theta)
+            else:
+                loss += np.logaddexp(0.0, theta)
+                g = expit(theta)
+            gz[i] += 2.0 * scale * g * z[j]
+    return scale * loss, gz
+
+
+def identity_encoder(n):
+    """An = I, so the linear encoder's Z is its weight and dL/dW = dL/dZ."""
+    return NormalizedAdjacency(matrix=sp.identity(n, format="csr"), tilde_degrees=np.ones(n))
+
+
+def max_rel_error(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
 
 
 class TestForward:
@@ -283,6 +344,59 @@ class TestGradients:
             assert np.allclose(g_b, g_d, rtol=1e-11, atol=1e-14)
 
 
+class TestDenseOracles:
+    def test_closed_form_gradient_every_block_size(self):
+        rng = np.random.default_rng(54)
+        for kind in ModelKind:
+            for _ in range(10):
+                norm, labels, lw, weights = problem_instance(rng, kind)
+                weights = tuple(3.0 * w for w in weights)
+                z = forward(weights, norm)
+                ref_loss, r = dense_reference(z, labels, lw)
+                want = closed_form_gradient(weights, norm, r)
+                for block in (None, 1, 2, 3, norm.n):
+                    loss = reconstruction_loss(z, labels, lw, block_rows=block)
+                    assert loss == pytest.approx(ref_loss, rel=1e-12)
+                    got = loss_gradient(weights, norm, labels, lw, block_rows=block)
+                    for g_a, g_w in zip(got, want):
+                        assert max_rel_error(g_a, g_w) <= 1e-12
+
+    @pytest.mark.parametrize("reach", [40.0, 800.0])
+    def test_extreme_random_logits(self, reach):
+        rng = np.random.default_rng(55)
+        for _ in range(5):
+            g = random_bipartite(rng, max_side=6, min_edges=2)
+            labels = training_labels(adjacency(g))
+            lw = loss_weights(g.n, int(labels.nnz))
+            z = rng.standard_normal((g.n, 3))
+            z *= np.sqrt(reach / np.abs(z @ z.T).max())
+            want_loss, want_gz = double_loop_oracle(z, labels, lw)
+            for block in (None, 2):
+                loss = reconstruction_loss(z, labels, lw, block_rows=block)
+                (gz,) = loss_gradient((z,), identity_encoder(g.n), labels, lw, block_rows=block)
+                assert np.isfinite(loss) and np.all(np.isfinite(gz))
+                assert loss == pytest.approx(want_loss, rel=1e-12)
+                assert max_rel_error(gz, want_gz) <= 1e-12
+
+    @pytest.mark.parametrize("reach", [40.0, 800.0])
+    def test_extreme_confident_correct_logits(self, reach):
+        """Three disjoint edges embedded so every label-one logit is +reach
+        and every other logit is -reach/2: the loss is tiny and must not be
+        lost to cancellation against the large label-one logits."""
+        g = build_graph(3, 3, [(0, 0), (1, 1), (2, 2)])
+        labels = training_labels(adjacency(g))
+        lw = loss_weights(g.n, int(labels.nnz))
+        z = np.vstack([np.eye(3), np.eye(3)]) - 1.0 / 3.0
+        z *= np.sqrt(1.5 * reach)
+        want_loss, want_gz = double_loop_oracle(z, labels, lw)
+        assert 0.0 < want_loss < 1e-8
+        for block in (None, 1, 4):
+            loss = reconstruction_loss(z, labels, lw, block_rows=block)
+            (gz,) = loss_gradient((z,), identity_encoder(g.n), labels, lw, block_rows=block)
+            assert loss == pytest.approx(want_loss, rel=1e-12)
+            assert max_rel_error(gz, want_gz) <= 1e-12
+
+
 class TestInitWeights:
     def test_shapes_and_bounds(self):
         cfg = TrainConfig(model_kind=ModelKind.GAE, embed_dim=3, hidden_dim=5, seed=9)
@@ -377,6 +491,21 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(normalized_adjacency(g), bad, TrainConfig())
 
+    @pytest.mark.parametrize("fault", ["stored_zero", "value_two", "duplicate"])
+    def test_rejects_non_binary_labels(self, fault):
+        g = random_bipartite(np.random.default_rng(56), min_edges=2)
+        labels = training_labels(adjacency(g))
+        if fault == "duplicate":
+            labels = sp.csr_matrix(
+                (np.append(labels.data, 1.0), np.append(labels.indices, labels.indices[-1]),
+                 np.append(labels.indptr[:-1], labels.nnz + 1)),
+                shape=labels.shape,
+            )
+        else:
+            labels.data[0] = 0.0 if fault == "stored_zero" else 2.0
+        with pytest.raises(ValueError, match="only ones"):
+            train(normalized_adjacency(g), labels, TrainConfig(epochs=1))
+
 
 class TestCheckpointing:
     def test_round_trip_exact(self, tmp_path):
@@ -400,6 +529,21 @@ class TestCheckpointing:
             assert len(loaded.weights) == len(model.weights)
             for a, b in zip(loaded.weights, model.weights):
                 assert np.array_equal(a, b)
+
+    def test_version_1_file_with_dense_threshold_loads(self, tmp_path):
+        """Version-1 files written before the field was dropped still load."""
+        g = random_bipartite(np.random.default_rng(57), min_edges=3)
+        cfg = TrainConfig(embed_dim=3, epochs=4, seed=8)
+        model = train(normalized_adjacency(g), training_labels(adjacency(g)), cfg)
+        save_model(model, cfg, tmp_path / "new.npz")
+        with np.load(tmp_path / "new.npz") as data:
+            payload = dict(data)
+        assert "dense_threshold" not in payload
+        np.savez(tmp_path / "old.npz", dense_threshold=np.int64(4096), **payload)
+        loaded, loaded_cfg = load_model(tmp_path / "old.npz")
+        assert loaded_cfg == cfg
+        assert np.array_equal(loaded.Z, model.Z)
+        assert np.array_equal(loaded.weights[0], model.weights[0])
 
     def test_unsupported_version_rejected(self, tmp_path):
         path = tmp_path / "bad.npz"

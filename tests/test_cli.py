@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
 import json
+import sys
 
 import pytest
 
@@ -163,6 +164,31 @@ class TestBenchmark:
         assert code == 0, stderr
         assert "toy" in stdout
         assert "MISSING" not in stdout
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="exception notes need Python 3.11")
+    @pytest.mark.parametrize(
+        "katz_grid, error",
+        [([0.5], "KatzDivergenceError"), ([0.5, 0.9], "ValueError")],
+    )
+    def test_error_record_carries_notes(self, tmp_path, capsys, katz_grid, error):
+        # One point fails inside the run, two fail run 0's grid search.
+        config = {
+            "datasets": [{"id": "er", "source": {
+                "model": "er", "n_left": 20, "n_right": 20, "p": 0.25, "seed": 1,
+            }}],
+            "katz_grid": katz_grid,
+        }
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        code, _, stderr = run_cli(
+            capsys, "benchmark", "--config", str(config_path),
+            "--method", "katz", "--runs", "1",
+        )
+        assert code == 1
+        record = stderr_record(stderr)
+        assert record["error"] == error
+        assert "spectral_radius" in record["message"]
+        assert record["notes"] == ["while running 'er' run 0 (seed 0)"]
 
 
 class TestSplit:

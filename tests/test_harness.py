@@ -2,13 +2,21 @@
 
 import dataclasses
 import json
+import logging
 import random
+import sys
 
 import numpy as np
 import pytest
 
-from bihop.data import DatasetSpec, generate_bipartite_sbm, read_report, southern_women_graph
-from bihop.graph import build_graph
+from bihop.data import (
+    DatasetSpec,
+    generate_bipartite_er,
+    generate_bipartite_sbm,
+    read_report,
+    southern_women_graph,
+)
+from bihop.graph import adjacency, build_graph
 from bihop.harness import (
     DEFAULT_KATZ_GRID,
     DEFAULT_LGAE_GRID,
@@ -28,8 +36,8 @@ from bihop.harness import (
     tune_scorers,
 )
 from bihop.metrics import MetricReport
-from bihop.scoring import ScorerKind
-from bihop.splits import split_edges
+from bihop.scoring import ScorerKind, adjacency_spectral_radius
+from bihop.splits import split_edges, train_graph
 
 
 SMALL_GRID = ({"learning_rate": 0.01, "epochs": 40, "embed_dim": 8},)
@@ -211,6 +219,59 @@ class TestGridSearch:
         split = split_edges(block_graph, DEFAULT_RATIOS, seed=0)
         with pytest.raises(ValueError, match="nonempty"):
             grid_search(block_graph, split, (), ScorerKind.TWO_HOP)
+
+
+DENSE_ER = {"model": "er", "n_left": 300, "n_right": 500, "p": 0.1, "seed": 0}
+
+
+class TestKatzFeasibility:
+    """On this graph 1 / spectral_radius is about 0.03, below the default
+    grid's beta = 0.05, which the closed-form Katz resolvent cannot use."""
+
+    @pytest.fixture(scope="class")
+    def dense_er(self):
+        g = generate_bipartite_er(300, 500, 0.1, seed=0)
+        split = split_edges(g, DEFAULT_RATIOS, seed=0)
+        limit = 1.0 / adjacency_spectral_radius(adjacency(train_graph(g, split)))
+        return g, split, limit
+
+    def test_default_grid_skips_infeasible_points(self, dense_er, caplog):
+        g, split, limit = dense_er
+        infeasible = [beta for beta in DEFAULT_KATZ_GRID if beta >= limit]
+        assert infeasible == [0.05]
+        with caplog.at_level(logging.WARNING, logger="bihop.harness"):
+            point, val_auc = grid_search(g, split, DEFAULT_KATZ_GRID, ScorerKind.KATZ)
+        assert point["beta"] < limit
+        assert 0.0 <= val_auc <= 1.0
+        assert "{'beta': 0.05} skipped" in caplog.text
+
+    def test_benchmark_with_default_grid_completes(self):
+        config = BenchmarkConfig(
+            datasets=(DatasetSpec(id="dense_er", source=DENSE_ER),),
+            scorers=(ScorerKind.KATZ,), runs=1,
+        )
+        assert run_benchmark(config).get("dense_er", ScorerKind.KATZ).runs == 1
+
+    def test_all_infeasible_grid_lists_every_point(self, dense_er):
+        g, split, _ = dense_er
+        with pytest.raises(ValueError, match="no feasible katz grid point") as exc:
+            grid_search(g, split, (0.5, 0.9), ScorerKind.KATZ)
+        assert "{'beta': 0.5}" in str(exc.value) and "{'beta': 0.9}" in str(exc.value)
+
+    def test_other_errors_propagate(self, dense_er):
+        g, split, _ = dense_er
+        with pytest.raises(ValueError, match="beta must be positive"):
+            grid_search(g, split, (0.001, -0.1), ScorerKind.KATZ)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="exception notes need Python 3.11")
+    def test_run0_tuning_failure_carries_run_note(self):
+        config = BenchmarkConfig(
+            datasets=(DatasetSpec(id="dense_er", source=DENSE_ER),),
+            scorers=(ScorerKind.KATZ,), runs=1, base_seed=4, katz_grid=(0.5, 0.9),
+        )
+        with pytest.raises(ValueError, match="no feasible") as exc:
+            run_benchmark(config)
+        assert exc.value.__notes__ == ["while running 'dense_er' run 0 (seed 4)"]
 
 
 class TestTuneScorers:
