@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,6 +35,7 @@ from .metrics import (
     score_mass_report,
 )
 from .scoring import (
+    DENSE_THRESHOLD,
     HEURISTIC_KINDS,
     KatzDivergenceError,
     ScorerKind,
@@ -68,7 +69,7 @@ class BenchmarkConfig:
     lgae_grid: tuple = DEFAULT_LGAE_GRID
     gae_grid: tuple = DEFAULT_GAE_GRID
     katz_grid: tuple = DEFAULT_KATZ_GRID
-    dense_threshold: int = 4096
+    dense_threshold: int = DENSE_THRESHOLD
     time_budget_s: float | None = None
     out_dir: str | None = None
 
@@ -118,28 +119,41 @@ class RunArtifacts:
     g_train: BipartiteGraph
     a_train: sp.csr_matrix
     norm: NormalizedAdjacency
+    labels: sp.csr_matrix = field(repr=False)
     models: dict = field(repr=False)
+
+
+def _training_side(g: BipartiteGraph, split: EdgeSplit) -> RunArtifacts:
+    """Training graph, adjacency, normalization and labels; no models yet."""
+    gt = train_graph(g, split)
+    a_train = adjacency(gt)
+    return RunArtifacts(
+        split=split, g_train=gt, a_train=a_train, norm=normalize(a_train),
+        labels=training_labels(a_train), models={},
+    )
+
+
+def _with_models(base: RunArtifacts, scorers, tuned: dict) -> RunArtifacts:
+    """``base`` plus one trained model per distinct (model kind, params)."""
+    models: dict = {}
+    for kind in scorers:
+        mk = _model_kind_for(kind)
+        if mk is None:
+            continue
+        params = tuned.get(kind, {})
+        key = (mk, _param_key(params))
+        if key not in models:
+            models[key] = train(
+                base.norm, base.labels, TrainConfig(model_kind=mk, seed=base.split.seed, **params)
+            )
+    return replace(base, models=models)
 
 
 def build_run_artifacts(
     g: BipartiteGraph, config: BenchmarkConfig, split: EdgeSplit, tuned: dict
 ) -> RunArtifacts:
     """Train-side state for one run.  Reads only split.train_edges and seed."""
-    gt = train_graph(g, split)
-    a_train = adjacency(gt)
-    norm = normalize(a_train)
-    labels = training_labels(a_train)
-    models: dict = {}
-    for kind in config.scorers:
-        mk = _model_kind_for(kind)
-        if mk is None:
-            continue
-        params = tuned.get(kind, {})
-        key = (mk, _param_key(params))
-        if key in models:
-            continue
-        models[key] = train(norm, labels, TrainConfig(model_kind=mk, seed=split.seed, **params))
-    return RunArtifacts(split=split, g_train=gt, a_train=a_train, norm=norm, models=models)
+    return _with_models(_training_side(g, split), config.scorers, tuned)
 
 
 def _model_for(artifacts: RunArtifacts, kind: ScorerKind, tuned: dict) -> EmbeddingModel:
@@ -152,28 +166,29 @@ def _score_pairs(
     pairs,
     artifacts: RunArtifacts,
     tuned: dict,
-    config: BenchmarkConfig,
+    dense_threshold: int,
 ) -> np.ndarray:
+    """One scorer call over ``pairs``; ``dense_threshold`` steers only Katz."""
     if kind is ScorerKind.TWO_HOP:
-        return two_hop_score(
-            _model_for(artifacts, kind, tuned), artifacts.norm, pairs,
-            dense_threshold=config.dense_threshold,
-        ).scores
+        return two_hop_score(_model_for(artifacts, kind, tuned), artifacts.norm, pairs).scores
     if kind is ScorerKind.RECON_TWO_HOP:
-        return recon_two_hop_score(
-            _model_for(artifacts, kind, tuned), pairs,
-            dense_threshold=config.dense_threshold,
-        ).scores
+        return recon_two_hop_score(_model_for(artifacts, kind, tuned), pairs).scores
     if kind in (ScorerKind.LGAE, ScorerKind.GAE):
         return decode_score(_model_for(artifacts, kind, tuned), pairs, kind=kind).scores
     if kind is ScorerKind.KATZ:
         beta = tuned.get(kind, {}).get("beta", 0.005)
-        return katz_score(
-            artifacts.a_train, beta, pairs, dense_threshold=config.dense_threshold
-        ).scores
+        return katz_score(artifacts.a_train, beta, pairs, dense_threshold=dense_threshold).scores
     if kind in HEURISTIC_KINDS:
         return heuristic_scores(artifacts.g_train, kind, pairs).scores
     raise ValueError(f"no scoring rule for {kind}")
+
+
+def _pos_neg_scores(
+    kind: ScorerKind, pos, neg, artifacts: RunArtifacts, tuned: dict, dense_threshold: int
+):
+    """Score positives and negatives in one call; returns (pos, neg) scores."""
+    scores = _score_pairs(kind, tuple(pos) + tuple(neg), artifacts, tuned, dense_threshold)
+    return scores[: len(pos)], scores[len(pos) :]
 
 
 def grid_search(
@@ -186,36 +201,31 @@ def grid_search(
     """Pick the grid point maximizing validation AUC of ``scorer``.
 
     Exhaustive; ties keep the earlier grid point.  Returns
-    (chosen_params, validation_auc).  Katz points at or above
-    1 / spectral_radius of the training graph are logged and skipped;
+    (chosen_params, validation_auc).  The training graph, its normalization
+    and labels are built once; each point only trains its model and scores
+    the validation positives and negatives in one call.  Katz points at or
+    above 1 / spectral_radius of the training graph are logged and skipped;
     ValueError lists them all if no point is feasible.
     """
     grid = [dict(p) if isinstance(p, dict) else {"beta": float(p)} for p in grid]
     if not grid:
         raise ValueError("grid_search needs a nonempty grid")
-    if config is None:
-        config = BenchmarkConfig(scorers=(scorer,))
+    dense_threshold = DENSE_THRESHOLD if config is None else config.dense_threshold
+    base = _training_side(g, split)
     val_pos = _global_pairs(g, split.val_pos)
     val_neg = _global_pairs(g, split.val_neg)
     best = None
     skipped = []
     for point in grid:
-        probe = BenchmarkConfig(
-            scorers=(scorer,),
-            lgae_grid=(point,) if _model_kind_for(scorer) is ModelKind.LGAE else config.lgae_grid,
-            gae_grid=(point,) if _model_kind_for(scorer) is ModelKind.GAE else config.gae_grid,
-            dense_threshold=config.dense_threshold,
-        )
-        artifacts = build_run_artifacts(g, probe, split, {scorer: point})
+        tuned = {scorer: point}
+        artifacts = _with_models(base, (scorer,), tuned)
         try:
-            auc = roc_auc(
-                _score_pairs(scorer, val_pos, artifacts, {scorer: point}, probe),
-                _score_pairs(scorer, val_neg, artifacts, {scorer: point}, probe),
-            )
+            pos, neg = _pos_neg_scores(scorer, val_pos, val_neg, artifacts, tuned, dense_threshold)
         except KatzDivergenceError as exc:
             logger.warning("%s grid point %s skipped on seed %d: %s", scorer.value, point, split.seed, exc)
             skipped.append(f"{point}: {exc}")
             continue
+        auc = roc_auc(pos, neg)
         if best is None or auc > best[1]:
             best = (point, auc)
     if best is None:
@@ -264,8 +274,9 @@ def run_experiment(
         test_neg = _global_pairs(g, split.test_neg)
         reports = []
         for kind in config.scorers:
-            pos = _score_pairs(kind, test_pos, artifacts, tuned, config)
-            neg = _score_pairs(kind, test_neg, artifacts, tuned, config)
+            pos, neg = _pos_neg_scores(
+                kind, test_pos, test_neg, artifacts, tuned, config.dense_threshold
+            )
             reports.append(
                 MetricReport(
                     dataset=dataset_id,
@@ -462,13 +473,8 @@ def diagnose(
     if seed is None:
         seed = config.base_seed
     split = split_edges(g, config.ratios, seed)
-    probe = BenchmarkConfig(
-        scorers=(ScorerKind.TWO_HOP, ScorerKind.RECON_TWO_HOP),
-        lgae_grid=(dict(config.lgae_grid[0]),),
-        dense_threshold=config.dense_threshold,
-    )
-    tuned = {k: dict(config.lgae_grid[0]) for k in probe.scorers}
-    artifacts = build_run_artifacts(g, probe, split, tuned)
+    tuned = {ScorerKind.TWO_HOP: dict(config.lgae_grid[0])}
+    artifacts = _with_models(_training_side(g, split), (ScorerKind.TWO_HOP,), tuned)
     model = _model_for(artifacts, ScorerKind.TWO_HOP, tuned)
 
     extra_keys = _child_keys(seed, 6)[3:]
@@ -496,13 +502,13 @@ def diagnose(
     }
     mass_recon = score_mass_report(
         **{
-            name: recon_two_hop_score(model, pairs, dense_threshold=config.dense_threshold).scores
+            name: recon_two_hop_score(model, pairs).scores
             for name, pairs in mass_sets.items()
         }
     )
     mass_two_hop = score_mass_report(
         **{
-            name: two_hop_score(model, artifacts.norm, pairs, dense_threshold=config.dense_threshold).scores
+            name: two_hop_score(model, artifacts.norm, pairs).scores
             for name, pairs in mass_sets.items()
         }
     )

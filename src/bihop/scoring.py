@@ -9,11 +9,21 @@ reconstruction, so homogeneous hops become possible even though the training
 graph is bipartite.  ``recon_two_hop`` is the ablation that uses R for both
 hops (R @ R).
 
-All scorers accept node pairs in GLOBAL indexing (left block first) and are
-symmetric in the pair order.  Heuristic indices use the Daminelli-style
-bipartite adaptation: the "common neighbors" of a heterogeneous pair (u, v)
-are the intermediate nodes of length-3 paths, C(u, v) = N(u) n N2(v) with
-N2(v) the union of neighbors-of-neighbors of v.
+Every scorer takes a whole pair sequence and scores it in one call; a pair's
+score does not depend on the other pairs in the call, so positives and
+negatives can be scored together and sliced apart.  Neither two-hop scorer
+ever materializes an n x n matrix: ``two_hop`` gathers the sparse rows of An
+and ``recon_two_hop`` computes the needed columns of R per chunk of pairs.
+Only Katz switches on graph size (closed form up to ``DENSE_THRESHOLD``
+nodes, a truncated series above it), because the two compute different
+quantities.
+
+All scorers accept node pairs in GLOBAL indexing (left block first), reject
+indices outside [0, n) with ValueError, and are symmetric in the pair order.
+Heuristic indices use the Daminelli-style bipartite adaptation: the "common
+neighbors" of a heterogeneous pair (u, v) are the intermediate nodes of
+length-3 paths, C(u, v) = N(u) n N2(v) with N2(v) the union of
+neighbors-of-neighbors of v.
 """
 
 from __future__ import annotations
@@ -32,6 +42,10 @@ from .graph import BipartiteGraph, NormalizedAdjacency
 DENSE_THRESHOLD = 4096
 
 _PAIR_CHUNK = 256
+# (pair, neighbor) entries two_hop gathers at a time.
+_GATHER_ENTRIES = 1 << 16
+# Target columns the truncated Katz series propagates at a time.
+_KATZ_COLUMNS = 256
 
 
 class ScorerKind(Enum):
@@ -89,11 +103,14 @@ class PairScores:
     scorer: ScorerKind
 
 
-def _as_index_arrays(pairs):
+def _as_index_arrays(pairs, n: int):
     pairs = tuple((int(u), int(v)) for u, v in pairs)
     if not pairs:
         return pairs, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     arr = np.asarray(pairs, dtype=np.int64)
+    bad = np.flatnonzero(((arr < 0) | (arr >= n)).any(axis=1))
+    if bad.size:
+        raise ValueError(f"pair {pairs[bad[0]]} is out of range for a graph of {n} nodes")
     return pairs, arr[:, 0], arr[:, 1]
 
 
@@ -112,76 +129,59 @@ def _pick_mode(mode: str, n: int, dense_threshold: int) -> str:
     return mode
 
 
-def two_hop_score(
-    model: EmbeddingModel,
-    norm_adj: NormalizedAdjacency,
-    pairs,
-    mode: str = "auto",
-    dense_threshold: int = DENSE_THRESHOLD,
-) -> PairScores:
+def _row_hop(mat: sp.csr_matrix, z: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """sum_w mat[r, w] * sigmoid(z_w . z_c) for every (r, c): one CSR gather."""
+    starts = mat.indptr[rows]
+    counts = mat.indptr[rows + 1] - starts
+    seg = np.repeat(np.arange(rows.size), counts)
+    pos = np.arange(seg.size) + (starts - (np.cumsum(counts) - counts))[seg]
+    dots = np.einsum("ij,ij->i", z[mat.indices[pos]], z[cols[seg]])
+    return np.bincount(seg, weights=mat.data[pos] * expit(dots), minlength=rows.size)
+
+
+def two_hop_score(model: EmbeddingModel, norm_adj: NormalizedAdjacency, pairs) -> PairScores:
     """Symmetrized two-hop score through the normalized training adjacency.
 
     score(u, v) = [ sum_w An_uw * dec(w, v) + sum_w An_vw * dec(w, u) ] / 2
     where dec is the sigmoid inner-product decoder.  The sums run over the
     sparse row supports of An (a node's training neighbors plus its
-    self-loop).  In lazy mode neither the reconstruction nor the two-hop
-    matrix is ever materialized.
+    self-loop): each half gathers those rows for all pairs at once
+    (``np.repeat`` over ``indptr``), takes row-wise dot products and
+    segment-sums them with ``bincount``.  Pairs are split only to keep at
+    most ``_GATHER_ENTRIES`` gathered entries alive at a time.
     """
     n = norm_adj.n
     _check_model_size(model, n)
-    pairs, us, vs = _as_index_arrays(pairs)
-    z = model.Z
-    if _pick_mode(mode, n, dense_threshold) == "dense":
-        recon = expit(z @ z.T)
-        hop2 = norm_adj.matrix @ recon
-        sym = 0.5 * (hop2 + hop2.T)
-        scores = sym[us, vs]
-    else:
-        mat = norm_adj.matrix
-        out = np.empty(len(pairs))
-        for k, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
-            lo, hi = mat.indptr[u], mat.indptr[u + 1]
-            w_u, a_u = mat.indices[lo:hi], mat.data[lo:hi]
-            lo, hi = mat.indptr[v], mat.indptr[v + 1]
-            w_v, a_v = mat.indices[lo:hi], mat.data[lo:hi]
-            term_u = a_u @ expit(z[w_u] @ z[v])
-            term_v = a_v @ expit(z[w_v] @ z[u])
-            out[k] = 0.5 * (term_u + term_v)
-        scores = out
-    return PairScores(pairs=pairs, scores=np.asarray(scores, dtype=np.float64), scorer=ScorerKind.TWO_HOP)
+    pairs, us, vs = _as_index_arrays(pairs, n)
+    mat, z = norm_adj.matrix, model.Z
+    chunk = max(1, _GATHER_ENTRIES // (2 * int(np.diff(mat.indptr).max(initial=1))))
+    scores = np.empty(len(pairs))
+    for lo in range(0, len(pairs), chunk):
+        u, v = us[lo : lo + chunk], vs[lo : lo + chunk]
+        scores[lo : lo + chunk] = 0.5 * (_row_hop(mat, z, u, v) + _row_hop(mat, z, v, u))
+    return PairScores(pairs=pairs, scores=scores, scorer=ScorerKind.TWO_HOP)
 
 
-def recon_two_hop_score(
-    model: EmbeddingModel,
-    pairs,
-    mode: str = "auto",
-    dense_threshold: int = DENSE_THRESHOLD,
-) -> PairScores:
+def recon_two_hop_score(model: EmbeddingModel, pairs) -> PairScores:
     """Two-hop score using the reconstruction for both hops (R @ R).
 
-    Symmetric without extra averaging since R is symmetric.  Lazy mode
-    computes the two needed rows of R on the fly per chunk of pairs.
+    Symmetric without extra averaging since R is symmetric.  The two needed
+    columns of R are computed on the fly per chunk of ``_PAIR_CHUNK`` pairs.
     """
     z = model.Z
-    n = z.shape[0]
-    pairs, us, vs = _as_index_arrays(pairs)
-    if _pick_mode(mode, n, dense_threshold) == "dense":
-        recon = expit(z @ z.T)
-        scores = (recon @ recon)[us, vs]
-    else:
-        out = np.empty(len(pairs))
-        for lo in range(0, len(pairs), _PAIR_CHUNK):
-            hi = min(lo + _PAIR_CHUNK, len(pairs))
-            row_u = expit(z @ z[us[lo:hi]].T)
-            row_v = expit(z @ z[vs[lo:hi]].T)
-            out[lo:hi] = np.sum(row_u * row_v, axis=0)
-        scores = out
-    return PairScores(pairs=pairs, scores=np.asarray(scores, dtype=np.float64), scorer=ScorerKind.RECON_TWO_HOP)
+    pairs, us, vs = _as_index_arrays(pairs, z.shape[0])
+    scores = np.empty(len(pairs))
+    for lo in range(0, len(pairs), _PAIR_CHUNK):
+        hi = min(lo + _PAIR_CHUNK, len(pairs))
+        row_u = expit(z @ z[us[lo:hi]].T)
+        row_v = expit(z @ z[vs[lo:hi]].T)
+        scores[lo:hi] = np.sum(row_u * row_v, axis=0)
+    return PairScores(pairs=pairs, scores=scores, scorer=ScorerKind.RECON_TWO_HOP)
 
 
 def decode_score(model: EmbeddingModel, pairs, kind: ScorerKind | None = None) -> PairScores:
     """Direct decoder scores sigmoid(z_u . z_v)."""
-    pairs, us, vs = _as_index_arrays(pairs)
+    pairs, us, vs = _as_index_arrays(pairs, model.Z.shape[0])
     scores = decode_pairs(model.Z, us, vs)
     if kind is None:
         kind = ScorerKind.LGAE if model.model_kind.value == "lgae" else ScorerKind.GAE
@@ -189,7 +189,10 @@ def decode_score(model: EmbeddingModel, pairs, kind: ScorerKind | None = None) -
 
 
 def _canonical_het_pair(g: BipartiteGraph, u: int, v: int):
-    """Order a heterogeneous global pair as (left, right); reject homogeneous."""
+    """Order a heterogeneous global pair as (left, right); reject homogeneous
+    and out-of-range pairs."""
+    if not (0 <= u < g.n and 0 <= v < g.n):
+        raise ValueError(f"pair {(u, v)} is out of range for a graph of {g.n} nodes")
     u_left = u < g.n_left
     v_left = v < g.n_left
     if u_left == v_left:
@@ -248,7 +251,7 @@ def heuristic_score(g_train: BipartiteGraph, kind: ScorerKind, u: int, v: int, _
 
 def heuristic_scores(g_train: BipartiteGraph, kind: ScorerKind, pairs) -> PairScores:
     """Vector of heuristic_score over a pair sequence (caches per-node sets)."""
-    pairs, us, vs = _as_index_arrays(pairs)
+    pairs, us, vs = _as_index_arrays(pairs, g_train.n)
     cache: dict = {}
     scores = np.array(
         [heuristic_score(g_train, kind, u, v, _n2_cache=cache) for u, v in zip(us, vs)],
@@ -282,17 +285,20 @@ def katz_score(
 ) -> PairScores:
     """Katz index: damped walk counts (I - beta A)^{-1} - I at the pairs.
 
-    Closed form (dense solve) for graphs up to dense_threshold nodes, which
-    requires beta < 1 / spectral_radius(A) (KatzDivergenceError otherwise);
-    larger graphs use a truncated series
-    sum_{l=1..L} (beta A)^l evaluated column-wise, which never materializes
-    an n x n dense matrix.
+    Closed form (one dense solve per call) for graphs up to dense_threshold
+    nodes, which requires beta < 1 / spectral_radius(A)
+    (KatzDivergenceError otherwise); larger graphs use the truncated series
+    sum_{l=1..L} (beta A)^l.  The series runs once for the unique target
+    columns, ``_KATZ_COLUMNS`` at a time, as sparse matrix products
+    (x = beta A x; acc += x), so it never materializes an n x n dense
+    matrix and each score is bit-identical to propagating its target
+    column alone.
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     a = sp.csr_matrix(a_train, dtype=np.float64)
     n = a.shape[0]
-    pairs, us, vs = _as_index_arrays(pairs)
+    pairs, us, vs = _as_index_arrays(pairs, n)
     if _pick_mode(mode, n, dense_threshold) == "dense":
         radius = adjacency_spectral_radius(a)
         if radius > 0 and beta >= 1.0 / radius:
@@ -305,14 +311,18 @@ def katz_score(
     else:
         scores = np.empty(len(pairs))
         damped = beta * a
-        for k, v in enumerate(vs.tolist()):
-            x = np.zeros(n)
-            x[v] = 1.0
-            acc = np.zeros(n)
+        targets, column = np.unique(vs, return_inverse=True)
+        for lo in range(0, targets.size, _KATZ_COLUMNS):
+            block = targets[lo : lo + _KATZ_COLUMNS]
+            x = sp.csr_matrix(
+                (np.ones(block.size), (block, np.arange(block.size))), shape=(n, block.size)
+            )
+            acc = sp.csr_matrix((n, block.size))
             for _ in range(series_terms):
                 x = damped @ x
-                acc += x
-            scores[k] = acc[us[k]]
+                acc = acc + x
+            sel = np.flatnonzero((column >= lo) & (column < lo + block.size))
+            scores[sel] = acc.toarray()[us[sel], column[sel] - lo]
     return PairScores(pairs=pairs, scores=np.asarray(scores, dtype=np.float64), scorer=ScorerKind.KATZ)
 
 

@@ -83,19 +83,18 @@ def test_criterion_1_lazy_scores_match_dense_oracle():
         mixed = norm.matrix.toarray() @ recon
         want_two_hop = 0.5 * (mixed[arr[:, 0], arr[:, 1]] + mixed[arr[:, 1], arr[:, 0]])
         want_recon = (recon @ recon)[arr[:, 0], arr[:, 1]]
-        for mode in ("lazy", "dense"):
-            got_two_hop = two_hop_score(model, norm, pairs, mode=mode).scores
-            got_recon = recon_two_hop_score(model, pairs, mode=mode).scores
-            worst = max(
-                worst,
-                float(np.max(np.abs(got_two_hop - want_two_hop) / want_two_hop)),
-                float(np.max(np.abs(got_recon - want_recon) / want_recon)),
-            )
+        got_two_hop = two_hop_score(model, norm, pairs).scores
+        got_recon = recon_two_hop_score(model, pairs).scores
+        worst = max(
+            worst,
+            float(np.max(np.abs(got_two_hop - want_two_hop) / want_two_hop)),
+            float(np.max(np.abs(got_recon - want_recon) / want_recon)),
+        )
     elapsed = time.monotonic() - started
     _report(
         "criterion 1", "pair scores vs dense oracle",
         worst <= 1e-10 and elapsed < 10.0,
-        f"100 graphs, both modes, worst rel err {worst:.2e}, {elapsed:.1f}s",
+        f"100 graphs, worst rel err {worst:.2e}, {elapsed:.1f}s",
     )
 
 
@@ -336,8 +335,8 @@ def test_criterion_6b_southern_women_reference_value():
         test_pos = [(u, g.n_left + v) for u, v in split.test_pos]
         test_neg = [(u, g.n_left + v) for u, v in split.test_neg]
         for norm, aucs in ((artifacts.norm, rescored), (norm_full, leaky)):
-            pos = two_hop_score(model, norm, test_pos, dense_threshold=config.dense_threshold).scores
-            neg = two_hop_score(model, norm, test_neg, dense_threshold=config.dense_threshold).scores
+            pos = two_hop_score(model, norm, test_pos).scores
+            neg = two_hop_score(model, norm, test_neg).scores
             aucs.append(roc_auc(pos, neg))
     rescored_dev = abs(float(np.mean(rescored)) - clean)
     leaky_mean = float(np.mean(leaky))

@@ -1,14 +1,23 @@
 """Pair scorers against dense oracles and hand-worked cases.
 
 The two-hop scorer is checked three ways: closed forms on constant inputs,
-a literal path-sum decomposition on a six-node graph, and lazy-vs-dense
-agreement on random instances (the acceptance suite scales the latter up to
-100 graphs).
+a literal path-sum decomposition on a six-node graph, and agreement with the
+explicit An @ R matrix on random instances (the acceptance suite scales the
+latter up to 100 graphs).  The batched Katz series is checked bit for bit
+against the per-pair loop it replaced, and every scorer is checked to give
+the same scores whether a pair list is scored at once or in pieces.
 """
+
+import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import expit
+
+from bihop import scoring
 
 from bihop.autoencoder import EmbeddingModel, ModelKind
 from bihop.graph import adjacency, build_graph, normalized_adjacency
@@ -50,6 +59,37 @@ def dense_two_hop_oracle(g, z, us, vs):
     hop2 = an @ recon
     sym = 0.5 * (hop2 + hop2.T)
     return sym[us, vs]
+
+
+def katz_series_loop(a, beta, pairs, series_terms=5):
+    """The per-pair truncated Katz series that the batched kernel replaced:
+    one sparse mat-vec walk per pair from its target column."""
+    damped = beta * sp.csr_matrix(a, dtype=np.float64)
+    n = damped.shape[0]
+    out = np.empty(len(pairs))
+    for k, (u, v) in enumerate(pairs):
+        x = np.zeros(n)
+        x[v] = 1.0
+        acc = np.zeros(n)
+        for _ in range(series_terms):
+            x = damped @ x
+            acc += x
+        out[k] = acc[u]
+    return out
+
+
+def score_with(kind, g, z, pairs, katz_mode="auto"):
+    """Scores of ``pairs`` from one call of the scorer behind ``kind``."""
+    model = model_for(g, z)
+    if kind is ScorerKind.TWO_HOP:
+        return two_hop_score(model, normalized_adjacency(g), pairs).scores
+    if kind is ScorerKind.RECON_TWO_HOP:
+        return recon_two_hop_score(model, pairs).scores
+    if kind in (ScorerKind.LGAE, ScorerKind.GAE):
+        return decode_score(model, pairs, kind=kind).scores
+    if kind is ScorerKind.KATZ:
+        return katz_score(adjacency(g), 0.05, pairs, mode=katz_mode).scores
+    return heuristic_scores(g, kind, pairs).scores
 
 
 class TestScorerKind:
@@ -103,8 +143,7 @@ class TestTwoHop:
         got = two_hop_score(model, norm, [(u, v)]).scores[0]
         assert got == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("mode", ["dense", "lazy"])
-    def test_modes_match_oracle(self, mode):
+    def test_matches_oracle(self):
         rng = np.random.default_rng(61)
         for _ in range(15):
             g = random_bipartite(rng)
@@ -112,23 +151,25 @@ class TestTwoHop:
             model = model_for(g, z)
             norm = normalized_adjacency(g)
             pairs = het_pairs(g)
-            got = two_hop_score(model, norm, pairs, mode=mode).scores
+            got = two_hop_score(model, norm, pairs).scores
             us = np.array([p[0] for p in pairs])
             vs = np.array([p[1] for p in pairs])
             want = dense_two_hop_oracle(g, z, us, vs)
             denom = np.maximum(np.abs(want), 1e-30)
             assert np.max(np.abs(got - want) / denom) <= 1e-10
 
-    def test_lazy_equals_dense(self):
+    def test_gather_chunk_boundaries(self, monkeypatch):
+        """A gather budget that allows one pair per chunk still matches the
+        oracle, including homogeneous and self pairs."""
         rng = np.random.default_rng(62)
         g = random_bipartite(rng, max_side=12)
         z = rng.standard_normal((g.n, 4))
-        model = model_for(g, z)
-        norm = normalized_adjacency(g)
-        pairs = het_pairs(g)
-        dense = two_hop_score(model, norm, pairs, mode="dense").scores
-        lazy = two_hop_score(model, norm, pairs, mode="lazy").scores
-        assert np.allclose(lazy, dense, rtol=1e-12, atol=1e-15)
+        pairs = [(u, v) for u in range(g.n) for v in range(g.n)]
+        monkeypatch.setattr(scoring, "_GATHER_ENTRIES", 5)
+        got = two_hop_score(model_for(g, z), normalized_adjacency(g), pairs).scores
+        arr = np.asarray(pairs)
+        want = dense_two_hop_oracle(g, z, arr[:, 0], arr[:, 1])
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
 
     def test_symmetric_and_nonnegative(self):
         rng = np.random.default_rng(63)
@@ -147,12 +188,6 @@ class TestTwoHop:
         model = model_for(g, np.zeros((7, 2)))
         with pytest.raises(ValueError, match="embeddings"):
             two_hop_score(model, normalized_adjacency(g), [(0, 2)])
-
-    def test_bad_mode_rejected(self):
-        g = build_graph(2, 2, [(0, 0)])
-        model = model_for(g, np.zeros((4, 2)))
-        with pytest.raises(ValueError, match="mode"):
-            two_hop_score(model, normalized_adjacency(g), [(0, 2)], mode="sparse")
 
     def test_empty_pairs(self):
         g = build_graph(2, 2, [(0, 0)])
@@ -179,15 +214,14 @@ class TestReconTwoHop:
         rev = recon_two_hop_score(model, [(7, 1)]).scores[0]
         assert fwd == rev
 
-    @pytest.mark.parametrize("mode", ["dense", "lazy"])
-    def test_modes_match_oracle(self, mode):
+    def test_matches_oracle(self):
         rng = np.random.default_rng(65)
         for _ in range(10):
             g = random_bipartite(rng)
             z = rng.standard_normal((g.n, 4))
             model = model_for(g, z)
             pairs = het_pairs(g)
-            got = recon_two_hop_score(model, pairs, mode=mode).scores
+            got = recon_two_hop_score(model, pairs).scores
             recon = expit(z @ z.T)
             want = (recon @ recon)[
                 np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
@@ -196,15 +230,17 @@ class TestReconTwoHop:
             assert np.max(np.abs(got - want) / denom) <= 1e-10
 
     def test_lazy_chunking_boundary(self):
-        """More pairs than one lazy chunk still matches dense."""
+        """More pairs than one chunk still matches the explicit R @ R."""
         rng = np.random.default_rng(66)
         g = build_graph(20, 20, [(i, i) for i in range(20)])
         z = rng.standard_normal((40, 3))
         model = model_for(g, z)
         pairs = het_pairs(g)  # 400 pairs > the 256-pair chunk
-        dense = recon_two_hop_score(model, pairs, mode="dense").scores
-        lazy = recon_two_hop_score(model, pairs, mode="lazy").scores
-        assert np.allclose(lazy, dense, rtol=1e-12, atol=1e-15)
+        got = recon_two_hop_score(model, pairs).scores
+        recon = expit(z @ z.T)
+        arr = np.asarray(pairs)
+        want = (recon @ recon)[arr[:, 0], arr[:, 1]]
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
 class TestDecodeScore:
@@ -417,6 +453,36 @@ class TestKatz:
         rev = katz_score(a, 0.03, [(g.n - 1, 0)]).scores[0]
         assert fwd == pytest.approx(rev, rel=1e-12)
 
+    def test_series_bit_identical_to_per_pair_loop(self):
+        """More unique targets than one column chunk, repeated targets and
+        both pair orientations: every score equals the per-pair walk."""
+        rng = np.random.default_rng(79)
+        for n_left, n_right in ((150, 170), (40, 30)):
+            edges = [
+                (u, v) for u in range(n_left) for v in range(n_right) if rng.random() < 0.03
+            ]
+            g = build_graph(n_left, n_right, edges)
+            a = adjacency(g)
+            # Random symmetric weights make the sum's rounding depend on its
+            # order, so a reordered accumulation shows up as a mismatch.
+            upper = sp.triu(a).multiply(rng.uniform(0.5, 2.0, size=a.shape))
+            weighted = sp.csr_matrix(upper + upper.T)
+            targets = np.concatenate([np.arange(g.n), rng.integers(0, g.n, size=50)])
+            pairs = [(int(rng.integers(g.n)), int(v)) for v in targets]
+            pairs += [(v, u) for u, v in pairs[:60]]
+            if n_left == 150:
+                assert len({v for _, v in pairs}) > scoring._KATZ_COLUMNS
+            for matrix, beta in ((a, 0.05), (weighted, 0.3)):
+                for terms in (1, 5):
+                    got = katz_score(matrix, beta, pairs, mode="lazy", series_terms=terms).scores
+                    assert np.array_equal(got, katz_series_loop(matrix, beta, pairs, terms))
+
+    def test_series_empty_pairs(self):
+        g = build_graph(2, 2, [(0, 0)])
+        got = katz_score(adjacency(g), 0.1, [], mode="lazy")
+        assert got.scores.shape == (0,)
+        assert got.pairs == ()
+
     def test_spectral_radius_small_and_large_paths_agree(self):
         rng = np.random.default_rng(77)
         g = random_bipartite(rng, max_side=8, min_edges=10)
@@ -428,6 +494,56 @@ class TestKatz:
     def test_empty_graph_radius_zero(self):
         g = build_graph(3, 3, [])
         assert adjacency_spectral_radius(adjacency(g)) == 0.0
+
+
+class TestPairValidation:
+    @pytest.mark.parametrize("bad", [(-1, 3), (0, 6), (7, 4)])
+    @pytest.mark.parametrize("kind", list(ScorerKind), ids=lambda k: k.value)
+    def test_out_of_range_pair_rejected(self, kind, bad, toy_graph):
+        """An index outside [0, n) raises and names the pair instead of
+        wrapping around to another node."""
+        z = np.random.default_rng(80).standard_normal((toy_graph.n, 3))
+        with pytest.raises(ValueError, match=re.escape(f"pair {bad} is out of range")):
+            score_with(kind, toy_graph, z, [(0, 3), bad])
+
+    def test_scalar_heuristic_rejects_out_of_range(self, toy_graph):
+        with pytest.raises(ValueError, match="out of range"):
+            heuristic_score(toy_graph, ScorerKind.COMMON_NEIGHBORS, -1, 3)
+
+
+@st.composite
+def graph_and_batches(draw):
+    """A random graph, embeddings, and two lists of heterogeneous pairs in
+    either orientation (either list may be empty)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_bipartite(rng, max_side=7)
+    z = rng.standard_normal((g.n, 3))
+    oriented = st.tuples(st.sampled_from(het_pairs(g)), st.booleans()).map(
+        lambda pf: pf[0][::-1] if pf[1] else pf[0]
+    )
+    pos = draw(st.lists(oriented, max_size=10))
+    neg = draw(st.lists(oriented, max_size=10))
+    return g, z, pos, neg
+
+
+class TestBatchInvariance:
+    @pytest.mark.parametrize("kind", list(ScorerKind), ids=lambda k: k.value)
+    @given(case=graph_and_batches())
+    def test_together_equals_separately(self, kind, case):
+        """Scoring positives and negatives in one call gives the scores of
+        two separate calls: exactly for Katz (both forms), the heuristics
+        and decode, to 1e-12 relative for the two-hop scorers."""
+        g, z, pos, neg = case
+        modes = ("dense", "lazy") if kind is ScorerKind.KATZ else ("auto",)
+        for mode in modes:
+            together = score_with(kind, g, z, pos + neg, katz_mode=mode)
+            apart = np.concatenate(
+                [score_with(kind, g, z, pos, katz_mode=mode), score_with(kind, g, z, neg, katz_mode=mode)]
+            )
+            if kind in (ScorerKind.TWO_HOP, ScorerKind.RECON_TWO_HOP):
+                assert np.allclose(together, apart, rtol=1e-12, atol=0)
+            else:
+                assert np.array_equal(together, apart)
 
 
 class TestMonotoneInvariance:
