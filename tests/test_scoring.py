@@ -92,6 +92,12 @@ def score_with(kind, g, z, pairs, katz_mode="auto"):
     return heuristic_scores(g, kind, pairs).scores
 
 
+# Chunk sizes for the two-hop oracle checks: "dense" scores a whole pair
+# list in one chunk, "lazy" one pair per chunk.
+GATHER_BUDGETS = {"dense": 1 << 40, "lazy": 1}
+PAIR_CHUNKS = {"dense": 1 << 40, "lazy": 1}
+
+
 class TestScorerKind:
     def test_parse_canonical_and_aliases(self):
         assert ScorerKind.parse("two_hop") is ScorerKind.TWO_HOP
@@ -143,7 +149,11 @@ class TestTwoHop:
         got = two_hop_score(model, norm, [(u, v)]).scores[0]
         assert got == pytest.approx(want, rel=1e-12)
 
-    def test_matches_oracle(self):
+    @pytest.mark.parametrize("mode", ["dense", "lazy"])
+    def test_modes_match_oracle(self, mode, monkeypatch):
+        """Agreement with the explicit An @ R matrix whether each pair list
+        is gathered in one chunk ("dense") or one pair at a time ("lazy")."""
+        monkeypatch.setattr(scoring, "_GATHER_ENTRIES", GATHER_BUDGETS[mode])
         rng = np.random.default_rng(61)
         for _ in range(15):
             g = random_bipartite(rng)
@@ -214,7 +224,11 @@ class TestReconTwoHop:
         rev = recon_two_hop_score(model, [(7, 1)]).scores[0]
         assert fwd == rev
 
-    def test_matches_oracle(self):
+    @pytest.mark.parametrize("mode", ["dense", "lazy"])
+    def test_modes_match_oracle(self, mode, monkeypatch):
+        """Agreement with the explicit R @ R whether each pair list is scored
+        in one chunk ("dense") or one pair at a time ("lazy")."""
+        monkeypatch.setattr(scoring, "_PAIR_CHUNK", PAIR_CHUNKS[mode])
         rng = np.random.default_rng(65)
         for _ in range(10):
             g = random_bipartite(rng)
