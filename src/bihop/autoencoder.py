@@ -26,6 +26,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .graph import NormalizedAdjacency, sparse_dense_product
+from .splits import philox
 
 BLOCK_ROWS = 1024
 
@@ -216,7 +217,7 @@ def _glorot(rng, fan_in, fan_out):
 
 def init_weights(config: TrainConfig, n: int) -> tuple:
     """Seeded Glorot-uniform initialization for the configured encoder."""
-    rng = np.random.Generator(np.random.Philox(key=int(config.seed) & (2**64 - 1)))
+    rng = philox(config.seed)
     if config.model_kind is ModelKind.LGAE:
         return (_glorot(rng, n, config.embed_dim),)
     return (

@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .graph import BipartiteGraph, GraphInputError, build_graph
-from .metrics import MetricReport
+from .metrics import MetricReport, summarize
+from .splits import philox
 
 logger = logging.getLogger(__name__)
 
@@ -160,17 +161,13 @@ def write_edge_list(g: BipartiteGraph, path, left_ids=None, right_ids=None) -> N
             fh.write(f"{left_ids[u]} {right_ids[v]}\n")
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-
-
 def generate_bipartite_er(n_left: int, n_right: int, p: float, seed: int) -> BipartiteGraph:
     """Each left-right pair is an edge independently with probability p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
     if n_left < 1 or n_right < 1:
         raise ValueError("partition sizes must be positive")
-    rng = _rng(seed)
+    rng = philox(seed)
     pairs = []
     block = max(1, (1 << 22) // max(n_right, 1))
     for start in range(0, n_left, block):
@@ -199,7 +196,7 @@ def generate_bipartite_sbm(left_sizes, right_sizes, p_in: float, p_out: float, s
             raise ValueError(f"{name} must be in [0, 1], got {prob}")
     if p_in <= p_out:
         raise ValueError(f"p_in must exceed p_out, got {p_in} <= {p_out}")
-    rng = _rng(seed)
+    rng = philox(seed)
     left_starts = np.concatenate([[0], np.cumsum(left_sizes)])
     right_starts = np.concatenate([[0], np.cumsum(right_sizes)])
     pairs = []
@@ -224,8 +221,9 @@ def write_report(records, path, summary_path=None):
     """Write per-run metric rows and a companion mean/std summary.
 
     The per-run file has header ``dataset,method,run,seed,auc,ap``.  The
-    summary (defaults to ``<stem>_summary<ext>``) aggregates per
-    (dataset, method) in first-appearance order with population standard
+    summary (defaults to ``<stem>_summary<ext>``) holds the rows of
+    ``metrics.summarize``, the same rows ``run_benchmark`` returns: one per
+    (dataset, method) in first-appearance order, with population standard
     deviations.  Returns (path, summary_path).
     """
     records = list(records)
@@ -238,23 +236,18 @@ def write_report(records, path, summary_path=None):
         writer.writerow(["dataset", "method", "run", "seed", "auc", "ap"])
         for r in records:
             writer.writerow([r.dataset, r.scorer.value, r.run, r.seed, repr(r.auc), repr(r.ap)])
-    groups: dict = {}
-    for r in records:
-        groups.setdefault((r.dataset, r.scorer.value), []).append(r)
     with open(summary_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["dataset", "method", "auc_mean", "auc_std", "ap_mean", "ap_std"])
-        for (dataset, method), rows in groups.items():
-            aucs = np.array([r.auc for r in rows])
-            aps = np.array([r.ap for r in rows])
+        for row in summarize(records):
             writer.writerow(
                 [
-                    dataset,
-                    method,
-                    repr(float(aucs.mean())),
-                    repr(float(aucs.std())),
-                    repr(float(aps.mean())),
-                    repr(float(aps.std())),
+                    row.dataset,
+                    row.scorer.value,
+                    repr(row.auc_mean),
+                    repr(row.auc_std),
+                    repr(row.ap_mean),
+                    repr(row.ap_std),
                 ]
             )
     return path, summary_path

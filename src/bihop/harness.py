@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,15 +27,16 @@ from .metrics import (
     ConfusionMatrix,
     MetricReport,
     ScoreMassReport,
+    SummaryRow,
     average_precision,
     best_f1_threshold,
     confusion_at,
     format_mass_table,
     roc_auc,
     score_mass_report,
+    summarize,
 )
 from .scoring import (
-    DENSE_THRESHOLD,
     HEURISTIC_KINDS,
     KatzDivergenceError,
     ScorerKind,
@@ -45,7 +46,7 @@ from .scoring import (
     recon_two_hop_score,
     two_hop_score,
 )
-from .splits import EdgeSplit, _child_keys, sample_negatives, split_edges, train_graph
+from .splits import EdgeSplit, child_keys, sample_negatives, split_edges, train_graph
 
 logger = logging.getLogger(__name__)
 
@@ -69,7 +70,6 @@ class BenchmarkConfig:
     lgae_grid: tuple = DEFAULT_LGAE_GRID
     gae_grid: tuple = DEFAULT_GAE_GRID
     katz_grid: tuple = DEFAULT_KATZ_GRID
-    dense_threshold: int = DENSE_THRESHOLD
     time_budget_s: float | None = None
     out_dir: str | None = None
 
@@ -161,14 +161,8 @@ def _model_for(artifacts: RunArtifacts, kind: ScorerKind, tuned: dict) -> Embedd
     return artifacts.models[(mk, _param_key(tuned.get(kind, {})))]
 
 
-def _score_pairs(
-    kind: ScorerKind,
-    pairs,
-    artifacts: RunArtifacts,
-    tuned: dict,
-    dense_threshold: int,
-) -> np.ndarray:
-    """One scorer call over ``pairs``; ``dense_threshold`` steers only Katz."""
+def _score_pairs(kind: ScorerKind, pairs, artifacts: RunArtifacts, tuned: dict) -> np.ndarray:
+    """One scorer call over ``pairs``."""
     if kind is ScorerKind.TWO_HOP:
         return two_hop_score(_model_for(artifacts, kind, tuned), artifacts.norm, pairs).scores
     if kind is ScorerKind.RECON_TWO_HOP:
@@ -177,40 +171,32 @@ def _score_pairs(
         return decode_score(_model_for(artifacts, kind, tuned), pairs, kind=kind).scores
     if kind is ScorerKind.KATZ:
         beta = tuned.get(kind, {}).get("beta", 0.005)
-        return katz_score(artifacts.a_train, beta, pairs, dense_threshold=dense_threshold).scores
+        return katz_score(artifacts.a_train, beta, pairs).scores
     if kind in HEURISTIC_KINDS:
         return heuristic_scores(artifacts.g_train, kind, pairs).scores
     raise ValueError(f"no scoring rule for {kind}")
 
 
-def _pos_neg_scores(
-    kind: ScorerKind, pos, neg, artifacts: RunArtifacts, tuned: dict, dense_threshold: int
-):
+def _pos_neg_scores(kind: ScorerKind, pos, neg, artifacts: RunArtifacts, tuned: dict):
     """Score positives and negatives in one call; returns (pos, neg) scores."""
-    scores = _score_pairs(kind, tuple(pos) + tuple(neg), artifacts, tuned, dense_threshold)
+    scores = _score_pairs(kind, tuple(pos) + tuple(neg), artifacts, tuned)
     return scores[: len(pos)], scores[len(pos) :]
 
 
-def grid_search(
-    g: BipartiteGraph,
-    split: EdgeSplit,
-    grid,
-    scorer: ScorerKind,
-    config: BenchmarkConfig | None = None,
-):
+def grid_search(g: BipartiteGraph, split: EdgeSplit, grid, scorer: ScorerKind):
     """Pick the grid point maximizing validation AUC of ``scorer``.
 
     Exhaustive; ties keep the earlier grid point.  Returns
     (chosen_params, validation_auc).  The training graph, its normalization
     and labels are built once; each point only trains its model and scores
-    the validation positives and negatives in one call.  Katz points at or
-    above 1 / spectral_radius of the training graph are logged and skipped;
-    ValueError lists them all if no point is feasible.
+    the validation positives and negatives in one call.  Katz points the
+    closed form rejects (beta at or above 1 / spectral_radius of the
+    training graph) are logged and skipped; ValueError lists them all if no
+    point is feasible.
     """
     grid = [dict(p) if isinstance(p, dict) else {"beta": float(p)} for p in grid]
     if not grid:
         raise ValueError("grid_search needs a nonempty grid")
-    dense_threshold = DENSE_THRESHOLD if config is None else config.dense_threshold
     base = _training_side(g, split)
     val_pos = _global_pairs(g, split.val_pos)
     val_neg = _global_pairs(g, split.val_neg)
@@ -220,7 +206,7 @@ def grid_search(
         tuned = {scorer: point}
         artifacts = _with_models(base, (scorer,), tuned)
         try:
-            pos, neg = _pos_neg_scores(scorer, val_pos, val_neg, artifacts, tuned, dense_threshold)
+            pos, neg = _pos_neg_scores(scorer, val_pos, val_neg, artifacts, tuned)
         except KatzDivergenceError as exc:
             logger.warning("%s grid point %s skipped on seed %d: %s", scorer.value, point, split.seed, exc)
             skipped.append(f"{point}: {exc}")
@@ -241,7 +227,7 @@ def tune_scorers(g: BipartiteGraph, split: EdgeSplit, config: BenchmarkConfig) -
         if len(grid) == 1:
             tuned[kind] = dict(grid[0])
         else:
-            point, val_auc = grid_search(g, split, grid, kind, config)
+            point, val_auc = grid_search(g, split, grid, kind)
             logger.info(
                 "tuned %s on seed %d: %s (val AUC %.4f)", kind.value, split.seed, point, val_auc
             )
@@ -274,9 +260,7 @@ def run_experiment(
         test_neg = _global_pairs(g, split.test_neg)
         reports = []
         for kind in config.scorers:
-            pos, neg = _pos_neg_scores(
-                kind, test_pos, test_neg, artifacts, tuned, config.dense_threshold
-            )
+            pos, neg = _pos_neg_scores(kind, test_pos, test_neg, artifacts, tuned)
             reports.append(
                 MetricReport(
                     dataset=dataset_id,
@@ -296,17 +280,6 @@ def run_experiment(
 def _add_run_note(exc: Exception, dataset_id: str, run_index: int, seed: int) -> None:
     if hasattr(exc, "add_note"):  # Python 3.11+
         exc.add_note(f"while running {dataset_id!r} run {run_index} (seed {seed})")
-
-
-@dataclass(frozen=True)
-class SummaryRow:
-    dataset: str
-    scorer: ScorerKind
-    runs: int
-    auc_mean: float
-    auc_std: float
-    ap_mean: float
-    ap_std: float
 
 
 @dataclass(frozen=True)
@@ -336,21 +309,6 @@ class Summary:
         for dataset_id, reason in self.missing:
             lines.append(f"{dataset_id:<22} MISSING: {reason}")
         return "\n".join(lines)
-
-
-def _aggregate(dataset_id: str, kind: ScorerKind, reports) -> SummaryRow:
-    # Sort before reducing so aggregation is independent of report order.
-    aucs = np.sort(np.array([r.auc for r in reports if r.scorer is kind]))
-    aps = np.sort(np.array([r.ap for r in reports if r.scorer is kind]))
-    return SummaryRow(
-        dataset=dataset_id,
-        scorer=kind,
-        runs=aucs.size,
-        auc_mean=float(aucs.mean()),
-        auc_std=float(aucs.std()),
-        ap_mean=float(aps.mean()),
-        ap_std=float(aps.std()),
-    )
 
 
 def run_benchmark(config: BenchmarkConfig, data_dir=None) -> Summary:
@@ -392,8 +350,7 @@ def run_benchmark(config: BenchmarkConfig, data_dir=None) -> Summary:
                 )
                 break
             reports.extend(run_experiment(g, config, r, dataset_id=spec.id, tuned=tuned))
-        for kind in config.scorers:
-            rows.append(_aggregate(spec.id, kind, reports))
+        rows.extend(summarize(reports))
         all_reports.extend(reports)
     summary = Summary(rows=tuple(rows), missing=tuple(missing))
     if config.out_dir is not None:
@@ -477,7 +434,7 @@ def diagnose(
     artifacts = _with_models(_training_side(g, split), (ScorerKind.TWO_HOP,), tuned)
     model = _model_for(artifacts, ScorerKind.TWO_HOP, tuned)
 
-    extra_keys = _child_keys(seed, 6)[3:]
+    extra_keys = child_keys(seed, 6)[3:]
 
     # (a) best-F1 confusion of each surface against the full graph's edges
     pop_pairs, pop_labels = _confusion_population(g, extra_keys[0])
@@ -555,10 +512,7 @@ def diagnose(
     )
 
 
-_CONFIG_KEYS = {
-    "datasets", "scorers", "runs", "base_seed", "ratios", "lgae_grid",
-    "gae_grid", "katz_grid", "dense_threshold", "time_budget_s", "out_dir",
-}
+_CONFIG_KEYS = frozenset(f.name for f in fields(BenchmarkConfig))
 
 
 def config_from_dict(raw: dict) -> BenchmarkConfig:
@@ -567,7 +521,7 @@ def config_from_dict(raw: dict) -> BenchmarkConfig:
     Schema (all keys optional):
       datasets:   list of ids or {"id", "source", "expected_nodes", "expected_edges"}
       scorers:    list of scorer names (see ScorerKind; short aliases accepted)
-      runs, base_seed, dense_threshold: ints
+      runs, base_seed: ints
       ratios:     [train, val, test] floats summing to 1
       lgae_grid / gae_grid: list of {"learning_rate", "epochs", "embed_dim"[, "hidden_dim"]}
       katz_grid:  list of damping factors
@@ -598,7 +552,7 @@ def config_from_dict(raw: dict) -> BenchmarkConfig:
         kwargs["datasets"] = tuple(specs)
     if "scorers" in raw:
         kwargs["scorers"] = tuple(ScorerKind.parse(s) for s in raw["scorers"])
-    for key in ("runs", "base_seed", "dense_threshold"):
+    for key in ("runs", "base_seed"):
         if key in raw:
             kwargs[key] = int(raw[key])
     if "ratios" in raw:

@@ -58,6 +58,46 @@ class MetricReport:
     ap: float
 
 
+@dataclass(frozen=True)
+class SummaryRow:
+    """Mean and population standard deviation over one (dataset, scorer)'s runs."""
+
+    dataset: str
+    scorer: ScorerKind
+    runs: int
+    auc_mean: float
+    auc_std: float
+    ap_mean: float
+    ap_std: float
+
+
+def summarize(reports) -> tuple:
+    """One SummaryRow per (dataset, scorer), in order of first appearance.
+
+    Each group's values are sorted before they are reduced, so a row does
+    not depend on the order of the reports.
+    """
+    groups: dict = {}
+    for r in reports:
+        groups.setdefault((r.dataset, r.scorer), []).append(r)
+    rows = []
+    for (dataset, scorer), group in groups.items():
+        aucs = np.sort([r.auc for r in group])
+        aps = np.sort([r.ap for r in group])
+        rows.append(
+            SummaryRow(
+                dataset=dataset,
+                scorer=scorer,
+                runs=aucs.size,
+                auc_mean=float(aucs.mean()),
+                auc_std=float(aucs.std()),
+                ap_mean=float(aps.mean()),
+                ap_std=float(aps.std()),
+            )
+        )
+    return tuple(rows)
+
+
 def _validate_scores(arr, name: str) -> np.ndarray:
     arr = np.asarray(arr, dtype=np.float64).ravel()
     if not np.all(np.isfinite(arr)):

@@ -14,9 +14,9 @@ score does not depend on the other pairs in the call, so positives and
 negatives can be scored together and sliced apart.  Neither two-hop scorer
 ever materializes an n x n matrix: ``two_hop`` gathers the sparse rows of An
 and ``recon_two_hop`` computes the needed columns of R per chunk of pairs.
-Only Katz switches on graph size (closed form up to ``DENSE_THRESHOLD``
-nodes, a truncated series above it), because the two compute different
-quantities.
+Only Katz keeps two forms, because they compute different quantities: the
+closed form up to ``DENSE_THRESHOLD`` (4096) nodes, a truncated series
+above it.  The graph size alone picks the form; no argument overrides it.
 
 All scorers accept node pairs in GLOBAL indexing (left block first), reject
 indices outside [0, n) with ValueError, and are symmetric in the pair order.
@@ -119,14 +119,6 @@ def _check_model_size(model: EmbeddingModel, n: int):
         raise ValueError(
             f"model has {model.Z.shape[0]} node embeddings but graph has {n} nodes"
         )
-
-
-def _pick_mode(mode: str, n: int, dense_threshold: int) -> str:
-    if mode not in ("auto", "dense", "lazy"):
-        raise ValueError(f"mode must be auto/dense/lazy, got {mode!r}")
-    if mode == "auto":
-        return "dense" if n <= dense_threshold else "lazy"
-    return mode
 
 
 def _row_hop(mat: sp.csr_matrix, z: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -275,20 +267,14 @@ def adjacency_spectral_radius(a: sp.spmatrix) -> float:
     return float(abs(vals[0]))
 
 
-def katz_score(
-    a_train: sp.spmatrix,
-    beta: float,
-    pairs,
-    mode: str = "auto",
-    series_terms: int = 5,
-    dense_threshold: int = DENSE_THRESHOLD,
-) -> PairScores:
+def katz_score(a_train: sp.spmatrix, beta: float, pairs, series_terms: int = 5) -> PairScores:
     """Katz index: damped walk counts (I - beta A)^{-1} - I at the pairs.
 
-    Closed form (one dense solve per call) for graphs up to dense_threshold
-    nodes, which requires beta < 1 / spectral_radius(A)
-    (KatzDivergenceError otherwise); larger graphs use the truncated series
-    sum_{l=1..L} (beta A)^l.  The series runs once for the unique target
+    The graph size alone picks the form.  Up to ``DENSE_THRESHOLD`` nodes it
+    is the closed form (one dense solve per call), which requires
+    beta < 1 / spectral_radius(A) (KatzDivergenceError otherwise); larger
+    graphs use the truncated series sum_{l=1..L} (beta A)^l with
+    L = ``series_terms``.  The series runs once for the unique target
     columns, ``_KATZ_COLUMNS`` at a time, as sparse matrix products
     (x = beta A x; acc += x), so it never materializes an n x n dense
     matrix and each score is bit-identical to propagating its target
@@ -299,12 +285,12 @@ def katz_score(
     a = sp.csr_matrix(a_train, dtype=np.float64)
     n = a.shape[0]
     pairs, us, vs = _as_index_arrays(pairs, n)
-    if _pick_mode(mode, n, dense_threshold) == "dense":
+    if n <= DENSE_THRESHOLD:
         radius = adjacency_spectral_radius(a)
         if radius > 0 and beta >= 1.0 / radius:
             raise KatzDivergenceError(
                 f"beta={beta} >= 1/spectral_radius={1.0 / radius:.6g}; "
-                "the resolvent series diverges (use series mode)"
+                "the resolvent series diverges"
             )
         resolvent = np.linalg.solve(np.eye(n) - beta * a.toarray(), np.eye(n))
         scores = resolvent[us, vs] - (us == vs).astype(np.float64)

@@ -5,9 +5,12 @@ remainder going to train.  Negative pairs are always heterogeneous
 (left x right), are checked against the FULL edge set so no true edge is
 ever labeled negative, and validation/test negatives are disjoint.
 
-All randomness flows through counter-based Philox streams derived from the
-split seed, so a (graph, ratios, seed) triple always produces an identical
-split.
+This module owns the package's seeding: every random stream, here and in
+the graph generators and weight initialization, is a counter-based Philox
+generator from ``philox``, and ``child_keys`` derives independent keys from
+one seed.  A (graph, ratios, seed) triple therefore always produces an
+identical split.  Seeds are taken modulo 2**64, so a negative or oversized
+seed names the same stream as its residue.
 """
 
 from __future__ import annotations
@@ -45,11 +48,13 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def _philox(key: int) -> np.random.Generator:
+def philox(key: int) -> np.random.Generator:
+    """The Philox generator keyed by ``key`` mod 2**64."""
     return np.random.Generator(np.random.Philox(key=int(key) & (2**64 - 1)))
 
 
-def _child_keys(seed: int, n: int) -> list:
+def child_keys(seed: int, n: int) -> list:
+    """``n`` independent 64-bit keys derived from ``seed`` mod 2**64."""
     ss = np.random.SeedSequence(int(seed) & (2**64 - 1))
     return [int(k) for k in ss.generate_state(n, dtype=np.uint64)]
 
@@ -77,7 +82,7 @@ def sample_negatives(g: BipartiteGraph, count: int, exclude, seed: int) -> tuple
             f"pairs are available"
         )
 
-    rng = _philox(seed)
+    rng = philox(seed)
     non_edge_density = (total_cells - g.m) / total_cells
     if non_edge_density < ENUMERATION_DENSITY:
         free = sorted(
@@ -137,8 +142,8 @@ def split_edges(g: BipartiteGraph, ratios, seed: int) -> EdgeSplit:
             f"pairs exist"
         )
 
-    shuffle_key, val_key, test_key = _child_keys(seed, 3)
-    order = _philox(shuffle_key).permutation(m)
+    shuffle_key, val_key, test_key = child_keys(seed, 3)
+    order = philox(shuffle_key).permutation(m)
     edges = g.edges
     test_pos = tuple(edges[i] for i in order[:n_test])
     val_pos = tuple(edges[i] for i in order[n_test : n_test + n_val])

@@ -62,6 +62,18 @@ class TestGenerate:
         loaded = load_edge_list_detailed(out)
         assert loaded.graph.m == expected.m
 
+    def test_negative_seed_accepted(self, tmp_path, capsys):
+        """Seeds are taken modulo 2**64, as for splits and training."""
+        out = tmp_path / "er.edges"
+        code, stdout, stderr = run_cli(
+            capsys, "generate", "--model", "er", "--out", str(out),
+            "--n-left", "12", "--n-right", "9", "--p", "0.3", "--seed", "-1",
+        )
+        assert code == 0, stderr
+        assert stderr == ""
+        expected = generate_bipartite_er(12, 9, 0.3, 2**64 - 1)
+        assert f"wrote {expected.m} edges (12+9 nodes)" in stdout
+
     def test_er_missing_flag_is_json_error(self, capsys, tmp_path):
         code, stdout, stderr = run_cli(
             capsys, "generate", "--model", "er", "--out",

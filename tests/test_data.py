@@ -26,7 +26,7 @@ from bihop.data import (
     write_report,
 )
 from bihop.graph import GraphInputError, build_graph
-from bihop.metrics import MetricReport
+from bihop.metrics import MetricReport, summarize
 from bihop.scoring import ScorerKind
 
 from conftest import random_bipartite
@@ -167,6 +167,16 @@ class TestGenerators:
         a = generate_bipartite_sbm([10, 10], [10, 10], 0.3, 0.02, seed=5)
         b = generate_bipartite_sbm([10, 10], [10, 10], 0.3, 0.02, seed=5)
         assert a.edges == b.edges
+
+    def test_seeds_taken_modulo_2_64(self):
+        """Generators accept every seed a split accepts: -1 names the same
+        stream as 2**64 - 1 instead of raising OverflowError."""
+        assert generate_bipartite_er(9, 11, 0.3, seed=-1).edges == generate_bipartite_er(
+            9, 11, 0.3, seed=2**64 - 1
+        ).edges
+        assert generate_bipartite_sbm([4, 5], [6, 3], 0.6, 0.1, seed=-1).edges == (
+            generate_bipartite_sbm([4, 5], [6, 3], 0.6, 0.1, seed=2**64 - 1).edges
+        )
 
     def test_sbm_validation(self):
         with pytest.raises(ValueError, match="exceed"):
@@ -337,6 +347,19 @@ class TestReports:
         var = sum((x - mean) ** 2 for x in aucs) / 50.0
         assert float(row[2]) == pytest.approx(mean, abs=1e-12)
         assert float(row[3]) == pytest.approx(np.sqrt(var), abs=1e-12)
+
+    def test_summary_is_the_shared_aggregation(self, tmp_path):
+        """The summary CSV reduces sorted values, as Summary does: for AUCs
+        0.3, 0.2, 0.1 in run order both give 0.20000000000000004, where an
+        unsorted sum gives 0.19999999999999998."""
+        records = [
+            make_report("d", ScorerKind.LGAE, k, auc, 0.5)
+            for k, auc in enumerate([0.3, 0.2, 0.1])
+        ]
+        _, summary = write_report(records, tmp_path / "r.csv")
+        (row,) = summarize(records)
+        auc_mean = summary.read_text().splitlines()[1].split(",")[2]
+        assert auc_mean == repr(row.auc_mean) == "0.20000000000000004"
 
     def test_custom_summary_path(self, tmp_path):
         records = [make_report("a", ScorerKind.GAE, 0, 0.6, 0.6)]

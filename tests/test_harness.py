@@ -24,7 +24,6 @@ from bihop.harness import (
     BenchmarkConfig,
     Summary,
     SummaryRow,
-    _aggregate,
     build_run_artifacts,
     config_from_dict,
     diagnose,
@@ -35,7 +34,7 @@ from bihop.harness import (
     run_experiment,
     tune_scorers,
 )
-from bihop.metrics import MetricReport
+from bihop.metrics import MetricReport, summarize
 from bihop.scoring import ScorerKind, adjacency_spectral_radius
 from bihop.splits import split_edges, train_graph
 
@@ -320,8 +319,8 @@ class TestAggregation:
         ]
 
     def test_mean_and_population_std(self):
-        row = _aggregate("d", ScorerKind.LGAE, self._reports())
-        assert row.runs == 3
+        (row,) = summarize(self._reports())
+        assert (row.dataset, row.scorer, row.runs) == ("d", ScorerKind.LGAE, 3)
         assert row.auc_mean == pytest.approx(0.8)
         assert row.auc_std == pytest.approx(np.std([0.7, 0.9, 0.8]))
         assert row.ap_mean == pytest.approx(0.7)
@@ -330,16 +329,15 @@ class TestAggregation:
         reports = self._reports()
         shuffled = list(reports)
         random.Random(9).shuffle(shuffled)
-        assert _aggregate("d", ScorerKind.LGAE, reports) == _aggregate(
-            "d", ScorerKind.LGAE, shuffled
-        )
+        assert summarize(reports) == summarize(shuffled)
 
     def test_filters_by_scorer(self):
         reports = self._reports() + [
             MetricReport("d", ScorerKind.GAE, run=0, seed=0, auc=0.1, ap=0.1)
         ]
-        row = _aggregate("d", ScorerKind.LGAE, reports)
-        assert row.runs == 3
+        lgae, gae = summarize(reports)
+        assert (lgae.scorer, lgae.runs, lgae.auc_mean) == (ScorerKind.LGAE, 3, pytest.approx(0.8))
+        assert (gae.scorer, gae.runs, gae.auc_mean) == (ScorerKind.GAE, 1, 0.1)
 
     def test_summary_get_and_table(self):
         row = SummaryRow(
@@ -430,6 +428,28 @@ class TestRunBenchmark:
         for kind, recs in by_scorer.items():
             row = summary.get("southern_women", kind)
             assert row.auc_mean == pytest.approx(np.mean([r.auc for r in recs]))
+
+    def test_summary_csv_equals_summary_rows(self, tmp_path):
+        """results_summary.csv holds exactly the returned Summary rows."""
+        er = DatasetSpec(
+            id="er", source={"model": "er", "n_left": 20, "n_right": 25, "p": 0.2, "seed": 4}
+        )
+        config = small_config(
+            datasets=(DatasetSpec(id="southern_women"), er),
+            scorers=(ScorerKind.ADAMIC_ADAR, ScorerKind.PREFERENTIAL_ATTACHMENT, ScorerKind.KATZ),
+            katz_grid=(0.001, 0.01),
+            runs=3,
+            out_dir=str(tmp_path),
+        )
+        summary = run_benchmark(config)
+        lines = (tmp_path / "results_summary.csv").read_text().splitlines()[1:]
+        assert len(lines) == len(summary.rows) == 6
+        for line, row in zip(lines, summary.rows):
+            dataset, method, *values = line.split(",")
+            assert (dataset, method) == (row.dataset, row.scorer.value)
+            assert [float(v) for v in values] == [
+                float(repr(x)) for x in (row.auc_mean, row.auc_std, row.ap_mean, row.ap_std)
+            ]
 
     def test_repeat_invocation_identical(self, block_graph):
         spec = DatasetSpec(
@@ -557,7 +577,6 @@ class TestConfigFromDict:
             "ratios": [0.8, 0.1, 0.1],
             "lgae_grid": [{"learning_rate": 0.02, "epochs": 10, "embed_dim": 4}],
             "katz_grid": [0.001, 0.01],
-            "dense_threshold": 128,
             "time_budget_s": 60,
             "out_dir": "/tmp/somewhere",
         }
@@ -575,7 +594,6 @@ class TestConfigFromDict:
             {"learning_rate": 0.02, "epochs": 10, "embed_dim": 4},
         )
         assert config.katz_grid == (0.001, 0.01)
-        assert config.dense_threshold == 128
         assert config.time_budget_s == 60.0
         assert config.out_dir == "/tmp/somewhere"
 
@@ -587,6 +605,17 @@ class TestConfigFromDict:
     def test_unknown_config_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys.*typo"):
             config_from_dict({"typo": 1})
+
+    def test_removed_dense_threshold_key_rejected(self):
+        """Katz picks its form by graph size alone; the old override key is
+        now an unknown key, not silently ignored."""
+        with pytest.raises(ValueError, match="unknown config keys.*dense_threshold"):
+            config_from_dict({"dense_threshold": 4096})
+
+    def test_keys_are_the_config_fields(self):
+        raw = {f.name: getattr(BenchmarkConfig(), f.name) for f in dataclasses.fields(BenchmarkConfig)}
+        raw["scorers"] = [k.value for k in raw["scorers"]]
+        assert config_from_dict(raw) == BenchmarkConfig()
 
     def test_unknown_dataset_key_rejected(self):
         with pytest.raises(ValueError, match="unknown dataset keys.*url"):

@@ -9,6 +9,8 @@ the same scores whether a pair list is scored at once or in pieces.
 """
 
 import re
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -78,7 +80,18 @@ def katz_series_loop(a, beta, pairs, series_terms=5):
     return out
 
 
-def score_with(kind, g, z, pairs, katz_mode="auto"):
+# DENSE_THRESHOLD values that make katz_score take one form whatever the
+# graph size.
+KATZ_THRESHOLDS = {"closed": 1 << 62, "series": -1}
+
+
+def katz_form(form):
+    """Patch scoring.DENSE_THRESHOLD so katz_score takes ``form``; a context
+    manager, so it also holds inside one hypothesis example."""
+    return mock.patch.object(scoring, "DENSE_THRESHOLD", KATZ_THRESHOLDS[form])
+
+
+def score_with(kind, g, z, pairs):
     """Scores of ``pairs`` from one call of the scorer behind ``kind``."""
     model = model_for(g, z)
     if kind is ScorerKind.TWO_HOP:
@@ -88,7 +101,7 @@ def score_with(kind, g, z, pairs, katz_mode="auto"):
     if kind in (ScorerKind.LGAE, ScorerKind.GAE):
         return decode_score(model, pairs, kind=kind).scores
     if kind is ScorerKind.KATZ:
-        return katz_score(adjacency(g), 0.05, pairs, mode=katz_mode).scores
+        return katz_score(adjacency(g), 0.05, pairs).scores
     return heuristic_scores(g, kind, pairs).scores
 
 
@@ -433,26 +446,44 @@ class TestKatz:
         g = random_bipartite(rng, max_side=5, min_edges=6)
         a = adjacency(g)
         pairs = het_pairs(g)
-        closed = katz_score(a, 0.05, pairs, mode="dense").scores
-        series = katz_score(a, 0.05, pairs, mode="lazy", series_terms=25).scores
+        with katz_form("closed"):
+            closed = katz_score(a, 0.05, pairs).scores
+        with katz_form("series"):
+            series = katz_score(a, 0.05, pairs, series_terms=25).scores
         denom = np.maximum(np.abs(closed), 1e-30)
         assert np.max(np.abs(series - closed) / denom) <= 1e-8
 
     def test_five_term_series_is_degree_five_polynomial(self):
         g = build_graph(1, 1, [(0, 0)])
         beta = 0.3
-        got = katz_score(adjacency(g), beta, [(0, 1)], mode="lazy", series_terms=5).scores[0]
+        with katz_form("series"):
+            got = katz_score(adjacency(g), beta, [(0, 1)], series_terms=5).scores[0]
         assert got == pytest.approx(beta + beta**3 + beta**5, rel=1e-14)
 
     def test_beta_beyond_radius_rejected_in_dense_mode(self):
         g = build_graph(1, 1, [(0, 0)])  # spectral radius exactly 1
-        with pytest.raises(ValueError, match="diverges"):
-            katz_score(adjacency(g), 1.5, [(0, 1)], mode="dense")
+        with katz_form("closed"), pytest.raises(ValueError, match="diverges"):
+            katz_score(adjacency(g), 1.5, [(0, 1)])
 
     def test_series_mode_tolerates_large_beta(self):
         g = build_graph(1, 1, [(0, 0)])
-        got = katz_score(adjacency(g), 1.5, [(0, 1)], mode="lazy", series_terms=3).scores[0]
+        with katz_form("series"):
+            got = katz_score(adjacency(g), 1.5, [(0, 1)], series_terms=3).scores[0]
         assert got == pytest.approx(1.5 + 1.5**3, rel=1e-14)
+
+    def test_graph_size_picks_the_form(self):
+        """The closed form runs up to DENSE_THRESHOLD nodes inclusive, the
+        series above it; on one edge they give beta / (1 - beta^2) and
+        beta + beta^3 + beta^5."""
+        g = build_graph(1, 1, [(0, 0)])
+        beta = 0.3
+        with mock.patch.object(scoring, "DENSE_THRESHOLD", g.n):
+            closed = katz_score(adjacency(g), beta, [(0, 1)]).scores[0]
+        with mock.patch.object(scoring, "DENSE_THRESHOLD", g.n - 1):
+            series = katz_score(adjacency(g), beta, [(0, 1)]).scores[0]
+        assert closed == pytest.approx(beta / (1 - beta**2), rel=1e-14)
+        assert series == pytest.approx(beta + beta**3 + beta**5, rel=1e-14)
+        assert scoring.DENSE_THRESHOLD == 4096
 
     def test_nonpositive_beta_rejected(self):
         g = build_graph(1, 1, [(0, 0)])
@@ -488,12 +519,14 @@ class TestKatz:
                 assert len({v for _, v in pairs}) > scoring._KATZ_COLUMNS
             for matrix, beta in ((a, 0.05), (weighted, 0.3)):
                 for terms in (1, 5):
-                    got = katz_score(matrix, beta, pairs, mode="lazy", series_terms=terms).scores
+                    with katz_form("series"):
+                        got = katz_score(matrix, beta, pairs, series_terms=terms).scores
                     assert np.array_equal(got, katz_series_loop(matrix, beta, pairs, terms))
 
     def test_series_empty_pairs(self):
         g = build_graph(2, 2, [(0, 0)])
-        got = katz_score(adjacency(g), 0.1, [], mode="lazy")
+        with katz_form("series"):
+            got = katz_score(adjacency(g), 0.1, [])
         assert got.scores.shape == (0,)
         assert got.pairs == ()
 
@@ -548,12 +581,13 @@ class TestBatchInvariance:
         two separate calls: exactly for Katz (both forms), the heuristics
         and decode, to 1e-12 relative for the two-hop scorers."""
         g, z, pos, neg = case
-        modes = ("dense", "lazy") if kind is ScorerKind.KATZ else ("auto",)
-        for mode in modes:
-            together = score_with(kind, g, z, pos + neg, katz_mode=mode)
-            apart = np.concatenate(
-                [score_with(kind, g, z, pos, katz_mode=mode), score_with(kind, g, z, neg, katz_mode=mode)]
-            )
+        forms = ("closed", "series") if kind is ScorerKind.KATZ else (None,)
+        for form in forms:
+            with katz_form(form) if form else nullcontext():
+                together = score_with(kind, g, z, pos + neg)
+                apart = np.concatenate(
+                    [score_with(kind, g, z, pos), score_with(kind, g, z, neg)]
+                )
             if kind in (ScorerKind.TWO_HOP, ScorerKind.RECON_TWO_HOP):
                 assert np.allclose(together, apart, rtol=1e-12, atol=0)
             else:

@@ -15,7 +15,9 @@ from bihop.graph import build_graph
 from bihop.splits import (
     EdgeSplit,
     _round_half_up,
+    child_keys,
     load_split,
+    philox,
     sample_negatives,
     save_split,
     split_edges,
@@ -29,6 +31,22 @@ DEFAULT = (0.85, 0.05, 0.10)
 
 def medium_graph(seed=0):
     return generate_bipartite_er(30, 40, 0.12, seed=seed)
+
+
+class TestSeeding:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32, 2**63, 2**64 - 1])
+    def test_philox_is_the_uint64_keyed_stream(self, seed):
+        """philox(s) draws what Philox(key=np.uint64(s)) draws, the stream
+        the graph generators used before they shared this helper."""
+        want = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+        got = philox(seed)
+        assert np.array_equal(got.random(8), want.random(8))
+        assert np.array_equal(got.integers(0, 1000, 8), want.integers(0, 1000, 8))
+
+    def test_seeds_taken_modulo_2_64(self):
+        assert np.array_equal(philox(-1).random(4), philox(2**64 - 1).random(4))
+        assert np.array_equal(philox(2**64 + 5).random(4), philox(5).random(4))
+        assert child_keys(-1, 3) == child_keys(2**64 - 1, 3)
 
 
 class TestRounding:
