@@ -8,12 +8,14 @@ identity, so the feature matrix never appears):
 
 Both share the inner-product decoder ``sigmoid(z_i . z_j)`` and a weighted
 binary cross-entropy reconstruction loss over all n^2 node pairs against the
-label matrix ``A_train + I``.  Gradients are computed analytically (verified
-against finite differences in the test suite).  Loss and gradient stream
-over row blocks of at most ``BLOCK_ROWS`` rows in index order for every n,
-so results are deterministic.  Each block scores all its pairs as negatives,
-then corrects the label-one entries read from the sparse labels; no dense
-label matrix is ever built.
+symmetric label matrix ``A_train + I``.  Gradients are computed analytically
+(verified against finite differences in the test suite).  The logits
+``Z Z^T`` are symmetric too, so loss and gradient stream over the square
+tiles on and above the diagonal, ``TILE_SIDE`` nodes a side, in index order
+for every n, and results are deterministic.  Each tile scores all its pairs
+as negatives, then overwrites the label-one entries it owns, found through
+flat in-tile indices built once from the sparse labels; no dense label
+matrix is ever built.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from scipy.special import expit
 from .graph import NormalizedAdjacency, sparse_dense_product
 from .splits import philox
 
-BLOCK_ROWS = 1024
+TILE_SIDE = 128
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -116,13 +118,8 @@ def forward(weights: tuple, norm_adj: NormalizedAdjacency) -> np.ndarray:
     raise ValueError(f"expected 1 or 2 weight matrices, got {len(weights)}")
 
 
-def decode_pair(z: np.ndarray, i: int, j: int) -> float:
-    """Edge probability sigmoid(z_i . z_j); symmetric in (i, j)."""
-    return float(expit(np.dot(z[i], z[j])))
-
-
 def decode_pairs(z: np.ndarray, us, vs) -> np.ndarray:
-    """Vectorized decode over parallel index arrays."""
+    """Edge probabilities sigmoid(z_u . z_v) over parallel index arrays."""
     us = np.asarray(us, dtype=np.int64)
     vs = np.asarray(vs, dtype=np.int64)
     return expit(np.einsum("ij,ij->i", z[us], z[vs]))
@@ -147,57 +144,101 @@ def loss_weights(n: int, s: int) -> LossWeights:
     return LossWeights(pos_weight=(total - s) / s, norm=total / (2.0 * (total - s)))
 
 
-def _loss_and_gz(z, labels, lw, block_rows, want_grad):
+def _label_tiles(labels: sp.csr_matrix, side: int) -> tuple:
+    """(side, ptr, flat): the stored labels of each upper-triangle tile.
+
+    Tile (I, J), I <= J, covers rows [I*side, (I+1)*side) and columns
+    [J*side, (J+1)*side).  It owns the labels ``flat[ptr[k]:ptr[k + 1]]``,
+    k = I*nb + J with nb = ceil(n / side), as flat indices into the
+    row-major tile.
+    """
+    n = labels.shape[0]
+    side = max(1, int(side))
+    nb = -(-n // side)
+    rows = np.repeat(np.arange(n), np.diff(labels.indptr))
+    bi, bj = rows // side, labels.indices // side
+    upper = bi <= bj
+    key = (bi * nb + bj)[upper]
+    order = np.argsort(key, kind="stable")
+    flat = (rows % side) * np.minimum(side, n - bj * side) + labels.indices % side
+    return side, np.searchsorted(key[order], np.arange(nb * nb + 1)), flat[upper][order]
+
+
+def _loss_and_gz(z, tiles, lw, want_grad):
     """Shared streaming kernel: loss and (optionally) dL/dZ.
 
-    Each stored label counts as a one.  Every logit theta of a row block is
-    scored as a negative (softplus and sigmoid share one exp(-|theta|)); the
-    label-one entries are then overwritten with their positive terms, so no
-    term comes from a cancellation.  Block size changes only round-off.
+    Only tiles I <= J are computed.  An off-diagonal tile stands for itself
+    and its mirror: its loss counts twice, and its residual R_IJ reaches
+    both G_I (R_IJ Z_J) and G_J (R_IJ^T Z_I).  Every logit theta of a tile
+    is scored as a negative from L = log1p(exp(-|theta|)):
+    softplus(theta) = max(theta, 0) + L and
+    sigmoid(theta) = exp(min(theta, 0) - L), with no masked pass.  The
+    label-one entries the tile owns are then overwritten with their
+    positive terms, so no term comes from a cancellation.  Tile side
+    changes only round-off.
     """
-    labels = sp.csr_matrix(labels)
     n = z.shape[0]
-    step = max(1, n if block_rows is None else int(block_rows))
-    pw, scale = lw.pos_weight, lw.norm / (n * n)
+    side, ptr, flat = tiles
+    nb = -(-n // side)
+    pw = lw.pos_weight
     loss = 0.0
-    gz = np.empty_like(z) if want_grad else None
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        ptr = labels.indptr[lo : hi + 1]
-        flat = np.repeat(np.arange(hi - lo) * n, np.diff(ptr)) + labels.indices[ptr[0] : ptr[-1]]
-        theta = z[lo:hi] @ z.T
-        t = theta.ravel()[flat]
-        e = np.abs(theta)
-        np.exp(np.negative(e, out=e), out=e)
-        np.maximum(theta, 0.0, out=theta)
-        term = np.log1p(e)
-        term += theta  # softplus(theta) = max(theta, 0) + log1p(exp(-|theta|))
-        term.ravel()[flat] = pw * np.logaddexp(0.0, -t)
-        loss += float(term.sum())
-        if want_grad:
-            np.divide(e, np.add(e, 1.0, out=term), out=e)  # sigmoid(-|theta|)
-            np.subtract(1.0, e, out=e, where=theta > 0.0)
-            e.ravel()[flat] = -pw * expit(-t)
-            # theta = Z Z^T is symmetric, so each pair reaches dL/dZ twice
-            gz[lo:hi] = (2.0 * scale) * (e @ z)
+    gz = np.zeros_like(z) if want_grad else None
+    for bi in range(nb):
+        rows = slice(bi * side, (bi + 1) * side)
+        for bj in range(bi, nb):
+            cols = slice(bj * side, (bj + 1) * side)
+            k = bi * nb + bj
+            own = flat[ptr[k] : ptr[k + 1]]
+            theta = z[rows] @ z[cols].T
+            t = theta.ravel()[own]
+            ell = np.abs(theta)
+            np.exp(np.negative(ell, out=ell), out=ell)
+            np.log1p(ell, out=ell)
+            if want_grad:
+                sig = np.minimum(theta, 0.0)
+                np.exp(np.subtract(sig, ell, out=sig), out=sig)
+                sig.ravel()[own] = -pw * expit(-t)
+                gz[rows] += sig @ z[cols]
+                if bi != bj:
+                    gz[cols] += sig.T @ z[rows]
+            np.maximum(theta, 0.0, out=theta)
+            theta += ell  # softplus(theta)
+            theta.ravel()[own] = pw * np.logaddexp(0.0, -t)
+            loss += (1.0 if bi == bj else 2.0) * float(theta.sum())
+    scale = lw.norm / (n * n)
+    if want_grad:
+        gz *= 2.0 * scale  # theta = Z Z^T, so each pair reaches dL/dZ twice
     return scale * loss, gz
 
 
 def reconstruction_loss(z, labels, lw: LossWeights, block_rows=None) -> float:
-    """Weighted cross-entropy over all n^2 pairs (labels are A_train + I)."""
-    loss, _ = _loss_and_gz(np.asarray(z, dtype=np.float64), labels, lw, block_rows, False)
+    """Weighted cross-entropy over all n^2 pairs (labels are A_train + I).
+
+    The labels must be symmetric: only tiles on and above the diagonal are
+    read.  ``block_rows`` is the tile side (None: one tile of n).
+    """
+    z = np.asarray(z, dtype=np.float64)
+    loss, _ = _loss_and_gz(z, _tiles_for(labels, z.shape[0], block_rows), lw, False)
     return loss
 
 
 def loss_gradient(weights, norm_adj, labels, lw: LossWeights, block_rows=None) -> tuple:
-    """Analytic gradient of the reconstruction loss w.r.t. the weights."""
-    _, grads = _loss_value_and_gradient(weights, norm_adj, labels, lw, block_rows)
+    """Analytic gradient of the reconstruction loss w.r.t. the weights.
+
+    Labels and ``block_rows`` are as in ``reconstruction_loss``.
+    """
+    tiles = _tiles_for(labels, norm_adj.n, block_rows)
+    _, grads = _loss_value_and_gradient(weights, norm_adj, tiles, lw)
     return grads
 
 
-def _loss_value_and_gradient(weights, norm_adj, labels, lw, block_rows):
+def _tiles_for(labels, n, block_rows):
+    return _label_tiles(sp.csr_matrix(labels), n if block_rows is None else block_rows)
+
+
+def _loss_value_and_gradient(weights, norm_adj, tiles, lw):
     z = forward(weights, norm_adj)
-    loss, dz = _loss_and_gz(z, labels, lw, block_rows, True)
+    loss, dz = _loss_and_gz(z, tiles, lw, True)
     if len(weights) == 1:
         return loss, (sparse_dense_product(norm_adj, dz),)
     w0, w1 = weights
@@ -229,9 +270,9 @@ def init_weights(config: TrainConfig, n: int) -> tuple:
 def train(norm_adj: NormalizedAdjacency, labels: sp.spmatrix, config: TrainConfig) -> EmbeddingModel:
     """Full-batch Adam on the reconstruction loss; deterministic given the seed.
 
-    Raises ValueError unless every stored label is a one, and
-    TrainingDivergedError (carrying the epoch index) if the loss ever
-    becomes non-finite.
+    Raises ValueError unless the labels are symmetric and every stored
+    label is a one, and TrainingDivergedError (carrying the epoch index)
+    if the loss ever becomes non-finite.
     """
     n = norm_adj.n
     if labels.shape != (n, n):
@@ -240,14 +281,17 @@ def train(norm_adj: NormalizedAdjacency, labels: sp.spmatrix, config: TrainConfi
     labels.sort_indices()
     if not labels.has_canonical_format or np.any(labels.data != 1.0):
         raise ValueError("labels must store only ones: no stored zeros, duplicates or other values")
+    if (labels != labels.T).nnz:
+        raise ValueError("labels must be symmetric")
     lw = loss_weights(n, int(labels.nnz))
+    tiles = _label_tiles(labels, TILE_SIDE)
 
     weights = [w.copy() for w in init_weights(config, n)]
     m_state = [np.zeros_like(w) for w in weights]
     v_state = [np.zeros_like(w) for w in weights]
     history = []
     for epoch in range(config.epochs):
-        loss, grads = _loss_value_and_gradient(tuple(weights), norm_adj, labels, lw, BLOCK_ROWS)
+        loss, grads = _loss_value_and_gradient(tuple(weights), norm_adj, tiles, lw)
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss at epoch {epoch}", epoch=epoch)
         history.append(loss)
@@ -261,7 +305,7 @@ def train(norm_adj: NormalizedAdjacency, labels: sp.spmatrix, config: TrainConfi
 
     final_weights = tuple(weights)
     z = forward(final_weights, norm_adj)
-    final_loss = reconstruction_loss(z, labels, lw, BLOCK_ROWS)
+    final_loss, _ = _loss_and_gz(z, tiles, lw, False)
     if not np.isfinite(final_loss):
         raise TrainingDivergedError(
             f"non-finite loss after final epoch {config.epochs - 1}",

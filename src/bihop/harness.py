@@ -81,6 +81,8 @@ class BenchmarkConfig:
                 raise TypeError(f"scorers must be ScorerKind values, got {kind!r}")
             if not _grid_for(kind, self):
                 raise ValueError(f"empty hyperparameter grid for scorer {kind.value}")
+        if len(set(self.scorers)) != len(self.scorers):
+            raise ValueError(f"scorers must be distinct, got {[k.value for k in self.scorers]}")
 
 
 def _grid_for(kind: ScorerKind, config: BenchmarkConfig):
@@ -520,7 +522,7 @@ def config_from_dict(raw: dict) -> BenchmarkConfig:
 
     Schema (all keys optional):
       datasets:   list of ids or {"id", "source", "expected_nodes", "expected_edges"}
-      scorers:    list of scorer names (see ScorerKind; short aliases accepted)
+      scorers:    list of distinct scorer names (see ScorerKind; short aliases accepted)
       runs, base_seed: ints
       ratios:     [train, val, test] floats summing to 1
       lgae_grid / gae_grid: list of {"learning_rate", "epochs", "embed_dim"[, "hidden_dim"]}

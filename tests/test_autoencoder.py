@@ -11,21 +11,25 @@ scale.  Loss identities used below:
 
 ``dense_reference`` keeps the former dense kernel (two logaddexp and one
 expit over every logit against the densified labels) as an oracle for the
-sparse-label kernel.
+sparse-label tile kernel.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from bihop.autoencoder import (
+    TILE_SIDE,
     EmbeddingModel,
     LossWeights,
     ModelKind,
     TrainConfig,
     TrainingDivergedError,
-    decode_pair,
     decode_pairs,
     forward,
     gae_forward,
@@ -38,7 +42,10 @@ from bihop.autoencoder import (
     save_model,
     train,
     training_labels,
+    _label_tiles,
+    _loss_and_gz,
 )
+from bihop.data import generate_bipartite_er
 from bihop.graph import NormalizedAdjacency, adjacency, build_graph, normalized_adjacency
 
 from conftest import random_bipartite
@@ -177,18 +184,17 @@ class TestForward:
 class TestDecode:
     def test_zero_embedding_gives_half(self):
         z = np.zeros((4, 3))
-        assert decode_pair(z, 0, 2) == 0.5
+        assert decode_pairs(z, [0], [2])[0] == 0.5
 
     def test_log3_norm_gives_three_quarters(self):
         z = np.full((2, 1), np.sqrt(np.log(3.0)))
-        assert decode_pair(z, 0, 1) == pytest.approx(0.75, abs=1e-12)
+        assert decode_pairs(z, [0], [1])[0] == pytest.approx(0.75, abs=1e-12)
 
     def test_symmetry(self):
         rng = np.random.default_rng(35)
         z = rng.standard_normal((6, 4))
-        for i in range(6):
-            for j in range(6):
-                assert decode_pair(z, i, j) == decode_pair(z, j, i)
+        us, vs = np.divmod(np.arange(36), 6)
+        assert np.array_equal(decode_pairs(z, us, vs), decode_pairs(z, vs, us))
 
     def test_decode_pairs_matches_scalar(self):
         rng = np.random.default_rng(36)
@@ -196,7 +202,7 @@ class TestDecode:
         us = rng.integers(0, 8, size=20)
         vs = rng.integers(0, 8, size=20)
         got = decode_pairs(z, us, vs)
-        want = [decode_pair(z, int(u), int(v)) for u, v in zip(us, vs)]
+        want = [expit(z[u] @ z[v]) for u, v in zip(us, vs)]
         assert np.allclose(got, want, rtol=0, atol=1e-15)
 
 
@@ -397,6 +403,50 @@ class TestDenseOracles:
             assert max_rel_error(gz, want_gz) <= 1e-12
 
 
+@st.composite
+def tiled_problem(draw):
+    """A random graph, an embedding whose largest |theta| is drawn up to 40,
+    and a tile side from 1 to n + 1 (most sides do not divide n)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_bipartite(rng, max_side=draw(st.integers(1, 9)))
+    assume(2 * g.m + g.n < g.n * g.n)  # complete graphs make the loss degenerate
+    z = rng.standard_normal((g.n, draw(st.integers(1, 4))))
+    z *= np.sqrt(draw(st.floats(0.01, 40.0)) / np.abs(z @ z.T).max())
+    return g, z, draw(st.integers(1, g.n + 1))
+
+
+class TestTileInvariance:
+    @given(case=tiled_problem())
+    def test_every_tile_side_matches_dense_oracles(self, case):
+        g, z, side = case
+        labels = training_labels(adjacency(g))
+        lw = loss_weights(g.n, int(labels.nnz))
+        ref_loss, r = dense_reference(z, labels, lw)
+        loss = reconstruction_loss(z, labels, lw, block_rows=side)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        enc = identity_encoder(g.n)
+        (gz,) = loss_gradient((z,), enc, labels, lw, block_rows=side)
+        (want,) = closed_form_gradient((z,), enc, r)
+        assert max_rel_error(gz, want) <= 1e-12
+
+    def test_training_tiles_keep_memory_small(self):
+        """One loss+gradient at n = 1000 holds tile-sized temporaries only;
+        a whole-row block of n logits would take 8 MB per array."""
+        g = generate_bipartite_er(500, 500, 0.01, seed=0)
+        labels = training_labels(adjacency(g))
+        lw = loss_weights(g.n, int(labels.nnz))
+        (w,) = init_weights(TrainConfig(embed_dim=16), g.n)
+        z = lgae_forward(normalized_adjacency(g), w)
+        tiles = _label_tiles(labels, TILE_SIDE)
+        tracemalloc.start()
+        try:
+            _loss_and_gz(z, tiles, lw, True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
 class TestInitWeights:
     def test_shapes_and_bounds(self):
         cfg = TrainConfig(model_kind=ModelKind.GAE, embed_dim=3, hidden_dim=5, seed=9)
@@ -490,6 +540,14 @@ class TestTrain:
         bad = sp.identity(g.n + 1, format="csr")
         with pytest.raises(ValueError):
             train(normalized_adjacency(g), bad, TrainConfig())
+
+    def test_rejects_asymmetric_labels(self):
+        """The kernel reads only tiles on and above the diagonal, so one-sided
+        labels would be silently mirrored."""
+        g = random_bipartite(np.random.default_rng(58), min_edges=2)
+        upper = sp.triu(training_labels(adjacency(g)), format="csr")
+        with pytest.raises(ValueError, match="symmetric"):
+            train(normalized_adjacency(g), upper, TrainConfig(epochs=1))
 
     @pytest.mark.parametrize("fault", ["stored_zero", "value_two", "duplicate"])
     def test_rejects_non_binary_labels(self, fault):

@@ -85,6 +85,13 @@ class TestBenchmarkConfig:
         with pytest.raises(ValueError, match="empty hyperparameter grid"):
             BenchmarkConfig(scorers=(ScorerKind.KATZ,), katz_grid=())
 
+    def test_rejects_duplicate_scorers(self):
+        """A scorer listed twice would be scored twice per run and report
+        twice the runs."""
+        pa = ScorerKind.PREFERENTIAL_ATTACHMENT
+        with pytest.raises(ValueError, match="distinct"):
+            BenchmarkConfig(scorers=(pa, ScorerKind.TWO_HOP, pa), runs=2)
+
     def test_empty_grid_fine_when_unused(self):
         config = BenchmarkConfig(scorers=(ScorerKind.COMMON_NEIGHBORS,), lgae_grid=())
         assert config.lgae_grid == ()
@@ -620,6 +627,11 @@ class TestConfigFromDict:
     def test_unknown_dataset_key_rejected(self):
         with pytest.raises(ValueError, match="unknown dataset keys.*url"):
             config_from_dict({"datasets": [{"id": "x", "url": "http://x"}]})
+
+    @pytest.mark.parametrize("names", [["pa", "pa"], ["pa", "pref_attach"]])
+    def test_duplicate_scorer_rejected(self, names):
+        with pytest.raises(ValueError, match="distinct"):
+            config_from_dict({"scorers": names, "runs": 2})
 
     def test_unknown_scorer_name_rejected(self):
         with pytest.raises(ValueError):
