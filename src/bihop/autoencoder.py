@@ -211,29 +211,26 @@ def _loss_and_gz(z, tiles, lw, want_grad):
     return scale * loss, gz
 
 
-def reconstruction_loss(z, labels, lw: LossWeights, block_rows=None) -> float:
+def reconstruction_loss(z, labels, lw: LossWeights, block_rows=TILE_SIDE) -> float:
     """Weighted cross-entropy over all n^2 pairs (labels are A_train + I).
 
     The labels must be symmetric: only tiles on and above the diagonal are
-    read.  ``block_rows`` is the tile side (None: one tile of n).
+    read.  ``block_rows`` is the tile side, as in training; a side of n or
+    more makes one tile.
     """
     z = np.asarray(z, dtype=np.float64)
-    loss, _ = _loss_and_gz(z, _tiles_for(labels, z.shape[0], block_rows), lw, False)
+    loss, _ = _loss_and_gz(z, _label_tiles(sp.csr_matrix(labels), block_rows), lw, False)
     return loss
 
 
-def loss_gradient(weights, norm_adj, labels, lw: LossWeights, block_rows=None) -> tuple:
+def loss_gradient(weights, norm_adj, labels, lw: LossWeights, block_rows=TILE_SIDE) -> tuple:
     """Analytic gradient of the reconstruction loss w.r.t. the weights.
 
     Labels and ``block_rows`` are as in ``reconstruction_loss``.
     """
-    tiles = _tiles_for(labels, norm_adj.n, block_rows)
+    tiles = _label_tiles(sp.csr_matrix(labels), block_rows)
     _, grads = _loss_value_and_gradient(weights, norm_adj, tiles, lw)
     return grads
-
-
-def _tiles_for(labels, n, block_rows):
-    return _label_tiles(sp.csr_matrix(labels), n if block_rows is None else block_rows)
 
 
 def _loss_value_and_gradient(weights, norm_adj, tiles, lw):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,11 +29,6 @@ class GraphInputError(ValueError):
         super().__init__(message)
         self.pair = pair
         self.position = position
-
-
-class Partition(Enum):
-    LEFT = "left"
-    RIGHT = "right"
 
 
 @dataclass(frozen=True)
@@ -63,11 +57,6 @@ class BipartiteGraph:
     def right_global(self, j: int) -> int:
         """Global index of right node ``j``."""
         return self.n_left + j
-
-    def partition_of(self, i: int) -> Partition:
-        if not 0 <= i < self.n:
-            raise GraphInputError(f"node index {i} out of range [0, {self.n})")
-        return Partition.LEFT if i < self.n_left else Partition.RIGHT
 
     def degree(self, i: int) -> int:
         return len(self.neighbors[i])

@@ -2,20 +2,23 @@
 
 A benchmark run r uses seed base_seed + r for its split and for model
 initialization, so the whole experiment is a pure function of (graph,
-config).  Hyperparameters with more than one grid point are chosen by
-validation AUC on run 0's split and then frozen for the remaining runs.
+config).  Each split has one ``RunArtifacts``: the training graph, its
+adjacency, normalization and labels, and the models trained on them, each
+trained once on first use.  Hyperparameters with more than one grid point
+are chosen by validation AUC on run 0's artifacts and then frozen for the
+remaining runs; run 0 scores its test pairs on those same artifacts, so it
+reuses the search's split, training side and models.
 
-Leakage discipline: the training graph, its normalized adjacency, and all
-trained weights are built by ``build_run_artifacts`` which never reads the
-test members of the split; test pairs enter only afterwards, as scoring
-arguments.
+Leakage discipline: ``build_run_artifacts`` and ``RunArtifacts.model``
+read only the training edges and the seed of the split; validation and
+test pairs enter only as scoring arguments.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -97,14 +100,6 @@ def _grid_for(kind: ScorerKind, config: BenchmarkConfig):
     return ({},)  # degree/path heuristics have nothing to tune
 
 
-def _model_kind_for(kind: ScorerKind):
-    if kind in (ScorerKind.TWO_HOP, ScorerKind.RECON_TWO_HOP, ScorerKind.LGAE):
-        return ModelKind.LGAE
-    if kind is ScorerKind.GAE:
-        return ModelKind.GAE
-    return None
-
-
 def _param_key(params: dict):
     return tuple(sorted(params.items()))
 
@@ -115,100 +110,82 @@ def _global_pairs(g: BipartiteGraph, local_pairs) -> tuple:
 
 @dataclass(frozen=True)
 class RunArtifacts:
-    """Everything derivable from the training portion of one split."""
+    """The training side of one split, shared by every step that uses it.
+
+    Holds the training graph, its adjacency, normalization and labels, and
+    caches each model trained on them under (model kind, params), so tuning
+    and scoring on the same split train each distinct model once.
+    """
 
     split: EdgeSplit
     g_train: BipartiteGraph
     a_train: sp.csr_matrix
     norm: NormalizedAdjacency
     labels: sp.csr_matrix = field(repr=False)
-    models: dict = field(repr=False)
+    models: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def model(self, model_kind: ModelKind, params: dict) -> EmbeddingModel:
+        """The ``model_kind`` model trained with ``params``; trains on first use."""
+        key = (model_kind, _param_key(params))
+        if key not in self.models:
+            self.models[key] = train(
+                self.norm, self.labels, TrainConfig(model_kind=model_kind, seed=self.split.seed, **params)
+            )
+        return self.models[key]
 
 
-def _training_side(g: BipartiteGraph, split: EdgeSplit) -> RunArtifacts:
-    """Training graph, adjacency, normalization and labels; no models yet."""
+def build_run_artifacts(g: BipartiteGraph, split: EdgeSplit) -> RunArtifacts:
+    """Training side of ``split``.  Reads only split.train_edges and seed."""
     gt = train_graph(g, split)
     a_train = adjacency(gt)
     return RunArtifacts(
         split=split, g_train=gt, a_train=a_train, norm=normalize(a_train),
-        labels=training_labels(a_train), models={},
+        labels=training_labels(a_train),
     )
 
 
-def _with_models(base: RunArtifacts, scorers, tuned: dict) -> RunArtifacts:
-    """``base`` plus one trained model per distinct (model kind, params)."""
-    models: dict = {}
-    for kind in scorers:
-        mk = _model_kind_for(kind)
-        if mk is None:
-            continue
-        params = tuned.get(kind, {})
-        key = (mk, _param_key(params))
-        if key not in models:
-            models[key] = train(
-                base.norm, base.labels, TrainConfig(model_kind=mk, seed=base.split.seed, **params)
-            )
-    return replace(base, models=models)
-
-
-def build_run_artifacts(
-    g: BipartiteGraph, config: BenchmarkConfig, split: EdgeSplit, tuned: dict
-) -> RunArtifacts:
-    """Train-side state for one run.  Reads only split.train_edges and seed."""
-    return _with_models(_training_side(g, split), config.scorers, tuned)
-
-
-def _model_for(artifacts: RunArtifacts, kind: ScorerKind, tuned: dict) -> EmbeddingModel:
-    mk = _model_kind_for(kind)
-    return artifacts.models[(mk, _param_key(tuned.get(kind, {})))]
-
-
-def _score_pairs(kind: ScorerKind, pairs, artifacts: RunArtifacts, tuned: dict) -> np.ndarray:
-    """One scorer call over ``pairs``."""
-    if kind is ScorerKind.TWO_HOP:
-        return two_hop_score(_model_for(artifacts, kind, tuned), artifacts.norm, pairs).scores
-    if kind is ScorerKind.RECON_TWO_HOP:
-        return recon_two_hop_score(_model_for(artifacts, kind, tuned), pairs).scores
-    if kind in (ScorerKind.LGAE, ScorerKind.GAE):
-        return decode_score(_model_for(artifacts, kind, tuned), pairs, kind=kind).scores
+def _score_pairs(kind: ScorerKind, pairs, artifacts: RunArtifacts, params: dict) -> np.ndarray:
+    """One call of scorer ``kind`` with hyperparameters ``params`` over ``pairs``."""
     if kind is ScorerKind.KATZ:
-        beta = tuned.get(kind, {}).get("beta", 0.005)
-        return katz_score(artifacts.a_train, beta, pairs).scores
+        return katz_score(artifacts.a_train, params.get("beta", 0.005), pairs).scores
     if kind in HEURISTIC_KINDS:
         return heuristic_scores(artifacts.g_train, kind, pairs).scores
-    raise ValueError(f"no scoring rule for {kind}")
+    model = artifacts.model(ModelKind.GAE if kind is ScorerKind.GAE else ModelKind.LGAE, params)
+    if kind is ScorerKind.TWO_HOP:
+        return two_hop_score(model, artifacts.norm, pairs).scores
+    if kind is ScorerKind.RECON_TWO_HOP:
+        return recon_two_hop_score(model, pairs).scores
+    return decode_score(model, pairs, kind=kind).scores
 
 
-def _pos_neg_scores(kind: ScorerKind, pos, neg, artifacts: RunArtifacts, tuned: dict):
+def _pos_neg_scores(kind: ScorerKind, pos, neg, artifacts: RunArtifacts, params: dict):
     """Score positives and negatives in one call; returns (pos, neg) scores."""
-    scores = _score_pairs(kind, tuple(pos) + tuple(neg), artifacts, tuned)
+    scores = _score_pairs(kind, tuple(pos) + tuple(neg), artifacts, params)
     return scores[: len(pos)], scores[len(pos) :]
 
 
-def grid_search(g: BipartiteGraph, split: EdgeSplit, grid, scorer: ScorerKind):
+def grid_search(artifacts: RunArtifacts, grid, scorer: ScorerKind):
     """Pick the grid point maximizing validation AUC of ``scorer``.
 
     Exhaustive; ties keep the earlier grid point.  Returns
-    (chosen_params, validation_auc).  The training graph, its normalization
-    and labels are built once; each point only trains its model and scores
-    the validation positives and negatives in one call.  Katz points the
-    closed form rejects (beta at or above 1 / spectral_radius of the
-    training graph) are logged and skipped; ValueError lists them all if no
-    point is feasible.
+    (chosen_params, validation_auc).  Each point scores the validation
+    positives and negatives in one call; its model, if the scorer needs one,
+    is trained through ``artifacts.model`` and stays cached there, so other
+    scorers and the run's own scoring reuse it.  Katz points the closed form
+    rejects (beta at or above 1 / spectral_radius of the training graph) are
+    logged and skipped; ValueError lists them all if no point is feasible.
     """
     grid = [dict(p) if isinstance(p, dict) else {"beta": float(p)} for p in grid]
     if not grid:
         raise ValueError("grid_search needs a nonempty grid")
-    base = _training_side(g, split)
-    val_pos = _global_pairs(g, split.val_pos)
-    val_neg = _global_pairs(g, split.val_neg)
+    split = artifacts.split
+    val_pos = _global_pairs(artifacts.g_train, split.val_pos)
+    val_neg = _global_pairs(artifacts.g_train, split.val_neg)
     best = None
     skipped = []
     for point in grid:
-        tuned = {scorer: point}
-        artifacts = _with_models(base, (scorer,), tuned)
         try:
-            pos, neg = _pos_neg_scores(scorer, val_pos, val_neg, artifacts, tuned)
+            pos, neg = _pos_neg_scores(scorer, val_pos, val_neg, artifacts, point)
         except KatzDivergenceError as exc:
             logger.warning("%s grid point %s skipped on seed %d: %s", scorer.value, point, split.seed, exc)
             skipped.append(f"{point}: {exc}")
@@ -221,7 +198,7 @@ def grid_search(g: BipartiteGraph, split: EdgeSplit, grid, scorer: ScorerKind):
     return best
 
 
-def tune_scorers(g: BipartiteGraph, split: EdgeSplit, config: BenchmarkConfig) -> dict:
+def tune_scorers(artifacts: RunArtifacts, config: BenchmarkConfig) -> dict:
     """Resolve every scorer's hyperparameters (grid search only when needed)."""
     tuned: dict = {}
     for kind in config.scorers:
@@ -229,54 +206,49 @@ def tune_scorers(g: BipartiteGraph, split: EdgeSplit, config: BenchmarkConfig) -
         if len(grid) == 1:
             tuned[kind] = dict(grid[0])
         else:
-            point, val_auc = grid_search(g, split, grid, kind)
+            point, val_auc = grid_search(artifacts, grid, kind)
             logger.info(
-                "tuned %s on seed %d: %s (val AUC %.4f)", kind.value, split.seed, point, val_auc
+                "tuned %s on seed %d: %s (val AUC %.4f)", kind.value, artifacts.split.seed, point, val_auc
             )
             tuned[kind] = point
     return tuned
 
 
 def run_experiment(
-    g: BipartiteGraph,
+    artifacts: RunArtifacts,
     config: BenchmarkConfig,
     run_index: int,
     dataset_id: str = "dataset",
     tuned: dict | None = None,
 ):
-    """One split-train-score cycle; returns a MetricReport per scorer.
+    """Score the test pairs of ``artifacts.split``; returns a MetricReport per scorer.
 
-    Deterministic in (g, config, run_index).  When ``tuned`` is omitted,
-    grids with more than one point are searched on this run's own validation
-    split.
+    Deterministic in (artifacts.split, config).  Models come from
+    ``artifacts.model``, so those trained while tuning on the same artifacts
+    are reused.  When ``tuned`` is omitted, grids with more than one point
+    are searched on this split's own validation pairs.
     """
     if run_index < 0:
         raise ValueError(f"run_index must be >= 0, got {run_index}")
-    seed_r = config.base_seed + run_index
-    try:
-        split = split_edges(g, config.ratios, seed_r)
-        if tuned is None:
-            tuned = tune_scorers(g, split, config)
-        artifacts = build_run_artifacts(g, config, split, tuned)
-        test_pos = _global_pairs(g, split.test_pos)
-        test_neg = _global_pairs(g, split.test_neg)
-        reports = []
-        for kind in config.scorers:
-            pos, neg = _pos_neg_scores(kind, test_pos, test_neg, artifacts, tuned)
-            reports.append(
-                MetricReport(
-                    dataset=dataset_id,
-                    scorer=kind,
-                    run=run_index,
-                    seed=seed_r,
-                    auc=roc_auc(pos, neg),
-                    ap=average_precision(pos, neg),
-                )
+    if tuned is None:
+        tuned = tune_scorers(artifacts, config)
+    split = artifacts.split
+    test_pos = _global_pairs(artifacts.g_train, split.test_pos)
+    test_neg = _global_pairs(artifacts.g_train, split.test_neg)
+    reports = []
+    for kind in config.scorers:
+        pos, neg = _pos_neg_scores(kind, test_pos, test_neg, artifacts, tuned.get(kind, {}))
+        reports.append(
+            MetricReport(
+                dataset=dataset_id,
+                scorer=kind,
+                run=run_index,
+                seed=split.seed,
+                auc=roc_auc(pos, neg),
+                ap=average_precision(pos, neg),
             )
-        return reports
-    except Exception as exc:
-        _add_run_note(exc, dataset_id, run_index, seed_r)
-        raise
+        )
+    return reports
 
 
 def _add_run_note(exc: Exception, dataset_id: str, run_index: int, seed: int) -> None:
@@ -317,9 +289,12 @@ def run_benchmark(config: BenchmarkConfig, data_dir=None) -> Summary:
     """R runs per dataset, aggregated; emits CSVs when out_dir is set.
 
     A dataset that fails to load is skipped and recorded in
-    ``Summary.missing``; other datasets still run.  The optional per-dataset
-    wall-clock budget stops a dataset early (run 0 always completes) and the
-    row's ``runs`` field shows what was kept.
+    ``Summary.missing``; other datasets still run.  Each run builds its
+    split and ``RunArtifacts`` once; tuning uses run 0's, and run 0 then
+    scores on the same ones.  The optional per-dataset wall-clock budget starts after tuning
+    and stops a dataset early (run 0 always completes); the row's ``runs``
+    field shows what was kept.  A failing run raises with one note naming
+    the dataset, run and seed.
     """
     rows = []
     missing = []
@@ -333,12 +308,6 @@ def run_benchmark(config: BenchmarkConfig, data_dir=None) -> Summary:
             logger.warning("dataset %s unavailable: %s", spec.id, exc)
             missing.append((spec.id, f"{type(exc).__name__}: {exc}"))
             continue
-        try:
-            tuned = tune_scorers(g, split_edges(g, config.ratios, config.base_seed), config)
-        except Exception as exc:
-            _add_run_note(exc, spec.id, 0, config.base_seed)
-            raise
-        started = time.monotonic()
         reports = []
         for r in range(config.runs):
             if (
@@ -351,7 +320,16 @@ def run_benchmark(config: BenchmarkConfig, data_dir=None) -> Summary:
                     spec.id, r, config.runs,
                 )
                 break
-            reports.extend(run_experiment(g, config, r, dataset_id=spec.id, tuned=tuned))
+            seed = config.base_seed + r
+            try:
+                artifacts = build_run_artifacts(g, split_edges(g, config.ratios, seed))
+                if r == 0:
+                    tuned = tune_scorers(artifacts, config)
+                    started = time.monotonic()
+                reports.extend(run_experiment(artifacts, config, r, dataset_id=spec.id, tuned=tuned))
+            except Exception as exc:
+                _add_run_note(exc, spec.id, r, seed)
+                raise
         rows.extend(summarize(reports))
         all_reports.extend(reports)
     summary = Summary(rows=tuple(rows), missing=tuple(missing))
@@ -431,10 +409,9 @@ def diagnose(
     """
     if seed is None:
         seed = config.base_seed
-    split = split_edges(g, config.ratios, seed)
-    tuned = {ScorerKind.TWO_HOP: dict(config.lgae_grid[0])}
-    artifacts = _with_models(_training_side(g, split), (ScorerKind.TWO_HOP,), tuned)
-    model = _model_for(artifacts, ScorerKind.TWO_HOP, tuned)
+    artifacts = build_run_artifacts(g, split_edges(g, config.ratios, seed))
+    split = artifacts.split
+    model = artifacts.model(ModelKind.LGAE, dict(config.lgae_grid[0]))
 
     extra_keys = child_keys(seed, 6)[3:]
 

@@ -180,8 +180,13 @@ def save_split(split: EdgeSplit, path) -> None:
                 fh.write(f"{u} {v}\n")
 
 
-def load_split(path) -> EdgeSplit:
-    """Read a split written by save_split."""
+def load_split(path, g: BipartiteGraph) -> EdgeSplit:
+    """Read a split written by save_split and check it against ``g``.
+
+    Raises ValueError naming the first bad pair unless the train, val_pos
+    and test_pos pairs partition ``g.edges`` exactly, every negative is an
+    in-range non-edge, and no pair is both a validation and a test negative.
+    """
     sections = {name: [] for name in _SECTIONS}
     seed_lines = []
     current = None
@@ -207,6 +212,7 @@ def load_split(path) -> EdgeSplit:
                 sections[current].append((int(parts[0]), int(parts[1])))
     if len(seed_lines) != 1:
         raise ValueError(f"{path}: expected exactly one seed line")
+    _check_split_pairs(path, g, sections)
     return EdgeSplit(
         train_edges=tuple(sections["train"]),
         val_pos=tuple(sections["val_pos"]),
@@ -215,3 +221,27 @@ def load_split(path) -> EdgeSplit:
         test_neg=tuple(sections["test_neg"]),
         seed=int(seed_lines[0]),
     )
+
+
+def _check_split_pairs(path, g: BipartiteGraph, sections: dict) -> None:
+    seen = set()
+    for name in ("train", "val_pos", "test_pos"):
+        for pair in sections[name]:
+            if pair not in g.edge_set:
+                raise ValueError(f"{path}: #{name} pair {pair} is not an edge of the graph")
+            if pair in seen:
+                raise ValueError(f"{path}: #{name} pair {pair} is listed twice among the positives")
+            seen.add(pair)
+    for pair in g.edges:
+        if pair not in seen:
+            raise ValueError(f"{path}: edge {pair} of the graph is in no positive section")
+    for name in ("val_neg", "test_neg"):
+        for u, v in sections[name]:
+            if not (0 <= u < g.n_left and 0 <= v < g.n_right):
+                raise ValueError(f"{path}: #{name} pair {(u, v)} is out of range")
+            if (u, v) in g.edge_set:
+                raise ValueError(f"{path}: #{name} pair {(u, v)} is an edge of the graph")
+    val_neg = set(sections["val_neg"])
+    for pair in sections["test_neg"]:
+        if pair in val_neg:
+            raise ValueError(f"{path}: #test_neg pair {pair} is also in #val_neg")

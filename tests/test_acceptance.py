@@ -326,12 +326,12 @@ def test_criterion_6b_southern_women_reference_value():
     # the full-graph mixing matrix.
     g = southern_women_graph()
     norm_full = normalized_adjacency(g)
-    tuned = {ScorerKind.TWO_HOP: dict(config.lgae_grid[0])}
+    params = dict(config.lgae_grid[0])
     rescored, leaky = [], []
     for r in range(runs):
         split = split_edges(g, config.ratios, config.base_seed + r)
-        artifacts = build_run_artifacts(g, config, split, tuned)
-        model = next(iter(artifacts.models.values()))
+        artifacts = build_run_artifacts(g, split)
+        model = artifacts.model(ModelKind.LGAE, params)
         test_pos = [(u, g.n_left + v) for u, v in split.test_pos]
         test_neg = [(u, g.n_left + v) for u, v in split.test_neg]
         for norm, aucs in ((artifacts.norm, rescored), (norm_full, leaky)):

@@ -274,7 +274,7 @@ class TestReconstructionLoss:
         labels = training_labels(adjacency(g))
         lw = loss_weights(g.n, int(labels.nnz))
         z = rng.standard_normal((g.n, 4))
-        dense = reconstruction_loss(z, labels, lw, block_rows=None)
+        dense = reconstruction_loss(z, labels, lw, block_rows=g.n)
         for block in (1, 2, 3, g.n):
             blocked = reconstruction_loss(z, labels, lw, block_rows=block)
             assert blocked == pytest.approx(dense, rel=1e-12)
@@ -344,7 +344,7 @@ class TestGradients:
     def test_blocked_gradient_matches_dense(self):
         rng = np.random.default_rng(46)
         norm, labels, lw, weights = problem_instance(rng, ModelKind.GAE, max_side=7)
-        dense = loss_gradient(weights, norm, labels, lw, block_rows=None)
+        dense = loss_gradient(weights, norm, labels, lw, block_rows=norm.n)
         blocked = loss_gradient(weights, norm, labels, lw, block_rows=2)
         for g_d, g_b in zip(dense, blocked):
             assert np.allclose(g_b, g_d, rtol=1e-11, atol=1e-14)
@@ -360,7 +360,7 @@ class TestDenseOracles:
                 z = forward(weights, norm)
                 ref_loss, r = dense_reference(z, labels, lw)
                 want = closed_form_gradient(weights, norm, r)
-                for block in (None, 1, 2, 3, norm.n):
+                for block in (TILE_SIDE, 1, 2, 3, norm.n):
                     loss = reconstruction_loss(z, labels, lw, block_rows=block)
                     assert loss == pytest.approx(ref_loss, rel=1e-12)
                     got = loss_gradient(weights, norm, labels, lw, block_rows=block)
@@ -377,7 +377,7 @@ class TestDenseOracles:
             z = rng.standard_normal((g.n, 3))
             z *= np.sqrt(reach / np.abs(z @ z.T).max())
             want_loss, want_gz = double_loop_oracle(z, labels, lw)
-            for block in (None, 2):
+            for block in (g.n, 2):
                 loss = reconstruction_loss(z, labels, lw, block_rows=block)
                 (gz,) = loss_gradient((z,), identity_encoder(g.n), labels, lw, block_rows=block)
                 assert np.isfinite(loss) and np.all(np.isfinite(gz))
@@ -396,7 +396,7 @@ class TestDenseOracles:
         z *= np.sqrt(1.5 * reach)
         want_loss, want_gz = double_loop_oracle(z, labels, lw)
         assert 0.0 < want_loss < 1e-8
-        for block in (None, 1, 4):
+        for block in (g.n, 1, 4):
             loss = reconstruction_loss(z, labels, lw, block_rows=block)
             (gz,) = loss_gradient((z,), identity_encoder(g.n), labels, lw, block_rows=block)
             assert loss == pytest.approx(want_loss, rel=1e-12)

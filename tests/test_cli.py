@@ -212,7 +212,7 @@ class TestSplit:
         )
         assert code == 0
         assert "train=76" in stdout and "val=4" in stdout and "test=9" in stdout
-        loaded = load_split(out)
+        loaded = load_split(out, southern_women_graph())
         expected = split_edges(southern_women_graph(), (0.85, 0.05, 0.10), 7)
         assert loaded == expected
 
@@ -225,7 +225,7 @@ class TestSplit:
             "--out", str(out), "--config", str(config_path),
         )
         assert code == 0
-        loaded = load_split(out)
+        loaded = load_split(out, southern_women_graph())
         assert len(loaded.test_pos) == 22
         assert len(loaded.val_pos) == 22
         assert len(loaded.train_edges) == 45

@@ -12,7 +12,6 @@ import pytest
 
 from bihop.graph import (
     GraphInputError,
-    Partition,
     adjacency,
     build_graph,
     normalize,
@@ -69,13 +68,6 @@ class TestBuildGraph:
 
     def test_degrees(self, toy_graph):
         assert list(toy_graph.degrees()) == [2, 1, 1, 1, 2, 1]
-
-    def test_partition_of(self, toy_graph):
-        assert toy_graph.partition_of(0) is Partition.LEFT
-        assert toy_graph.partition_of(2) is Partition.LEFT
-        assert toy_graph.partition_of(3) is Partition.RIGHT
-        with pytest.raises(GraphInputError):
-            toy_graph.partition_of(6)
 
     def test_right_global(self, toy_graph):
         assert toy_graph.right_global(0) == 3

@@ -9,6 +9,8 @@ import sys
 import numpy as np
 import pytest
 
+import bihop.harness as harness
+from bihop.autoencoder import ModelKind
 from bihop.data import (
     DatasetSpec,
     generate_bipartite_er,
@@ -16,7 +18,7 @@ from bihop.data import (
     read_report,
     southern_women_graph,
 )
-from bihop.graph import adjacency, build_graph
+from bihop.graph import build_graph
 from bihop.harness import (
     DEFAULT_KATZ_GRID,
     DEFAULT_LGAE_GRID,
@@ -36,7 +38,7 @@ from bihop.harness import (
 )
 from bihop.metrics import MetricReport, summarize
 from bihop.scoring import ScorerKind, adjacency_spectral_radius
-from bihop.splits import split_edges, train_graph
+from bihop.splits import split_edges
 
 
 SMALL_GRID = ({"learning_rate": 0.01, "epochs": 40, "embed_dim": 8},)
@@ -60,6 +62,11 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return BenchmarkConfig(**base)
+
+
+def artifacts_for(g, config, run_index):
+    """Run ``run_index``'s split and training side, as run_benchmark builds them."""
+    return build_run_artifacts(g, split_edges(g, config.ratios, config.base_seed + run_index))
 
 
 class TestBenchmarkConfig:
@@ -103,8 +110,8 @@ class TestRunExperiment:
         config = small_config(
             scorers=(ScorerKind.TWO_HOP, ScorerKind.LGAE, ScorerKind.PREFERENTIAL_ATTACHMENT)
         )
-        first = run_experiment(g, config, 1, dataset_id="sw")
-        second = run_experiment(g, config, 1, dataset_id="sw")
+        first = run_experiment(artifacts_for(g, config, 1), config, 1, dataset_id="sw")
+        second = run_experiment(artifacts_for(g, config, 1), config, 1, dataset_id="sw")
         assert first == second
         assert [r.scorer for r in first] == list(config.scorers)
         assert all(r.run == 1 and r.seed == 1 and r.dataset == "sw" for r in first)
@@ -112,8 +119,8 @@ class TestRunExperiment:
     def test_distinct_runs_use_distinct_seeds(self):
         g = southern_women_graph()
         config = small_config(scorers=(ScorerKind.PREFERENTIAL_ATTACHMENT,))
-        r0 = run_experiment(g, config, 0)[0]
-        r5 = run_experiment(g, config, 5)[0]
+        r0 = run_experiment(artifacts_for(g, config, 0), config, 0)[0]
+        r5 = run_experiment(artifacts_for(g, config, 5), config, 5)[0]
         assert r0.seed == config.base_seed
         assert r5.seed == config.base_seed + 5
         assert r0.run == 0 and r5.run == 5
@@ -121,25 +128,31 @@ class TestRunExperiment:
     def test_metrics_in_range(self):
         g = southern_women_graph()
         config = small_config(scorers=(ScorerKind.TWO_HOP, ScorerKind.ADAMIC_ADAR))
-        for report in run_experiment(g, config, 0):
+        for report in run_experiment(artifacts_for(g, config, 0), config, 0):
             assert 0.0 <= report.auc <= 1.0
             assert 0.0 <= report.ap <= 1.0
 
     def test_empty_scorer_list_yields_no_reports(self):
         g = southern_women_graph()
         config = BenchmarkConfig(scorers=(), runs=1)
-        assert run_experiment(g, config, 0) == []
+        assert run_experiment(artifacts_for(g, config, 0), config, 0) == []
 
     def test_negative_run_index_rejected(self):
         g = southern_women_graph()
         with pytest.raises(ValueError, match="run_index"):
-            run_experiment(g, small_config(), -1)
+            run_experiment(artifacts_for(g, small_config(), 0), small_config(), -1)
 
-    def test_split_failure_propagates(self):
+    def test_split_failure_propagates(self, monkeypatch):
         # Two edges cannot be split three ways, whatever the ratios.
         g = build_graph(2, 2, [(0, 0), (1, 1)])
-        with pytest.raises(ValueError):
-            run_experiment(g, small_config(scorers=(ScorerKind.PREFERENTIAL_ATTACHMENT,)), 2)
+        monkeypatch.setattr(harness, "load_dataset", lambda spec, data_dir=None: g)
+        config = small_config(
+            datasets=("two_edges",), scorers=(ScorerKind.PREFERENTIAL_ATTACHMENT,), base_seed=2
+        )
+        with pytest.raises(ValueError, match="at least 3") as exc:
+            run_benchmark(config)
+        if sys.version_info >= (3, 11):
+            assert exc.value.__notes__ == ["while running 'two_edges' run 0 (seed 2)"]
 
     def test_degree_product_auc_matches_hand_computation(self):
         # Small enough to score by hand: the test set is one held-out edge
@@ -165,7 +178,7 @@ class TestRunExperiment:
             s_pos = product(split.test_pos[0])
             s_neg = product(split.test_neg[0])
             expected = 1.0 if s_pos > s_neg else (0.5 if s_pos == s_neg else 0.0)
-            report = run_experiment(g, config, run_index)[0]
+            report = run_experiment(build_run_artifacts(g, split), config, run_index)[0]
             assert report.auc == expected
 
 
@@ -173,7 +186,7 @@ class TestGridSearch:
     def test_singleton_grid_returns_that_point(self, block_graph):
         split = split_edges(block_graph, DEFAULT_RATIOS, seed=0)
         point, val_auc = grid_search(
-            block_graph, split, SMALL_GRID, ScorerKind.TWO_HOP
+            build_run_artifacts(block_graph, split), SMALL_GRID, ScorerKind.TWO_HOP
         )
         assert point == SMALL_GRID[0]
         assert 0.0 <= val_auc <= 1.0
@@ -184,21 +197,22 @@ class TestGridSearch:
         split = split_edges(block_graph, DEFAULT_RATIOS, seed=0)
         degenerate = {"learning_rate": 1e-12, "epochs": 1, "embed_dim": 8}
         trained = {"learning_rate": 0.01, "epochs": 150, "embed_dim": 8}
+        artifacts = build_run_artifacts(block_graph, split)
         point, val_auc = grid_search(
-            block_graph, split, (degenerate, trained), ScorerKind.TWO_HOP
+            artifacts, (degenerate, trained), ScorerKind.TWO_HOP
         )
         assert point == trained
         _, auc_degenerate = grid_search(
-            block_graph, split, (degenerate,), ScorerKind.TWO_HOP
+            build_run_artifacts(block_graph, split), (degenerate,), ScorerKind.TWO_HOP
         )
         assert val_auc > auc_degenerate
 
     def test_duplicate_points_tie_break_keeps_first(self, block_graph):
         split = split_edges(block_graph, DEFAULT_RATIOS, seed=1)
         grid = (dict(SMALL_GRID[0]), dict(SMALL_GRID[0]))
-        point, val_auc = grid_search(block_graph, split, grid, ScorerKind.TWO_HOP)
+        point, val_auc = grid_search(build_run_artifacts(block_graph, split), grid, ScorerKind.TWO_HOP)
         single_point, single_auc = grid_search(
-            block_graph, split, SMALL_GRID, ScorerKind.TWO_HOP
+            build_run_artifacts(block_graph, split), SMALL_GRID, ScorerKind.TWO_HOP
         )
         assert point == single_point
         assert val_auc == single_auc
@@ -210,13 +224,13 @@ class TestGridSearch:
             {"learning_rate": 0.01, "epochs": 30, "embed_dim": 8},
         )
         assert grid_search(
-            block_graph, split, grid, ScorerKind.LGAE
-        ) == grid_search(block_graph, split, grid, ScorerKind.LGAE)
+            build_run_artifacts(block_graph, split), grid, ScorerKind.LGAE
+        ) == grid_search(build_run_artifacts(block_graph, split), grid, ScorerKind.LGAE)
 
     def test_katz_scalar_grid_points_coerced(self, block_graph):
         split = split_edges(block_graph, DEFAULT_RATIOS, seed=0)
         point, _ = grid_search(
-            block_graph, split, (0.001, 0.01), ScorerKind.KATZ
+            build_run_artifacts(block_graph, split), (0.001, 0.01), ScorerKind.KATZ
         )
         assert set(point) == {"beta"}
         assert point["beta"] in (0.001, 0.01)
@@ -224,7 +238,7 @@ class TestGridSearch:
     def test_empty_grid_rejected(self, block_graph):
         split = split_edges(block_graph, DEFAULT_RATIOS, seed=0)
         with pytest.raises(ValueError, match="nonempty"):
-            grid_search(block_graph, split, (), ScorerKind.TWO_HOP)
+            grid_search(build_run_artifacts(block_graph, split), (), ScorerKind.TWO_HOP)
 
 
 DENSE_ER = {"model": "er", "n_left": 300, "n_right": 500, "p": 0.1, "seed": 0}
@@ -237,16 +251,16 @@ class TestKatzFeasibility:
     @pytest.fixture(scope="class")
     def dense_er(self):
         g = generate_bipartite_er(300, 500, 0.1, seed=0)
-        split = split_edges(g, DEFAULT_RATIOS, seed=0)
-        limit = 1.0 / adjacency_spectral_radius(adjacency(train_graph(g, split)))
-        return g, split, limit
+        artifacts = build_run_artifacts(g, split_edges(g, DEFAULT_RATIOS, seed=0))
+        limit = 1.0 / adjacency_spectral_radius(artifacts.a_train)
+        return artifacts, limit
 
     def test_default_grid_skips_infeasible_points(self, dense_er, caplog):
-        g, split, limit = dense_er
+        artifacts, limit = dense_er
         infeasible = [beta for beta in DEFAULT_KATZ_GRID if beta >= limit]
         assert infeasible == [0.05]
         with caplog.at_level(logging.WARNING, logger="bihop.harness"):
-            point, val_auc = grid_search(g, split, DEFAULT_KATZ_GRID, ScorerKind.KATZ)
+            point, val_auc = grid_search(artifacts, DEFAULT_KATZ_GRID, ScorerKind.KATZ)
         assert point["beta"] < limit
         assert 0.0 <= val_auc <= 1.0
         assert "{'beta': 0.05} skipped" in caplog.text
@@ -259,15 +273,15 @@ class TestKatzFeasibility:
         assert run_benchmark(config).get("dense_er", ScorerKind.KATZ).runs == 1
 
     def test_all_infeasible_grid_lists_every_point(self, dense_er):
-        g, split, _ = dense_er
+        artifacts, _ = dense_er
         with pytest.raises(ValueError, match="no feasible katz grid point") as exc:
-            grid_search(g, split, (0.5, 0.9), ScorerKind.KATZ)
+            grid_search(artifacts, (0.5, 0.9), ScorerKind.KATZ)
         assert "{'beta': 0.5}" in str(exc.value) and "{'beta': 0.9}" in str(exc.value)
 
     def test_other_errors_propagate(self, dense_er):
-        g, split, _ = dense_er
+        artifacts, _ = dense_er
         with pytest.raises(ValueError, match="beta must be positive"):
-            grid_search(g, split, (0.001, -0.1), ScorerKind.KATZ)
+            grid_search(artifacts, (0.001, -0.1), ScorerKind.KATZ)
 
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="exception notes need Python 3.11")
     def test_run0_tuning_failure_carries_run_note(self):
@@ -284,23 +298,21 @@ class TestTuneScorers:
     def test_singleton_grids_skip_search(self, block_graph):
         split = split_edges(block_graph, DEFAULT_RATIOS, seed=0)
         config = small_config(scorers=(ScorerKind.TWO_HOP, ScorerKind.JACCARD))
-        tuned = tune_scorers(block_graph, split, config)
+        tuned = tune_scorers(build_run_artifacts(block_graph, split), config)
         assert tuned[ScorerKind.TWO_HOP] == SMALL_GRID[0]
         assert tuned[ScorerKind.JACCARD] == {}
 
     def test_multi_point_grid_selects_member(self, block_graph):
         split = split_edges(block_graph, DEFAULT_RATIOS, seed=0)
         config = small_config(scorers=(ScorerKind.KATZ,), katz_grid=(0.001, 0.05))
-        tuned = tune_scorers(block_graph, split, config)
+        tuned = tune_scorers(build_run_artifacts(block_graph, split), config)
         assert tuned[ScorerKind.KATZ]["beta"] in (0.001, 0.05)
 
 
 class TestLeakageDiscipline:
     def test_artifacts_ignore_heldout_pairs(self, block_graph):
         """Swapping the evaluation pairs must not change anything trained."""
-        config = small_config(scorers=(ScorerKind.TWO_HOP,))
         split = split_edges(block_graph, DEFAULT_RATIOS, seed=4)
-        tuned = {ScorerKind.TWO_HOP: dict(SMALL_GRID[0])}
         tampered = dataclasses.replace(
             split,
             test_pos=tuple(reversed(split.test_pos)),
@@ -308,13 +320,81 @@ class TestLeakageDiscipline:
             test_neg=split.val_neg,
             val_neg=split.test_neg,
         )
-        a = build_run_artifacts(block_graph, config, split, tuned)
-        b = build_run_artifacts(block_graph, config, tampered, tuned)
+        a = build_run_artifacts(block_graph, split)
+        b = build_run_artifacts(block_graph, tampered)
         assert np.array_equal(a.norm.matrix.toarray(), b.norm.matrix.toarray())
         assert a.g_train.edges == b.g_train.edges
-        (model_a,) = a.models.values()
-        (model_b,) = b.models.values()
+        model_a = a.model(ModelKind.LGAE, SMALL_GRID[0])
+        model_b = b.model(ModelKind.LGAE, SMALL_GRID[0])
         assert np.array_equal(model_a.Z, model_b.Z)
+
+
+BLOCKS = DatasetSpec(
+    id="blocks",
+    source={
+        "model": "sbm", "left_sizes": [15, 15], "right_sizes": [15, 15],
+        "p_in": 0.5, "p_out": 0.05, "seed": 3,
+    },
+)
+TWO_POINT_GRID = (
+    {"learning_rate": 0.01, "epochs": 30, "embed_dim": 4},
+    {"learning_rate": 0.01, "epochs": 30, "embed_dim": 8},
+)
+
+
+def two_point_config(**overrides):
+    base = dict(
+        datasets=(BLOCKS,),
+        scorers=(ScorerKind.TWO_HOP, ScorerKind.RECON_TWO_HOP, ScorerKind.LGAE, ScorerKind.KATZ),
+        runs=1,
+        lgae_grid=TWO_POINT_GRID,
+    )
+    base.update(overrides)
+    return BenchmarkConfig(**base)
+
+
+def count_calls(monkeypatch, name):
+    """Wrap ``bihop.harness.<name>`` and return the list its calls land in."""
+    calls = []
+    real = getattr(harness, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, counted)
+    return calls
+
+
+class TestSharedTrainingSide:
+    """Tuning and run 0 share one split, one training side and its models."""
+
+    def test_one_split_one_training_side_one_training_per_model(self, monkeypatch):
+        trains = count_calls(monkeypatch, "train")
+        splits = count_calls(monkeypatch, "split_edges")
+        sides = count_calls(monkeypatch, "train_graph")
+        summary = run_benchmark(two_point_config())
+        assert len(summary.rows) == 4
+        # Two grid points, one LGAE model each, shared by the three scorers
+        # and reused when run 0 scores its test pairs.
+        assert (len(trains), len(splits), len(sides)) == (2, 1, 1)
+
+    def test_run0_equals_scoring_fresh_artifacts(self, monkeypatch):
+        config = two_point_config()
+        seen = []
+        real = harness.run_experiment
+
+        def recorded(artifacts, config, run_index, dataset_id="dataset", tuned=None):
+            seen.append((tuned, real(artifacts, config, run_index, dataset_id, tuned)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(harness, "run_experiment", recorded)
+        run_benchmark(config)
+        ((tuned, reports),) = seen
+        g = generate_bipartite_sbm([15, 15], [15, 15], p_in=0.5, p_out=0.05, seed=3)
+        fresh = artifacts_for(g, config, 0)
+        assert fresh.models == {}
+        assert real(fresh, config, 0, dataset_id="blocks", tuned=tuned) == reports
 
 
 class TestAggregation:
@@ -373,7 +453,9 @@ class TestRunBenchmark:
         summary = run_benchmark(config)
         assert len(summary.rows) == 2
         g = southern_women_graph()
-        single = {r.scorer: r for r in run_experiment(g, config, 0, "southern_women")}
+        single = {
+            r.scorer: r for r in run_experiment(artifacts_for(g, config, 0), config, 0, "southern_women")
+        }
         for row in summary.rows:
             assert row.runs == 1
             assert row.auc_std == 0.0 and row.ap_std == 0.0

@@ -7,6 +7,8 @@ negatives disjoint.  Everything must be reproducible from (graph, ratios,
 seed) alone.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -217,22 +219,65 @@ class TestSaveLoad:
         split = split_edges(g, DEFAULT, seed=11)
         path = tmp_path / "split.txt"
         save_split(split, path)
-        assert load_split(path) == split
+        assert load_split(path, g) == split
 
     def test_rejects_unknown_section(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("#seed\n1\n#bogus\n0 0\n")
         with pytest.raises(ValueError, match="bogus"):
-            load_split(path)
+            load_split(path, medium_graph())
 
     def test_rejects_malformed_pair(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("#seed\n1\n#train\n0 0 0\n")
         with pytest.raises(ValueError, match="expected"):
-            load_split(path)
+            load_split(path, medium_graph())
 
     def test_rejects_missing_seed(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("#train\n0 0\n")
         with pytest.raises(ValueError, match="seed"):
-            load_split(path)
+            load_split(path, medium_graph())
+
+    @staticmethod
+    def _saved(tmp_path, split, **changes):
+        """Path of ``split`` saved with ``changes`` applied."""
+        path = tmp_path / "split.txt"
+        save_split(dataclasses.replace(split, **changes), path)
+        return path
+
+    def test_rejects_positives_that_do_not_partition_the_edges(self, tmp_path):
+        g = medium_graph()
+        split = split_edges(g, DEFAULT, seed=11)
+        dropped = split.test_pos[-1]
+        path = self._saved(tmp_path, split, test_pos=split.test_pos[:-1])
+        with pytest.raises(ValueError, match=rf"edge \({dropped[0]}, {dropped[1]}\) .* no positive"):
+            load_split(path, g)
+        twice = split.train_edges[0]
+        path = self._saved(tmp_path, split, val_pos=split.val_pos + (twice,))
+        with pytest.raises(ValueError, match=rf"#val_pos pair \({twice[0]}, {twice[1]}\) is listed twice"):
+            load_split(path, g)
+        non_edge = split.val_neg[0]
+        path = self._saved(tmp_path, split, test_pos=split.test_pos + (non_edge,))
+        with pytest.raises(ValueError, match=r"#test_pos pair .* not an edge"):
+            load_split(path, g)
+
+    def test_rejects_negative_that_is_edge_or_out_of_range(self, tmp_path):
+        g = medium_graph()
+        split = split_edges(g, DEFAULT, seed=11)
+        edge = split.train_edges[0]
+        path = self._saved(tmp_path, split, val_neg=(edge,) + split.val_neg[1:])
+        with pytest.raises(ValueError, match=rf"#val_neg pair \({edge[0]}, {edge[1]}\) is an edge"):
+            load_split(path, g)
+        outside = (0, g.n_right)
+        path = self._saved(tmp_path, split, test_neg=split.test_neg + (outside,))
+        with pytest.raises(ValueError, match=rf"#test_neg pair \(0, {g.n_right}\) is out of range"):
+            load_split(path, g)
+
+    def test_rejects_shared_validation_and_test_negative(self, tmp_path):
+        g = medium_graph()
+        split = split_edges(g, DEFAULT, seed=11)
+        shared = split.val_neg[0]
+        path = self._saved(tmp_path, split, test_neg=split.test_neg + (shared,))
+        with pytest.raises(ValueError, match=rf"#test_neg pair \({shared[0]}, {shared[1]}\) is also in #val_neg"):
+            load_split(path, g)

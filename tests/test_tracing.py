@@ -43,3 +43,7 @@ def test_traced_run_reports_every_layer(tracing):
     for key in tracing.SCORERS:
         assert metrics[f"scoring.{key}.calls_per_run"] == (1.0, "count"), key
     assert metrics["scoring.katz.radius_evals"][0] > 0
+    # One split (two negative samples) and one training graph per run, plus
+    # the dataset's own graph: tuning reuses run 0's split.
+    assert metrics["splits.sample_negatives.calls"] == (2.0, "count")
+    assert metrics["graph.build_graph.calls"] == (2.0, "count")
