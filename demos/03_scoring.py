@@ -17,6 +17,7 @@ from bihop import (
     TrainConfig,
     adjacency,
     decode_score,
+    heuristic_index,
     heuristic_scores,
     katz_score,
     normalized_adjacency,
@@ -60,6 +61,7 @@ plain = decode_score(model, test_pos + test_neg)
 auc = roc_auc(plain.scores[: len(test_pos)], plain.scores[len(test_pos):])
 print(f"{'lgae decoder':<18} {auc:>6.3f}")
 
+index = heuristic_index(gt)  # built once, shared by the five heuristics
 for kind in (
     ScorerKind.PREFERENTIAL_ATTACHMENT,
     ScorerKind.COMMON_NEIGHBORS,
@@ -67,7 +69,7 @@ for kind in (
     ScorerKind.ADAMIC_ADAR,
     ScorerKind.RESOURCE_ALLOCATION,
 ):
-    result = heuristic_scores(gt, kind, test_pos + test_neg)
+    result = heuristic_scores(index, kind, test_pos + test_neg)
     auc = roc_auc(result.scores[: len(test_pos)], result.scores[len(test_pos):])
     print(f"{kind.value:<18} {auc:>6.3f}")
 

@@ -9,9 +9,9 @@ are chosen by validation AUC on run 0's artifacts and then frozen for the
 remaining runs; run 0 scores its test pairs on those same artifacts, so it
 reuses the search's split, training side and models.
 
-Leakage discipline: ``build_run_artifacts`` and ``RunArtifacts.model``
-read only the training edges and the seed of the split; validation and
-test pairs enter only as scoring arguments.
+Leakage discipline: ``build_run_artifacts``, ``RunArtifacts.model`` and
+``RunArtifacts.heuristics`` read only the training edges and the seed of
+the split; validation and test pairs enter only as scoring arguments.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,9 +42,11 @@ from .metrics import (
 )
 from .scoring import (
     HEURISTIC_KINDS,
+    HeuristicIndex,
     KatzDivergenceError,
     ScorerKind,
     decode_score,
+    heuristic_index,
     heuristic_scores,
     katz_score,
     recon_two_hop_score,
@@ -114,7 +117,9 @@ class RunArtifacts:
 
     Holds the training graph, its adjacency, normalization and labels, and
     caches each model trained on them under (model kind, params), so tuning
-    and scoring on the same split train each distinct model once.
+    and scoring on the same split train each distinct model once.  The
+    heuristic index is built from the training graph on first use and
+    shared by the five neighbourhood heuristics.
     """
 
     split: EdgeSplit
@@ -133,6 +138,11 @@ class RunArtifacts:
             )
         return self.models[key]
 
+    @cached_property
+    def heuristics(self) -> HeuristicIndex:
+        """The neighbourhood index of ``g_train``; built on first use."""
+        return heuristic_index(self.g_train)
+
 
 def build_run_artifacts(g: BipartiteGraph, split: EdgeSplit) -> RunArtifacts:
     """Training side of ``split``.  Reads only split.train_edges and seed."""
@@ -149,7 +159,7 @@ def _score_pairs(kind: ScorerKind, pairs, artifacts: RunArtifacts, params: dict)
     if kind is ScorerKind.KATZ:
         return katz_score(artifacts.a_train, params.get("beta", 0.005), pairs).scores
     if kind in HEURISTIC_KINDS:
-        return heuristic_scores(artifacts.g_train, kind, pairs).scores
+        return heuristic_scores(artifacts.heuristics, kind, pairs).scores
     model = artifacts.model(ModelKind.GAE if kind is ScorerKind.GAE else ModelKind.LGAE, params)
     if kind is ScorerKind.TWO_HOP:
         return two_hop_score(model, artifacts.norm, pairs).scores

@@ -23,13 +23,16 @@ indices outside [0, n) with ValueError, and are symmetric in the pair order.
 Heuristic indices use the Daminelli-style bipartite adaptation: the "common
 neighbors" of a heterogeneous pair (u, v) are the intermediate nodes of
 length-3 paths, C(u, v) = N(u) n N2(v) with N2(v) the union of
-neighbors-of-neighbors of v.
+neighbors-of-neighbors of v.  They read a ``HeuristicIndex`` built once per
+training graph (``heuristic_index``): its neighbour sets, degrees and
+per-node aa/ra terms, and each N2(v) built once on first use, are shared by
+all five indices and every call on that graph.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -180,18 +183,6 @@ def decode_score(model: EmbeddingModel, pairs, kind: ScorerKind | None = None) -
     return PairScores(pairs=pairs, scores=scores, scorer=kind)
 
 
-def _canonical_het_pair(g: BipartiteGraph, u: int, v: int):
-    """Order a heterogeneous global pair as (left, right); reject homogeneous
-    and out-of-range pairs."""
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError(f"pair {(u, v)} is out of range for a graph of {g.n} nodes")
-    u_left = u < g.n_left
-    v_left = v < g.n_left
-    if u_left == v_left:
-        raise ValueError(f"pair ({u}, {v}) is homogeneous; heuristics need a left-right pair")
-    return (u, v) if u_left else (v, u)
-
-
 def _two_step_neighborhood(g: BipartiteGraph, v: int) -> set:
     """Union of neighbors-of-neighbors of v (nodes on v's own side reached in 2 hops)."""
     out = set()
@@ -200,11 +191,52 @@ def _two_step_neighborhood(g: BipartiteGraph, v: int) -> set:
     return out
 
 
-def heuristic_score(g_train: BipartiteGraph, kind: ScorerKind, u: int, v: int, _n2_cache=None) -> float:
-    """Similarity index for one heterogeneous pair (global indices).
+@dataclass(frozen=True, eq=False)
+class HeuristicIndex:
+    """What the five neighbourhood heuristics read from one training graph.
 
-    With N(x) the training neighbors, N2(v) the two-step neighborhood, and
-    C = N(u) n N2(v):
+    ``neighbor_sets[u]`` is N(u) for each left node u (only a pair's left
+    node needs its set), ``degrees`` the degree array,
+    ``aa_terms[b]`` the Adamic-Adar term 1 / ln deg(b) (0.0 below degree 2)
+    and ``ra_terms[b]`` the resource-allocation term 1 / deg(b).
+    ``two_step(v)`` returns N2(v), built on first use and kept.  Every set
+    is built the same way for every call, so N(u) & N2(v) iterates in one
+    fixed order and the aa/ra sums do not depend on which call, or which
+    other pairs, asked for them.
+    """
+
+    g: BipartiteGraph
+    neighbor_sets: tuple = field(repr=False)
+    degrees: np.ndarray = field(repr=False)
+    aa_terms: list = field(repr=False)
+    ra_terms: list = field(repr=False)
+    two_steps: dict = field(default_factory=dict, repr=False)
+
+    def two_step(self, v: int) -> set:
+        """N2(v); built by ``_two_step_neighborhood`` on first use."""
+        if v not in self.two_steps:
+            self.two_steps[v] = _two_step_neighborhood(self.g, v)
+        return self.two_steps[v]
+
+
+def heuristic_index(g_train: BipartiteGraph) -> HeuristicIndex:
+    """The neighbourhood index of ``g_train``; reads its edges only."""
+    degrees = g_train.degrees()
+    deg = degrees.tolist()
+    return HeuristicIndex(
+        g=g_train,
+        neighbor_sets=tuple(set(nb.tolist()) for nb in g_train.neighbors[: g_train.n_left]),
+        degrees=degrees,
+        aa_terms=[1.0 / math.log(d) if d >= 2 else 0.0 for d in deg],
+        ra_terms=[1.0 / d if d else 0.0 for d in deg],
+    )
+
+
+def heuristic_scores(index: HeuristicIndex, kind: ScorerKind, pairs) -> PairScores:
+    """Similarity index for heterogeneous pairs (global indices).
+
+    With N(x) the training neighbors, N2(v) the two-step neighborhood, u the
+    left and v the right node of a pair, and C = N(u) n N2(v):
 
       pref_attach       deg(u) * deg(v)
       common_neighbors  |C|
@@ -214,42 +246,44 @@ def heuristic_score(g_train: BipartiteGraph, kind: ScorerKind, u: int, v: int, _
 
     C is exactly the set of intermediate nodes adjacent to u on length-3
     paths from u to v, which is what "common neighbors" degrades to across
-    partitions.
+    partitions.  The whole batch is checked first: a non-heuristic ``kind``,
+    an out-of-range pair or a homogeneous pair raises ValueError.  The
+    union's size is |N(u)| + |N2(v)| - |C|, and aa/ra add the index's
+    per-node terms over C in the set's iteration order.
     """
     if kind not in HEURISTIC_KINDS:
         raise ValueError(f"{kind} is not a heuristic scorer")
-    u, v = _canonical_het_pair(g_train, int(u), int(v))
+    n_left = index.g.n_left
+    pairs, us, vs = _as_index_arrays(pairs, index.g.n)
+    homogeneous = np.flatnonzero((us < n_left) == (vs < n_left))
+    if homogeneous.size:
+        u, v = pairs[homogeneous[0]]
+        raise ValueError(f"pair ({u}, {v}) is homogeneous; heuristics need a left-right pair")
+    # A heterogeneous pair's left node is its smaller index.
+    lefts, rights = np.minimum(us, vs), np.maximum(us, vs)
     if kind is ScorerKind.PREFERENTIAL_ATTACHMENT:
-        return float(g_train.degree(u) * g_train.degree(v))
-    if _n2_cache is not None and v in _n2_cache:
-        n2 = _n2_cache[v]
-    else:
-        n2 = _two_step_neighborhood(g_train, v)
-        if _n2_cache is not None:
-            _n2_cache[v] = n2
-    nu = set(g_train.neighbors[u].tolist())
-    common = nu & n2
+        scores = (index.degrees[lefts] * index.degrees[rights]).astype(np.float64)
+        return PairScores(pairs=pairs, scores=scores, scorer=kind)
+    # Each pair is scored as its intersection is built, so one intersection
+    # set is alive at a time; keeping a call's intersections raised the peak
+    # RSS of a 1670-node, 40k-edge benchmark call by 14%.
+    nbrs, two_step = index.neighbor_sets, index.two_step
+    uv = list(zip(lefts.tolist(), rights.tolist()))
     if kind is ScorerKind.COMMON_NEIGHBORS:
-        return float(len(common))
-    if kind is ScorerKind.JACCARD:
-        union = len(nu | n2)
-        return len(common) / union if union else 0.0
-    if kind is ScorerKind.ADAMIC_ADAR:
-        return float(
-            sum(1.0 / math.log(g_train.degree(b)) for b in common if g_train.degree(b) >= 2)
-        )
-    return float(sum(1.0 / g_train.degree(b) for b in common))
+        values = [len(nbrs[u] & two_step(v)) for u, v in uv]
+    elif kind is ScorerKind.JACCARD:
+        values = [_jaccard(nbrs[u], two_step(v)) for u, v in uv]
+    else:
+        terms = index.aa_terms if kind is ScorerKind.ADAMIC_ADAR else index.ra_terms
+        values = [sum(map(terms.__getitem__, nbrs[u] & two_step(v))) for u, v in uv]
+    return PairScores(pairs=pairs, scores=np.array(values, dtype=np.float64), scorer=kind)
 
 
-def heuristic_scores(g_train: BipartiteGraph, kind: ScorerKind, pairs) -> PairScores:
-    """Vector of heuristic_score over a pair sequence (caches per-node sets)."""
-    pairs, us, vs = _as_index_arrays(pairs, g_train.n)
-    cache: dict = {}
-    scores = np.array(
-        [heuristic_score(g_train, kind, u, v, _n2_cache=cache) for u, v in zip(us, vs)],
-        dtype=np.float64,
-    )
-    return PairScores(pairs=pairs, scores=scores, scorer=kind)
+def _jaccard(nu: set, n2: set) -> float:
+    """|nu n n2| / |nu u n2|, 0.0 when both are empty, without the union set."""
+    common = len(nu & n2)
+    union = len(nu) + len(n2) - common
+    return common / union if union else 0.0
 
 
 class KatzDivergenceError(ValueError):

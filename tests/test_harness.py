@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import bihop.harness as harness
+from bihop import scoring
 from bihop.autoencoder import ModelKind
 from bihop.data import (
     DatasetSpec,
@@ -37,7 +38,7 @@ from bihop.harness import (
     tune_scorers,
 )
 from bihop.metrics import MetricReport, summarize
-from bihop.scoring import ScorerKind, adjacency_spectral_radius
+from bihop.scoring import HEURISTIC_KINDS, ScorerKind, adjacency_spectral_radius, heuristic_scores
 from bihop.splits import split_edges
 
 
@@ -327,6 +328,12 @@ class TestLeakageDiscipline:
         model_a = a.model(ModelKind.LGAE, SMALL_GRID[0])
         model_b = b.model(ModelKind.LGAE, SMALL_GRID[0])
         assert np.array_equal(model_a.Z, model_b.Z)
+        probe = [(u, block_graph.n_left + v) for u in range(0, 30, 4) for v in range(30)]
+        for kind in HEURISTIC_KINDS:
+            assert np.array_equal(
+                heuristic_scores(a.heuristics, kind, probe).scores,
+                heuristic_scores(b.heuristics, kind, probe).scores,
+            ), kind
 
 
 BLOCKS = DatasetSpec(
@@ -395,6 +402,28 @@ class TestSharedTrainingSide:
         fresh = artifacts_for(g, config, 0)
         assert fresh.models == {}
         assert real(fresh, config, 0, dataset_id="blocks", tuned=tuned) == reports
+
+    def test_one_heuristic_index_and_one_two_step_set_per_target(self, monkeypatch):
+        """The five heuristics share one index per split, which builds each
+        right node's N2 once, not once per heuristic call."""
+        indexes = count_calls(monkeypatch, "heuristic_index")
+        targets = []
+        real = scoring._two_step_neighborhood
+
+        def counted(g, v):
+            targets.append(v)
+            return real(g, v)
+
+        monkeypatch.setattr(scoring, "_two_step_neighborhood", counted)
+        config = BenchmarkConfig(
+            datasets=(BLOCKS,), scorers=tuple(k for k in ScorerKind if k in HEURISTIC_KINDS), runs=1
+        )
+        assert len(run_benchmark(config).rows) == 5
+        g = generate_bipartite_sbm([15, 15], [15, 15], p_in=0.5, p_out=0.05, seed=3)
+        split = split_edges(g, config.ratios, config.base_seed)
+        test_targets = {g.n_left + v for _, v in split.test_pos + split.test_neg}
+        assert len(indexes) == 1
+        assert sorted(targets) == sorted(test_targets)
 
 
 class TestAggregation:

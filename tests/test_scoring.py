@@ -3,11 +3,13 @@
 The two-hop scorer is checked three ways: closed forms on constant inputs,
 a literal path-sum decomposition on a six-node graph, and agreement with the
 explicit An @ R matrix on random instances (the acceptance suite scales the
-latter up to 100 graphs).  The batched Katz series is checked bit for bit
-against the per-pair loop it replaced, and every scorer is checked to give
-the same scores whether a pair list is scored at once or in pieces.
+latter up to 100 graphs).  The batched Katz series and the indexed
+heuristics are checked bit for bit against the per-pair loops they
+replaced, and every scorer is checked to give the same scores whether a
+pair list is scored at once or in pieces.
 """
 
+import math
 import re
 from contextlib import nullcontext
 from unittest import mock
@@ -22,6 +24,7 @@ from scipy.special import expit
 from bihop import scoring
 
 from bihop.autoencoder import EmbeddingModel, ModelKind
+from bihop.data import generate_bipartite_er
 from bihop.graph import adjacency, build_graph, normalized_adjacency
 from bihop.metrics import roc_auc
 from bihop.scoring import (
@@ -31,7 +34,7 @@ from bihop.scoring import (
     ScorerKind,
     adjacency_spectral_radius,
     decode_score,
-    heuristic_score,
+    heuristic_index,
     heuristic_scores,
     katz_score,
     recon_two_hop_score,
@@ -80,6 +83,46 @@ def katz_series_loop(a, beta, pairs, series_terms=5):
     return out
 
 
+def heuristic_loop(g, kind, pairs):
+    """The per-pair set code the shared heuristic index replaced: N(u)
+    rebuilt for every pair, N2(v) built once per call, degrees read per
+    intermediate node.  Pairs must be heterogeneous and in range."""
+
+    def two_step(v):
+        out = set()
+        for a in g.neighbors[v]:
+            out.update(g.neighbors[a].tolist())
+        return out
+
+    cache = {}
+    out = []
+    for u, v in pairs:
+        u, v = (u, v) if u < g.n_left else (v, u)
+        if kind is ScorerKind.PREFERENTIAL_ATTACHMENT:
+            out.append(float(g.degree(u) * g.degree(v)))
+            continue
+        if v not in cache:
+            cache[v] = two_step(v)
+        n2 = cache[v]
+        nu = set(g.neighbors[u].tolist())
+        common = nu & n2
+        if kind is ScorerKind.COMMON_NEIGHBORS:
+            out.append(float(len(common)))
+        elif kind is ScorerKind.JACCARD:
+            union = len(nu | n2)
+            out.append(len(common) / union if union else 0.0)
+        elif kind is ScorerKind.ADAMIC_ADAR:
+            out.append(float(sum(1.0 / math.log(g.degree(b)) for b in common if g.degree(b) >= 2)))
+        else:
+            out.append(float(sum(1.0 / g.degree(b) for b in common)))
+    return np.array(out, dtype=np.float64)
+
+
+def heuristic_one(g, kind, u, v):
+    """One pair's heuristic score, through the batched call."""
+    return heuristic_scores(heuristic_index(g), kind, [(u, v)]).scores[0]
+
+
 # DENSE_THRESHOLD values that make katz_score take one form whatever the
 # graph size.
 KATZ_THRESHOLDS = {"closed": 1 << 62, "series": -1}
@@ -102,7 +145,7 @@ def score_with(kind, g, z, pairs):
         return decode_score(model, pairs, kind=kind).scores
     if kind is ScorerKind.KATZ:
         return katz_score(adjacency(g), 0.05, pairs).scores
-    return heuristic_scores(g, kind, pairs).scores
+    return heuristic_scores(heuristic_index(g), kind, pairs).scores
 
 
 # Chunk sizes for the two-hop oracle checks: "dense" scores a whole pair
@@ -300,9 +343,9 @@ class TestHeuristics:
     def test_preferential_attachment_product(self):
         # deg(u) = 2 and deg(v) = 3 multiply to 6
         g = build_graph(3, 3, [(0, 0), (0, 1), (1, 0), (2, 0)])
-        assert heuristic_score(g, ScorerKind.PREFERENTIAL_ATTACHMENT, 0, 3) == 6.0
+        assert heuristic_one(g, ScorerKind.PREFERENTIAL_ATTACHMENT, 0, 3) == 6.0
         # right node 2 is isolated, so any product with it is zero
-        assert heuristic_score(g, ScorerKind.PREFERENTIAL_ATTACHMENT, 1, 5) == 0.0
+        assert heuristic_one(g, ScorerKind.PREFERENTIAL_ATTACHMENT, 1, 5) == 0.0
 
     def test_common_neighbors_on_chain(self):
         """Chain u - b1 - a1 - v: the single length-3 path contributes one
@@ -310,11 +353,11 @@ class TestHeuristics:
         # left: u=0, a1=1; right: b1=0, v=1
         g = build_graph(2, 2, [(0, 0), (1, 0), (1, 1)])
         u, v = 0, g.right_global(1)
-        assert heuristic_score(g, ScorerKind.COMMON_NEIGHBORS, u, v) == 1.0
+        assert heuristic_one(g, ScorerKind.COMMON_NEIGHBORS, u, v) == 1.0
 
     def test_common_neighbors_no_path(self):
         g = build_graph(2, 2, [(0, 0), (1, 1)])
-        assert heuristic_score(g, ScorerKind.COMMON_NEIGHBORS, 0, 3) == 0.0
+        assert heuristic_one(g, ScorerKind.COMMON_NEIGHBORS, 0, 3) == 0.0
 
     def test_zero_whenever_no_three_hop_path(self):
         """CN/JC/AA/RA vanish exactly when no length-3 path joins the pair."""
@@ -335,12 +378,12 @@ class TestHeuristics:
                         for b in g.neighbors[u].tolist()
                         for a in range(g.n_left)
                     )
-                    cn = heuristic_score(g, ScorerKind.COMMON_NEIGHBORS, u, v)
+                    cn = heuristic_one(g, ScorerKind.COMMON_NEIGHBORS, u, v)
                     if has_path:
                         assert cn > 0
                     else:
                         for kind in kinds:
-                            assert heuristic_score(g, kind, u, v) == 0.0
+                            assert heuristic_one(g, kind, u, v) == 0.0
 
     def test_resource_allocation_path_oracle(self):
         """RA equals the sum of 1/deg(b) over intermediates adjacent to u."""
@@ -357,14 +400,14 @@ class TestHeuristics:
                         if g.has_edge(a, b - g.n_left) and g.has_edge(a, vl)
                     }
                     want = sum(1.0 / g.degree(b) for b in intermediates)
-                    got = heuristic_score(g, ScorerKind.RESOURCE_ALLOCATION, u, v)
+                    got = heuristic_one(g, ScorerKind.RESOURCE_ALLOCATION, u, v)
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     def test_adamic_adar_skips_degree_one(self):
         # path u - b1 - a1 - v with deg(b1) = 2: AA = 1/ln 2;
         # rewire so the only intermediate has degree 1: AA = 0
         g = build_graph(2, 2, [(0, 0), (1, 0), (1, 1)])
-        got = heuristic_score(g, ScorerKind.ADAMIC_ADAR, 0, 3)
+        got = heuristic_one(g, ScorerKind.ADAMIC_ADAR, 0, 3)
         assert got == pytest.approx(1.0 / np.log(2.0), rel=1e-14)
         # u - b1, a1 - b2, a1 - v: u's only neighbor b1 has degree 1 and no
         # second hop, so C is empty anyway; build the degree-1 intermediate
@@ -373,18 +416,18 @@ class TestHeuristics:
         # pair (0, right 1): C = {right 0 or right 2}? enumerate by hand:
         # N(0) = {r0, r2}; N2(r1) = N(1) u N(2) = {r0, r1, r2}; C = {r0, r2},
         # deg(r0) = 2, deg(r2) = 2 -> AA = 2 / ln 2
-        got2 = heuristic_score(g2, ScorerKind.ADAMIC_ADAR, 0, g2.right_global(1))
+        got2 = heuristic_one(g2, ScorerKind.ADAMIC_ADAR, 0, g2.right_global(1))
         assert got2 == pytest.approx(2.0 / np.log(2.0), rel=1e-14)
 
     def test_jaccard_range_and_value(self):
         g = build_graph(2, 2, [(0, 0), (1, 0), (1, 1)])
         # N(u) = {b1}; N2(v) = N(a1) = {b1, v}: intersection 1, union 2
-        got = heuristic_score(g, ScorerKind.JACCARD, 0, 3)
+        got = heuristic_one(g, ScorerKind.JACCARD, 0, 3)
         assert got == 0.5
         rng = np.random.default_rng(70)
         for _ in range(10):
             gg = random_bipartite(rng, max_side=6)
-            scores = heuristic_scores(gg, ScorerKind.JACCARD, het_pairs(gg)).scores
+            scores = heuristic_scores(heuristic_index(gg), ScorerKind.JACCARD, het_pairs(gg)).scores
             assert np.all((scores >= 0.0) & (scores <= 1.0))
 
     def test_symmetric_in_pair_order(self):
@@ -393,35 +436,72 @@ class TestHeuristics:
         for kind in HEURISTIC_KINDS:
             for u in range(g.n_left):
                 v = g.right_global(g.n_right - 1)
-                assert heuristic_score(g, kind, u, v) == heuristic_score(g, kind, v, u)
+                assert heuristic_one(g, kind, u, v) == heuristic_one(g, kind, v, u)
 
     def test_homogeneous_pair_rejected(self):
+        """The whole batch is checked, and the message names the first
+        homogeneous pair as given."""
         g = build_graph(3, 3, [(0, 0)])
-        with pytest.raises(ValueError, match="homogeneous"):
-            heuristic_score(g, ScorerKind.COMMON_NEIGHBORS, 0, 1)
-        with pytest.raises(ValueError, match="homogeneous"):
-            heuristic_score(g, ScorerKind.PREFERENTIAL_ATTACHMENT, 3, 5)
+        index = heuristic_index(g)
+        with pytest.raises(ValueError, match=re.escape("pair (0, 1) is homogeneous")):
+            heuristic_one(g, ScorerKind.COMMON_NEIGHBORS, 0, 1)
+        with pytest.raises(ValueError, match=re.escape("pair (3, 5) is homogeneous")):
+            heuristic_one(g, ScorerKind.PREFERENTIAL_ATTACHMENT, 3, 5)
+        for kind in HEURISTIC_KINDS:
+            with pytest.raises(ValueError, match=re.escape("pair (5, 4) is homogeneous")):
+                heuristic_scores(index, kind, [(0, 3), (4, 1), (5, 4), (0, 1)])
 
     def test_non_heuristic_kind_rejected(self):
         g = build_graph(2, 2, [(0, 0)])
-        with pytest.raises(ValueError, match="not a heuristic"):
-            heuristic_score(g, ScorerKind.TWO_HOP, 0, 2)
+        for kind in set(ScorerKind) - HEURISTIC_KINDS:
+            with pytest.raises(ValueError, match="not a heuristic"):
+                heuristic_scores(heuristic_index(g), kind, [(0, 2)])
+            with pytest.raises(ValueError, match="not a heuristic"):
+                heuristic_scores(heuristic_index(g), kind, [])
 
     def test_integer_count_for_common_neighbors(self):
         rng = np.random.default_rng(72)
         g = random_bipartite(rng, max_side=7)
-        scores = heuristic_scores(g, ScorerKind.COMMON_NEIGHBORS, het_pairs(g)).scores
+        scores = heuristic_scores(heuristic_index(g), ScorerKind.COMMON_NEIGHBORS, het_pairs(g)).scores
         assert np.array_equal(scores, np.round(scores))
         assert np.all(scores >= 0)
 
-    def test_batch_matches_scalar(self):
-        rng = np.random.default_rng(73)
-        g = random_bipartite(rng, max_side=6)
-        pairs = het_pairs(g)
+    @given(case=st.data())
+    def test_matches_per_pair_oracle(self, case):
+        """All five indices equal the per-pair loop bit for bit, in either
+        pair order.  Each graph has an isolated node on both sides and a
+        degree-1 right node, and pairs repeat endpoints and whole pairs."""
+        n_left = case.draw(st.integers(1, 6))
+        n_right = case.draw(st.integers(1, 6))
+        edges = case.draw(
+            st.lists(st.tuples(st.integers(0, n_left - 1), st.integers(0, n_right - 1)), max_size=24)
+        )
+        # left n_left and right n_right + 1 isolated; right n_right hangs off left 0
+        g = build_graph(n_left + 1, n_right + 2, edges + [(0, n_right)])
+        pairs = case.draw(st.lists(st.sampled_from(het_pairs(g)), min_size=1, max_size=30))
+        pairs = pairs + pairs[: len(pairs) // 2]
+        flipped = [(v, u) for u, v in pairs]
+        index = heuristic_index(g)
         for kind in HEURISTIC_KINDS:
-            batch = heuristic_scores(g, kind, pairs).scores
-            single = [heuristic_score(g, kind, u, v) for u, v in pairs]
-            assert np.array_equal(batch, np.array(single))
+            got = heuristic_scores(index, kind, pairs).scores
+            assert np.array_equal(got, heuristic_loop(g, kind, pairs)), kind
+            assert heuristic_scores(index, kind, flipped).scores.tobytes() == got.tobytes(), kind
+
+    def test_sums_keep_set_order_on_a_larger_graph(self):
+        """On sets large enough that iteration order is not ascending, aa and
+        ra still equal the per-pair loop bit for bit, while an ascending-order
+        sum differs for some pair: the check sees the order of the sums."""
+        g = generate_bipartite_er(60, 110, 0.3, seed=3)
+        index = heuristic_index(g)
+        pairs = het_pairs(g)[::7]
+        for kind in (ScorerKind.ADAMIC_ADAR, ScorerKind.RESOURCE_ALLOCATION):
+            got = heuristic_scores(index, kind, pairs).scores
+            assert np.array_equal(got, heuristic_loop(g, kind, pairs)), kind
+        terms = index.aa_terms
+        ascending = [
+            sum(terms[b] for b in sorted(index.neighbor_sets[u] & index.two_step(v))) for u, v in pairs
+        ]
+        assert not np.array_equal(heuristic_scores(index, ScorerKind.ADAMIC_ADAR, pairs).scores, ascending)
 
 
 class TestKatz:
@@ -555,7 +635,7 @@ class TestPairValidation:
 
     def test_scalar_heuristic_rejects_out_of_range(self, toy_graph):
         with pytest.raises(ValueError, match="out of range"):
-            heuristic_score(toy_graph, ScorerKind.COMMON_NEIGHBORS, -1, 3)
+            heuristic_one(toy_graph, ScorerKind.COMMON_NEIGHBORS, -1, 3)
 
 
 @st.composite
