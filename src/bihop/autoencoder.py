@@ -82,7 +82,7 @@ class LossWeights:
     norm: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingModel:
     """Trained node embeddings plus the weights that produced them.
 

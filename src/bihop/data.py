@@ -103,8 +103,6 @@ def load_edge_list_detailed(path) -> EdgeListResult:
     left_index: dict = {}
     right_index: dict = {}
     pairs = []
-    seen = set()
-    duplicates = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -126,16 +124,13 @@ def load_edge_list_detailed(path) -> EdgeListResult:
                 )
             u = left_index.setdefault(left_tok, len(left_index))
             v = right_index.setdefault(right_tok, len(right_index))
-            if (u, v) in seen:
-                duplicates += 1
-                continue
-            seen.add((u, v))
             pairs.append((u, v))
-    if duplicates:
-        logger.warning("%s: %d duplicate edge lines ignored", path, duplicates)
     if not left_index:
         raise GraphInputError(f"{path}: no edges found")
     graph = build_graph(len(left_index), len(right_index), pairs)
+    duplicates = len(pairs) - graph.m
+    if duplicates:
+        logger.warning("%s: %d duplicate edge lines ignored", path, duplicates)
     return EdgeListResult(
         graph=graph,
         left_ids=tuple(left_index),
@@ -172,10 +167,9 @@ def generate_bipartite_er(n_left: int, n_right: int, p: float, seed: int) -> Bip
     block = max(1, (1 << 22) // max(n_right, 1))
     for start in range(0, n_left, block):
         stop = min(start + block, n_left)
-        hits = rng.random((stop - start, n_right)) < p
-        rows, cols = np.nonzero(hits)
-        pairs.extend(zip((rows + start).tolist(), cols.tolist()))
-    return build_graph(n_left, n_right, pairs)
+        rows, cols = np.nonzero(rng.random((stop - start, n_right)) < p)
+        pairs.append(np.column_stack([rows + start, cols]))
+    return build_graph(n_left, n_right, np.concatenate(pairs))
 
 
 def generate_bipartite_sbm(left_sizes, right_sizes, p_in: float, p_out: float, seed: int) -> BipartiteGraph:
@@ -204,12 +198,9 @@ def generate_bipartite_sbm(left_sizes, right_sizes, p_in: float, p_out: float, s
     for bi in range(k):
         for bj in range(k):
             prob = p_in if bi == bj else p_out
-            hits = rng.random((left_sizes[bi], right_sizes[bj])) < prob
-            rows, cols = np.nonzero(hits)
-            pairs.extend(
-                zip((rows + left_starts[bi]).tolist(), (cols + right_starts[bj]).tolist())
-            )
-    return build_graph(int(left_starts[-1]), int(right_starts[-1]), pairs)
+            rows, cols = np.nonzero(rng.random((left_sizes[bi], right_sizes[bj])) < prob)
+            pairs.append(np.column_stack([rows + left_starts[bi], cols + right_starts[bj]]))
+    return build_graph(int(left_starts[-1]), int(right_starts[-1]), np.concatenate(pairs))
 
 
 def _summary_path_for(path) -> Path:

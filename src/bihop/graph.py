@@ -1,14 +1,19 @@
-"""Bipartite graph containers, adjacency construction, and symmetric normalization.
+"""Bipartite graph container, adjacency, and symmetric normalization.
 
 Global node indexing convention: left nodes occupy indices ``0..n_left-1``,
 right nodes ``n_left..n_left+n_right-1``.  All matrices produced here are
 ``n x n`` with ``n = n_left + n_right``.
+
+A graph stores its edges once, as the symmetric 0/1 CSR adjacency ``adj``;
+the edge tuple, edge set and neighbour arrays are views computed from it on
+first use.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,20 +36,19 @@ class GraphInputError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteGraph:
     """Immutable bipartite graph with two disjoint node partitions.
 
-    Edges are stored as deduplicated, sorted (left_index, right_index) pairs
-    in partition-local indexing.  ``neighbors[i]`` is the sorted array of
-    global neighbor indices of global node ``i``.
+    ``adj`` is the one edge store: the symmetric n x n 0/1 CSR adjacency in
+    global indexing, canonical and read-only.  ``edges`` (sorted local
+    (left, right) pairs), ``edge_set`` and ``neighbors`` (per node, sorted
+    int64 global indices) are views of it.  Equality is identity.
     """
 
     n_left: int
     n_right: int
-    edges: tuple
-    edge_set: frozenset
-    neighbors: tuple
+    adj: sp.csr_matrix
 
     @property
     def n(self) -> int:
@@ -52,25 +56,42 @@ class BipartiteGraph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return self.adj.nnz // 2
+
+    @cached_property
+    def edges(self) -> tuple:
+        """Sorted (left_index, right_index) pairs: the left rows of ``adj``."""
+        left_rows = self.adj[: self.n_left].tocoo()
+        return tuple(zip(left_rows.row.tolist(), (left_rows.col - self.n_left).tolist()))
+
+    @cached_property
+    def edge_set(self) -> frozenset:
+        return frozenset(self.edges)
+
+    @cached_property
+    def neighbors(self) -> tuple:
+        """Per-node sorted int64 arrays of global neighbour indices."""
+        indices = self.adj.indices.astype(np.int64)
+        bounds = self.adj.indptr.tolist()
+        return tuple(indices[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
 
     def right_global(self, j: int) -> int:
         """Global index of right node ``j``."""
         return self.n_left + j
 
     def degree(self, i: int) -> int:
-        return len(self.neighbors[i])
+        return int(self.adj.indptr[i + 1] - self.adj.indptr[i])
 
     def degrees(self) -> np.ndarray:
         """Per-node degree vector over global indices."""
-        return np.array([len(nb) for nb in self.neighbors], dtype=np.int64)
+        return np.diff(self.adj.indptr).astype(np.int64)
 
     def has_edge(self, left: int, right: int) -> bool:
         """Membership test in partition-local indexing."""
         return (left, right) in self.edge_set
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalizedAdjacency:
     """Symmetrically normalized adjacency with self-loops.
 
@@ -87,62 +108,67 @@ class NormalizedAdjacency:
         return self.matrix.shape[0]
 
 
+def _is_int_pair(pair) -> bool:
+    if not isinstance(pair, (tuple, list, np.ndarray)) or len(pair) != 2:
+        return False
+    return all(isinstance(x, (int, np.integer)) for x in pair)
+
+
+def _pair_array(edge_pairs) -> np.ndarray:
+    """(m, 2) array of ``edge_pairs``; GraphInputError names the first non-integer pair."""
+    if not isinstance(edge_pairs, np.ndarray):
+        edge_pairs = list(edge_pairs)
+    if len(edge_pairs) == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    try:
+        arr = np.asarray(edge_pairs)
+    except ValueError:  # ragged entries
+        arr = np.empty(0)
+    if arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iub":
+        for pos, pair in enumerate(edge_pairs):
+            if not _is_int_pair(pair):
+                raise GraphInputError(
+                    f"edge pair {pair!r} at position {pos} is not a pair of integers",
+                    pair=pair, position=pos,
+                )
+    return arr  # integer pairs, in whatever dtype numpy gave them
+
+
 def build_graph(n_left: int, n_right: int, edge_pairs) -> BipartiteGraph:
     """Construct a BipartiteGraph from (left_index, right_index) pairs.
 
-    Duplicate pairs are dropped (logged at debug level).  Indices out of
-    range raise GraphInputError naming the offending pair.
+    ``edge_pairs`` is a sequence of integer pairs or an (m, 2) integer
+    array, in any order.  Duplicate pairs are dropped (logged at debug
+    level).  An entry that is not a pair of integers, or whose indices are
+    out of range, raises GraphInputError naming the pair and its position.
     """
     if n_left < 0 or n_right < 0:
         raise GraphInputError(f"negative partition size: ({n_left}, {n_right})")
-    seen = set()
-    dupes = 0
-    for pos, pair in enumerate(edge_pairs):
-        u, v = pair
-        if not (0 <= u < n_left and 0 <= v < n_right):
-            raise GraphInputError(
-                f"edge pair ({u}, {v}) at position {pos} out of range for "
-                f"partitions of size ({n_left}, {n_right})",
-                pair=(u, v),
-                position=pos,
-            )
-        if (u, v) in seen:
-            dupes += 1
-        else:
-            seen.add((u, v))
-    if dupes:
-        logger.debug("dropped %d duplicate edge pair(s)", dupes)
-
-    edges = tuple(sorted(seen))
-    nbrs = [[] for _ in range(n_left + n_right)]
-    for u, v in edges:
-        nbrs[u].append(n_left + v)
-        nbrs[n_left + v].append(u)
-    neighbors = tuple(np.array(sorted(nb), dtype=np.int64) for nb in nbrs)
-    return BipartiteGraph(
-        n_left=n_left,
-        n_right=n_right,
-        edges=edges,
-        edge_set=frozenset(edges),
-        neighbors=neighbors,
-    )
+    pairs = _pair_array(edge_pairs)
+    lefts, rights = pairs[:, 0], pairs[:, 1]
+    bad = np.flatnonzero((lefts < 0) | (lefts >= n_left) | (rights < 0) | (rights >= n_right))
+    if bad.size:
+        pos = int(bad[0])
+        u, v = int(lefts[pos]), int(rights[pos])
+        raise GraphInputError(
+            f"edge pair ({u}, {v}) at position {pos} out of range for "
+            f"partitions of size ({n_left}, {n_right})",
+            pair=(u, v), position=pos,
+        )
+    keys = np.unique(lefts.astype(np.int64) * n_right + rights.astype(np.int64))
+    if len(pairs) > keys.size:
+        logger.debug("dropped %d duplicate edge pair(s)", len(pairs) - keys.size)
+    us, vs = np.divmod(keys, max(n_right, 1))
+    rows, cols = np.concatenate([us, vs + n_left]), np.concatenate([vs + n_left, us])
+    adj = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n_left + n_right,) * 2)
+    for arr in (adj.data, adj.indices, adj.indptr):
+        arr.flags.writeable = False
+    return BipartiteGraph(n_left=n_left, n_right=n_right, adj=adj)
 
 
 def adjacency(g: BipartiteGraph) -> sp.csr_matrix:
-    """Symmetric 0/1 adjacency matrix in global indexing.
-
-    All within-partition entries (including the diagonal) are zero.
-    """
-    if g.m == 0:
-        return sp.csr_matrix((g.n, g.n), dtype=np.float64)
-    left = np.fromiter((u for u, _ in g.edges), dtype=np.int64, count=g.m)
-    right = np.fromiter((g.n_left + v for _, v in g.edges), dtype=np.int64, count=g.m)
-    rows = np.concatenate([left, right])
-    cols = np.concatenate([right, left])
-    data = np.ones(2 * g.m, dtype=np.float64)
-    a = sp.csr_matrix((data, (rows, cols)), shape=(g.n, g.n))
-    a.sum_duplicates()
-    return a
+    """``g.adj`` itself: symmetric, 0/1, read-only, zero within each partition."""
+    return g.adj
 
 
 def normalize(a: sp.spmatrix) -> NormalizedAdjacency:

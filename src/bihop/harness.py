@@ -111,7 +111,7 @@ def _global_pairs(g: BipartiteGraph, local_pairs) -> tuple:
     return tuple((u, g.n_left + v) for u, v in local_pairs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunArtifacts:
     """The training side of one split, shared by every step that uses it.
 
@@ -119,7 +119,8 @@ class RunArtifacts:
     caches each model trained on them under (model kind, params), so tuning
     and scoring on the same split train each distinct model once.  The
     heuristic index is built from the training graph on first use and
-    shared by the five neighbourhood heuristics.
+    shared by the five neighbourhood heuristics.  ``a_train`` is
+    ``g_train.adj`` itself.
     """
 
     split: EdgeSplit
@@ -127,7 +128,7 @@ class RunArtifacts:
     a_train: sp.csr_matrix
     norm: NormalizedAdjacency
     labels: sp.csr_matrix = field(repr=False)
-    models: dict = field(default_factory=dict, repr=False, compare=False)
+    models: dict = field(default_factory=dict, repr=False)
 
     def model(self, model_kind: ModelKind, params: dict) -> EmbeddingModel:
         """The ``model_kind`` model trained with ``params``; trains on first use."""
@@ -381,29 +382,27 @@ class DiagnosticBundle:
     ranking: tuple
 
 
-def _norm_entries(norm: NormalizedAdjacency, pairs) -> np.ndarray:
-    if not pairs:
-        return np.empty(0)
-    arr = np.asarray(pairs, dtype=np.int64)
-    return np.asarray(norm.matrix[arr[:, 0], arr[:, 1]]).ravel()
+def _surface_scores(model: EmbeddingModel, norm: NormalizedAdjacency, pairs) -> tuple:
+    """(decoded reconstruction, normalized adjacency entry) at global ``pairs``."""
+    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    us, vs = arr[:, 0], arr[:, 1]
+    return decode_pairs(model.Z, us, vs), np.asarray(norm.matrix[us, vs]).ravel()
 
 
 def _confusion_population(g: BipartiteGraph, seed: int):
-    """Scored pair population: every heterogeneous pair for small graphs,
-    edges plus an equal sample of non-edges for large ones."""
+    """Scored pair population as a (k, 2) global-index array plus 0/1 edge
+    labels: every heterogeneous pair for small graphs, edges plus an equal
+    sample of non-edges for large ones."""
     if g.n <= CONFUSION_PAIR_LIMIT:
         us, vs = np.meshgrid(
             np.arange(g.n_left), np.arange(g.n_left, g.n), indexing="ij"
         )
         pairs = np.column_stack([us.ravel(), vs.ravel()])
-        labels = np.array(
-            [g.has_edge(u, v - g.n_left) for u, v in pairs], dtype=np.int64
-        )
-        return [tuple(p) for p in pairs], labels
+        return pairs, np.asarray(g.adj[pairs[:, 0], pairs[:, 1]], dtype=np.int64).ravel()
     sampled = sample_negatives(g, g.m, exclude=(), seed=seed)
-    pairs = _global_pairs(g, list(g.edges) + list(sampled))
+    pairs = np.asarray(_global_pairs(g, g.edges + sampled), dtype=np.int64)
     labels = np.concatenate([np.ones(g.m, dtype=np.int64), np.zeros(g.m, dtype=np.int64)])
-    return list(pairs), labels
+    return pairs, labels
 
 
 def diagnose(
@@ -427,9 +426,7 @@ def diagnose(
 
     # (a) best-F1 confusion of each surface against the full graph's edges
     pop_pairs, pop_labels = _confusion_population(g, extra_keys[0])
-    arr = np.asarray(pop_pairs, dtype=np.int64)
-    recon_scores = decode_pairs(model.Z, arr[:, 0], arr[:, 1])
-    norm_scores = _norm_entries(artifacts.norm, pop_pairs)
+    recon_scores, norm_scores = _surface_scores(model, artifacts.norm, pop_pairs)
     recon_thr, _ = best_f1_threshold(recon_scores, pop_labels)
     norm_thr, _ = best_f1_threshold(norm_scores, pop_labels)
     recon_confusion = confusion_at(recon_scores, pop_labels, recon_thr)
@@ -470,26 +467,15 @@ def diagnose(
     )
     ranking = []
     for name, pos, neg in subsets:
-        pos_arr = np.asarray(pos, dtype=np.int64)
-        neg_arr = np.asarray(neg, dtype=np.int64)
-        recon_pos = decode_pairs(model.Z, pos_arr[:, 0], pos_arr[:, 1])
-        recon_neg = decode_pairs(model.Z, neg_arr[:, 0], neg_arr[:, 1])
-        ranking.append(
-            RankingRow(
-                subset=name, surface="recon",
-                auc=roc_auc(recon_pos, recon_neg),
-                ap=average_precision(recon_pos, recon_neg),
+        pos_scores = _surface_scores(model, artifacts.norm, pos)
+        neg_scores = _surface_scores(model, artifacts.norm, neg)
+        for surface, s_pos, s_neg in zip(("recon", "norm_adj"), pos_scores, neg_scores):
+            ranking.append(
+                RankingRow(
+                    subset=name, surface=surface,
+                    auc=roc_auc(s_pos, s_neg), ap=average_precision(s_pos, s_neg),
+                )
             )
-        )
-        norm_pos = _norm_entries(artifacts.norm, pos)
-        norm_neg = _norm_entries(artifacts.norm, neg)
-        ranking.append(
-            RankingRow(
-                subset=name, surface="norm_adj",
-                auc=roc_auc(norm_pos, norm_neg),
-                ap=average_precision(norm_pos, norm_neg),
-            )
-        )
     return DiagnosticBundle(
         dataset=dataset_id,
         seed=seed,

@@ -97,9 +97,9 @@ MODEL_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairScores:
-    """Parallel (pair, score) sequences from one scorer."""
+    """Parallel (pair, score) sequences from one scorer; equality is identity."""
 
     pairs: tuple
     scores: np.ndarray

@@ -85,12 +85,8 @@ def sample_negatives(g: BipartiteGraph, count: int, exclude, seed: int) -> tuple
     rng = philox(seed)
     non_edge_density = (total_cells - g.m) / total_cells
     if non_edge_density < ENUMERATION_DENSITY:
-        free = sorted(
-            (u, v)
-            for u in range(g.n_left)
-            for v in range(g.n_right)
-            if (u, v) not in forbidden
-        )
+        # Row-major enumeration: the free cells come out sorted.
+        free = [(u, v) for u in range(g.n_left) for v in range(g.n_right) if (u, v) not in forbidden]
         order = rng.permutation(len(free))
         return tuple(free[i] for i in order[:count])
 

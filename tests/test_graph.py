@@ -1,7 +1,10 @@
 """Graph construction and symmetric normalization.
 
 Checks, among other things:
-  * duplicate edges collapse to one, out-of-range pairs raise with position
+  * duplicate edges collapse to one, out-of-range or non-integer pairs raise
+    with position
+  * edges, edge_set, neighbors and degrees match a pure-Python oracle
+  * adjacency(g) is the graph's own read-only matrix
   * adjacency is symmetric 0/1 with zero diagonal and block structure
   * normalization matches the dense formula D~^{-1/2}(A+I)D~^{-1/2}
   * the 2-node single-edge graph normalizes to all entries exactly 0.5
@@ -9,6 +12,8 @@ Checks, among other things:
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bihop.graph import (
     GraphInputError,
@@ -47,6 +52,12 @@ class TestBuildGraph:
         assert exc.value.pair == (2, 1)
         assert exc.value.position == 1
 
+    def test_out_of_range_array_row_raises_with_position(self):
+        with pytest.raises(GraphInputError) as exc:
+            build_graph(2, 2, np.array([[0, 0], [1, 1], [0, 2]]))
+        assert exc.value.pair == (0, 2)
+        assert exc.value.position == 2
+
     def test_negative_index_rejected(self):
         with pytest.raises(GraphInputError):
             build_graph(2, 2, [(-1, 0)])
@@ -76,6 +87,70 @@ class TestBuildGraph:
         g = build_graph(3, 2, [])
         assert g.m == 0
         assert g.degrees().sum() == 0
+
+    @pytest.mark.parametrize("bad", [(0.5, 1), ("1", 0), (0, 1, 2), 3, None])
+    def test_non_integer_pair_raises_with_position(self, bad):
+        with pytest.raises(GraphInputError) as exc:
+            build_graph(2, 2, [(0, 0), bad, (1, 1)])
+        assert exc.value.pair == bad
+        assert exc.value.position == 1
+
+    def test_float_array_rejected(self):
+        """Integral floats are rejected too: no silent truncation."""
+        with pytest.raises(GraphInputError) as exc:
+            build_graph(2, 2, np.array([[0.0, 1.0]]))
+        assert exc.value.position == 0
+
+
+
+def oracle_graph(n_left, n_right, pairs):
+    """Sorted edges and per-node sorted global neighbour lists, by loops."""
+    edges = tuple(sorted(set(pairs)))
+    nbrs = [[] for _ in range(n_left + n_right)]
+    for u, v in edges:
+        nbrs[u].append(n_left + v)
+        nbrs[n_left + v].append(u)
+    return edges, [sorted(nb) for nb in nbrs]
+
+
+@st.composite
+def shuffled_pairs_with_duplicates(draw):
+    n_left = draw(st.integers(1, 8))
+    n_right = draw(st.integers(1, 8))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n_left - 1), st.integers(0, n_right - 1)), max_size=30))
+    pairs = pairs + pairs[: draw(st.integers(0, len(pairs)))]
+    return n_left, n_right, draw(st.permutations(pairs)), draw(st.booleans())
+
+
+class TestSingleStore:
+    @given(shuffled_pairs_with_duplicates())
+    def test_views_match_oracle(self, case):
+        n_left, n_right, pairs, as_array = case
+        g = build_graph(n_left, n_right, np.array(pairs, dtype=np.int64).reshape(-1, 2) if as_array else pairs)
+        edges, nbrs = oracle_graph(n_left, n_right, pairs)
+        assert g.edges == edges
+        assert g.edge_set == frozenset(edges)
+        assert g.m == len(edges)
+        assert [nb.tolist() for nb in g.neighbors] == nbrs
+        assert all(nb.dtype == np.int64 for nb in g.neighbors)
+        assert g.degrees().tolist() == [len(nb) for nb in nbrs]
+        a = adjacency(g)
+        assert a.has_canonical_format
+        dense = a.toarray()
+        assert np.array_equal(dense, dense.T)
+        assert not np.diag(dense).any()
+        want = np.zeros((g.n, g.n))
+        for u, v in edges:
+            want[u, n_left + v] = want[n_left + v, u] = 1.0
+        assert np.array_equal(dense, want)
+
+    def test_adjacency_is_the_stored_matrix(self, toy_graph):
+        assert adjacency(toy_graph) is adjacency(toy_graph) is toy_graph.adj
+
+    @pytest.mark.parametrize("field", ["data", "indices", "indptr"])
+    def test_adjacency_is_read_only(self, toy_graph, field):
+        with pytest.raises(ValueError):
+            getattr(adjacency(toy_graph), field)[0] = 7
 
 
 class TestAdjacency:

@@ -426,6 +426,28 @@ class TestSharedTrainingSide:
         assert sorted(targets) == sorted(test_targets)
 
 
+def rebuilt(kind):
+    """One fresh object of each array-holding kind, southern_women seed 0."""
+    g = southern_women_graph()
+    artifacts = build_run_artifacts(g, split_edges(g, DEFAULT_RATIOS, seed=0))
+    model = artifacts.model(ModelKind.LGAE, SMALL_GRID[0])
+    return {
+        "graph": g,
+        "norm": artifacts.norm,
+        "model": model,
+        "artifacts": artifacts,
+        "scores": scoring.decode_score(model, [(0, 20), (1, 21)]),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["graph", "norm", "model", "artifacts", "scores"])
+def test_equality_of_array_holders_is_identity(kind):
+    """== on these returns a bool (identity) instead of raising on arrays."""
+    x = rebuilt(kind)
+    assert (x == x) is True
+    assert (x == rebuilt(kind)) is False
+
+
 class TestAggregation:
     @staticmethod
     def _reports():
