@@ -73,9 +73,9 @@ def sample_negatives(g: BipartiteGraph, count: int, exclude, seed: int) -> tuple
     if count == 0:
         return ()
     total_cells = g.n_left * g.n_right
-    forbidden = set(g.edge_set)
-    forbidden.update((int(u), int(v)) for u, v in exclude)
-    available = total_cells - len(forbidden)
+    edges = g.edge_set
+    excluded = {(int(u), int(v)) for u, v in exclude} - edges
+    available = total_cells - g.m - len(excluded)
     if count > available:
         raise ValueError(
             f"cannot sample {count} negatives: only {available} non-edge "
@@ -86,12 +86,14 @@ def sample_negatives(g: BipartiteGraph, count: int, exclude, seed: int) -> tuple
     non_edge_density = (total_cells - g.m) / total_cells
     if non_edge_density < ENUMERATION_DENSITY:
         # Row-major enumeration: the free cells come out sorted.
-        free = [(u, v) for u in range(g.n_left) for v in range(g.n_right) if (u, v) not in forbidden]
+        cells = ((u, v) for u in range(g.n_left) for v in range(g.n_right))
+        free = [c for c in cells if c not in edges and c not in excluded]
         order = rng.permutation(len(free))
         return tuple(free[i] for i in order[:count])
 
     picked = []
-    picked_set = set()
+    # Excluded pairs start out as taken, so one lookup rejects them.
+    picked_set = set(excluded)
     while len(picked) < count:
         batch = max(64, 2 * (count - len(picked)))
         us = rng.integers(0, g.n_left, size=batch)
@@ -100,7 +102,7 @@ def sample_negatives(g: BipartiteGraph, count: int, exclude, seed: int) -> tuple
             if len(picked) >= count:
                 break
             pair = (u, v)
-            if pair in forbidden or pair in picked_set:
+            if pair in edges or pair in picked_set:
                 continue
             picked.append(pair)
             picked_set.add(pair)

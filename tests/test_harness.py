@@ -373,6 +373,16 @@ def count_calls(monkeypatch, name):
     return calls
 
 
+def run_five_heuristics():
+    """One run of the five heuristics on BLOCKS; returns its graph and split."""
+    config = BenchmarkConfig(
+        datasets=(BLOCKS,), scorers=tuple(k for k in ScorerKind if k in HEURISTIC_KINDS), runs=1
+    )
+    assert len(run_benchmark(config).rows) == 5
+    g = generate_bipartite_sbm([15, 15], [15, 15], p_in=0.5, p_out=0.05, seed=3)
+    return g, split_edges(g, config.ratios, config.base_seed)
+
+
 class TestSharedTrainingSide:
     """Tuning and run 0 share one split, one training side and its models."""
 
@@ -415,15 +425,25 @@ class TestSharedTrainingSide:
             return real(g, v)
 
         monkeypatch.setattr(scoring, "_two_step_neighborhood", counted)
-        config = BenchmarkConfig(
-            datasets=(BLOCKS,), scorers=tuple(k for k in ScorerKind if k in HEURISTIC_KINDS), runs=1
-        )
-        assert len(run_benchmark(config).rows) == 5
-        g = generate_bipartite_sbm([15, 15], [15, 15], p_in=0.5, p_out=0.05, seed=3)
-        split = split_edges(g, config.ratios, config.base_seed)
+        g, split = run_five_heuristics()
         test_targets = {g.n_left + v for _, v in split.test_pos + split.test_neg}
         assert len(indexes) == 1
         assert sorted(targets) == sorted(test_targets)
+
+    def test_one_intersection_per_test_pair(self, monkeypatch):
+        """cn, jc, aa and ra read one memo per index, so each unique test
+        pair's N(u) & N2(v) is built once, not once per heuristic."""
+        built = []
+        real = scoring._common_scores
+
+        def counted(index, u, v):
+            built.append((u, v))
+            return real(index, u, v)
+
+        monkeypatch.setattr(scoring, "_common_scores", counted)
+        g, split = run_five_heuristics()
+        test_pairs = {(u, g.n_left + v) for u, v in split.test_pos + split.test_neg}
+        assert sorted(built) == sorted(test_pairs)
 
 
 def rebuilt(kind):

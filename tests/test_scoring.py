@@ -83,17 +83,19 @@ def katz_series_loop(a, beta, pairs, series_terms=5):
     return out
 
 
+def two_step_loop(g, v):
+    """N2(v) as it was built before the index shared its neighbour lists:
+    one ``update`` with a fresh list per neighbour of v."""
+    out = set()
+    for a in g.neighbors[v]:
+        out.update(g.neighbors[a].tolist())
+    return out
+
+
 def heuristic_loop(g, kind, pairs):
     """The per-pair set code the shared heuristic index replaced: N(u)
     rebuilt for every pair, N2(v) built once per call, degrees read per
     intermediate node.  Pairs must be heterogeneous and in range."""
-
-    def two_step(v):
-        out = set()
-        for a in g.neighbors[v]:
-            out.update(g.neighbors[a].tolist())
-        return out
-
     cache = {}
     out = []
     for u, v in pairs:
@@ -102,7 +104,7 @@ def heuristic_loop(g, kind, pairs):
             out.append(float(g.degree(u) * g.degree(v)))
             continue
         if v not in cache:
-            cache[v] = two_step(v)
+            cache[v] = two_step_loop(g, v)
         n2 = cache[v]
         nu = set(g.neighbors[u].tolist())
         common = nu & n2
@@ -502,6 +504,40 @@ class TestHeuristics:
             sum(terms[b] for b in sorted(index.neighbor_sets[u] & index.two_step(v))) for u, v in pairs
         ]
         assert not np.array_equal(heuristic_scores(index, ScorerKind.ADAMIC_ADAR, pairs).scores, ascending)
+
+    @pytest.mark.parametrize("shape", [(60, 110, 0.3), (200, 300, 0.02)])
+    def test_two_step_sets_keep_the_loop_order(self, shape):
+        """Every N2(v) iterates exactly as the per-neighbour ``update``
+        loop's set does.  On the dense graph each N2 is nearly all right
+        nodes and comes out ascending; on the sparse one, small sets of large
+        indices do not, so the check sees the order."""
+        g = generate_bipartite_er(*shape, seed=3)
+        index = heuristic_index(g)
+        orders = [list(index.two_step(v)) for v in range(g.n_left, g.n)]
+        assert orders == [list(two_step_loop(g, v)) for v in range(g.n_left, g.n)]
+        assert any(order != sorted(order) for order in orders) == (shape[2] < 0.3)
+
+    @given(case=st.data())
+    def test_memo_does_not_depend_on_call_history(self, case):
+        """One shared index gives every pair the scores of a fresh index and
+        of the per-pair loop, whatever the order of the kinds, the order of
+        the pairs, or how the pairs are split across calls."""
+        g = generate_bipartite_er(
+            case.draw(st.integers(1, 30)), case.draw(st.integers(1, 60)), 0.3, seed=case.draw(st.integers(0, 99))
+        )
+        pairs = case.draw(st.lists(st.sampled_from(het_pairs(g)), min_size=1, max_size=40))
+        pairs = case.draw(st.permutations(pairs + pairs[: len(pairs) // 3]))
+        kinds = case.draw(st.permutations(sorted(HEURISTIC_KINDS, key=lambda k: k.value)))
+        cut = case.draw(st.integers(0, len(pairs)))
+        shared = heuristic_index(g)
+        for kind in kinds:
+            fresh = heuristic_scores(heuristic_index(g), kind, pairs).scores
+            assert fresh.tobytes() == heuristic_loop(g, kind, pairs).tobytes(), kind
+            # The tail is scored before the head, then the whole list again.
+            tail = heuristic_scores(shared, kind, pairs[cut:]).scores
+            head = heuristic_scores(shared, kind, pairs[:cut]).scores
+            assert np.concatenate([head, tail]).tobytes() == fresh.tobytes(), kind
+            assert heuristic_scores(shared, kind, pairs).scores.tobytes() == fresh.tobytes(), kind
 
 
 class TestKatz:

@@ -15,6 +15,7 @@ import pytest
 from bihop.data import generate_bipartite_er
 from bihop.graph import build_graph
 from bihop.splits import (
+    ENUMERATION_DENSITY,
     EdgeSplit,
     _round_half_up,
     child_keys,
@@ -33,6 +34,31 @@ DEFAULT = (0.85, 0.05, 0.10)
 
 def medium_graph(seed=0):
     return generate_bipartite_er(30, 40, 0.12, seed=seed)
+
+
+def sample_negatives_copy(g, count, exclude, seed):
+    """The sampler as it was when it copied the edge set into one forbidden
+    set per call: the oracle for the draws and accept/reject order."""
+    total_cells = g.n_left * g.n_right
+    forbidden = set(g.edge_set)
+    forbidden.update((int(u), int(v)) for u, v in exclude)
+    if count > total_cells - len(forbidden):
+        raise ValueError("too few free cells")
+    rng = philox(seed)
+    if (total_cells - g.m) / total_cells < ENUMERATION_DENSITY:
+        free = [(u, v) for u in range(g.n_left) for v in range(g.n_right) if (u, v) not in forbidden]
+        order = rng.permutation(len(free))
+        return tuple(free[i] for i in order[:count])
+    picked, picked_set = [], set()
+    while len(picked) < count:
+        batch = max(64, 2 * (count - len(picked)))
+        us = rng.integers(0, g.n_left, size=batch)
+        vs = rng.integers(0, g.n_right, size=batch)
+        for pair in zip(us.tolist(), vs.tolist()):
+            if len(picked) < count and pair not in forbidden and pair not in picked_set:
+                picked.append(pair)
+                picked_set.add(pair)
+    return tuple(picked)
 
 
 class TestSeeding:
@@ -200,6 +226,28 @@ class TestSampleNegatives:
         a = sample_negatives(g, 20, exclude=(), seed=3)
         b = sample_negatives(g, 20, exclude=(), seed=3)
         assert a == b
+
+    @pytest.mark.parametrize("branch", ["enumeration", "rejection"])
+    def test_exclude_with_an_edge_and_a_repeat_matches_the_copying_sampler(self, branch):
+        """An excluded edge does not shrink the free cells twice and a
+        repeated pair counts once: ``count == available`` succeeds,
+        ``available + 1`` raises, and every draw equals the sampler that
+        copied the edge set."""
+        if branch == "enumeration":
+            cells = [(u, v) for u in range(10) for v in range(10)]
+            g = build_graph(10, 10, cells[:96])  # 4 free cells: density 4%
+        else:
+            g = medium_graph(seed=4)
+        free = sorted(set(np.ndindex(g.n_left, g.n_right)) - g.edge_set)
+        exclude = [free[1], g.edges[0], free[1], free[-1]]
+        available = g.n_left * g.n_right - g.m - 2
+        for seed in range(4):
+            for count in (1, available // 2, available):
+                got = sample_negatives(g, count, exclude=exclude, seed=seed)
+                assert got == sample_negatives_copy(g, count, exclude, seed)
+                assert len(set(got)) == count and not set(got) & (g.edge_set | set(exclude))
+        with pytest.raises(ValueError, match=f"only {available} non-edge"):
+            sample_negatives(g, available + 1, exclude=exclude, seed=0)
 
 
 class TestTrainGraph:
