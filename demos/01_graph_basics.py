@@ -65,11 +65,15 @@ gt = train_graph(women, split)
 print(f"training graph keeps the node set ({gt.n_left}+{gt.n_right}) "
       f"but only {gt.m} edges")
 
-held_out = set(split.val_pos) | set(split.test_pos)
-overlap = held_out & set(split.train_edges)
-print(f"held-out edges seen by the training graph: {len(overlap)} (expected 0)")
+# Each part is a read-only (k, 2) int64 array of (left, right) pairs.  A
+# cell's key left * n_right + right makes membership one sorted lookup.
+held_out = np.concatenate([split.val_pos, split.test_pos])
+overlap = np.isin(gt.cell_keys(held_out), gt.edge_keys)
+print(f"parts are {split.test_pos.dtype} arrays, test part shaped {split.test_pos.shape}")
+print(f"held-out edges seen by the training graph: {overlap.sum()} (expected 0)")
 
 print()
 print("same seed, same split:")
 again = split_edges(women, (0.85, 0.05, 0.10), seed=0)
-print(f"identical = {split == again}")
+parts = ("train_edges", "val_pos", "test_pos", "val_neg", "test_neg")
+print(f"identical = {all(np.array_equal(getattr(split, p), getattr(again, p)) for p in parts)}")

@@ -65,14 +65,11 @@ print("=" * 64)
 print("3. What the decoder says about known pairs")
 print("=" * 64)
 
-train_pair = split.train_edges[0]
-held_pair = split.test_pos[0]
-non_edge = split.test_neg[0]
-rows = np.array([train_pair[0], held_pair[0], non_edge[0]])
-cols = np.array([g.right_global(train_pair[1]),
-                 g.right_global(held_pair[1]),
-                 g.right_global(non_edge[1])])
-probs = decode_pairs(model.Z, rows, cols)
+# One training edge, one held-out edge and one sampled non-edge, as local
+# (left, right) rows; the right index shifts by n_left to go global.
+local = np.stack([split.train_edges[0], split.test_pos[0], split.test_neg[0]])
+probs = decode_pairs(model.Z, local[:, 0], local[:, 1] + g.n_left)
+train_pair, held_pair, non_edge = map(tuple, local.tolist())
 print(f"decoded probability, training edge  {train_pair}: {probs[0]:.3f}")
 print(f"decoded probability, held-out edge  {held_pair}: {probs[1]:.3f}")
 print(f"decoded probability, sampled non-edge {non_edge}: {probs[2]:.3f}")

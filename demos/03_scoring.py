@@ -12,6 +12,8 @@ Run: python demos/03_scoring.py
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from bihop import (
     ScorerKind,
     TrainConfig,
@@ -43,8 +45,10 @@ norm = normalized_adjacency(gt)
 model = train(norm, training_labels(a_train), TrainConfig(seed=0))
 print(f"training edges: {gt.m}, held-out test edges: {len(split.test_pos)}")
 
-test_pos = [(u, g.right_global(v)) for u, v in split.test_pos]
-test_neg = [(u, g.right_global(v)) for u, v in split.test_neg]
+# Scorers take global (k, 2) pair arrays: shift each right index by n_left.
+test_pos = split.test_pos + (0, g.n_left)
+test_neg = split.test_neg + (0, g.n_left)
+pairs = np.concatenate([test_pos, test_neg])
 
 print()
 print("=" * 64)
@@ -53,11 +57,11 @@ print("=" * 64)
 
 print(f"{'scorer':<18} {'AUC':>6}")
 
-mixed = two_hop_score(model, norm, test_pos + test_neg)
+mixed = two_hop_score(model, norm, pairs)
 auc = roc_auc(mixed.scores[: len(test_pos)], mixed.scores[len(test_pos):])
 print(f"{'two_hop':<18} {auc:>6.3f}")
 
-plain = decode_score(model, test_pos + test_neg)
+plain = decode_score(model, pairs)
 auc = roc_auc(plain.scores[: len(test_pos)], plain.scores[len(test_pos):])
 print(f"{'lgae decoder':<18} {auc:>6.3f}")
 
@@ -69,11 +73,11 @@ for kind in (
     ScorerKind.ADAMIC_ADAR,
     ScorerKind.RESOURCE_ALLOCATION,
 ):
-    result = heuristic_scores(index, kind, test_pos + test_neg)
+    result = heuristic_scores(index, kind, pairs)
     auc = roc_auc(result.scores[: len(test_pos)], result.scores[len(test_pos):])
     print(f"{kind.value:<18} {auc:>6.3f}")
 
-katz = katz_score(a_train, 0.005, test_pos + test_neg)
+katz = katz_score(a_train, 0.005, pairs)
 auc = roc_auc(katz.scores[: len(test_pos)], katz.scores[len(test_pos):])
 print(f"{'katz':<18} {auc:>6.3f}")
 
@@ -86,13 +90,13 @@ print("=" * 64)
 print("3. Inspect a few pairs side by side")
 print("=" * 64)
 
-sample = test_pos[:3] + test_neg[:3]
+sample = np.concatenate([test_pos[:3], test_neg[:3]])
 two = two_hop_score(model, norm, sample).scores
 dec = decode_score(model, sample).scores
 print(f"{'pair':<10} {'label':<6} {'two_hop':>9} {'decoder':>9}")
 for i, pair in enumerate(sample):
     label = "edge" if i < 3 else "none"
-    print(f"{str(pair):<10} {label:<6} {two[i]:>9.4f} {dec[i]:>9.4f}")
+    print(f"{str(tuple(pair.tolist())):<10} {label:<6} {two[i]:>9.4f} {dec[i]:>9.4f}")
 
 print()
 print("=" * 64)

@@ -5,8 +5,8 @@ right nodes ``n_left..n_left+n_right-1``.  All matrices produced here are
 ``n x n`` with ``n = n_left + n_right``.
 
 A graph stores its edges once, as the symmetric 0/1 CSR adjacency ``adj``;
-the edge tuple, edge set and neighbour arrays are views computed from it on
-first use.
+the edge array, its cell keys and the neighbour arrays are views computed
+from it on first use.  Pairs are read-only (k, 2) int64 arrays.
 """
 
 from __future__ import annotations
@@ -41,9 +41,10 @@ class BipartiteGraph:
     """Immutable bipartite graph with two disjoint node partitions.
 
     ``adj`` is the one edge store: the symmetric n x n 0/1 CSR adjacency in
-    global indexing, canonical and read-only.  ``edges`` (sorted local
-    (left, right) pairs), ``edge_set`` and ``neighbors`` (per node, sorted
-    int64 global indices) are views of it.  Equality is identity.
+    global indexing, canonical and read-only.  ``edges`` (the sorted local
+    (left, right) pairs, a read-only (m, 2) int64 array), ``edge_keys``
+    (their sorted cell keys) and ``neighbors`` (per node, sorted int64
+    global indices) are views of it.  Equality is identity.
     """
 
     n_left: int
@@ -59,14 +60,19 @@ class BipartiteGraph:
         return self.adj.nnz // 2
 
     @cached_property
-    def edges(self) -> tuple:
+    def edges(self) -> np.ndarray:
         """Sorted (left_index, right_index) pairs: the left rows of ``adj``."""
-        left_rows = self.adj[: self.n_left].tocoo()
-        return tuple(zip(left_rows.row.tolist(), (left_rows.col - self.n_left).tolist()))
+        rows = self.adj[: self.n_left].tocoo()
+        return read_only(np.column_stack([rows.row, rows.col - self.n_left]).astype(np.int64))
 
     @cached_property
-    def edge_set(self) -> frozenset:
-        return frozenset(self.edges)
+    def edge_keys(self) -> np.ndarray:
+        """Sorted cell keys ``left * n_right + right`` of ``edges``."""
+        return read_only(self.cell_keys(self.edges))
+
+    def cell_keys(self, pairs: np.ndarray) -> np.ndarray:
+        """Cell key ``left * n_right + right`` of each in-range local pair."""
+        return pairs[:, 0] * self.n_right + pairs[:, 1]
 
     @cached_property
     def neighbors(self) -> tuple:
@@ -87,8 +93,9 @@ class BipartiteGraph:
         return np.diff(self.adj.indptr).astype(np.int64)
 
     def has_edge(self, left: int, right: int) -> bool:
-        """Membership test in partition-local indexing."""
-        return (left, right) in self.edge_set
+        """Membership test in partition-local indexing; False out of range."""
+        inside = 0 <= left < self.n_left and 0 <= right < self.n_right
+        return inside and bool(in_sorted(self.edge_keys, np.array([left * self.n_right + right]))[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,30 +115,55 @@ class NormalizedAdjacency:
         return self.matrix.shape[0]
 
 
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of ``arr``; ``arr``'s own flags are left alone."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
+def in_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Mask of the ``keys`` found in the sorted array ``sorted_keys``."""
+    if sorted_keys.size == 0:
+        return np.zeros(keys.shape, dtype=bool)
+    return sorted_keys.take(np.searchsorted(sorted_keys, keys), mode="clip") == keys
+
+
 def _is_int_pair(pair) -> bool:
     if not isinstance(pair, (tuple, list, np.ndarray)) or len(pair) != 2:
         return False
     return all(isinstance(x, (int, np.integer)) for x in pair)
 
 
-def _pair_array(edge_pairs) -> np.ndarray:
-    """(m, 2) array of ``edge_pairs``; GraphInputError names the first non-integer pair."""
-    if not isinstance(edge_pairs, np.ndarray):
-        edge_pairs = list(edge_pairs)
-    if len(edge_pairs) == 0:
+def pair_array(pairs, n_left: int, n_right: int, what: str = "edge pair") -> np.ndarray:
+    """(k, 2) int64 array of ``pairs``, integer pairs or an integer array.
+    GraphInputError names the first entry, and its position, that is not a
+    pair of integers in [0, n_left) x [0, n_right); nothing is reshaped."""
+    if not isinstance(pairs, np.ndarray):
+        pairs = list(pairs)
+    if len(pairs) == 0:
         return np.empty((0, 2), dtype=np.int64)
     try:
-        arr = np.asarray(edge_pairs)
+        arr = np.asarray(pairs)
     except ValueError:  # ragged entries
         arr = np.empty(0)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iub":
-        for pos, pair in enumerate(edge_pairs):
+        for pos, pair in enumerate(pairs):
             if not _is_int_pair(pair):
                 raise GraphInputError(
-                    f"edge pair {pair!r} at position {pos} is not a pair of integers",
+                    f"{what} {pair!r} at position {pos} is not a pair of integers",
                     pair=pair, position=pos,
                 )
-    return arr  # integer pairs, in whatever dtype numpy gave them
+    lefts, rights = arr[:, 0], arr[:, 1]
+    bad = np.flatnonzero((lefts < 0) | (lefts >= n_left) | (rights < 0) | (rights >= n_right))
+    if bad.size:
+        pos = int(bad[0])
+        u, v = int(lefts[pos]), int(rights[pos])
+        raise GraphInputError(
+            f"{what} ({u}, {v}) is out of range [0, {n_left}) x [0, {n_right}) at position {pos}",
+            pair=(u, v), position=pos,
+        )
+    return arr.astype(np.int64, copy=False)
 
 
 def build_graph(n_left: int, n_right: int, edge_pairs) -> BipartiteGraph:
@@ -144,18 +176,8 @@ def build_graph(n_left: int, n_right: int, edge_pairs) -> BipartiteGraph:
     """
     if n_left < 0 or n_right < 0:
         raise GraphInputError(f"negative partition size: ({n_left}, {n_right})")
-    pairs = _pair_array(edge_pairs)
-    lefts, rights = pairs[:, 0], pairs[:, 1]
-    bad = np.flatnonzero((lefts < 0) | (lefts >= n_left) | (rights < 0) | (rights >= n_right))
-    if bad.size:
-        pos = int(bad[0])
-        u, v = int(lefts[pos]), int(rights[pos])
-        raise GraphInputError(
-            f"edge pair ({u}, {v}) at position {pos} out of range for "
-            f"partitions of size ({n_left}, {n_right})",
-            pair=(u, v), position=pos,
-        )
-    keys = np.unique(lefts.astype(np.int64) * n_right + rights.astype(np.int64))
+    pairs = pair_array(edge_pairs, n_left, n_right)
+    keys = np.unique(pairs[:, 0] * n_right + pairs[:, 1])
     if len(pairs) > keys.size:
         logger.debug("dropped %d duplicate edge pair(s)", len(pairs) - keys.size)
     us, vs = np.divmod(keys, max(n_right, 1))

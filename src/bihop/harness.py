@@ -107,8 +107,9 @@ def _param_key(params: dict):
     return tuple(sorted(params.items()))
 
 
-def _global_pairs(g: BipartiteGraph, local_pairs) -> tuple:
-    return tuple((u, g.n_left + v) for u, v in local_pairs)
+def _global_pairs(g: BipartiteGraph, local_pairs: np.ndarray) -> np.ndarray:
+    """Global (k, 2) pairs of the local (k, 2) pairs ``local_pairs``."""
+    return local_pairs + (0, g.n_left)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,7 +172,7 @@ def _score_pairs(kind: ScorerKind, pairs, artifacts: RunArtifacts, params: dict)
 
 def _pos_neg_scores(kind: ScorerKind, pos, neg, artifacts: RunArtifacts, params: dict):
     """Score positives and negatives in one call; returns (pos, neg) scores."""
-    scores = _score_pairs(kind, tuple(pos) + tuple(neg), artifacts, params)
+    scores = _score_pairs(kind, np.concatenate([pos, neg]), artifacts, params)
     return scores[: len(pos)], scores[len(pos) :]
 
 
@@ -382,10 +383,9 @@ class DiagnosticBundle:
     ranking: tuple
 
 
-def _surface_scores(model: EmbeddingModel, norm: NormalizedAdjacency, pairs) -> tuple:
-    """(decoded reconstruction, normalized adjacency entry) at global ``pairs``."""
-    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    us, vs = arr[:, 0], arr[:, 1]
+def _surface_scores(model: EmbeddingModel, norm: NormalizedAdjacency, pairs: np.ndarray) -> tuple:
+    """(decoded reconstruction, normalized adjacency entry) at global (k, 2) ``pairs``."""
+    us, vs = pairs[:, 0], pairs[:, 1]
     return decode_pairs(model.Z, us, vs), np.asarray(norm.matrix[us, vs]).ravel()
 
 
@@ -400,7 +400,7 @@ def _confusion_population(g: BipartiteGraph, seed: int):
         pairs = np.column_stack([us.ravel(), vs.ravel()])
         return pairs, np.asarray(g.adj[pairs[:, 0], pairs[:, 1]], dtype=np.int64).ravel()
     sampled = sample_negatives(g, g.m, exclude=(), seed=seed)
-    pairs = np.asarray(_global_pairs(g, g.edges + sampled), dtype=np.int64)
+    pairs = _global_pairs(g, np.concatenate([g.edges, sampled]))
     labels = np.concatenate([np.ones(g.m, dtype=np.int64), np.zeros(g.m, dtype=np.int64)])
     return pairs, labels
 
@@ -433,15 +433,13 @@ def diagnose(
     norm_confusion = confusion_at(norm_scores, pop_labels, norm_thr)
 
     # (b) mean raw two-hop mass per evaluation set, for both surfaces
-    all_edges = _global_pairs(g, g.edges)
-    false_edges = _global_pairs(g, sample_negatives(g, g.m, exclude=(), seed=extra_keys[1]))
+    false_edges = sample_negatives(g, g.m, exclude=(), seed=extra_keys[1])
     mass_sets = {
-        "test_pos": _global_pairs(g, split.test_pos),
-        "test_neg": _global_pairs(g, split.test_neg),
-        "val_pos": _global_pairs(g, split.val_pos),
-        "val_neg": _global_pairs(g, split.val_neg),
-        "all_edges": all_edges,
-        "false_edges": false_edges,
+        name: _global_pairs(g, pairs)
+        for name, pairs in (
+            ("test_pos", split.test_pos), ("test_neg", split.test_neg), ("val_pos", split.val_pos),
+            ("val_neg", split.val_neg), ("all_edges", g.edges), ("false_edges", false_edges),
+        )
     }
     mass_recon = score_mass_report(
         **{
@@ -462,8 +460,8 @@ def diagnose(
     )
     subsets = (
         ("train", _global_pairs(g, split.train_edges), train_neg),
-        ("val", _global_pairs(g, split.val_pos), _global_pairs(g, split.val_neg)),
-        ("test", _global_pairs(g, split.test_pos), _global_pairs(g, split.test_neg)),
+        ("val", mass_sets["val_pos"], mass_sets["val_neg"]),
+        ("test", mass_sets["test_pos"], mass_sets["test_neg"]),
     )
     ranking = []
     for name, pos, neg in subsets:

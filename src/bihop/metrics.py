@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .scoring import ScorerKind
 
@@ -105,6 +104,21 @@ def _validate_scores(arr, name: str) -> np.ndarray:
     return arr
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``, each tie run given its mean rank.
+
+    The ranks are half-integers, exact in float64, and equal scipy's
+    ``rankdata(x, method="average")`` byte for byte.
+    """
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+    ends = np.append(starts[1:], x.size)
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def roc_auc(pos_scores, neg_scores) -> float:
     """Probability a random positive outranks a random negative (ties half).
 
@@ -115,7 +129,7 @@ def roc_auc(pos_scores, neg_scores) -> float:
     neg = _validate_scores(neg_scores, "neg_scores")
     if pos.size == 0 or neg.size == 0:
         raise ValueError("roc_auc needs at least one positive and one negative score")
-    ranks = rankdata(np.concatenate([pos, neg]), method="average")
+    ranks = _average_ranks(np.concatenate([pos, neg]))
     u_stat = ranks[: pos.size].sum() - pos.size * (pos.size + 1) / 2.0
     return float(u_stat / (pos.size * neg.size))
 

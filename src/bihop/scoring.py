@@ -18,8 +18,10 @@ Only Katz keeps two forms, because they compute different quantities: the
 closed form up to ``DENSE_THRESHOLD`` (4096) nodes, a truncated series
 above it.  The graph size alone picks the form; no argument overrides it.
 
-All scorers accept node pairs in GLOBAL indexing (left block first), reject
-indices outside [0, n) with ValueError, and are symmetric in the pair order.
+All scorers accept node pairs in GLOBAL indexing (left block first), as a
+(k, 2) integer array or a sequence of integer pairs, reject anything else
+and indices outside [0, n) with ValueError, and are symmetric in the pair
+order.
 Heuristic indices use the Daminelli-style bipartite adaptation: the "common
 neighbors" of a heterogeneous pair (u, v) are the intermediate nodes of
 length-3 paths, C(u, v) = N(u) n N2(v) with N2(v) the union of
@@ -40,7 +42,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .autoencoder import EmbeddingModel, decode_pairs
-from .graph import BipartiteGraph, NormalizedAdjacency
+from .graph import BipartiteGraph, NormalizedAdjacency, pair_array, read_only
 
 DENSE_THRESHOLD = 4096
 
@@ -99,22 +101,19 @@ MODEL_KINDS = frozenset(
 
 @dataclass(frozen=True, eq=False)
 class PairScores:
-    """Parallel (pair, score) sequences from one scorer; equality is identity."""
+    """``scores[k]`` of row k of ``pairs``, the read-only (k, 2) int64 array
+    of global pairs one scorer scored; equality is identity."""
 
-    pairs: tuple
+    pairs: np.ndarray
     scores: np.ndarray
     scorer: ScorerKind
 
 
 def _as_index_arrays(pairs, n: int):
-    pairs = tuple((int(u), int(v)) for u, v in pairs)
-    if not pairs:
-        return pairs, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    arr = np.asarray(pairs, dtype=np.int64)
-    bad = np.flatnonzero(((arr < 0) | (arr >= n)).any(axis=1))
-    if bad.size:
-        raise ValueError(f"pair {pairs[bad[0]]} is out of range for a graph of {n} nodes")
-    return pairs, arr[:, 0], arr[:, 1]
+    """(``pairs`` as a read-only (k, 2) int64 view, its two columns), checked
+    by ``pair_array``: an int64 array is not copied, and nothing is reshaped."""
+    arr = pair_array(pairs, n, n, what="pair")
+    return read_only(arr), arr[:, 0], arr[:, 1]
 
 
 def _check_model_size(model: EmbeddingModel, n: int):

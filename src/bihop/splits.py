@@ -5,6 +5,9 @@ remainder going to train.  Negative pairs are always heterogeneous
 (left x right), are checked against the FULL edge set so no true edge is
 ever labeled negative, and validation/test negatives are disjoint.
 
+Every pair set here is a read-only (k, 2) int64 array of partition-local
+(left, right) pairs, tested for membership by cell key (``g.cell_keys``).
+
 This module owns the package's seeding: every random stream, here and in
 the graph generators and weight initialization, is a counter-based Philox
 generator from ``philox``, and ``child_keys`` derives independent keys from
@@ -20,27 +23,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import BipartiteGraph, build_graph
+from .graph import BipartiteGraph, build_graph, in_sorted, pair_array, read_only
 
 # Below this fraction of free (non-edge) cells, rejection sampling may stall,
 # so negatives are drawn by enumerating and shuffling all free cells instead.
 ENUMERATION_DENSITY = 0.05
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeSplit:
     """One experimental split: train/val/test positives plus sampled negatives.
 
-    All pairs are in partition-local (left_index, right_index) indexing.
-    ``train_edges`` is sorted; the positive/negative sequences keep their
-    sampling order.
+    Each of the five pair fields is a read-only (k, 2) int64 array of
+    partition-local (left_index, right_index) pairs.  ``train_edges`` is
+    sorted; the positive/negative arrays keep their sampling order.
+    Equality is identity; compare the fields with ``np.array_equal``.
     """
 
-    train_edges: tuple
-    val_pos: tuple
-    test_pos: tuple
-    val_neg: tuple
-    test_neg: tuple
+    train_edges: np.ndarray
+    val_pos: np.ndarray
+    test_pos: np.ndarray
+    val_neg: np.ndarray
+    test_neg: np.ndarray
     seed: int
 
 
@@ -59,23 +63,25 @@ def child_keys(seed: int, n: int) -> list:
     return [int(k) for k in ss.generate_state(n, dtype=np.uint64)]
 
 
-def sample_negatives(g: BipartiteGraph, count: int, exclude, seed: int) -> tuple:
+def sample_negatives(g: BipartiteGraph, count: int, exclude, seed: int) -> np.ndarray:
     """Draw ``count`` distinct heterogeneous non-edge pairs.
 
-    Pairs are (left_index, right_index), never an edge of ``g`` and never in
-    ``exclude``.  Raises ValueError when fewer than ``count`` free cells
-    exist.  Uses rejection sampling on a Philox stream, falling back to
-    enumerate-and-shuffle when the graph is so dense that rejection would
+    Returns a read-only (count, 2) int64 array of (left_index, right_index)
+    pairs, never an edge of ``g`` and never in ``exclude`` (local pairs).
+    ValueError names an ``exclude`` entry that is not an integer pair in
+    range, and is raised when fewer than ``count`` free cells exist.  Uses
+    rejection sampling on a Philox stream, a batch at a time, falling back
+    to enumerate-and-shuffle when the graph is so dense that rejection would
     struggle to terminate.
     """
     if count < 0:
         raise ValueError(f"negative sample count {count}")
+    excluded = np.unique(g.cell_keys(pair_array(exclude, g.n_left, g.n_right, what="exclude pair")))
     if count == 0:
-        return ()
+        return read_only(np.empty((0, 2), dtype=np.int64))
     total_cells = g.n_left * g.n_right
-    edges = g.edge_set
-    excluded = {(int(u), int(v)) for u, v in exclude} - edges
-    available = total_cells - g.m - len(excluded)
+    excluded = excluded[~in_sorted(g.edge_keys, excluded)]
+    available = total_cells - g.m - excluded.size
     if count > available:
         raise ValueError(
             f"cannot sample {count} negatives: only {available} non-edge "
@@ -86,27 +92,26 @@ def sample_negatives(g: BipartiteGraph, count: int, exclude, seed: int) -> tuple
     non_edge_density = (total_cells - g.m) / total_cells
     if non_edge_density < ENUMERATION_DENSITY:
         # Row-major enumeration: the free cells come out sorted.
-        cells = ((u, v) for u in range(g.n_left) for v in range(g.n_right))
-        free = [c for c in cells if c not in edges and c not in excluded]
-        order = rng.permutation(len(free))
-        return tuple(free[i] for i in order[:count])
-
-    picked = []
-    # Excluded pairs start out as taken, so one lookup rejects them.
-    picked_set = set(excluded)
-    while len(picked) < count:
-        batch = max(64, 2 * (count - len(picked)))
-        us = rng.integers(0, g.n_left, size=batch)
-        vs = rng.integers(0, g.n_right, size=batch)
-        for u, v in zip(us.tolist(), vs.tolist()):
-            if len(picked) >= count:
-                break
-            pair = (u, v)
-            if pair in edges or pair in picked_set:
-                continue
-            picked.append(pair)
-            picked_set.add(pair)
-    return tuple(picked)
+        free = np.ones(total_cells, dtype=bool)
+        free[g.edge_keys] = free[excluded] = False
+        keys = np.flatnonzero(free)[rng.permutation(available)[:count]]
+    else:
+        # ``taken``: the sorted keys of the excluded and the picked cells.
+        taken, picked, need = excluded, [], count
+        while need:
+            batch = max(64, 2 * need)
+            us = rng.integers(0, g.n_left, size=batch)
+            vs = rng.integers(0, g.n_right, size=batch)
+            drawn = us * g.n_right + vs
+            drawn = drawn[~(in_sorted(g.edge_keys, drawn) | in_sorted(taken, drawn))]
+            # A cell drawn twice is kept at its first draw.
+            _, first = np.unique(drawn, return_index=True)
+            new = drawn[np.sort(first)[:need]]
+            picked.append(new)
+            taken = np.union1d(taken, new)
+            need -= new.size
+        keys = np.concatenate(picked)
+    return read_only(np.column_stack(np.divmod(keys, g.n_right)))
 
 
 def split_edges(g: BipartiteGraph, ratios, seed: int) -> EdgeSplit:
@@ -142,17 +147,13 @@ def split_edges(g: BipartiteGraph, ratios, seed: int) -> EdgeSplit:
 
     shuffle_key, val_key, test_key = child_keys(seed, 3)
     order = philox(shuffle_key).permutation(m)
-    edges = g.edges
-    test_pos = tuple(edges[i] for i in order[:n_test])
-    val_pos = tuple(edges[i] for i in order[n_test : n_test + n_val])
-    train_edges = tuple(sorted(edges[i] for i in order[n_test + n_val :]))
-
     val_neg = sample_negatives(g, n_val, exclude=(), seed=val_key)
     test_neg = sample_negatives(g, n_test, exclude=val_neg, seed=test_key)
     return EdgeSplit(
-        train_edges=train_edges,
-        val_pos=val_pos,
-        test_pos=test_pos,
+        # g.edges is sorted, so sorted positions give sorted training edges.
+        train_edges=read_only(g.edges[np.sort(order[n_test + n_val :])]),
+        val_pos=read_only(g.edges[order[n_test : n_test + n_val]]),
+        test_pos=read_only(g.edges[order[:n_test]]),
         val_neg=val_neg,
         test_neg=test_neg,
         seed=int(seed),
@@ -164,17 +165,20 @@ def train_graph(g: BipartiteGraph, split: EdgeSplit) -> BipartiteGraph:
     return build_graph(g.n_left, g.n_right, split.train_edges)
 
 
-_SECTIONS = ("train", "val_pos", "val_neg", "test_pos", "test_neg")
+# Section header in a split file -> EdgeSplit field, in file order.
+_SECTIONS = {
+    "train": "train_edges", "val_pos": "val_pos", "val_neg": "val_neg",
+    "test_pos": "test_pos", "test_neg": "test_neg",
+}
 
 
 def save_split(split: EdgeSplit, path) -> None:
     """Serialize a split to text for audit and replay (see load_split)."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"#seed\n{split.seed}\n")
-        for name in _SECTIONS:
-            pairs = split.train_edges if name == "train" else getattr(split, name)
+        for name, field in _SECTIONS.items():
             fh.write(f"#{name}\n")
-            for u, v in pairs:
+            for u, v in getattr(split, field):
                 fh.write(f"{u} {v}\n")
 
 
@@ -183,7 +187,8 @@ def load_split(path, g: BipartiteGraph) -> EdgeSplit:
 
     Raises ValueError naming the first bad pair unless the train, val_pos
     and test_pos pairs partition ``g.edges`` exactly, every negative is an
-    in-range non-edge, and no pair is both a validation and a test negative.
+    in-range non-edge listed once in its section, and no pair is both a
+    validation and a test negative.  The pairs keep their file order.
     """
     sections = {name: [] for name in _SECTIONS}
     seed_lines = []
@@ -210,36 +215,41 @@ def load_split(path, g: BipartiteGraph) -> EdgeSplit:
                 sections[current].append((int(parts[0]), int(parts[1])))
     if len(seed_lines) != 1:
         raise ValueError(f"{path}: expected exactly one seed line")
-    _check_split_pairs(path, g, sections)
-    return EdgeSplit(
-        train_edges=tuple(sections["train"]),
-        val_pos=tuple(sections["val_pos"]),
-        test_pos=tuple(sections["test_pos"]),
-        val_neg=tuple(sections["val_neg"]),
-        test_neg=tuple(sections["test_neg"]),
-        seed=int(seed_lines[0]),
-    )
+    try:
+        pairs = {name: np.array(sections[name], dtype=np.int64).reshape(-1, 2) for name in _SECTIONS}
+    except OverflowError:
+        raise ValueError(f"{path}: a pair index does not fit in int64") from None
+    _check_split_pairs(path, g, pairs)
+    fields = {field: read_only(pairs[name]) for name, field in _SECTIONS.items()}
+    return EdgeSplit(**fields, seed=int(seed_lines[0]))
 
 
 def _check_split_pairs(path, g: BipartiteGraph, sections: dict) -> None:
-    seen = set()
-    for name in ("train", "val_pos", "test_pos"):
-        for pair in sections[name]:
-            if pair not in g.edge_set:
-                raise ValueError(f"{path}: #{name} pair {pair} is not an edge of the graph")
-            if pair in seen:
-                raise ValueError(f"{path}: #{name} pair {pair} is listed twice among the positives")
-            seen.add(pair)
-    for pair in g.edges:
-        if pair not in seen:
-            raise ValueError(f"{path}: edge {pair} of the graph is in no positive section")
-    for name in ("val_neg", "test_neg"):
-        for u, v in sections[name]:
-            if not (0 <= u < g.n_left and 0 <= v < g.n_right):
-                raise ValueError(f"{path}: #{name} pair {(u, v)} is out of range")
-            if (u, v) in g.edge_set:
-                raise ValueError(f"{path}: #{name} pair {(u, v)} is an edge of the graph")
-    val_neg = set(sections["val_neg"])
-    for pair in sections["test_neg"]:
-        if pair in val_neg:
-            raise ValueError(f"{path}: #test_neg pair {pair} is also in #val_neg")
+    """Raise ValueError naming the first bad positive, else the first bad negative."""
+    for names in (("train", "val_pos", "test_pos"), ("val_neg", "test_neg")):
+        pairs = np.concatenate([sections[name] for name in names])
+        section = np.repeat(names, [len(sections[name]) for name in names])
+        us, vs = pairs[:, 0], pairs[:, 1]
+        outside = (us < 0) | (us >= g.n_left) | (vs < 0) | (vs >= g.n_right)
+        keys = np.where(outside, -1, g.cell_keys(pairs))
+        edge = np.isin(keys, g.edge_keys)
+        repeat = np.ones(keys.size, dtype=bool)
+        repeat[np.unique(keys, return_index=True)[1]] = False
+        if names[0] == "train":
+            checks = (
+                (~edge, "is not an edge of the graph"), (repeat, "is listed twice among the positives")
+            )
+        else:
+            in_val = (section == "test_neg") & np.isin(keys, keys[section == "val_neg"])
+            checks = (
+                (outside, "is out of range"), (edge, "is an edge of the graph"),
+                (in_val, "is also in #val_neg"), (repeat, "is listed twice"),
+            )
+        bad = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in checks]))
+        if bad.size:
+            i = bad[0]
+            what = next(what for mask, what in checks if mask[i])
+            raise ValueError(f"{path}: #{section[i]} pair {tuple(pairs[i].tolist())} {what}")
+        if names[0] == "train" and keys.size < g.m:
+            missing = tuple(g.edges[np.argmin(np.isin(g.edge_keys, keys))].tolist())
+            raise ValueError(f"{path}: edge {missing} of the graph is in no positive section")

@@ -28,6 +28,21 @@ def toy_graph() -> BipartiteGraph:
     return build_graph(3, 3, [(0, 0), (0, 1), (1, 1), (2, 2)])
 
 
+def pairs_of(arr) -> tuple:
+    """The (u, v) int tuples of a (k, 2) pair array, for set and tuple oracles."""
+    return tuple(map(tuple, np.asarray(arr).tolist()))
+
+
+SPLIT_FIELDS = ("train_edges", "val_pos", "test_pos", "val_neg", "test_neg")
+
+
+def assert_same_split(a, b):
+    """Two EdgeSplits hold equal pair arrays and the same seed."""
+    for name in SPLIT_FIELDS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.seed == b.seed
+
+
 def random_bipartite(rng: np.random.Generator, max_side: int = 8, min_edges: int = 1) -> BipartiteGraph:
     """A random graph for property tests (every node may have degree 0)."""
     n_left = int(rng.integers(1, max_side + 1))

@@ -15,6 +15,8 @@ from bihop.data import (
 )
 from bihop.splits import load_split, split_edges
 
+from conftest import assert_same_split, pairs_of
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -47,7 +49,7 @@ class TestGenerate:
             (int(loaded.left_ids[u][1:]), int(loaded.right_ids[v][1:]))
             for u, v in loaded.graph.edges
         }
-        assert by_id == set(expected.edges)
+        assert by_id == set(pairs_of(expected.edges))
 
     def test_sbm_round_trip(self, tmp_path, capsys):
         out = tmp_path / "sbm.edges"
@@ -214,7 +216,7 @@ class TestSplit:
         assert "train=76" in stdout and "val=4" in stdout and "test=9" in stdout
         loaded = load_split(out, southern_women_graph())
         expected = split_edges(southern_women_graph(), (0.85, 0.05, 0.10), 7)
-        assert loaded == expected
+        assert_same_split(loaded, expected)
 
     def test_config_ratios_respected(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

@@ -3,7 +3,8 @@
 Checks, among other things:
   * duplicate edges collapse to one, out-of-range or non-integer pairs raise
     with position
-  * edges, edge_set, neighbors and degrees match a pure-Python oracle
+  * edges, edge_keys, has_edge, neighbors and degrees match a pure-Python
+    oracle
   * adjacency(g) is the graph's own read-only matrix
   * adjacency is symmetric 0/1 with zero diagonal and block structure
   * normalization matches the dense formula D~^{-1/2}(A+I)D~^{-1/2}
@@ -40,7 +41,7 @@ class TestBuildGraph:
         assert g.n_left == 2 and g.n_right == 3
         assert g.n == 5
         assert g.m == 3
-        assert g.edges == ((0, 0), (0, 1), (1, 2))
+        assert np.array_equal(g.edges, [(0, 0), (0, 1), (1, 2)])
 
     def test_duplicates_dropped(self):
         g = build_graph(2, 2, [(0, 0), (0, 0), (1, 1), (0, 0)])
@@ -128,8 +129,13 @@ class TestSingleStore:
         n_left, n_right, pairs, as_array = case
         g = build_graph(n_left, n_right, np.array(pairs, dtype=np.int64).reshape(-1, 2) if as_array else pairs)
         edges, nbrs = oracle_graph(n_left, n_right, pairs)
-        assert g.edges == edges
-        assert g.edge_set == frozenset(edges)
+        assert g.edges.dtype == np.int64 and not g.edges.flags.writeable
+        assert np.array_equal(g.edges, np.reshape(edges, (-1, 2)))
+        assert g.edge_keys.tolist() == [u * n_right + v for u, v in edges]
+        # Out-of-range cells are no edge, even where their key would alias one.
+        for u in range(-1, n_left + 2):
+            for v in range(-1, n_right + 2):
+                assert g.has_edge(u, v) == ((u, v) in edges)
         assert g.m == len(edges)
         assert [nb.tolist() for nb in g.neighbors] == nbrs
         assert all(nb.dtype == np.int64 for nb in g.neighbors)

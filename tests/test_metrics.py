@@ -6,11 +6,17 @@ half, AP as a walk down the ranked list with tied negatives placed first.
 The production implementations must agree exactly, not approximately.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from bihop.metrics import (
     ConfusionMatrix,
+    _average_ranks,
     average_precision,
     best_f1_threshold,
     confusion_at,
@@ -98,6 +104,32 @@ class TestRocAuc:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             roc_auc([np.nan], [0.1])
+
+    def test_average_ranks_byte_equal_scipy(self):
+        """The numpy tie-averaged ranks are scipy's, byte for byte, so the U
+        statistic and the AUC do not move."""
+        from scipy.stats import rankdata
+
+        rng = np.random.default_rng(103)
+        for _ in range(2000):
+            pos, neg = random_score_set(rng)
+            x = np.concatenate([pos, neg])
+            if rng.random() < 0.2:
+                x[rng.random(x.size) < 0.3] = -0.0  # ties between 0.0 and -0.0
+            assert _average_ranks(x).tobytes() == rankdata(x, method="average").tobytes()
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        """``import bihop`` does not load scipy.stats; in a fresh process,
+        since this one may have loaded it already."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, bihop; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+        child = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == "[]"
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(102)

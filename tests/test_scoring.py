@@ -136,18 +136,23 @@ def katz_form(form):
     return mock.patch.object(scoring, "DENSE_THRESHOLD", KATZ_THRESHOLDS[form])
 
 
-def score_with(kind, g, z, pairs):
-    """Scores of ``pairs`` from one call of the scorer behind ``kind``."""
+def scored_with(kind, g, z, pairs):
+    """The PairScores of one call of the scorer behind ``kind``."""
     model = model_for(g, z)
     if kind is ScorerKind.TWO_HOP:
-        return two_hop_score(model, normalized_adjacency(g), pairs).scores
+        return two_hop_score(model, normalized_adjacency(g), pairs)
     if kind is ScorerKind.RECON_TWO_HOP:
-        return recon_two_hop_score(model, pairs).scores
+        return recon_two_hop_score(model, pairs)
     if kind in (ScorerKind.LGAE, ScorerKind.GAE):
-        return decode_score(model, pairs, kind=kind).scores
+        return decode_score(model, pairs, kind=kind)
     if kind is ScorerKind.KATZ:
-        return katz_score(adjacency(g), 0.05, pairs).scores
-    return heuristic_scores(heuristic_index(g), kind, pairs).scores
+        return katz_score(adjacency(g), 0.05, pairs)
+    return heuristic_scores(heuristic_index(g), kind, pairs)
+
+
+def score_with(kind, g, z, pairs):
+    """Scores of ``pairs`` from one call of the scorer behind ``kind``."""
+    return scored_with(kind, g, z, pairs).scores
 
 
 # Chunk sizes for the two-hop oracle checks: "dense" scores a whole pair
@@ -644,7 +649,7 @@ class TestKatz:
         with katz_form("series"):
             got = katz_score(adjacency(g), 0.1, [])
         assert got.scores.shape == (0,)
-        assert got.pairs == ()
+        assert got.pairs.shape == (0, 2)
 
     def test_spectral_radius_small_and_large_paths_agree(self):
         rng = np.random.default_rng(77)
@@ -668,6 +673,35 @@ class TestPairValidation:
         z = np.random.default_rng(80).standard_normal((toy_graph.n, 3))
         with pytest.raises(ValueError, match=re.escape(f"pair {bad} is out of range")):
             score_with(kind, toy_graph, z, [(0, 3), bad])
+
+    @pytest.mark.parametrize("kind", list(ScorerKind), ids=lambda k: k.value)
+    def test_tuple_list_and_array_score_alike(self, kind):
+        """A list of int tuples and the (k, 2) int64 array of the same pairs
+        give equal scores (both Katz forms); ``pairs`` comes back as a
+        read-only int64 view of the array, not a copy."""
+        g = random_bipartite(np.random.default_rng(81), max_side=8, min_edges=10)
+        z = np.random.default_rng(82).standard_normal((g.n, 3))
+        listed = het_pairs(g)
+        listed += [(v, u) for u, v in listed[::3]]
+        arr = np.array(listed, dtype=np.int64)
+        for form in ("closed", "series") if kind is ScorerKind.KATZ else (None,):
+            with katz_form(form) if form else nullcontext():
+                from_list = scored_with(kind, g, z, listed)
+                from_array = scored_with(kind, g, z, arr)
+            assert np.array_equal(from_list.scores, from_array.scores)
+            for got in (from_list, from_array):
+                assert got.pairs.dtype == np.int64 and not got.pairs.flags.writeable
+                assert np.array_equal(got.pairs, arr)
+            assert np.shares_memory(from_array.pairs, arr) and arr.flags.writeable
+
+    @pytest.mark.parametrize("kind", list(ScorerKind), ids=lambda k: k.value)
+    def test_pairs_not_shaped_k_by_2_rejected(self, kind, toy_graph):
+        """Only a (k, 2) input is read as pairs: a (k, 3) array, a flat list
+        or array, or a triple raises instead of being reshaped."""
+        z = np.random.default_rng(83).standard_normal((toy_graph.n, 3))
+        for bad in (np.zeros((2, 3), dtype=np.int64), [0, 3], np.array([0, 3, 1, 4]), [(0, 3, 1)]):
+            with pytest.raises(ValueError, match="at position 0 is not a pair of integers"):
+                score_with(kind, toy_graph, z, bad)
 
     def test_scalar_heuristic_rejects_out_of_range(self, toy_graph):
         with pytest.raises(ValueError, match="out of range"):
@@ -730,7 +764,7 @@ class TestMonotoneInvariance:
 class TestScoresCsv:
     def test_header_and_rows(self, tmp_path):
         ps = PairScores(
-            pairs=((0, 3), (1, 4)),
+            pairs=np.array([(0, 3), (1, 4)]),
             scores=np.array([0.25, 0.5]),
             scorer=ScorerKind.TWO_HOP,
         )
@@ -743,7 +777,7 @@ class TestScoresCsv:
 
     def test_labels_optional(self, tmp_path):
         ps = PairScores(
-            pairs=((2, 5),), scores=np.array([1.0]), scorer=ScorerKind.KATZ
+            pairs=np.array([(2, 5)]), scores=np.array([1.0]), scorer=ScorerKind.KATZ
         )
         path = tmp_path / "scores.csv"
         write_scores_csv(ps, path)
@@ -752,7 +786,7 @@ class TestScoresCsv:
     def test_round_trip_precision(self, tmp_path):
         value = 0.12345678901234567
         ps = PairScores(
-            pairs=((0, 1),), scorer=ScorerKind.LGAE, scores=np.array([value])
+            pairs=np.array([(0, 1)]), scorer=ScorerKind.LGAE, scores=np.array([value])
         )
         path = tmp_path / "scores.csv"
         write_scores_csv(ps, path)

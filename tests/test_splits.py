@@ -8,6 +8,7 @@ seed) alone.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from bihop.splits import (
     train_graph,
 )
 
-from conftest import random_bipartite
+from conftest import SPLIT_FIELDS, assert_same_split, pairs_of, random_bipartite
 
 DEFAULT = (0.85, 0.05, 0.10)
 
@@ -36,11 +37,22 @@ def medium_graph(seed=0):
     return generate_bipartite_er(30, 40, 0.12, seed=seed)
 
 
+def dense_graph():
+    """30 x 30 with 860 edges: 4.4% free cells, so negatives are enumerated,
+    and 40 of them serve the 17 + 17 held-out pairs of ``DENSE_RATIOS``."""
+    cells = [(u, v) for u in range(30) for v in range(30)]
+    keep = np.random.default_rng(0).permutation(len(cells))[:860]
+    return build_graph(30, 30, [cells[i] for i in keep])
+
+
+DENSE_RATIOS = (0.96, 0.02, 0.02)
+
+
 def sample_negatives_copy(g, count, exclude, seed):
     """The sampler as it was when it copied the edge set into one forbidden
     set per call: the oracle for the draws and accept/reject order."""
     total_cells = g.n_left * g.n_right
-    forbidden = set(g.edge_set)
+    forbidden = set(pairs_of(g.edges))
     forbidden.update((int(u), int(v)) for u, v in exclude)
     if count > total_cells - len(forbidden):
         raise ValueError("too few free cells")
@@ -59,6 +71,24 @@ def sample_negatives_copy(g, count, exclude, seed):
                 picked.append(pair)
                 picked_set.add(pair)
     return tuple(picked)
+
+
+def split_edges_tuples(g, ratios, seed) -> tuple:
+    """The five pair parts of split_edges as it was when pairs were tuples:
+    one edge tuple at a time, a sorted training tuple, and the tuple
+    sampler above."""
+    m = g.m
+    n_test = _round_half_up(ratios[2] * m)
+    n_val = _round_half_up(ratios[1] * m)
+    shuffle_key, val_key, test_key = child_keys(seed, 3)
+    order = philox(shuffle_key).permutation(m)
+    edges = pairs_of(g.edges)
+    test_pos = tuple(edges[i] for i in order[:n_test])
+    val_pos = tuple(edges[i] for i in order[n_test : n_test + n_val])
+    train_edges = tuple(sorted(edges[i] for i in order[n_test + n_val :]))
+    val_neg = sample_negatives_copy(g, n_val, (), val_key)
+    test_neg = sample_negatives_copy(g, n_test, val_neg, test_key)
+    return train_edges, val_pos, test_pos, val_neg, test_neg
 
 
 class TestSeeding:
@@ -112,10 +142,10 @@ class TestSplitEdges:
     def test_partition_of_edge_set(self):
         g = medium_graph()
         split = split_edges(g, DEFAULT, seed=7)
-        train = set(split.train_edges)
-        val = set(split.val_pos)
-        test = set(split.test_pos)
-        assert train | val | test == set(g.edges)
+        train = set(pairs_of(split.train_edges))
+        val = set(pairs_of(split.val_pos))
+        test = set(pairs_of(split.test_pos))
+        assert train | val | test == set(pairs_of(g.edges))
         assert not (train & val) and not (train & test) and not (val & test)
         assert len(train) + len(val) + len(test) == g.m
 
@@ -128,22 +158,22 @@ class TestSplitEdges:
     def test_negatives_are_nonedges_and_disjoint(self):
         g = medium_graph()
         split = split_edges(g, DEFAULT, seed=7)
-        for u, v in split.val_neg + split.test_neg:
+        for u, v in np.concatenate([split.val_neg, split.test_neg]):
             assert not g.has_edge(u, v)
             assert 0 <= u < g.n_left and 0 <= v < g.n_right
-        assert not (set(split.val_neg) & set(split.test_neg))
-        assert len(set(split.val_neg)) == len(split.val_neg)
-        assert len(set(split.test_neg)) == len(split.test_neg)
+        assert not (set(pairs_of(split.val_neg)) & set(pairs_of(split.test_neg)))
+        assert len(set(pairs_of(split.val_neg))) == len(split.val_neg)
+        assert len(set(pairs_of(split.test_neg))) == len(split.test_neg)
 
     def test_deterministic_in_seed(self):
         g = medium_graph()
-        assert split_edges(g, DEFAULT, seed=42) == split_edges(g, DEFAULT, seed=42)
+        assert_same_split(split_edges(g, DEFAULT, seed=42), split_edges(g, DEFAULT, seed=42))
 
     def test_different_seeds_differ(self):
         g = medium_graph()
         a = split_edges(g, DEFAULT, seed=1)
         b = split_edges(g, DEFAULT, seed=2)
-        assert a.test_pos != b.test_pos or a.val_pos != b.val_pos
+        assert not np.array_equal(a.test_pos, b.test_pos) or not np.array_equal(a.val_pos, b.val_pos)
 
     def test_ratio_validation(self):
         g = medium_graph()
@@ -177,6 +207,22 @@ class TestSplitEdges:
         g = medium_graph()
         assert split_edges(g, DEFAULT, seed=17).seed == 17
 
+    @pytest.mark.parametrize("branch", ["rejection", "enumeration"])
+    def test_parts_are_read_only_arrays_equal_to_the_tuple_split(self, branch):
+        """Each of the five parts is a read-only (k, 2) int64 array equal,
+        row for row, to the split built from tuples, on both sides of
+        ENUMERATION_DENSITY."""
+        g, ratios = (medium_graph(), DEFAULT) if branch == "rejection" else (dense_graph(), DENSE_RATIOS)
+        free = (g.n_left * g.n_right - g.m) / (g.n_left * g.n_right)
+        assert (free < ENUMERATION_DENSITY) == (branch == "enumeration")
+        for seed in range(16):
+            split = split_edges(g, ratios, seed)
+            for name, want in zip(SPLIT_FIELDS, split_edges_tuples(g, ratios, seed)):
+                got = getattr(split, name)
+                assert got.dtype == np.int64 and got.shape == (len(want), 2)
+                assert not got.flags.writeable
+                assert np.array_equal(got, want), (seed, name)
+
 
 class TestSampleNegatives:
     def test_basic_contract(self):
@@ -188,7 +234,7 @@ class TestSampleNegatives:
                 continue
             got = sample_negatives(g, 3, exclude=(), seed=5)
             assert len(got) == 3
-            assert len(set(got)) == 3
+            assert len(set(pairs_of(got))) == 3
             for u, v in got:
                 assert not g.has_edge(u, v)
 
@@ -197,14 +243,14 @@ class TestSampleNegatives:
         exclude = [(1, 1), (2, 2)]
         got = sample_negatives(g, 13, exclude=exclude, seed=9)
         assert len(got) == 13
-        assert not (set(got) & set(exclude))
+        assert not (set(pairs_of(got)) & set(exclude))
 
     def test_exhausts_dense_graph_by_enumeration(self):
         """25 cells, 23 edges: non-edge density 8% < ... make it truly dense."""
         pairs = [(u, v) for u in range(5) for v in range(5)]
         g = build_graph(5, 5, pairs[:-1])  # single free cell, density 4%
         got = sample_negatives(g, 1, exclude=(), seed=0)
-        assert got == (pairs[-1],)
+        assert np.array_equal(got, [pairs[-1]])
 
     def test_count_larger_than_free_cells(self):
         pairs = [(u, v) for u in range(3) for v in range(3)]
@@ -212,9 +258,19 @@ class TestSampleNegatives:
         with pytest.raises(ValueError, match="only 2"):
             sample_negatives(g, 3, exclude=(), seed=0)
 
+    @pytest.mark.parametrize("bad", [(5, 5), (0, 2), (2, 0), (-1, 0), (0, 1.5)])
+    def test_exclude_outside_the_partitions_rejected(self, bad):
+        """(0, 2) would key as the cell (1, 0), so it is rejected by name
+        instead of being counted as an excluded non-edge."""
+        g = build_graph(2, 2, [(0, 0), (1, 1)])
+        assert len(sample_negatives(g, 2, exclude=[], seed=0)) == 2
+        with pytest.raises(ValueError, match=rf"exclude pair {re.escape(str(bad))} .*at position 1"):
+            sample_negatives(g, 2, exclude=[(0, 1), bad], seed=0)
+
     def test_zero_count(self):
         g = build_graph(2, 2, [(0, 0)])
-        assert sample_negatives(g, 0, exclude=(), seed=0) == ()
+        got = sample_negatives(g, 0, exclude=(), seed=0)
+        assert got.shape == (0, 2) and got.dtype == np.int64
 
     def test_negative_count_rejected(self):
         g = build_graph(2, 2, [(0, 0)])
@@ -225,7 +281,7 @@ class TestSampleNegatives:
         g = medium_graph()
         a = sample_negatives(g, 20, exclude=(), seed=3)
         b = sample_negatives(g, 20, exclude=(), seed=3)
-        assert a == b
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("branch", ["enumeration", "rejection"])
     def test_exclude_with_an_edge_and_a_repeat_matches_the_copying_sampler(self, branch):
@@ -238,14 +294,16 @@ class TestSampleNegatives:
             g = build_graph(10, 10, cells[:96])  # 4 free cells: density 4%
         else:
             g = medium_graph(seed=4)
-        free = sorted(set(np.ndindex(g.n_left, g.n_right)) - g.edge_set)
-        exclude = [free[1], g.edges[0], free[1], free[-1]]
+        edges = set(pairs_of(g.edges))
+        free = sorted(set(np.ndindex(g.n_left, g.n_right)) - edges)
+        exclude = [free[1], pairs_of(g.edges)[0], free[1], free[-1]]
         available = g.n_left * g.n_right - g.m - 2
-        for seed in range(4):
+        for seed in range(16):
             for count in (1, available // 2, available):
                 got = sample_negatives(g, count, exclude=exclude, seed=seed)
-                assert got == sample_negatives_copy(g, count, exclude, seed)
-                assert len(set(got)) == count and not set(got) & (g.edge_set | set(exclude))
+                want = sample_negatives_copy(g, count, exclude, seed)
+                assert np.array_equal(got, want)
+                assert len(set(pairs_of(got))) == count and not set(pairs_of(got)) & (edges | set(exclude))
         with pytest.raises(ValueError, match=f"only {available} non-edge"):
             sample_negatives(g, available + 1, exclude=exclude, seed=0)
 
@@ -256,8 +314,8 @@ class TestTrainGraph:
         split = split_edges(g, DEFAULT, seed=2)
         gt = train_graph(g, split)
         assert gt.n_left == g.n_left and gt.n_right == g.n_right
-        assert set(gt.edges) == set(split.train_edges)
-        for pair in split.val_pos + split.test_pos:
+        assert set(pairs_of(gt.edges)) == set(pairs_of(split.train_edges))
+        for pair in np.concatenate([split.val_pos, split.test_pos]):
             assert not gt.has_edge(*pair)
 
 
@@ -267,7 +325,7 @@ class TestSaveLoad:
         split = split_edges(g, DEFAULT, seed=11)
         path = tmp_path / "split.txt"
         save_split(split, path)
-        assert load_split(path, g) == split
+        assert_same_split(load_split(path, g), split)
 
     def test_rejects_unknown_section(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -302,11 +360,11 @@ class TestSaveLoad:
         with pytest.raises(ValueError, match=rf"edge \({dropped[0]}, {dropped[1]}\) .* no positive"):
             load_split(path, g)
         twice = split.train_edges[0]
-        path = self._saved(tmp_path, split, val_pos=split.val_pos + (twice,))
+        path = self._saved(tmp_path, split, val_pos=np.vstack([split.val_pos, twice]))
         with pytest.raises(ValueError, match=rf"#val_pos pair \({twice[0]}, {twice[1]}\) is listed twice"):
             load_split(path, g)
         non_edge = split.val_neg[0]
-        path = self._saved(tmp_path, split, test_pos=split.test_pos + (non_edge,))
+        path = self._saved(tmp_path, split, test_pos=np.vstack([split.test_pos, non_edge]))
         with pytest.raises(ValueError, match=r"#test_pos pair .* not an edge"):
             load_split(path, g)
 
@@ -314,18 +372,41 @@ class TestSaveLoad:
         g = medium_graph()
         split = split_edges(g, DEFAULT, seed=11)
         edge = split.train_edges[0]
-        path = self._saved(tmp_path, split, val_neg=(edge,) + split.val_neg[1:])
+        path = self._saved(tmp_path, split, val_neg=np.vstack([edge, split.val_neg[1:]]))
         with pytest.raises(ValueError, match=rf"#val_neg pair \({edge[0]}, {edge[1]}\) is an edge"):
             load_split(path, g)
         outside = (0, g.n_right)
-        path = self._saved(tmp_path, split, test_neg=split.test_neg + (outside,))
+        path = self._saved(tmp_path, split, test_neg=np.vstack([split.test_neg, outside]))
         with pytest.raises(ValueError, match=rf"#test_neg pair \(0, {g.n_right}\) is out of range"):
+            load_split(path, g)
+
+    def test_rejects_positive_whose_cell_key_aliases_an_edge(self, tmp_path):
+        """(u - 1, v + n_right) keys as the edge (u, v); the file must not
+        pass for the split that lists (u, v) there."""
+        g = medium_graph()
+        split = split_edges(g, DEFAULT, seed=11)
+        k = int(np.argmax(split.train_edges[:, 0] > 0))
+        u, v = split.train_edges[k]
+        aliased = split.train_edges.copy()
+        aliased[k] = (u - 1, v + g.n_right)
+        path = self._saved(tmp_path, split, train_edges=aliased)
+        with pytest.raises(ValueError, match=rf"#train pair \({u - 1}, {v + g.n_right}\) is not an edge"):
+            load_split(path, g)
+
+    @pytest.mark.parametrize("name", ["val_neg", "test_neg"])
+    def test_rejects_negative_listed_twice(self, tmp_path, name):
+        g = medium_graph()
+        split = split_edges(g, DEFAULT, seed=7)
+        negatives = getattr(split, name)
+        twice = negatives[0]
+        path = self._saved(tmp_path, split, **{name: np.vstack([negatives, twice])})
+        with pytest.raises(ValueError, match=rf"#{name} pair \({twice[0]}, {twice[1]}\) is listed twice"):
             load_split(path, g)
 
     def test_rejects_shared_validation_and_test_negative(self, tmp_path):
         g = medium_graph()
         split = split_edges(g, DEFAULT, seed=11)
         shared = split.val_neg[0]
-        path = self._saved(tmp_path, split, test_neg=split.test_neg + (shared,))
+        path = self._saved(tmp_path, split, test_neg=np.vstack([split.test_neg, shared]))
         with pytest.raises(ValueError, match=rf"#test_neg pair \({shared[0]}, {shared[1]}\) is also in #val_neg"):
             load_split(path, g)
