@@ -87,7 +87,7 @@ def _load_cli_config(args) -> BenchmarkConfig:
     if getattr(args, "seed", None) is not None:
         overrides["base_seed"] = args.seed
     if getattr(args, "dataset", None):
-        overrides["datasets"] = tuple(DatasetSpec(id=d) for d in args.dataset)
+        overrides["datasets"] = tuple(args.dataset)
     if getattr(args, "method", None):
         overrides["scorers"] = tuple(ScorerKind.parse(m) for m in args.method)
     if getattr(args, "out_dir", None):
@@ -98,10 +98,7 @@ def _load_cli_config(args) -> BenchmarkConfig:
 
 
 def _resolve_spec(dataset_id: str, config: BenchmarkConfig) -> DatasetSpec:
-    for spec in config.datasets:
-        if isinstance(spec, DatasetSpec) and spec.id == dataset_id:
-            return spec
-    return DatasetSpec(id=dataset_id)
+    return next((s for s in config.datasets if s.id == dataset_id), DatasetSpec(id=dataset_id))
 
 
 def _cmd_benchmark(args) -> int:

@@ -177,7 +177,8 @@ def build_graph(n_left: int, n_right: int, edge_pairs) -> BipartiteGraph:
     if n_left < 0 or n_right < 0:
         raise GraphInputError(f"negative partition size: ({n_left}, {n_right})")
     pairs = pair_array(edge_pairs, n_left, n_right)
-    keys = np.unique(pairs[:, 0] * n_right + pairs[:, 1])
+    keys = np.sort(pairs[:, 0] * n_right + pairs[:, 1])  # np.unique hashes, slower
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0, so the first stays
     if len(pairs) > keys.size:
         logger.debug("dropped %d duplicate edge pair(s)", len(pairs) - keys.size)
     us, vs = np.divmod(keys, max(n_right, 1))

@@ -2,27 +2,28 @@
 
 A benchmark run r uses seed base_seed + r for its split and for model
 initialization, so the whole experiment is a pure function of (graph,
-config).  Each split has one ``RunArtifacts``: the training graph, its
-adjacency, normalization and labels, and the models trained on them, each
-trained once on first use.  Hyperparameters with more than one grid point
-are chosen by validation AUC on run 0's artifacts and then frozen for the
-remaining runs; run 0 scores its test pairs on those same artifacts, so it
-reuses the search's split, training side and models.
+config).  ``BenchmarkConfig`` holds each input in one form, and each split
+has one ``RunArtifacts``: the split and its training graph, with the
+normalization, labels, heuristic index and models built on first use.
+Hyperparameters with more than one grid point are chosen by validation AUC
+on run 0's artifacts and then frozen for the remaining runs; run 0 scores
+its test pairs on those same artifacts, so it reuses the search's split,
+training side and models.
 
-Leakage discipline: ``build_run_artifacts``, ``RunArtifacts.model`` and
-``RunArtifacts.heuristics`` read only the training edges and the seed of
-the split; validation and test pairs enter only as scoring arguments.
+Leakage discipline: ``build_run_artifacts`` and every view of
+``RunArtifacts`` read only the training edges and the seed of the split;
+validation and test pairs enter only as scoring arguments.
 """
 
 from __future__ import annotations
 
 import logging
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .autoencoder import EmbeddingModel, ModelKind, TrainConfig, decode_pairs, train, training_labels
 from .data import DatasetSpec, load_dataset, write_report
@@ -80,6 +81,16 @@ class BenchmarkConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        # Each input takes its one form here; idempotent, as replace() reruns it.
+        if any(isinstance(b, Mapping) for b in self.katz_grid):
+            raise TypeError(f"katz_grid holds damping factors (numbers), got {self.katz_grid!r}")
+        put = object.__setattr__
+        specs = (s if isinstance(s, DatasetSpec) else DatasetSpec(id=str(s)) for s in self.datasets)
+        put(self, "datasets", tuple(specs))
+        put(self, "ratios", tuple(map(float, self.ratios)))
+        put(self, "katz_grid", tuple(map(float, self.katz_grid)))
+        put(self, "lgae_grid", tuple(map(dict, self.lgae_grid)))
+        put(self, "gae_grid", tuple(map(dict, self.gae_grid)))
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         for kind in self.scorers:
@@ -91,15 +102,14 @@ class BenchmarkConfig:
             raise ValueError(f"scorers must be distinct, got {[k.value for k in self.scorers]}")
 
 
-def _grid_for(kind: ScorerKind, config: BenchmarkConfig):
+def _grid_for(kind: ScorerKind, config: BenchmarkConfig) -> tuple:
+    """``kind``'s grid as a tuple of parameter dicts."""
     if kind in (ScorerKind.TWO_HOP, ScorerKind.RECON_TWO_HOP, ScorerKind.LGAE):
-        return tuple(config.lgae_grid)
+        return config.lgae_grid
     if kind is ScorerKind.GAE:
-        return tuple(config.gae_grid)
+        return config.gae_grid
     if kind is ScorerKind.KATZ:
-        return tuple(
-            p if isinstance(p, dict) else {"beta": float(p)} for p in config.katz_grid
-        )
+        return tuple({"beta": b} for b in config.katz_grid)
     return ({},)  # degree/path heuristics have nothing to tune
 
 
@@ -116,20 +126,26 @@ def _global_pairs(g: BipartiteGraph, local_pairs: np.ndarray) -> np.ndarray:
 class RunArtifacts:
     """The training side of one split, shared by every step that uses it.
 
-    Holds the training graph, its adjacency, normalization and labels, and
-    caches each model trained on them under (model kind, params), so tuning
-    and scoring on the same split train each distinct model once.  The
-    heuristic index is built from the training graph on first use and
-    shared by the five neighbourhood heuristics.  ``a_train`` is
-    ``g_train.adj`` itself.
+    Holds the split and its training graph.  The rest is built from the
+    training graph on first use and kept: the normalization and labels the
+    models read, the heuristic index, and each model under (model kind,
+    params), so tuning and scoring on one split train each model once.  A
+    run that scores only heuristics never builds the normalization or labels.
     """
 
     split: EdgeSplit
     g_train: BipartiteGraph
-    a_train: sp.csr_matrix
-    norm: NormalizedAdjacency
-    labels: sp.csr_matrix = field(repr=False)
     models: dict = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def norm(self) -> NormalizedAdjacency:
+        """The normalized adjacency of ``g_train``; built on first use."""
+        return normalize(adjacency(self.g_train))
+
+    @cached_property
+    def labels(self):
+        """The training labels of ``g_train``; built on first use."""
+        return training_labels(adjacency(self.g_train))
 
     def model(self, model_kind: ModelKind, params: dict) -> EmbeddingModel:
         """The ``model_kind`` model trained with ``params``; trains on first use."""
@@ -148,18 +164,13 @@ class RunArtifacts:
 
 def build_run_artifacts(g: BipartiteGraph, split: EdgeSplit) -> RunArtifacts:
     """Training side of ``split``.  Reads only split.train_edges and seed."""
-    gt = train_graph(g, split)
-    a_train = adjacency(gt)
-    return RunArtifacts(
-        split=split, g_train=gt, a_train=a_train, norm=normalize(a_train),
-        labels=training_labels(a_train),
-    )
+    return RunArtifacts(split=split, g_train=train_graph(g, split))
 
 
 def _score_pairs(kind: ScorerKind, pairs, artifacts: RunArtifacts, params: dict) -> np.ndarray:
     """One call of scorer ``kind`` with hyperparameters ``params`` over ``pairs``."""
     if kind is ScorerKind.KATZ:
-        return katz_score(artifacts.a_train, params.get("beta", 0.005), pairs).scores
+        return katz_score(adjacency(artifacts.g_train), params["beta"], pairs).scores
     if kind in HEURISTIC_KINDS:
         return heuristic_scores(artifacts.heuristics, kind, pairs).scores
     model = artifacts.model(ModelKind.GAE if kind is ScorerKind.GAE else ModelKind.LGAE, params)
@@ -177,7 +188,7 @@ def _pos_neg_scores(kind: ScorerKind, pos, neg, artifacts: RunArtifacts, params:
 
 
 def grid_search(artifacts: RunArtifacts, grid, scorer: ScorerKind):
-    """Pick the grid point maximizing validation AUC of ``scorer``.
+    """Pick the parameter dict in ``grid`` maximizing validation AUC of ``scorer``.
 
     Exhaustive; ties keep the earlier grid point.  Returns
     (chosen_params, validation_auc).  Each point scores the validation
@@ -187,7 +198,6 @@ def grid_search(artifacts: RunArtifacts, grid, scorer: ScorerKind):
     rejects (beta at or above 1 / spectral_radius of the training graph) are
     logged and skipped; ValueError lists them all if no point is feasible.
     """
-    grid = [dict(p) if isinstance(p, dict) else {"beta": float(p)} for p in grid]
     if not grid:
         raise ValueError("grid_search needs a nonempty grid")
     split = artifacts.split
@@ -216,7 +226,7 @@ def tune_scorers(artifacts: RunArtifacts, config: BenchmarkConfig) -> dict:
     for kind in config.scorers:
         grid = _grid_for(kind, config)
         if len(grid) == 1:
-            tuned[kind] = dict(grid[0])
+            tuned[kind] = grid[0]
         else:
             point, val_auc = grid_search(artifacts, grid, kind)
             logger.info(
@@ -249,7 +259,7 @@ def run_experiment(
     test_neg = _global_pairs(artifacts.g_train, split.test_neg)
     reports = []
     for kind in config.scorers:
-        pos, neg = _pos_neg_scores(kind, test_pos, test_neg, artifacts, tuned.get(kind, {}))
+        pos, neg = _pos_neg_scores(kind, test_pos, test_neg, artifacts, tuned[kind])
         reports.append(
             MetricReport(
                 dataset=dataset_id,
@@ -312,8 +322,6 @@ def run_benchmark(config: BenchmarkConfig, data_dir=None) -> Summary:
     missing = []
     all_reports = []
     for spec in config.datasets:
-        if not isinstance(spec, DatasetSpec):
-            spec = DatasetSpec(id=str(spec))
         try:
             g = load_dataset(spec, data_dir=data_dir)
         except Exception as exc:
@@ -486,6 +494,7 @@ def diagnose(
 
 
 _CONFIG_KEYS = frozenset(f.name for f in fields(BenchmarkConfig))
+_DATASET_KEYS = frozenset(f.name for f in fields(DatasetSpec))
 
 
 def config_from_dict(raw: dict) -> BenchmarkConfig:
@@ -497,44 +506,30 @@ def config_from_dict(raw: dict) -> BenchmarkConfig:
       runs, base_seed: ints
       ratios:     [train, val, test] floats summing to 1
       lgae_grid / gae_grid: list of {"learning_rate", "epochs", "embed_dim"[, "hidden_dim"]}
-      katz_grid:  list of damping factors
+      katz_grid:  list of positive damping factors (numbers)
       time_budget_s: seconds per dataset (null = unlimited)
       out_dir:    directory for CSV reports
     """
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    kwargs: dict = {}
+    # BenchmarkConfig itself gives ratios, grids and dataset ids their form.
+    kwargs = {key: raw[key] for key in ("ratios", "lgae_grid", "gae_grid", "katz_grid") if key in raw}
     if "datasets" in raw:
         specs = []
         for entry in raw["datasets"]:
-            if isinstance(entry, str):
-                specs.append(DatasetSpec(id=entry))
-            else:
-                extra = set(entry) - {"id", "source", "expected_nodes", "expected_edges"}
+            if not isinstance(entry, str):
+                extra = set(entry) - _DATASET_KEYS
                 if extra:
                     raise ValueError(f"unknown dataset keys: {sorted(extra)}")
-                specs.append(
-                    DatasetSpec(
-                        id=entry["id"],
-                        source=entry.get("source"),
-                        expected_nodes=entry.get("expected_nodes"),
-                        expected_edges=entry.get("expected_edges"),
-                    )
-                )
-        kwargs["datasets"] = tuple(specs)
+                entry = DatasetSpec(**entry)
+            specs.append(entry)
+        kwargs["datasets"] = specs
     if "scorers" in raw:
         kwargs["scorers"] = tuple(ScorerKind.parse(s) for s in raw["scorers"])
     for key in ("runs", "base_seed"):
         if key in raw:
             kwargs[key] = int(raw[key])
-    if "ratios" in raw:
-        kwargs["ratios"] = tuple(float(r) for r in raw["ratios"])
-    for key in ("lgae_grid", "gae_grid"):
-        if key in raw:
-            kwargs[key] = tuple(dict(p) for p in raw[key])
-    if "katz_grid" in raw:
-        kwargs["katz_grid"] = tuple(raw["katz_grid"])
     if "time_budget_s" in raw and raw["time_budget_s"] is not None:
         kwargs["time_budget_s"] = float(raw["time_budget_s"])
     if "out_dir" in raw and raw["out_dir"] is not None:

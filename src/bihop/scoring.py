@@ -238,8 +238,12 @@ def _common_scores(index: HeuristicIndex, u: int, v: int) -> tuple:
     common = nu & n2
     c = len(common)
     union = len(nu) + len(n2) - c
-    aa, ra = index.aa_terms.__getitem__, index.ra_terms.__getitem__
-    return c, c / union if union else 0.0, sum(map(aa, common)), sum(map(ra, common))
+    aa_terms, ra_terms = index.aa_terms, index.ra_terms
+    aa = ra = 0.0  # a left-to-right fold: sum() compensates floats from Python 3.12
+    for b in common:
+        aa += aa_terms[b]
+        ra += ra_terms[b]
+    return c, c / union if union else 0.0, aa, ra
 
 
 def heuristic_index(g_train: BipartiteGraph) -> HeuristicIndex:

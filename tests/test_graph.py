@@ -11,6 +11,8 @@ Checks, among other things:
   * the 2-node single-edge graph normalizes to all entries exactly 0.5
 """
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -46,6 +48,12 @@ class TestBuildGraph:
     def test_duplicates_dropped(self):
         g = build_graph(2, 2, [(0, 0), (0, 0), (1, 1), (0, 0)])
         assert g.m == 2
+
+    def test_duplicate_count_logged(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="bihop.graph"):
+            build_graph(2, 3, [(1, 2), (0, 0), (1, 2), (0, 1), (1, 2)])
+            build_graph(2, 3, [])
+        assert caplog.messages == ["dropped 2 duplicate edge pair(s)"]
 
     def test_out_of_range_raises_with_position(self):
         with pytest.raises(GraphInputError) as exc:

@@ -104,6 +104,31 @@ class TestBenchmarkConfig:
         config = BenchmarkConfig(scorers=(ScorerKind.COMMON_NEIGHBORS,), lgae_grid=())
         assert config.lgae_grid == ()
 
+    def test_katz_grid_scalars_coerced_mappings_rejected(self):
+        """Katz points are damping factors; a mapping used to score as the
+        default beta whatever it held, so it is refused at construction."""
+        config = BenchmarkConfig(scorers=(ScorerKind.KATZ,), katz_grid=[1, "0.01"])
+        assert config.katz_grid == (1.0, 0.01)
+        assert all(type(b) is float for b in config.katz_grid)
+        assert harness._grid_for(ScorerKind.KATZ, config) == ({"beta": 1.0}, {"beta": 0.01})
+        for grid in (({},), ({"beta": 0.005, "gamma": 3},), (0.001, {"beta": 0.01})):
+            with pytest.raises(TypeError, match="katz_grid"):
+                BenchmarkConfig(katz_grid=grid)
+
+    def test_inputs_take_one_form(self):
+        """Dataset ids become DatasetSpecs, ratios floats and model grids
+        tuples of dicts, once, at construction; replace() keeps that form."""
+        spec = DatasetSpec(id="er", source={"model": "er", "n_left": 3, "n_right": 3, "p": 0.5})
+        config = BenchmarkConfig(
+            datasets=["southern_women", spec], ratios=[1, 0, 0], lgae_grid=[SMALL_GRID[0]],
+        )
+        assert config.datasets == (DatasetSpec(id="southern_women"), spec)
+        assert config.ratios == (1.0, 0.0, 0.0) and all(type(r) is float for r in config.ratios)
+        assert config.lgae_grid == SMALL_GRID and type(config.lgae_grid) is tuple
+        assert harness._grid_for(ScorerKind.TWO_HOP, config) is config.lgae_grid
+        assert dataclasses.replace(config) == config
+        assert dataclasses.replace(config, runs=3).datasets == config.datasets
+
 
 class TestRunExperiment:
     def test_deterministic_reports(self):
@@ -182,6 +207,16 @@ class TestRunExperiment:
             report = run_experiment(build_run_artifacts(g, split), config, run_index)[0]
             assert report.auc == expected
 
+    def test_tuned_missing_a_configured_scorer_raises(self):
+        """``tuned`` must cover every configured scorer; a missing one is an
+        error, not a silent fall back to default hyperparameters."""
+        g = southern_women_graph()
+        config = small_config(scorers=(ScorerKind.TWO_HOP, ScorerKind.JACCARD))
+        artifacts = artifacts_for(g, config, 0)
+        with pytest.raises(KeyError):
+            run_experiment(artifacts, config, 0, tuned={ScorerKind.JACCARD: {}})
+        assert artifacts.models == {}
+
 
 class TestGridSearch:
     def test_singleton_grid_returns_that_point(self, block_graph):
@@ -228,13 +263,13 @@ class TestGridSearch:
             build_run_artifacts(block_graph, split), grid, ScorerKind.LGAE
         ) == grid_search(build_run_artifacts(block_graph, split), grid, ScorerKind.LGAE)
 
-    def test_katz_scalar_grid_points_coerced(self, block_graph):
+    def test_takes_parameter_dicts_only(self, block_graph):
         split = split_edges(block_graph, DEFAULT_RATIOS, seed=0)
-        point, _ = grid_search(
-            build_run_artifacts(block_graph, split), (0.001, 0.01), ScorerKind.KATZ
-        )
-        assert set(point) == {"beta"}
-        assert point["beta"] in (0.001, 0.01)
+        artifacts = build_run_artifacts(block_graph, split)
+        point, _ = grid_search(artifacts, ({"beta": 0.001}, {"beta": 0.01}), ScorerKind.KATZ)
+        assert point in ({"beta": 0.001}, {"beta": 0.01})
+        with pytest.raises(TypeError):
+            grid_search(artifacts, (0.001, 0.01), ScorerKind.KATZ)
 
     def test_empty_grid_rejected(self, block_graph):
         split = split_edges(block_graph, DEFAULT_RATIOS, seed=0)
@@ -245,6 +280,11 @@ class TestGridSearch:
 DENSE_ER = {"model": "er", "n_left": 300, "n_right": 500, "p": 0.1, "seed": 0}
 
 
+def katz_points(betas):
+    """Katz grid points as the parameter dicts ``grid_search`` takes."""
+    return tuple({"beta": b} for b in betas)
+
+
 class TestKatzFeasibility:
     """On this graph 1 / spectral_radius is about 0.03, below the default
     grid's beta = 0.05, which the closed-form Katz resolvent cannot use."""
@@ -253,7 +293,7 @@ class TestKatzFeasibility:
     def dense_er(self):
         g = generate_bipartite_er(300, 500, 0.1, seed=0)
         artifacts = build_run_artifacts(g, split_edges(g, DEFAULT_RATIOS, seed=0))
-        limit = 1.0 / adjacency_spectral_radius(artifacts.a_train)
+        limit = 1.0 / adjacency_spectral_radius(artifacts.g_train.adj)
         return artifacts, limit
 
     def test_default_grid_skips_infeasible_points(self, dense_er, caplog):
@@ -261,7 +301,7 @@ class TestKatzFeasibility:
         infeasible = [beta for beta in DEFAULT_KATZ_GRID if beta >= limit]
         assert infeasible == [0.05]
         with caplog.at_level(logging.WARNING, logger="bihop.harness"):
-            point, val_auc = grid_search(artifacts, DEFAULT_KATZ_GRID, ScorerKind.KATZ)
+            point, val_auc = grid_search(artifacts, katz_points(DEFAULT_KATZ_GRID), ScorerKind.KATZ)
         assert point["beta"] < limit
         assert 0.0 <= val_auc <= 1.0
         assert "{'beta': 0.05} skipped" in caplog.text
@@ -276,13 +316,13 @@ class TestKatzFeasibility:
     def test_all_infeasible_grid_lists_every_point(self, dense_er):
         artifacts, _ = dense_er
         with pytest.raises(ValueError, match="no feasible katz grid point") as exc:
-            grid_search(artifacts, (0.5, 0.9), ScorerKind.KATZ)
+            grid_search(artifacts, katz_points((0.5, 0.9)), ScorerKind.KATZ)
         assert "{'beta': 0.5}" in str(exc.value) and "{'beta': 0.9}" in str(exc.value)
 
     def test_other_errors_propagate(self, dense_er):
         artifacts, _ = dense_er
         with pytest.raises(ValueError, match="beta must be positive"):
-            grid_search(artifacts, (0.001, -0.1), ScorerKind.KATZ)
+            grid_search(artifacts, katz_points((0.001, -0.1)), ScorerKind.KATZ)
 
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="exception notes need Python 3.11")
     def test_run0_tuning_failure_carries_run_note(self):
@@ -446,6 +486,25 @@ class TestSharedTrainingSide:
         test = np.concatenate([split.test_pos, split.test_neg])
         test_pairs = {(u, g.n_left + v) for u, v in test.tolist()}
         assert sorted(built) == sorted(test_pairs)
+
+    def test_heuristics_only_build_no_training_side(self, monkeypatch):
+        """A heuristic-only run reads the heuristic index alone: it never
+        normalizes the training adjacency or builds training labels."""
+        norms = count_calls(monkeypatch, "normalize")
+        labels = count_calls(monkeypatch, "training_labels")
+        kept = []
+        real = harness.build_run_artifacts
+
+        def recorded(g, split):
+            kept.append(real(g, split))
+            return kept[-1]
+
+        monkeypatch.setattr(harness, "build_run_artifacts", recorded)
+        run_five_heuristics()
+        (artifacts,) = kept
+        assert "heuristics" in vars(artifacts)
+        assert "norm" not in vars(artifacts) and "labels" not in vars(artifacts)
+        assert (norms, labels) == ([], [])
 
 
 def rebuilt(kind):
@@ -652,6 +711,31 @@ class TestDiagnose:
         for cm in (d.recon_confusion, d.norm_confusion):
             assert cm.tp + cm.fp + cm.fn + cm.tn == cells
             assert cm.tp + cm.fn == g.m
+
+    def test_large_graph_confusion_samples_one_non_edge_per_edge(self, bundle, monkeypatch):
+        """Above CONFUSION_PAIR_LIMIT nodes the population is every edge plus
+        as many sampled non-edges, not every cross pair."""
+        g, _ = bundle
+        monkeypatch.setattr(harness, "CONFUSION_PAIR_LIMIT", g.n - 1)
+        pairs, labels = harness._confusion_population(g, seed=11)
+        m = g.m
+        assert pairs.shape == (2 * m, 2)
+        assert np.array_equal(pairs[:m], g.edges + (0, g.n_left))
+        sampled = pairs[m:] - (0, g.n_left)
+        assert ((0 <= sampled) & (sampled < (g.n_left, g.n_right))).all()
+        assert len({(u, v) for u, v in sampled.tolist()}) == m
+        assert not any(g.has_edge(u, v) for u, v in sampled.tolist())
+        assert labels.tolist() == [1] * m + [0] * m
+        again, again_labels = harness._confusion_population(g, seed=11)
+        assert np.array_equal(again, pairs) and np.array_equal(again_labels, labels)
+
+        config = small_config(datasets=())
+        d = diagnose(g, config, dataset_id="blocks", seed=4)
+        for cm in (d.recon_confusion, d.norm_confusion):
+            assert cm.tp + cm.fp + cm.fn + cm.tn == 2 * m
+            assert cm.tp + cm.fn == m
+        assert d.norm_confusion.fp == 0
+        assert diagnose(g, config, dataset_id="blocks", seed=4) == d
 
     def test_norm_surface_never_false_positive(self, bundle):
         # The normalized training adjacency is nonzero only on training

@@ -92,6 +92,26 @@ def two_step_loop(g, v):
     return out
 
 
+def fold(terms):
+    """Float sum added left to right.  The builtin sum() compensates float
+    sums from Python 3.12 on, so the oracles spell the loop out."""
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
+def neumaier(terms):
+    """Neumaier's compensated sum, the algorithm of sum() on floats from
+    Python 3.12; written here so every version can compare against it."""
+    total = comp = 0.0
+    for t in terms:
+        nxt = total + t
+        comp += (total - nxt) + t if abs(total) >= abs(t) else (t - nxt) + total
+        total = nxt
+    return total + comp
+
+
 def heuristic_loop(g, kind, pairs):
     """The per-pair set code the shared heuristic index replaced: N(u)
     rebuilt for every pair, N2(v) built once per call, degrees read per
@@ -114,9 +134,9 @@ def heuristic_loop(g, kind, pairs):
             union = len(nu | n2)
             out.append(len(common) / union if union else 0.0)
         elif kind is ScorerKind.ADAMIC_ADAR:
-            out.append(float(sum(1.0 / math.log(g.degree(b)) for b in common if g.degree(b) >= 2)))
+            out.append(fold(1.0 / math.log(g.degree(b)) for b in common if g.degree(b) >= 2))
         else:
-            out.append(float(sum(1.0 / g.degree(b) for b in common)))
+            out.append(fold(1.0 / g.degree(b) for b in common))
     return np.array(out, dtype=np.float64)
 
 
@@ -506,9 +526,25 @@ class TestHeuristics:
             assert np.array_equal(got, heuristic_loop(g, kind, pairs)), kind
         terms = index.aa_terms
         ascending = [
-            sum(terms[b] for b in sorted(index.neighbor_sets[u] & index.two_step(v))) for u, v in pairs
+            fold(terms[b] for b in sorted(index.neighbor_sets[u] & index.two_step(v))) for u, v in pairs
         ]
         assert not np.array_equal(heuristic_scores(index, ScorerKind.ADAMIC_ADAR, pairs).scores, ascending)
+
+    def test_sums_are_left_to_right_folds(self):
+        """aa and ra add their terms left to right in C's order, on every
+        Python version: they equal the plain fold and, for some pair, differ
+        from the compensated sum that builtin sum() uses from Python 3.12."""
+        g = generate_bipartite_er(60, 110, 0.3, seed=3)
+        index = heuristic_index(g)
+        pairs = het_pairs(g)[::7]
+        commons = [index.neighbor_sets[u] & index.two_step(v) for u, v in pairs]
+        for kind, terms in (
+            (ScorerKind.ADAMIC_ADAR, index.aa_terms), (ScorerKind.RESOURCE_ALLOCATION, index.ra_terms)
+        ):
+            got = heuristic_scores(index, kind, pairs).scores
+            assert got.tobytes() == np.array([fold(terms[b] for b in c) for c in commons]).tobytes(), kind
+        compensated = [neumaier(index.aa_terms[b] for b in c) for c in commons]
+        assert not np.array_equal(heuristic_scores(index, ScorerKind.ADAMIC_ADAR, pairs).scores, compensated)
 
     @pytest.mark.parametrize("shape", [(60, 110, 0.3), (200, 300, 0.02)])
     def test_two_step_sets_keep_the_loop_order(self, shape):
