@@ -517,11 +517,13 @@ def config_from_dict(raw: dict) -> BenchmarkConfig:
     kwargs = {key: raw[key] for key in ("ratios", "lgae_grid", "gae_grid", "katz_grid") if key in raw}
     if "datasets" in raw:
         specs = []
-        for entry in raw["datasets"]:
+        for i, entry in enumerate(raw["datasets"]):
             if not isinstance(entry, str):
                 extra = set(entry) - _DATASET_KEYS
                 if extra:
-                    raise ValueError(f"unknown dataset keys: {sorted(extra)}")
+                    raise ValueError(f"unknown dataset keys in datasets[{i}]: {sorted(extra)}")
+                if "id" not in entry:
+                    raise ValueError(f"datasets[{i}] has no 'id': {entry!r}")
                 entry = DatasetSpec(**entry)
             specs.append(entry)
         kwargs["datasets"] = specs

@@ -17,6 +17,9 @@ and ``recon_two_hop`` computes the needed columns of R per chunk of pairs.
 Only Katz keeps two forms, because they compute different quantities: the
 closed form up to ``DENSE_THRESHOLD`` (4096) nodes, a truncated series
 above it.  The graph size alone picks the form; no argument overrides it.
+The series reads only the pairs' entries: its first hops are sparse
+products of a block of target columns, and its last hop is computed
+pointwise at the pairs, by the same CSR row gather ``two_hop`` uses.
 
 All scorers accept node pairs in GLOBAL indexing (left block first), as a
 (k, 2) integer array or a sequence of integer pairs, reject anything else
@@ -123,12 +126,19 @@ def _check_model_size(model: EmbeddingModel, n: int):
         )
 
 
-def _row_hop(mat: sp.csr_matrix, z: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """sum_w mat[r, w] * sigmoid(z_w . z_c) for every (r, c): one CSR gather."""
+def _gather_rows(mat: sp.csr_matrix, rows: np.ndarray):
+    """(seg, pos): entry ``pos[i]`` of ``mat``'s CSR arrays lies in row
+    ``rows[seg[i]]``; the rows in the order given, each in stored order."""
     starts = mat.indptr[rows]
     counts = mat.indptr[rows + 1] - starts
     seg = np.repeat(np.arange(rows.size), counts)
     pos = np.arange(seg.size) + (starts - (np.cumsum(counts) - counts))[seg]
+    return seg, pos
+
+
+def _row_hop(mat: sp.csr_matrix, z: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """sum_w mat[r, w] * sigmoid(z_w . z_c) for every (r, c): one CSR gather."""
+    seg, pos = _gather_rows(mat, rows)
     dots = np.einsum("ij,ij->i", z[mat.indices[pos]], z[cols[seg]])
     return np.bincount(seg, weights=mat.data[pos] * expit(dots), minlength=rows.size)
 
@@ -160,16 +170,19 @@ def recon_two_hop_score(model: EmbeddingModel, pairs) -> PairScores:
     """Two-hop score using the reconstruction for both hops (R @ R).
 
     Symmetric without extra averaging since R is symmetric.  The two needed
-    columns of R are computed on the fly per chunk of ``_PAIR_CHUNK`` pairs.
+    columns of R are computed on the fly per chunk of ``_PAIR_CHUNK`` pairs,
+    the sigmoid and the product written into the matmul results.
     """
     z = model.Z
     pairs, us, vs = _as_index_arrays(pairs, z.shape[0])
     scores = np.empty(len(pairs))
     for lo in range(0, len(pairs), _PAIR_CHUNK):
         hi = min(lo + _PAIR_CHUNK, len(pairs))
-        row_u = expit(z @ z[us[lo:hi]].T)
-        row_v = expit(z @ z[vs[lo:hi]].T)
-        scores[lo:hi] = np.sum(row_u * row_v, axis=0)
+        row_u = z @ z[us[lo:hi]].T
+        row_v = z @ z[vs[lo:hi]].T
+        expit(row_u, out=row_u)
+        expit(row_v, out=row_v)
+        scores[lo:hi] = np.sum(np.multiply(row_u, row_v, out=row_u), axis=0)
     return PairScores(pairs=pairs, scores=scores, scorer=ScorerKind.RECON_TWO_HOP)
 
 
@@ -313,8 +326,25 @@ def adjacency_spectral_radius(a: sp.spmatrix) -> float:
         return 0.0
     if n <= 64:
         return float(np.max(np.abs(np.linalg.eigvalsh(a.toarray()))))
-    vals = sp.linalg.eigsh(a.asfptype(), k=1, which="LM", return_eigenvectors=False)
+    # A fixed start vector: ARPACK's random one moves the radius in its last bits.
+    vals = sp.linalg.eigsh(a.asfptype(), k=1, which="LM", v0=np.ones(n), return_eigenvectors=False)
     return float(abs(vals[0]))
+
+
+def _entries(x: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """x's stored values at (rows, cols), 0.0 where it stores none."""
+    return np.asarray(x[rows, cols]).ravel() if rows.size else np.zeros(0)
+
+
+def _hop_at(damped: sp.csr_matrix, x: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(damped @ x)[rows, cols] without the product: a gather of ``damped``'s
+    rows and a ``bincount``.  bincount adds a row's terms in stored order, as
+    scipy's CSR x CSR product does, and an entry missing from ``x`` adds
+    +0.0, so each value is bit-identical to the product's.  The gather holds
+    one entry per stored entry of the rows, at most len(rows) x max degree."""
+    seg, pos = _gather_rows(damped, rows)
+    terms = damped.data[pos] * _entries(x, damped.indices[pos], cols[seg])
+    return np.bincount(seg, weights=terms, minlength=rows.size)
 
 
 def katz_score(a_train: sp.spmatrix, beta: float, pairs, series_terms: int = 5) -> PairScores:
@@ -325,10 +355,12 @@ def katz_score(a_train: sp.spmatrix, beta: float, pairs, series_terms: int = 5) 
     beta < 1 / spectral_radius(A) (KatzDivergenceError otherwise); larger
     graphs use the truncated series sum_{l=1..L} (beta A)^l with
     L = ``series_terms``.  The series runs once for the unique target
-    columns, ``_KATZ_COLUMNS`` at a time, as sparse matrix products
-    (x = beta A x; acc += x), so it never materializes an n x n dense
-    matrix and each score is bit-identical to propagating its target
-    column alone.
+    columns, ``_KATZ_COLUMNS`` at a time.  Hops 1 to L - 1 are sparse
+    products x_l = beta A x_{l-1} of the block; the last hop is computed
+    only at the pairs' (u, target) entries by ``_hop_at``.  Each pair adds
+    its x_1 .. x_L entries in hop order, so no n x n or n x block dense
+    matrix is built, and each score is bit-identical to propagating its
+    target column alone through all L sparse products.
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
@@ -350,15 +382,18 @@ def katz_score(a_train: sp.spmatrix, beta: float, pairs, series_terms: int = 5) 
         targets, column = np.unique(vs, return_inverse=True)
         for lo in range(0, targets.size, _KATZ_COLUMNS):
             block = targets[lo : lo + _KATZ_COLUMNS]
+            sel = np.flatnonzero((column >= lo) & (column < lo + block.size))
+            rows, cols = us[sel], column[sel] - lo
             x = sp.csr_matrix(
                 (np.ones(block.size), (block, np.arange(block.size))), shape=(n, block.size)
             )
-            acc = sp.csr_matrix((n, block.size))
-            for _ in range(series_terms):
+            total = np.zeros(sel.size)
+            for _ in range(series_terms - 1):
                 x = damped @ x
-                acc = acc + x
-            sel = np.flatnonzero((column >= lo) & (column < lo + block.size))
-            scores[sel] = acc.toarray()[us[sel], column[sel] - lo]
+                total += _entries(x, rows, cols)
+            if series_terms > 0:
+                total += _hop_at(damped, x, rows, cols)
+            scores[sel] = total
     return PairScores(pairs=pairs, scores=np.asarray(scores, dtype=np.float64), scorer=ScorerKind.KATZ)
 
 

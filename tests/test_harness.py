@@ -867,6 +867,11 @@ class TestConfigFromDict:
         with pytest.raises(ValueError, match="unknown dataset keys.*url"):
             config_from_dict({"datasets": [{"id": "x", "url": "http://x"}]})
 
+    def test_dataset_mapping_without_id_rejected(self):
+        """A mapping with no id is named by its position, not a bare TypeError."""
+        with pytest.raises(ValueError, match=r"datasets\[1\] has no 'id'"):
+            config_from_dict({"datasets": ["toy", {"source": None}]})
+
     @pytest.mark.parametrize("names", [["pa", "pa"], ["pa", "pref_attach"]])
     def test_duplicate_scorer_rejected(self, names):
         with pytest.raises(ValueError, match="distinct"):

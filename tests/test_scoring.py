@@ -339,6 +339,24 @@ class TestReconTwoHop:
         want = (recon @ recon)[arr[:, 0], arr[:, 1]]
         assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
 
+    def test_chunks_match_spelled_out_products(self):
+        """Over more pairs than one chunk, every score equals the chunk's
+        sum of the two sigmoid columns' product, byte for byte."""
+        rng = np.random.default_rng(67)
+        g = build_graph(20, 25, [(i, i) for i in range(20)])
+        z = rng.standard_normal((g.n, 3))
+        pairs = np.asarray(het_pairs(g))  # 500 pairs > the 256-pair chunk
+        chunk = scoring._PAIR_CHUNK
+        assert len(pairs) > chunk
+        got = recon_two_hop_score(model_for(g, z), pairs).scores
+        want = np.concatenate(
+            [
+                np.sum(expit(z @ z[c[:, 0]].T) * expit(z @ z[c[:, 1]].T), axis=0)
+                for c in np.array_split(pairs, range(chunk, len(pairs), chunk))
+            ]
+        )
+        assert np.array_equal(got, want)
+
 
 class TestDecodeScore:
     def test_matches_decoder(self):
@@ -656,15 +674,23 @@ class TestKatz:
         assert fwd == pytest.approx(rev, rel=1e-12)
 
     def test_series_bit_identical_to_per_pair_loop(self):
-        """More unique targets than one column chunk, repeated targets and
-        both pair orientations: every score equals the per-pair walk."""
+        """More unique targets than one column chunk, repeated targets, both
+        pair orientations, and a left node and a target with no training
+        neighbours: every score equals the per-pair walk, for a series that
+        is its pointwise last hop alone (1 term) and for series whose last
+        hop follows one or more sparse products (2, 3, 5 terms)."""
         rng = np.random.default_rng(79)
         for n_left, n_right in ((150, 170), (40, 30)):
+            # Left node 0 and right node 0 (global n_left) stay isolated.
             edges = [
-                (u, v) for u in range(n_left) for v in range(n_right) if rng.random() < 0.03
+                (u, v)
+                for u in range(1, n_left)
+                for v in range(1, n_right)
+                if rng.random() < 0.03
             ]
             g = build_graph(n_left, n_right, edges)
             a = adjacency(g)
+            assert a[0].nnz == 0 and a[n_left].nnz == 0
             # Random symmetric weights make the sum's rounding depend on its
             # order, so a reordered accumulation shows up as a mismatch.
             upper = sp.triu(a).multiply(rng.uniform(0.5, 2.0, size=a.shape))
@@ -672,10 +698,11 @@ class TestKatz:
             targets = np.concatenate([np.arange(g.n), rng.integers(0, g.n, size=50)])
             pairs = [(int(rng.integers(g.n)), int(v)) for v in targets]
             pairs += [(v, u) for u, v in pairs[:60]]
+            pairs += [(0, n_left + 1), (1, n_left), (0, n_left), (0, 1)]
             if n_left == 150:
                 assert len({v for _, v in pairs}) > scoring._KATZ_COLUMNS
             for matrix, beta in ((a, 0.05), (weighted, 0.3)):
-                for terms in (1, 5):
+                for terms in (1, 2, 3, 5):
                     with katz_form("series"):
                         got = katz_score(matrix, beta, pairs, series_terms=terms).scores
                     assert np.array_equal(got, katz_series_loop(matrix, beta, pairs, terms))
@@ -694,6 +721,17 @@ class TestKatz:
         small = adjacency_spectral_radius(a)
         dense = float(np.max(np.abs(np.linalg.eigvalsh(a.toarray()))))
         assert small == pytest.approx(dense, rel=1e-10)
+
+    def test_spectral_radius_repeats_bit_for_bit(self):
+        """Above 64 nodes ARPACK runs from a fixed start vector, so the radius
+        that decides Katz feasibility is the same on every call."""
+        rng = np.random.default_rng(78)
+        edges = [(u, v) for u in range(60) for v in range(50) if rng.random() < 0.1]
+        a = adjacency(build_graph(60, 50, edges))
+        radii = {adjacency_spectral_radius(a) for _ in range(5)}
+        assert len(radii) == 1
+        dense = float(np.max(np.abs(np.linalg.eigvalsh(a.toarray()))))
+        assert radii.pop() == pytest.approx(dense, rel=1e-10)
 
     def test_empty_graph_radius_zero(self):
         g = build_graph(3, 3, [])
