@@ -103,10 +103,17 @@ def lgae_forward(norm_adj: NormalizedAdjacency, w: np.ndarray) -> np.ndarray:
     return sparse_dense_product(norm_adj, w)
 
 
+def _gae_parts(norm_adj: NormalizedAdjacency, w0: np.ndarray, w1: np.ndarray) -> tuple:
+    """(pre, hidden, Z) of the GCN encoder: pre = An @ W0, hidden = relu(pre),
+    Z = An @ hidden @ W1; the gradient reads pre and hidden back."""
+    pre = sparse_dense_product(norm_adj, w0)
+    hidden = np.maximum(pre, 0.0)
+    return pre, hidden, sparse_dense_product(norm_adj, hidden) @ w1
+
+
 def gae_forward(norm_adj: NormalizedAdjacency, w0: np.ndarray, w1: np.ndarray) -> np.ndarray:
     """Two-layer GCN encoder: Z = An @ relu(An @ W0) @ W1."""
-    hidden = np.maximum(sparse_dense_product(norm_adj, w0), 0.0)
-    return sparse_dense_product(norm_adj, hidden) @ w1
+    return _gae_parts(norm_adj, w0, w1)[2]
 
 
 def forward(weights: tuple, norm_adj: NormalizedAdjacency) -> np.ndarray:
@@ -234,13 +241,12 @@ def loss_gradient(weights, norm_adj, labels, lw: LossWeights, block_rows=TILE_SI
 
 
 def _loss_value_and_gradient(weights, norm_adj, tiles, lw):
-    z = forward(weights, norm_adj)
-    loss, dz = _loss_and_gz(z, tiles, lw, True)
-    if len(weights) == 1:
+    if len(weights) != 2:
+        loss, dz = _loss_and_gz(forward(weights, norm_adj), tiles, lw, True)
         return loss, (sparse_dense_product(norm_adj, dz),)
     w0, w1 = weights
-    pre = sparse_dense_product(norm_adj, w0)
-    hidden = np.maximum(pre, 0.0)
+    pre, hidden, z = _gae_parts(norm_adj, w0, w1)
+    loss, dz = _loss_and_gz(z, tiles, lw, True)
     a_dz = sparse_dense_product(norm_adj, dz)
     dw1 = hidden.T @ a_dz
     d_pre = (a_dz @ w1.T) * (pre > 0.0)

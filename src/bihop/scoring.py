@@ -13,7 +13,8 @@ Every scorer takes a whole pair sequence and scores it in one call; a pair's
 score does not depend on the other pairs in the call, so positives and
 negatives can be scored together and sliced apart.  Neither two-hop scorer
 ever materializes an n x n matrix: ``two_hop`` gathers the sparse rows of An
-and ``recon_two_hop`` computes the needed columns of R per chunk of pairs.
+and ``recon_two_hop`` computes the needed columns of R per chunk of pairs,
+over blocks of Z's rows; each keeps about ``_GATHER_ENTRIES`` floats alive.
 Only Katz keeps two forms, because they compute different quantities: the
 closed form up to ``DENSE_THRESHOLD`` (4096) nodes, a truncated series
 above it.  The graph size alone picks the form; no argument overrides it.
@@ -169,20 +170,38 @@ def two_hop_score(model: EmbeddingModel, norm_adj: NormalizedAdjacency, pairs) -
 def recon_two_hop_score(model: EmbeddingModel, pairs) -> PairScores:
     """Two-hop score using the reconstruction for both hops (R @ R).
 
-    Symmetric without extra averaging since R is symmetric.  The two needed
-    columns of R are computed on the fly per chunk of ``_PAIR_CHUNK`` pairs,
-    the sigmoid and the product written into the matmul results.
+    Symmetric without extra averaging since R is symmetric.  Per chunk of
+    ``_PAIR_CHUNK`` pairs, the two needed columns of R are computed over
+    blocks of ``_GATHER_ENTRIES // _PAIR_CHUNK`` rows of Z, so each matmul
+    result holds about ``_GATHER_ENTRIES`` floats (the bound ``two_hop``
+    keeps) and takes the sigmoid and the product in place.  A block's first
+    row is seeded with the column sums of the rows before it, which
+    continues numpy's row-by-row axis-0 sum, so each score is bit-identical
+    to summing the whole n-row columns.  Two shapes would round differently
+    and are kept out: a lone last row joins the block before it (a one-row
+    matmul goes to BLAS's gemv), and a one-pair chunk takes all n rows at
+    once (numpy sums a single column pairwise, not row by row).
     """
     z = model.Z
-    pairs, us, vs = _as_index_arrays(pairs, z.shape[0])
+    n = z.shape[0]
+    pairs, us, vs = _as_index_arrays(pairs, n)
+    rows = max(1, _GATHER_ENTRIES // _PAIR_CHUNK)
     scores = np.empty(len(pairs))
     for lo in range(0, len(pairs), _PAIR_CHUNK):
         hi = min(lo + _PAIR_CHUNK, len(pairs))
-        row_u = z @ z[us[lo:hi]].T
-        row_v = z @ z[vs[lo:hi]].T
-        expit(row_u, out=row_u)
-        expit(row_v, out=row_v)
-        scores[lo:hi] = np.sum(np.multiply(row_u, row_v, out=row_u), axis=0)
+        zu, zv = z[us[lo:hi]].T, z[vs[lo:hi]].T
+        bounds = [*range(0, max(n - 1, 1), rows if hi - lo > 1 else n), n]
+        acc = None
+        for r, end in zip(bounds, bounds[1:]):
+            row_u = z[r:end] @ zu
+            row_v = z[r:end] @ zv
+            expit(row_u, out=row_u)
+            expit(row_v, out=row_v)
+            np.multiply(row_u, row_v, out=row_u)
+            if acc is not None:
+                row_u[0] += acc
+            acc = np.sum(row_u, axis=0)
+        scores[lo:hi] = acc
     return PairScores(pairs=pairs, scores=scores, scorer=ScorerKind.RECON_TWO_HOP)
 
 

@@ -23,6 +23,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from bihop import autoencoder
 from bihop.autoencoder import (
     TILE_SIDE,
     EmbeddingModel,
@@ -340,6 +341,47 @@ class TestGradients:
         doubled = LossWeights(pos_weight=lw.pos_weight, norm=2.0 * lw.norm)
         (g2,) = loss_gradient(weights, norm, labels, doubled)
         assert np.allclose(g2, 2.0 * g1, rtol=1e-12, atol=0)
+
+    def test_gae_gradient_reuses_the_forward_pass(self, monkeypatch):
+        """One GAE gradient makes four sparse products, not five: pre and
+        hidden come from the forward pass.  Training matches the former
+        formula, which recomputed them, byte for byte."""
+
+        def recomputing(weights, norm_adj, tiles, lw):
+            spmm = autoencoder.sparse_dense_product
+            w0, w1 = weights
+            z = spmm(norm_adj, np.maximum(spmm(norm_adj, w0), 0.0)) @ w1
+            loss, dz = _loss_and_gz(z, tiles, lw, True)
+            pre = spmm(norm_adj, w0)
+            hidden = np.maximum(pre, 0.0)
+            a_dz = spmm(norm_adj, dz)
+            dw1 = hidden.T @ a_dz
+            d_pre = (a_dz @ w1.T) * (pre > 0.0)
+            return loss, (spmm(norm_adj, d_pre), dw1)
+
+        rng = np.random.default_rng(53)
+        norm, labels, lw, weights = problem_instance(rng, ModelKind.GAE, max_side=7)
+        tiles = _label_tiles(labels, TILE_SIDE)
+        calls = []
+        product = autoencoder.sparse_dense_product
+        monkeypatch.setattr(
+            autoencoder, "sparse_dense_product", lambda *a: calls.append(1) or product(*a)
+        )
+        got = autoencoder._loss_value_and_gradient(weights, norm, tiles, lw)
+        assert len(calls) == 4
+        calls.clear()
+        want = recomputing(weights, norm, tiles, lw)
+        assert len(calls) == 5
+        assert got[0] == want[0]
+        assert all(np.array_equal(a, b) for a, b in zip(got[1], want[1]))
+
+        cfg = TrainConfig(model_kind=ModelKind.GAE, embed_dim=3, hidden_dim=4, epochs=30, seed=5)
+        model = train(norm, labels, cfg)
+        monkeypatch.setattr(autoencoder, "_loss_value_and_gradient", recomputing)
+        former = train(norm, labels, cfg)
+        assert np.array_equal(model.loss_history, former.loss_history)
+        assert all(np.array_equal(a, b) for a, b in zip(model.weights, former.weights))
+        assert np.array_equal(model.Z, former.Z)
 
     def test_blocked_gradient_matches_dense(self):
         rng = np.random.default_rng(46)

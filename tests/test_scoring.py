@@ -11,6 +11,7 @@ pair list is scored at once or in pieces.
 
 import math
 import re
+import tracemalloc
 from contextlib import nullcontext
 from unittest import mock
 
@@ -56,6 +57,19 @@ def model_for(g, z):
 
 def het_pairs(g):
     return [(u, g.n_left + v) for u in range(g.n_left) for v in range(g.n_right)]
+
+
+def recon_chunk_sums(z, pairs):
+    """Per chunk of ``_PAIR_CHUNK`` pairs, the axis-0 sum of the product of
+    the two full n-row sigmoid columns: the form ``recon_two_hop_score``
+    reproduces byte for byte."""
+    chunk = scoring._PAIR_CHUNK
+    return np.concatenate(
+        [
+            np.sum(expit(z @ z[c[:, 0]].T) * expit(z @ z[c[:, 1]].T), axis=0)
+            for c in np.array_split(pairs, range(chunk, len(pairs), chunk))
+        ]
+    )
 
 
 def dense_two_hop_oracle(g, z, us, vs):
@@ -346,16 +360,54 @@ class TestReconTwoHop:
         g = build_graph(20, 25, [(i, i) for i in range(20)])
         z = rng.standard_normal((g.n, 3))
         pairs = np.asarray(het_pairs(g))  # 500 pairs > the 256-pair chunk
-        chunk = scoring._PAIR_CHUNK
-        assert len(pairs) > chunk
+        assert len(pairs) > scoring._PAIR_CHUNK
         got = recon_two_hop_score(model_for(g, z), pairs).scores
-        want = np.concatenate(
-            [
-                np.sum(expit(z @ z[c[:, 0]].T) * expit(z @ z[c[:, 1]].T), axis=0)
-                for c in np.array_split(pairs, range(chunk, len(pairs), chunk))
-            ]
+        assert np.array_equal(got, recon_chunk_sums(z, pairs))
+
+    @pytest.mark.parametrize("n_left, n_right, k", [(350, 350, 600), (256, 257, 513)])
+    def test_row_blocks_match_full_columns(self, n_left, n_right, k):
+        """Z's rows are walked in blocks: 256 + 256 + 188 rows at n = 700,
+        and at n = 513 the lone last row joins the block before it.  With
+        k = 513 the last chunk holds one pair and takes all rows at once.
+        Every score equals its chunk's full-column sum byte for byte."""
+        rng = np.random.default_rng(68)
+        g = build_graph(n_left, n_right, [(0, 0)])
+        z = rng.standard_normal((g.n, 16))
+        pairs = rng.integers(0, g.n, size=(k, 2))
+        assert g.n > scoring._GATHER_ENTRIES // scoring._PAIR_CHUNK
+        got = recon_two_hop_score(model_for(g, z), pairs).scores
+        assert np.array_equal(got, recon_chunk_sums(z, pairs))
+
+    @pytest.mark.parametrize("n_right, k", [(25, 497), (23, 457)])
+    def test_small_gather_bound_splits_a_tiny_graph(self, n_right, k, monkeypatch):
+        """With 8-pair chunks and 48 entries, 6-row blocks split a graph of
+        45 nodes (seven blocks of 6 rows, one of 3) or of 43 (six of 6, one
+        of 7); the last chunk holds one pair.  Byte-equal to full columns."""
+        monkeypatch.setattr(scoring, "_PAIR_CHUNK", 8)
+        monkeypatch.setattr(scoring, "_GATHER_ENTRIES", 48)
+        rng = np.random.default_rng(69)
+        g = build_graph(20, n_right, [(i, i) for i in range(20)])
+        z = rng.standard_normal((g.n, 3))
+        pairs = np.asarray(het_pairs(g))[:k]
+        got = recon_two_hop_score(model_for(g, z), pairs).scores
+        assert np.array_equal(got, recon_chunk_sums(z, pairs))
+
+    def test_one_call_keeps_row_block_memory(self):
+        """A call on a 4200 x 16 model holds 256 x 256 blocks, not the two
+        4200 x 256 columns of R (8.2 MiB each) of every chunk."""
+        rng = np.random.default_rng(70)
+        z = rng.standard_normal((4200, 16))
+        model = EmbeddingModel(
+            Z=z, model_kind=ModelKind.LGAE, weights=(z,), loss_history=np.zeros(1)
         )
-        assert np.array_equal(got, want)
+        pairs = rng.integers(0, 4200, size=(2100, 2))
+        tracemalloc.start()
+        try:
+            recon_two_hop_score(model, pairs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestDecodeScore:
