@@ -98,11 +98,6 @@ class EmbeddingModel:
     loss_history: np.ndarray
 
 
-def lgae_forward(norm_adj: NormalizedAdjacency, w: np.ndarray) -> np.ndarray:
-    """Linear encoder: Z = An @ W."""
-    return sparse_dense_product(norm_adj, w)
-
-
 def _gae_parts(norm_adj: NormalizedAdjacency, w0: np.ndarray, w1: np.ndarray) -> tuple:
     """(pre, hidden, Z) of the GCN encoder: pre = An @ W0, hidden = relu(pre),
     Z = An @ hidden @ W1; the gradient reads pre and hidden back."""
@@ -111,17 +106,12 @@ def _gae_parts(norm_adj: NormalizedAdjacency, w0: np.ndarray, w1: np.ndarray) ->
     return pre, hidden, sparse_dense_product(norm_adj, hidden) @ w1
 
 
-def gae_forward(norm_adj: NormalizedAdjacency, w0: np.ndarray, w1: np.ndarray) -> np.ndarray:
-    """Two-layer GCN encoder: Z = An @ relu(An @ W0) @ W1."""
-    return _gae_parts(norm_adj, w0, w1)[2]
-
-
 def forward(weights: tuple, norm_adj: NormalizedAdjacency) -> np.ndarray:
-    """Dispatch on the number of weight matrices (1 = linear, 2 = GCN)."""
+    """Z of the linear encoder for (W,), of the two-layer GCN for (W0, W1)."""
     if len(weights) == 1:
-        return lgae_forward(norm_adj, weights[0])
+        return sparse_dense_product(norm_adj, weights[0])
     if len(weights) == 2:
-        return gae_forward(norm_adj, weights[0], weights[1])
+        return _gae_parts(norm_adj, weights[0], weights[1])[2]
     raise ValueError(f"expected 1 or 2 weight matrices, got {len(weights)}")
 
 
@@ -218,24 +208,24 @@ def _loss_and_gz(z, tiles, lw, want_grad):
     return scale * loss, gz
 
 
-def reconstruction_loss(z, labels, lw: LossWeights, block_rows=TILE_SIDE) -> float:
+def reconstruction_loss(z, labels, lw: LossWeights) -> float:
     """Weighted cross-entropy over all n^2 pairs (labels are A_train + I).
 
     The labels must be symmetric: only tiles on and above the diagonal are
-    read.  ``block_rows`` is the tile side, as in training; a side of n or
-    more makes one tile.
+    read.  The tiles are ``TILE_SIDE`` nodes a side, read at call time, as
+    in training; a side of n or more makes one tile.
     """
     z = np.asarray(z, dtype=np.float64)
-    loss, _ = _loss_and_gz(z, _label_tiles(sp.csr_matrix(labels), block_rows), lw, False)
+    loss, _ = _loss_and_gz(z, _label_tiles(sp.csr_matrix(labels), TILE_SIDE), lw, False)
     return loss
 
 
-def loss_gradient(weights, norm_adj, labels, lw: LossWeights, block_rows=TILE_SIDE) -> tuple:
+def loss_gradient(weights, norm_adj, labels, lw: LossWeights) -> tuple:
     """Analytic gradient of the reconstruction loss w.r.t. the weights.
 
-    Labels and ``block_rows`` are as in ``reconstruction_loss``.
+    Labels and tiles are as in ``reconstruction_loss``.
     """
-    tiles = _label_tiles(sp.csr_matrix(labels), block_rows)
+    tiles = _label_tiles(sp.csr_matrix(labels), TILE_SIDE)
     _, grads = _loss_value_and_gradient(weights, norm_adj, tiles, lw)
     return grads
 

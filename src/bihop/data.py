@@ -203,25 +203,18 @@ def generate_bipartite_sbm(left_sizes, right_sizes, p_in: float, p_out: float, s
     return build_graph(int(left_starts[-1]), int(right_starts[-1]), np.concatenate(pairs))
 
 
-def _summary_path_for(path) -> Path:
-    path = Path(path)
-    return path.with_name(path.stem + "_summary" + (path.suffix or ".csv"))
-
-
-def write_report(records, path, summary_path=None):
+def write_report(records, path):
     """Write per-run metric rows and a companion mean/std summary.
 
     The per-run file has header ``dataset,method,run,seed,auc,ap``.  The
-    summary (defaults to ``<stem>_summary<ext>``) holds the rows of
+    summary, ``<stem>_summary<ext>`` next to it, holds the rows of
     ``metrics.summarize``, the same rows ``run_benchmark`` returns: one per
     (dataset, method) in first-appearance order, with population standard
     deviations.  Returns (path, summary_path).
     """
     records = list(records)
     path = Path(path)
-    if summary_path is None:
-        summary_path = _summary_path_for(path)
-    summary_path = Path(summary_path)
+    summary_path = path.with_name(path.stem + "_summary" + (path.suffix or ".csv"))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["dataset", "method", "run", "seed", "auc", "ap"])

@@ -43,6 +43,7 @@ from .metrics import (
 )
 from .scoring import (
     HEURISTIC_KINDS,
+    MODEL_KINDS,
     HeuristicIndex,
     KatzDivergenceError,
     ScorerKind,
@@ -84,8 +85,11 @@ class BenchmarkConfig:
         # Each input takes its one form here; idempotent, as replace() reruns it.
         if any(isinstance(b, Mapping) for b in self.katz_grid):
             raise TypeError(f"katz_grid holds damping factors (numbers), got {self.katz_grid!r}")
+        for i, spec in enumerate(self.datasets):
+            if not isinstance(spec, (DatasetSpec, str)):
+                raise TypeError(f"datasets[{i}] must be a DatasetSpec or a dataset id, got {spec!r}")
         put = object.__setattr__
-        specs = (s if isinstance(s, DatasetSpec) else DatasetSpec(id=str(s)) for s in self.datasets)
+        specs = (s if isinstance(s, DatasetSpec) else DatasetSpec(id=s) for s in self.datasets)
         put(self, "datasets", tuple(specs))
         put(self, "ratios", tuple(map(float, self.ratios)))
         put(self, "katz_grid", tuple(map(float, self.katz_grid)))
@@ -98,6 +102,7 @@ class BenchmarkConfig:
                 raise TypeError(f"scorers must be ScorerKind values, got {kind!r}")
             if not _grid_for(kind, self):
                 raise ValueError(f"empty hyperparameter grid for scorer {kind.value}")
+            _check_grid(kind, self)
         if len(set(self.scorers)) != len(self.scorers):
             raise ValueError(f"scorers must be distinct, got {[k.value for k in self.scorers]}")
 
@@ -111,6 +116,21 @@ def _grid_for(kind: ScorerKind, config: BenchmarkConfig) -> tuple:
     if kind is ScorerKind.KATZ:
         return tuple({"beta": b} for b in config.katz_grid)
     return ({},)  # degree/path heuristics have nothing to tune
+
+
+def _check_grid(kind: ScorerKind, config: BenchmarkConfig) -> None:
+    """Raise on a point of ``kind``'s grid that ``TrainConfig`` or
+    ``katz_score``'s beta > 0 rejects, as run 0 would, naming the point."""
+    model_kind = ModelKind.GAE if kind is ScorerKind.GAE else ModelKind.LGAE
+    name = "katz_grid" if kind is ScorerKind.KATZ else f"{model_kind.value}_grid"
+    for i, point in enumerate(_grid_for(kind, config)):
+        try:
+            if kind is ScorerKind.KATZ and point["beta"] <= 0:
+                raise ValueError(f"beta must be positive, got {point['beta']}")
+            if kind in MODEL_KINDS:
+                TrainConfig(model_kind=model_kind, seed=0, **point)
+        except (TypeError, ValueError) as exc:
+            raise type(exc)(f"{name}[{i}]: {exc}") from exc
 
 
 def _param_key(params: dict):
@@ -241,19 +261,18 @@ def run_experiment(
     config: BenchmarkConfig,
     run_index: int,
     dataset_id: str = "dataset",
-    tuned: dict | None = None,
+    *,
+    tuned: dict,
 ):
     """Score the test pairs of ``artifacts.split``; returns a MetricReport per scorer.
 
-    Deterministic in (artifacts.split, config).  Models come from
-    ``artifacts.model``, so those trained while tuning on the same artifacts
-    are reused.  When ``tuned`` is omitted, grids with more than one point
-    are searched on this split's own validation pairs.
+    ``tuned`` maps each scorer to its parameters, as ``tune_scorers``
+    returns them.  Deterministic in (artifacts.split, config, tuned).
+    Models come from ``artifacts.model``, so those trained while tuning on
+    the same artifacts are reused.
     """
     if run_index < 0:
         raise ValueError(f"run_index must be >= 0, got {run_index}")
-    if tuned is None:
-        tuned = tune_scorers(artifacts, config)
     split = artifacts.split
     test_pos = _global_pairs(artifacts.g_train, split.test_pos)
     test_neg = _global_pairs(artifacts.g_train, split.test_neg)
@@ -518,7 +537,7 @@ def config_from_dict(raw: dict) -> BenchmarkConfig:
     if "datasets" in raw:
         specs = []
         for i, entry in enumerate(raw["datasets"]):
-            if not isinstance(entry, str):
+            if isinstance(entry, Mapping):
                 extra = set(entry) - _DATASET_KEYS
                 if extra:
                     raise ValueError(f"unknown dataset keys in datasets[{i}]: {sorted(extra)}")

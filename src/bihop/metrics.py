@@ -142,13 +142,11 @@ def _ranked_labels(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
     return labels[order]
 
 
-def average_precision(pos_scores, neg_scores, interpolated: bool = False) -> float:
+def average_precision(pos_scores, neg_scores) -> float:
     """Area under precision-recall by step summation.
 
     AP = sum_k (R_k - R_{k-1}) P_k over ranking positions; recall steps occur
-    exactly at positives, so this is the mean of precision-at-positive.  With
-    ``interpolated`` each positive instead contributes the maximum precision
-    at or below its rank position.
+    exactly at positives, so this is the mean of precision-at-positive.
     """
     pos = _validate_scores(pos_scores, "pos_scores")
     neg = _validate_scores(neg_scores, "neg_scores")
@@ -157,8 +155,6 @@ def average_precision(pos_scores, neg_scores, interpolated: bool = False) -> flo
     labels = _ranked_labels(pos, neg)
     positions = np.arange(1, labels.size + 1)
     precision = np.cumsum(labels) / positions
-    if interpolated:
-        precision = np.maximum.accumulate(precision[::-1])[::-1]
     return float(precision[labels == 1].sum() / pos.size)
 
 

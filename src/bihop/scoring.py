@@ -55,6 +55,7 @@ _PAIR_CHUNK = 256
 _GATHER_ENTRIES = 1 << 16
 # Target columns the truncated Katz series propagates at a time.
 _KATZ_COLUMNS = 256
+_KATZ_TERMS = 5  # L, the terms of the truncated Katz series
 
 
 class ScorerKind(Enum):
@@ -366,14 +367,14 @@ def _hop_at(damped: sp.csr_matrix, x: sp.csr_matrix, rows: np.ndarray, cols: np.
     return np.bincount(seg, weights=terms, minlength=rows.size)
 
 
-def katz_score(a_train: sp.spmatrix, beta: float, pairs, series_terms: int = 5) -> PairScores:
+def katz_score(a_train: sp.spmatrix, beta: float, pairs) -> PairScores:
     """Katz index: damped walk counts (I - beta A)^{-1} - I at the pairs.
 
     The graph size alone picks the form.  Up to ``DENSE_THRESHOLD`` nodes it
     is the closed form (one dense solve per call), which requires
     beta < 1 / spectral_radius(A) (KatzDivergenceError otherwise); larger
     graphs use the truncated series sum_{l=1..L} (beta A)^l with
-    L = ``series_terms``.  The series runs once for the unique target
+    L = ``_KATZ_TERMS`` (5).  The series runs once for the unique target
     columns, ``_KATZ_COLUMNS`` at a time.  Hops 1 to L - 1 are sparse
     products x_l = beta A x_{l-1} of the block; the last hop is computed
     only at the pairs' (u, target) entries by ``_hop_at``.  Each pair adds
@@ -407,11 +408,10 @@ def katz_score(a_train: sp.spmatrix, beta: float, pairs, series_terms: int = 5) 
                 (np.ones(block.size), (block, np.arange(block.size))), shape=(n, block.size)
             )
             total = np.zeros(sel.size)
-            for _ in range(series_terms - 1):
+            for _ in range(_KATZ_TERMS - 1):
                 x = damped @ x
                 total += _entries(x, rows, cols)
-            if series_terms > 0:
-                total += _hop_at(damped, x, rows, cols)
+            total += _hop_at(damped, x, rows, cols)
             scores[sel] = total
     return PairScores(pairs=pairs, scores=np.asarray(scores, dtype=np.float64), scorer=ScorerKind.KATZ)
 

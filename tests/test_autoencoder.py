@@ -15,6 +15,7 @@ sparse-label tile kernel.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,9 +34,7 @@ from bihop.autoencoder import (
     TrainingDivergedError,
     decode_pairs,
     forward,
-    gae_forward,
     init_weights,
-    lgae_forward,
     load_model,
     loss_gradient,
     loss_weights,
@@ -132,6 +131,12 @@ def double_loop_oracle(z, labels, lw):
     return scale * loss, gz
 
 
+def tile_side(side):
+    """Patch autoencoder.TILE_SIDE, which loss and gradient read at call
+    time; a context manager, so it also holds inside one hypothesis example."""
+    return mock.patch.object(autoencoder, "TILE_SIDE", side)
+
+
 def identity_encoder(n):
     """An = I, so the linear encoder's Z is its weight and dL/dW = dL/dZ."""
     return NormalizedAdjacency(matrix=sp.identity(n, format="csr"), tilde_degrees=np.ones(n))
@@ -147,14 +152,14 @@ class TestForward:
         g = random_bipartite(rng)
         norm = normalized_adjacency(g)
         w = rng.standard_normal((g.n, 3))
-        got = lgae_forward(norm, w)
+        got = forward((w,), norm)
         assert np.allclose(got, norm.matrix.toarray() @ w, rtol=0, atol=1e-14)
 
     def test_lgae_zero_weights(self):
         rng = np.random.default_rng(31)
         g = random_bipartite(rng)
         norm = normalized_adjacency(g)
-        assert not lgae_forward(norm, np.zeros((g.n, 2))).any()
+        assert not forward((np.zeros((g.n, 2)),), norm).any()
 
     def test_gae_matches_dense(self):
         rng = np.random.default_rng(32)
@@ -164,7 +169,7 @@ class TestForward:
         w1 = rng.standard_normal((4, 2))
         an = norm.matrix.toarray()
         want = an @ np.maximum(an @ w0, 0.0) @ w1
-        assert np.allclose(gae_forward(norm, w0, w1), want, rtol=0, atol=1e-13)
+        assert np.allclose(forward((w0, w1), norm), want, rtol=0, atol=1e-13)
 
     def test_gae_negative_hidden_collapses(self):
         """An all-negative first layer dies under relu, so Z = 0."""
@@ -173,7 +178,7 @@ class TestForward:
         norm = normalized_adjacency(g)
         w0 = -np.ones((g.n, 3))
         w1 = rng.standard_normal((3, 2))
-        assert not gae_forward(norm, w0, w1).any()
+        assert not forward((w0, w1), norm).any()
 
     def test_dispatch_rejects_three_matrices(self):
         g = random_bipartite(np.random.default_rng(34))
@@ -275,9 +280,11 @@ class TestReconstructionLoss:
         labels = training_labels(adjacency(g))
         lw = loss_weights(g.n, int(labels.nnz))
         z = rng.standard_normal((g.n, 4))
-        dense = reconstruction_loss(z, labels, lw, block_rows=g.n)
+        with tile_side(g.n):
+            dense = reconstruction_loss(z, labels, lw)
         for block in (1, 2, 3, g.n):
-            blocked = reconstruction_loss(z, labels, lw, block_rows=block)
+            with tile_side(block):
+                blocked = reconstruction_loss(z, labels, lw)
             assert blocked == pytest.approx(dense, rel=1e-12)
 
     def test_confident_correct_reconstruction_drives_loss_down(self):
@@ -386,8 +393,10 @@ class TestGradients:
     def test_blocked_gradient_matches_dense(self):
         rng = np.random.default_rng(46)
         norm, labels, lw, weights = problem_instance(rng, ModelKind.GAE, max_side=7)
-        dense = loss_gradient(weights, norm, labels, lw, block_rows=norm.n)
-        blocked = loss_gradient(weights, norm, labels, lw, block_rows=2)
+        with tile_side(norm.n):
+            dense = loss_gradient(weights, norm, labels, lw)
+        with tile_side(2):
+            blocked = loss_gradient(weights, norm, labels, lw)
         for g_d, g_b in zip(dense, blocked):
             assert np.allclose(g_b, g_d, rtol=1e-11, atol=1e-14)
 
@@ -403,9 +412,10 @@ class TestDenseOracles:
                 ref_loss, r = dense_reference(z, labels, lw)
                 want = closed_form_gradient(weights, norm, r)
                 for block in (TILE_SIDE, 1, 2, 3, norm.n):
-                    loss = reconstruction_loss(z, labels, lw, block_rows=block)
+                    with tile_side(block):
+                        loss = reconstruction_loss(z, labels, lw)
+                        got = loss_gradient(weights, norm, labels, lw)
                     assert loss == pytest.approx(ref_loss, rel=1e-12)
-                    got = loss_gradient(weights, norm, labels, lw, block_rows=block)
                     for g_a, g_w in zip(got, want):
                         assert max_rel_error(g_a, g_w) <= 1e-12
 
@@ -420,8 +430,9 @@ class TestDenseOracles:
             z *= np.sqrt(reach / np.abs(z @ z.T).max())
             want_loss, want_gz = double_loop_oracle(z, labels, lw)
             for block in (g.n, 2):
-                loss = reconstruction_loss(z, labels, lw, block_rows=block)
-                (gz,) = loss_gradient((z,), identity_encoder(g.n), labels, lw, block_rows=block)
+                with tile_side(block):
+                    loss = reconstruction_loss(z, labels, lw)
+                    (gz,) = loss_gradient((z,), identity_encoder(g.n), labels, lw)
                 assert np.isfinite(loss) and np.all(np.isfinite(gz))
                 assert loss == pytest.approx(want_loss, rel=1e-12)
                 assert max_rel_error(gz, want_gz) <= 1e-12
@@ -439,8 +450,9 @@ class TestDenseOracles:
         want_loss, want_gz = double_loop_oracle(z, labels, lw)
         assert 0.0 < want_loss < 1e-8
         for block in (g.n, 1, 4):
-            loss = reconstruction_loss(z, labels, lw, block_rows=block)
-            (gz,) = loss_gradient((z,), identity_encoder(g.n), labels, lw, block_rows=block)
+            with tile_side(block):
+                loss = reconstruction_loss(z, labels, lw)
+                (gz,) = loss_gradient((z,), identity_encoder(g.n), labels, lw)
             assert loss == pytest.approx(want_loss, rel=1e-12)
             assert max_rel_error(gz, want_gz) <= 1e-12
 
@@ -464,10 +476,11 @@ class TestTileInvariance:
         labels = training_labels(adjacency(g))
         lw = loss_weights(g.n, int(labels.nnz))
         ref_loss, r = dense_reference(z, labels, lw)
-        loss = reconstruction_loss(z, labels, lw, block_rows=side)
-        assert loss == pytest.approx(ref_loss, rel=1e-12)
         enc = identity_encoder(g.n)
-        (gz,) = loss_gradient((z,), enc, labels, lw, block_rows=side)
+        with tile_side(side):
+            loss = reconstruction_loss(z, labels, lw)
+            (gz,) = loss_gradient((z,), enc, labels, lw)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
         (want,) = closed_form_gradient((z,), enc, r)
         assert max_rel_error(gz, want) <= 1e-12
 
@@ -478,7 +491,7 @@ class TestTileInvariance:
         labels = training_labels(adjacency(g))
         lw = loss_weights(g.n, int(labels.nnz))
         (w,) = init_weights(TrainConfig(embed_dim=16), g.n)
-        z = lgae_forward(normalized_adjacency(g), w)
+        z = forward((w,), normalized_adjacency(g))
         tiles = _label_tiles(labels, TILE_SIDE)
         tracemalloc.start()
         try:

@@ -362,11 +362,3 @@ class TestReports:
         (row,) = summarize(records)
         auc_mean = summary.read_text().splitlines()[1].split(",")[2]
         assert auc_mean == repr(row.auc_mean) == "0.20000000000000004"
-
-    def test_custom_summary_path(self, tmp_path):
-        records = [make_report("a", ScorerKind.GAE, 0, 0.6, 0.6)]
-        out = tmp_path / "r.csv"
-        agg = tmp_path / "agg.csv"
-        _, summary = write_report(records, out, summary_path=agg)
-        assert summary == agg
-        assert agg.exists()

@@ -70,6 +70,11 @@ def artifacts_for(g, config, run_index):
     return build_run_artifacts(g, split_edges(g, config.ratios, config.base_seed + run_index))
 
 
+def run_self_tuned(artifacts, config, run_index, dataset_id="dataset"):
+    """``run_experiment`` with each scorer tuned on ``artifacts`` itself."""
+    return run_experiment(artifacts, config, run_index, dataset_id, tuned=tune_scorers(artifacts, config))
+
+
 class TestBenchmarkConfig:
     def test_defaults(self):
         config = BenchmarkConfig()
@@ -115,6 +120,54 @@ class TestBenchmarkConfig:
             with pytest.raises(TypeError, match="katz_grid"):
                 BenchmarkConfig(katz_grid=grid)
 
+    def test_dataset_entry_neither_spec_nor_id_rejected(self):
+        """A mapping used to become a DatasetSpec whose id was the mapping's
+        repr; only config_from_dict turns JSON mappings into specs, and a
+        JSON entry that is neither is named by its position too."""
+        entry = {"id": "x", "source": {"model": "er", "n_left": 3, "n_right": 3, "p": 0.5}}
+        with pytest.raises(TypeError, match=r"datasets\[1\]"):
+            BenchmarkConfig(datasets=["southern_women", entry])
+        assert config_from_dict({"datasets": [entry]}).datasets == (DatasetSpec(**entry),)
+        with pytest.raises(TypeError, match=r"datasets\[0\] must be a DatasetSpec or a dataset id, got 5"):
+            config_from_dict({"datasets": [5]})
+
+    @pytest.mark.parametrize(
+        "scorer, grids, error, match",
+        [
+            (
+                ScorerKind.TWO_HOP, {"lgae_grid": ({"learning_rte": 0.01},)},
+                TypeError, r"lgae_grid\[0\]: .*'learning_rte'",
+            ),
+            (
+                ScorerKind.LGAE, {"lgae_grid": (SMALL_GRID[0], {"seed": 3})},
+                TypeError, r"lgae_grid\[1\]: .*'seed'",
+            ),
+            (
+                ScorerKind.RECON_TWO_HOP, {"lgae_grid": ({"epochs": 0},)},
+                ValueError, r"lgae_grid\[0\]: epochs must be >= 1",
+            ),
+            (
+                ScorerKind.GAE, {"gae_grid": ({"hidden_dim": 0},)},
+                ValueError, r"gae_grid\[0\]: hidden_dim must be >= 1",
+            ),
+            (
+                ScorerKind.KATZ, {"katz_grid": (0.01, -0.01)},
+                ValueError, r"katz_grid\[1\]: beta must be positive",
+            ),
+            (
+                ScorerKind.KATZ, {"katz_grid": (0.0,)},
+                ValueError, r"katz_grid\[0\]: beta must be positive",
+            ),
+        ],
+        ids=["unknown_key", "seed", "zero_epochs", "zero_hidden_dim", "negative_beta", "zero_beta"],
+    )
+    def test_bad_grid_point_rejected_at_construction(self, scorer, grids, error, match):
+        """Each point used to pass construction and fail only once run 0 had
+        loaded and split its dataset; the error keeps the type the failing
+        check raises and names the grid and index."""
+        with pytest.raises(error, match=match):
+            BenchmarkConfig(scorers=(scorer,), **grids)
+
     def test_inputs_take_one_form(self):
         """Dataset ids become DatasetSpecs, ratios floats and model grids
         tuples of dicts, once, at construction; replace() keeps that form."""
@@ -136,8 +189,8 @@ class TestRunExperiment:
         config = small_config(
             scorers=(ScorerKind.TWO_HOP, ScorerKind.LGAE, ScorerKind.PREFERENTIAL_ATTACHMENT)
         )
-        first = run_experiment(artifacts_for(g, config, 1), config, 1, dataset_id="sw")
-        second = run_experiment(artifacts_for(g, config, 1), config, 1, dataset_id="sw")
+        first = run_self_tuned(artifacts_for(g, config, 1), config, 1, dataset_id="sw")
+        second = run_self_tuned(artifacts_for(g, config, 1), config, 1, dataset_id="sw")
         assert first == second
         assert [r.scorer for r in first] == list(config.scorers)
         assert all(r.run == 1 and r.seed == 1 and r.dataset == "sw" for r in first)
@@ -145,8 +198,8 @@ class TestRunExperiment:
     def test_distinct_runs_use_distinct_seeds(self):
         g = southern_women_graph()
         config = small_config(scorers=(ScorerKind.PREFERENTIAL_ATTACHMENT,))
-        r0 = run_experiment(artifacts_for(g, config, 0), config, 0)[0]
-        r5 = run_experiment(artifacts_for(g, config, 5), config, 5)[0]
+        r0 = run_self_tuned(artifacts_for(g, config, 0), config, 0)[0]
+        r5 = run_self_tuned(artifacts_for(g, config, 5), config, 5)[0]
         assert r0.seed == config.base_seed
         assert r5.seed == config.base_seed + 5
         assert r0.run == 0 and r5.run == 5
@@ -154,19 +207,19 @@ class TestRunExperiment:
     def test_metrics_in_range(self):
         g = southern_women_graph()
         config = small_config(scorers=(ScorerKind.TWO_HOP, ScorerKind.ADAMIC_ADAR))
-        for report in run_experiment(artifacts_for(g, config, 0), config, 0):
+        for report in run_self_tuned(artifacts_for(g, config, 0), config, 0):
             assert 0.0 <= report.auc <= 1.0
             assert 0.0 <= report.ap <= 1.0
 
     def test_empty_scorer_list_yields_no_reports(self):
         g = southern_women_graph()
         config = BenchmarkConfig(scorers=(), runs=1)
-        assert run_experiment(artifacts_for(g, config, 0), config, 0) == []
+        assert run_self_tuned(artifacts_for(g, config, 0), config, 0) == []
 
     def test_negative_run_index_rejected(self):
         g = southern_women_graph()
         with pytest.raises(ValueError, match="run_index"):
-            run_experiment(artifacts_for(g, small_config(), 0), small_config(), -1)
+            run_self_tuned(artifacts_for(g, small_config(), 0), small_config(), -1)
 
     def test_split_failure_propagates(self, monkeypatch):
         # Two edges cannot be split three ways, whatever the ratios.
@@ -204,7 +257,7 @@ class TestRunExperiment:
             s_pos = product(split.test_pos[0])
             s_neg = product(split.test_neg[0])
             expected = 1.0 if s_pos > s_neg else (0.5 if s_pos == s_neg else 0.0)
-            report = run_experiment(build_run_artifacts(g, split), config, run_index)[0]
+            report = run_self_tuned(build_run_artifacts(g, split), config, run_index)[0]
             assert report.auc == expected
 
     def test_tuned_missing_a_configured_scorer_raises(self):
@@ -441,8 +494,8 @@ class TestSharedTrainingSide:
         seen = []
         real = harness.run_experiment
 
-        def recorded(artifacts, config, run_index, dataset_id="dataset", tuned=None):
-            seen.append((tuned, real(artifacts, config, run_index, dataset_id, tuned)))
+        def recorded(artifacts, config, run_index, dataset_id="dataset", *, tuned):
+            seen.append((tuned, real(artifacts, config, run_index, dataset_id, tuned=tuned)))
             return seen[-1][1]
 
         monkeypatch.setattr(harness, "run_experiment", recorded)
@@ -586,7 +639,7 @@ class TestRunBenchmark:
         assert len(summary.rows) == 2
         g = southern_women_graph()
         single = {
-            r.scorer: r for r in run_experiment(artifacts_for(g, config, 0), config, 0, "southern_women")
+            r.scorer: r for r in run_self_tuned(artifacts_for(g, config, 0), config, 0, "southern_women")
         }
         for row in summary.rows:
             assert row.runs == 1

@@ -166,22 +166,6 @@ class TestAveragePrecision:
             want = ap_oracle(pos.tolist(), neg.tolist())
             assert got == pytest.approx(want, rel=0, abs=1e-12)
 
-    def test_interpolated_dominates_standard(self):
-        rng = np.random.default_rng(104)
-        for _ in range(100):
-            pos, neg = random_score_set(rng)
-            std = average_precision(pos, neg)
-            interp = average_precision(pos, neg, interpolated=True)
-            assert interp >= std - 1e-15
-            assert interp <= 1.0 + 1e-15
-
-    def test_interpolated_example(self):
-        # ranking: P N P N N -> precisions 1, 2/3; interpolated max-to-the-
-        # right leaves them unchanged here
-        std = average_precision([0.9, 0.7], [0.8, 0.6, 0.5])
-        interp = average_precision([0.9, 0.7], [0.8, 0.6, 0.5], interpolated=True)
-        assert std == interp == (1.0 + 2.0 / 3.0) / 2.0
-
     def test_no_positives_rejected(self):
         with pytest.raises(ValueError):
             average_precision([], [0.1, 0.2])

@@ -170,6 +170,12 @@ def katz_form(form):
     return mock.patch.object(scoring, "DENSE_THRESHOLD", KATZ_THRESHOLDS[form])
 
 
+def katz_terms(terms):
+    """Patch scoring._KATZ_TERMS, the series length L katz_score reads at
+    call time."""
+    return mock.patch.object(scoring, "_KATZ_TERMS", terms)
+
+
 def scored_with(kind, g, z, pairs):
     """The PairScores of one call of the scorer behind ``kind``."""
     model = model_for(g, z)
@@ -675,16 +681,16 @@ class TestKatz:
         pairs = het_pairs(g)
         with katz_form("closed"):
             closed = katz_score(a, 0.05, pairs).scores
-        with katz_form("series"):
-            series = katz_score(a, 0.05, pairs, series_terms=25).scores
+        with katz_form("series"), katz_terms(25):
+            series = katz_score(a, 0.05, pairs).scores
         denom = np.maximum(np.abs(closed), 1e-30)
         assert np.max(np.abs(series - closed) / denom) <= 1e-8
 
     def test_five_term_series_is_degree_five_polynomial(self):
         g = build_graph(1, 1, [(0, 0)])
         beta = 0.3
-        with katz_form("series"):
-            got = katz_score(adjacency(g), beta, [(0, 1)], series_terms=5).scores[0]
+        with katz_form("series"), katz_terms(5):
+            got = katz_score(adjacency(g), beta, [(0, 1)]).scores[0]
         assert got == pytest.approx(beta + beta**3 + beta**5, rel=1e-14)
 
     def test_beta_beyond_radius_rejected_in_dense_mode(self):
@@ -694,8 +700,8 @@ class TestKatz:
 
     def test_series_mode_tolerates_large_beta(self):
         g = build_graph(1, 1, [(0, 0)])
-        with katz_form("series"):
-            got = katz_score(adjacency(g), 1.5, [(0, 1)], series_terms=3).scores[0]
+        with katz_form("series"), katz_terms(3):
+            got = katz_score(adjacency(g), 1.5, [(0, 1)]).scores[0]
         assert got == pytest.approx(1.5 + 1.5**3, rel=1e-14)
 
     def test_graph_size_picks_the_form(self):
@@ -755,8 +761,8 @@ class TestKatz:
                 assert len({v for _, v in pairs}) > scoring._KATZ_COLUMNS
             for matrix, beta in ((a, 0.05), (weighted, 0.3)):
                 for terms in (1, 2, 3, 5):
-                    with katz_form("series"):
-                        got = katz_score(matrix, beta, pairs, series_terms=terms).scores
+                    with katz_form("series"), katz_terms(terms):
+                        got = katz_score(matrix, beta, pairs).scores
                     assert np.array_equal(got, katz_series_loop(matrix, beta, pairs, terms))
 
     def test_series_empty_pairs(self):
@@ -868,6 +874,44 @@ class TestBatchInvariance:
                 assert np.allclose(together, apart, rtol=1e-12, atol=0)
             else:
                 assert np.array_equal(together, apart)
+
+
+@st.composite
+def graph_and_pair_lists(draw):
+    """A random graph, embeddings, a nonempty list of heterogeneous pairs in
+    either orientation, and a list of arbitrary pairs: same-side, self and
+    heterogeneous."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_bipartite(rng, max_side=7)
+    z = rng.standard_normal((g.n, 3))
+    oriented = st.tuples(st.sampled_from(het_pairs(g)), st.booleans()).map(
+        lambda pf: pf[0][::-1] if pf[1] else pf[0]
+    )
+    node = st.integers(0, g.n - 1)
+    het = draw(st.lists(oriented, min_size=1, max_size=10))
+    anywhere = draw(st.lists(st.tuples(node, node), max_size=10))
+    return g, z, het, anywhere
+
+
+class TestPairOrderSymmetry:
+    @pytest.mark.parametrize("kind", list(ScorerKind), ids=lambda k: k.value)
+    @given(case=graph_and_pair_lists())
+    def test_reversed_pairs_score_alike(self, kind, case):
+        """Scoring (v, u) gives the bytes of scoring (u, v) for every scorer
+        but Katz, which agrees to 1e-12 relative in both forms.  Heuristics
+        take heterogeneous pairs only; the rest also take arbitrary pairs."""
+        g, z, het, anywhere = case
+        pairs = het if kind in HEURISTIC_KINDS else het + anywhere
+        reversed_pairs = [(v, u) for u, v in pairs]
+        forms = ("closed", "series") if kind is ScorerKind.KATZ else (None,)
+        for form in forms:
+            with katz_form(form) if form else nullcontext():
+                forward = score_with(kind, g, z, pairs)
+                backward = score_with(kind, g, z, reversed_pairs)
+            if kind is ScorerKind.KATZ:
+                assert np.allclose(backward, forward, rtol=1e-12, atol=0)
+            else:
+                assert backward.tobytes() == forward.tobytes()
 
 
 class TestMonotoneInvariance:
