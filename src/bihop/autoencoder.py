@@ -31,6 +31,9 @@ from .graph import NormalizedAdjacency, sparse_dense_product
 from .splits import philox
 
 TILE_SIDE = 128
+# Rows per block of the GCN encoder's dW1 sum; up to this many nodes it is
+# one product.
+_GRAD_ROWS = 256
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -70,8 +73,8 @@ class TrainConfig:
             raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be > 0 and finite, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)
@@ -238,7 +241,12 @@ def _loss_value_and_gradient(weights, norm_adj, tiles, lw):
     pre, hidden, z = _gae_parts(norm_adj, w0, w1)
     loss, dz = _loss_and_gz(z, tiles, lw, True)
     a_dz = sparse_dense_product(norm_adj, dz)
-    dw1 = hidden.T @ a_dz
+    # dW1 = hidden^T a_dz sums over all n rows.  BLAS may split a long inner
+    # dimension across its threads, which moves the last bits with the
+    # thread count; an ordered sum of row blocks does not.
+    dw1 = hidden[:_GRAD_ROWS].T @ a_dz[:_GRAD_ROWS]
+    for lo in range(_GRAD_ROWS, hidden.shape[0], _GRAD_ROWS):
+        dw1 += hidden[lo : lo + _GRAD_ROWS].T @ a_dz[lo : lo + _GRAD_ROWS]
     d_pre = (a_dz @ w1.T) * (pre > 0.0)
     dw0 = sparse_dense_product(norm_adj, d_pre)
     return loss, (dw0, dw1)

@@ -139,10 +139,6 @@ def load_edge_list_detailed(path) -> EdgeListResult:
     )
 
 
-def load_edge_list(path) -> BipartiteGraph:
-    return load_edge_list_detailed(path).graph
-
-
 def write_edge_list(g: BipartiteGraph, path, left_ids=None, right_ids=None) -> None:
     """Write one ``left right`` line per edge (ids default to l<i> / r<j>)."""
     if left_ids is None:
@@ -320,14 +316,14 @@ def load_dataset(spec: DatasetSpec, data_dir=None) -> BipartiteGraph:
                 raise FileNotFoundError(
                     f"dataset {spec.id!r} has no source and no file at {candidate}"
                 )
-            g = load_edge_list(candidate)
+            g = load_edge_list_detailed(candidate).graph
     elif isinstance(spec.source, dict):
         g = _generate_from_spec(spec.source)
     else:
         p = Path(str(spec.source))
         if data_dir is not None and not p.is_absolute():
             p = Path(data_dir) / p
-        g = load_edge_list(p)
+        g = load_edge_list_detailed(p).graph
     if spec.expected_nodes is not None and g.n != spec.expected_nodes:
         raise GraphInputError(
             f"dataset {spec.id!r}: expected {spec.expected_nodes} nodes, got {g.n}"

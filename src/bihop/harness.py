@@ -47,6 +47,7 @@ from .scoring import (
     HeuristicIndex,
     KatzDivergenceError,
     ScorerKind,
+    check_beta,
     decode_score,
     heuristic_index,
     heuristic_scores,
@@ -120,13 +121,13 @@ def _grid_for(kind: ScorerKind, config: BenchmarkConfig) -> tuple:
 
 def _check_grid(kind: ScorerKind, config: BenchmarkConfig) -> None:
     """Raise on a point of ``kind``'s grid that ``TrainConfig`` or
-    ``katz_score``'s beta > 0 rejects, as run 0 would, naming the point."""
+    ``katz_score``'s ``check_beta`` rejects, as run 0 would, naming the point."""
     model_kind = ModelKind.GAE if kind is ScorerKind.GAE else ModelKind.LGAE
     name = "katz_grid" if kind is ScorerKind.KATZ else f"{model_kind.value}_grid"
     for i, point in enumerate(_grid_for(kind, config)):
         try:
-            if kind is ScorerKind.KATZ and point["beta"] <= 0:
-                raise ValueError(f"beta must be positive, got {point['beta']}")
+            if kind is ScorerKind.KATZ:
+                check_beta(point["beta"])
             if kind in MODEL_KINDS:
                 TrainConfig(model_kind=model_kind, seed=0, **point)
         except (TypeError, ValueError) as exc:
@@ -525,7 +526,7 @@ def config_from_dict(raw: dict) -> BenchmarkConfig:
       runs, base_seed: ints
       ratios:     [train, val, test] floats summing to 1
       lgae_grid / gae_grid: list of {"learning_rate", "epochs", "embed_dim"[, "hidden_dim"]}
-      katz_grid:  list of positive damping factors (numbers)
+      katz_grid:  list of positive, finite damping factors (numbers)
       time_budget_s: seconds per dataset (null = unlimited)
       out_dir:    directory for CSV reports
     """

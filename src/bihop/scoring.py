@@ -31,8 +31,10 @@ neighbors" of a heterogeneous pair (u, v) are the intermediate nodes of
 length-3 paths, C(u, v) = N(u) n N2(v) with N2(v) the union of
 neighbors-of-neighbors of v.  They read a ``HeuristicIndex`` built once per
 training graph (``heuristic_index``): its neighbour lists, sets, degrees and
-aa/ra terms, and each N2(v) and each pair's cn/jc/aa/ra, kept on first use,
-are shared by all five indices and every call on that graph.
+aa/ra terms, and each pair's cn/jc/aa/ra, kept on first use, are shared by
+all five indices and every call on that graph.  N2(v) is built once per
+target per call, from the shared lists, and dropped once its pairs are
+scored, so the index holds at most one N2 set at a time.
 """
 
 from __future__ import annotations
@@ -230,11 +232,12 @@ class HeuristicIndex:
     (only a pair's left node needs its set), ``degrees`` the degree array,
     ``aa_terms[b]`` the Adamic-Adar term 1 / ln deg(b) (0.0 below degree 2)
     and ``ra_terms[b]`` the resource-allocation term 1 / deg(b).
-    ``two_step(v)`` returns N2(v) and ``common(u, v)`` the pair's cn, jc, aa
-    and ra scores, each built on first use and kept, so a pair's
-    C = N(u) & N2(v) is built once per training graph.  Every set is built
-    the same way for every call, so C iterates in one fixed order and the
-    aa/ra sums do not depend on which call, or which other pairs, asked.
+    ``commons[u, v]`` keeps a pair's cn, jc, aa and ra scores once a call
+    has built them, so a pair's C = N(u) & N2(v) is built once per training
+    graph.  N2(v) is not kept: ``heuristic_scores`` builds it once per
+    target per call and drops it.  Every set is built the same way for
+    every call, so C iterates in one fixed order and the aa/ra sums do not
+    depend on which call, or which other pairs, asked.
     """
 
     g: BipartiteGraph
@@ -243,40 +246,37 @@ class HeuristicIndex:
     degrees: np.ndarray = field(repr=False)
     aa_terms: list = field(repr=False)
     ra_terms: list = field(repr=False)
-    two_steps: dict = field(default_factory=dict, repr=False)
     commons: dict = field(default_factory=dict, repr=False)
 
     def two_step(self, v: int) -> set:
-        """N2(v); built by ``_two_step_neighborhood`` on first use."""
-        if v not in self.two_steps:
-            self.two_steps[v] = _two_step_neighborhood(self.neighbor_lists, v)
-        return self.two_steps[v]
-
-    def common(self, u: int, v: int) -> tuple:
-        """(cn, jc, aa, ra) of left u, right v; ``_common_scores`` on first use."""
-        if (u, v) not in self.commons:
-            self.commons[u, v] = _common_scores(self, u, v)
-        return self.commons[u, v]
+        """N2(v), built afresh by ``_two_step_neighborhood``."""
+        return _two_step_neighborhood(self.neighbor_lists, v)
 
 
-# The order of the scores ``HeuristicIndex.common`` returns.
+# The order of the scores in ``HeuristicIndex.commons``.
 _COMMON_KINDS = (
     ScorerKind.COMMON_NEIGHBORS, ScorerKind.JACCARD, ScorerKind.ADAMIC_ADAR, ScorerKind.RESOURCE_ALLOCATION
 )
 
 
-def _common_scores(index: HeuristicIndex, u: int, v: int) -> tuple:
-    """Build C = N(u) & N2(v) and read all four scores from it."""
-    nu, n2 = index.neighbor_sets[u], index.two_step(v)
-    common = nu & n2
-    c = len(common)
-    union = len(nu) + len(n2) - c
+def _common_scores(index: HeuristicIndex, v: int, lefts) -> list:
+    """(cn, jc, aa, ra) of each left u in ``lefts`` with right v, each read
+    from C = N(u) & N2(v).  N2(v) is built once for them all and dropped on
+    return."""
+    n2 = index.two_step(v)
     aa_terms, ra_terms = index.aa_terms, index.ra_terms
-    aa = ra = 0.0  # a left-to-right fold: sum() compensates floats from Python 3.12
-    for b in common:
-        aa += aa_terms[b]
-        ra += ra_terms[b]
-    return c, c / union if union else 0.0, aa, ra
+    out = []
+    for u in lefts:
+        nu = index.neighbor_sets[u]
+        common = nu & n2
+        c = len(common)
+        union = len(nu) + len(n2) - c
+        aa = ra = 0.0  # a left-to-right fold: sum() compensates floats from Python 3.12
+        for b in common:
+            aa += aa_terms[b]
+            ra += ra_terms[b]
+        out.append((c, c / union if union else 0.0, aa, ra))
+    return out
 
 
 def heuristic_index(g_train: BipartiteGraph) -> HeuristicIndex:
@@ -310,10 +310,12 @@ def heuristic_scores(index: HeuristicIndex, kind: ScorerKind, pairs) -> PairScor
     paths from u to v, which is what "common neighbors" degrades to across
     partitions.  The whole batch is checked first: a non-heuristic ``kind``,
     an out-of-range pair or a homogeneous pair raises ValueError.  The last
-    four read ``index.common``: a pair's C is built once per index, by
-    whichever of them asks first, which keeps its four scores.  The union's
-    size is |N(u)| + |N2(v)| - |C|, and aa/ra add the index's per-node terms
-    over C in the set's iteration order.
+    four read ``index.commons``: a pair's C is built once per index, by
+    whichever of them asks first, which keeps its four scores.  The pairs
+    the memo lacks are grouped by right node v; N2(v) is built once for its
+    group and dropped after it.  The union's size is |N(u)| + |N2(v)| - |C|,
+    and aa/ra add the index's per-node terms over C in the set's iteration
+    order.
     """
     if kind not in HEURISTIC_KINDS:
         raise ValueError(f"{kind} is not a heuristic scorer")
@@ -329,9 +331,17 @@ def heuristic_scores(index: HeuristicIndex, kind: ScorerKind, pairs) -> PairScor
         scores = (index.degrees[lefts] * index.degrees[rights]).astype(np.float64)
         return PairScores(pairs=pairs, scores=scores, scorer=kind)
     # The memo keeps four numbers per pair, not its intersection set.
+    memo = index.commons
+    keys = list(zip(lefts.tolist(), rights.tolist()))
+    missing = {}
+    for u, v in dict.fromkeys(keys):
+        if (u, v) not in memo:
+            missing.setdefault(v, []).append(u)
+    for v, group in missing.items():
+        for u, scores in zip(group, _common_scores(index, v, group)):
+            memo[u, v] = scores
     col = _COMMON_KINDS.index(kind)
-    common = index.common
-    values = [common(u, v)[col] for u, v in zip(lefts.tolist(), rights.tolist())]
+    values = [memo[key][col] for key in keys]
     return PairScores(pairs=pairs, scores=np.array(values, dtype=np.float64), scorer=kind)
 
 
@@ -367,6 +377,12 @@ def _hop_at(damped: sp.csr_matrix, x: sp.csr_matrix, rows: np.ndarray, cols: np.
     return np.bincount(seg, weights=terms, minlength=rows.size)
 
 
+def check_beta(beta: float) -> None:
+    """Raise ValueError unless the Katz damping ``beta`` is positive and finite."""
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError(f"beta must be positive and finite, got {beta}")
+
+
 def katz_score(a_train: sp.spmatrix, beta: float, pairs) -> PairScores:
     """Katz index: damped walk counts (I - beta A)^{-1} - I at the pairs.
 
@@ -382,8 +398,7 @@ def katz_score(a_train: sp.spmatrix, beta: float, pairs) -> PairScores:
     matrix is built, and each score is bit-identical to propagating its
     target column alone through all L sparse products.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    check_beta(beta)
     a = sp.csr_matrix(a_train, dtype=np.float64)
     n = a.shape[0]
     pairs, us, vs = _as_index_arrays(pairs, n)

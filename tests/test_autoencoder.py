@@ -14,7 +14,11 @@ expit over every logit against the densified labels) as an oracle for the
 sparse-label tile kernel.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -530,6 +534,9 @@ class TestTrainConfig:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
+        for rate in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="learning_rate must be > 0 and finite"):
+                TrainConfig(learning_rate=rate)
         with pytest.raises(ValueError):
             TrainConfig(model_kind=ModelKind.GAE, hidden_dim=0)
 
@@ -569,6 +576,34 @@ class TestTrain:
         b = train(norm, labels, cfg)
         assert np.array_equal(a.Z, b.Z)
         assert np.array_equal(a.loss_history, b.loss_history)
+
+    def test_gae_independent_of_blas_threads(self):
+        """A 2000-node GAE trains to the same bytes at one and two BLAS
+        threads.  BLAS may split dW1 = hidden^T (An dZ), whose inner
+        dimension is n, across its threads; the sum over fixed row blocks
+        does not move.  OpenBLAS reads its thread count when numpy loads, so
+        each count gets a fresh process."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import hashlib\n"
+            "from bihop.autoencoder import ModelKind, TrainConfig, train, training_labels\n"
+            "from bihop.data import generate_bipartite_er\n"
+            "from bihop.graph import normalize\n"
+            "g = generate_bipartite_er(1000, 1000, 0.005, seed=5)\n"
+            "cfg = TrainConfig(model_kind=ModelKind.GAE, epochs=3, seed=1)\n"
+            "model = train(normalize(g.adj), training_labels(g.adj), cfg)\n"
+            "print(hashlib.sha1(model.Z.tobytes()).hexdigest())\n"
+        )
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            child = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+            )
+            assert child.returncode == 0, child.stderr
+            digests.append(child.stdout.strip())
+        assert digests[0] == digests[1]
 
     def test_single_epoch_history(self):
         rng = np.random.default_rng(50)

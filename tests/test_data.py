@@ -17,7 +17,6 @@ from bihop.data import (
     generate_bipartite_er,
     generate_bipartite_sbm,
     load_dataset,
-    load_edge_list,
     load_edge_list_detailed,
     read_report,
     southern_women_graph,
@@ -54,32 +53,32 @@ class TestEdgeListParsing:
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "g.edges"
         path.write_text("# header\n\na x  # trailing comment\nb y\n")
-        g = load_edge_list(path)
+        g = load_edge_list_detailed(path).graph
         assert g.m == 2
 
     def test_malformed_line_names_line_number(self, tmp_path):
         path = tmp_path / "g.edges"
         path.write_text("a x\nbad\n")
         with pytest.raises(GraphInputError, match="line 2"):
-            load_edge_list(path)
+            load_edge_list_detailed(path)
 
     def test_three_tokens_rejected(self, tmp_path):
         path = tmp_path / "g.edges"
         path.write_text("a x 1.0\n")
         with pytest.raises(GraphInputError, match="expected 2 tokens"):
-            load_edge_list(path)
+            load_edge_list_detailed(path)
 
     def test_id_cannot_appear_in_both_columns(self, tmp_path):
         path = tmp_path / "g.edges"
         path.write_text("a x\nx b\n")
         with pytest.raises(GraphInputError, match="already used"):
-            load_edge_list(path)
+            load_edge_list_detailed(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "g.edges"
         path.write_text("# nothing\n")
         with pytest.raises(GraphInputError, match="no edges"):
-            load_edge_list(path)
+            load_edge_list_detailed(path)
 
     def test_write_then_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(80)

@@ -158,8 +158,21 @@ class TestBenchmarkConfig:
                 ScorerKind.KATZ, {"katz_grid": (0.0,)},
                 ValueError, r"katz_grid\[0\]: beta must be positive",
             ),
+            (ScorerKind.KATZ, {"katz_grid": (np.nan,)}, ValueError, r"katz_grid\[0\]: .* and finite"),
+            (ScorerKind.KATZ, {"katz_grid": (0.01, np.inf)}, ValueError, r"katz_grid\[1\]: .* and finite"),
+            (ScorerKind.KATZ, {"katz_grid": (-np.inf,)}, ValueError, r"katz_grid\[0\]: .* and finite"),
+            *(
+                (
+                    ScorerKind.LGAE, {"lgae_grid": (dict(SMALL_GRID[0], learning_rate=rate),)},
+                    ValueError, r"lgae_grid\[0\]: learning_rate must be > 0 and finite",
+                )
+                for rate in (np.nan, np.inf, -np.inf)
+            ),
         ],
-        ids=["unknown_key", "seed", "zero_epochs", "zero_hidden_dim", "negative_beta", "zero_beta"],
+        ids=[
+            "unknown_key", "seed", "zero_epochs", "zero_hidden_dim", "negative_beta", "zero_beta",
+            "nan_beta", "inf_beta", "-inf_beta", "nan_learning_rate", "inf_learning_rate", "-inf_learning_rate",
+        ],
     )
     def test_bad_grid_point_rejected_at_construction(self, scorer, grids, error, match):
         """Each point used to pass construction and fail only once run 0 had
@@ -530,9 +543,9 @@ class TestSharedTrainingSide:
         built = []
         real = scoring._common_scores
 
-        def counted(index, u, v):
-            built.append((u, v))
-            return real(index, u, v)
+        def counted(index, v, lefts):
+            built.extend((u, v) for u in lefts)
+            return real(index, v, lefts)
 
         monkeypatch.setattr(scoring, "_common_scores", counted)
         g, split = run_five_heuristics()

@@ -27,6 +27,7 @@ from bihop import scoring
 from bihop.autoencoder import EmbeddingModel, ModelKind
 from bihop.data import generate_bipartite_er
 from bihop.graph import adjacency, build_graph, normalized_adjacency
+from bihop.harness import DEFAULT_RATIOS
 from bihop.metrics import roc_auc
 from bihop.scoring import (
     HEURISTIC_KINDS,
@@ -42,6 +43,7 @@ from bihop.scoring import (
     two_hop_score,
     write_scores_csv,
 )
+from bihop.splits import split_edges, train_graph
 
 from conftest import random_bipartite
 
@@ -656,6 +658,22 @@ class TestHeuristics:
             assert np.concatenate([head, tail]).tobytes() == fresh.tobytes(), kind
             assert heuristic_scores(shared, kind, pairs).scores.tobytes() == fresh.tobytes(), kind
 
+    def test_one_call_holds_one_two_step_set_at_a_time(self):
+        """A cn call on the 600 x 1070 ER graph's test pairs (1,070 targets,
+        N2 sets of about 870 nodes) keeps four numbers per pair, not every
+        N2(v) it built: those sets alone are about 35 MB."""
+        g = generate_bipartite_er(600, 1070, 0.063, seed=3)
+        split = split_edges(g, DEFAULT_RATIOS, 0)
+        index = heuristic_index(train_graph(g, split))
+        pairs = np.concatenate([split.test_pos, split.test_neg]) + (0, g.n_left)
+        tracemalloc.start()
+        try:
+            heuristic_scores(index, ScorerKind.COMMON_NEIGHBORS, pairs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
 
 class TestKatz:
     def test_single_edge_closed_form(self):
@@ -722,6 +740,13 @@ class TestKatz:
         g = build_graph(1, 1, [(0, 0)])
         with pytest.raises(ValueError, match="positive"):
             katz_score(adjacency(g), 0.0, [(0, 1)])
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_beta_rejected(self, beta):
+        """NaN fails every comparison, so a bare beta <= 0 check let it through."""
+        g = build_graph(1, 1, [(0, 0)])
+        with pytest.raises(ValueError, match="positive and finite"):
+            katz_score(adjacency(g), beta, [(0, 1)])
 
     def test_symmetry(self):
         rng = np.random.default_rng(76)
