@@ -4,7 +4,8 @@ A benchmark run r uses seed base_seed + r for its split and for model
 initialization, so the whole experiment is a pure function of (graph,
 config).  ``BenchmarkConfig`` holds each input in one form, and each split
 has one ``RunArtifacts``: the split and its training graph, with the
-normalization, labels, heuristic index and models built on first use.
+normalization, labels, heuristic and Katz indices and models built on
+first use.
 Hyperparameters with more than one grid point are chosen by validation AUC
 on run 0's artifacts and then frozen for the remaining runs; run 0 scores
 its test pairs on those same artifacts, so it reuses the search's split,
@@ -46,11 +47,13 @@ from .scoring import (
     MODEL_KINDS,
     HeuristicIndex,
     KatzDivergenceError,
+    KatzIndex,
     ScorerKind,
     check_beta,
     decode_score,
     heuristic_index,
     heuristic_scores,
+    katz_index,
     katz_score,
     recon_two_hop_score,
     two_hop_score,
@@ -149,8 +152,9 @@ class RunArtifacts:
 
     Holds the split and its training graph.  The rest is built from the
     training graph on first use and kept: the normalization and labels the
-    models read, the heuristic index, and each model under (model kind,
-    params), so tuning and scoring on one split train each model once.  A
+    models read, the heuristic and Katz indices, and each model under
+    (model kind, params), so tuning and scoring on one split train each
+    model once, and Katz's grid points and test call share one radius.  A
     run that scores only heuristics never builds the normalization or labels.
     """
 
@@ -182,6 +186,12 @@ class RunArtifacts:
         """The neighbourhood index of ``g_train``; built on first use."""
         return heuristic_index(self.g_train)
 
+    @cached_property
+    def katz(self) -> KatzIndex:
+        """The Katz index of ``g_train``; its dense blocks and spectral
+        radius are built by the first closed-form Katz call."""
+        return katz_index(adjacency(self.g_train), self.g_train.n_left)
+
 
 def build_run_artifacts(g: BipartiteGraph, split: EdgeSplit) -> RunArtifacts:
     """Training side of ``split``.  Reads only split.train_edges and seed."""
@@ -191,7 +201,7 @@ def build_run_artifacts(g: BipartiteGraph, split: EdgeSplit) -> RunArtifacts:
 def _score_pairs(kind: ScorerKind, pairs, artifacts: RunArtifacts, params: dict) -> np.ndarray:
     """One call of scorer ``kind`` with hyperparameters ``params`` over ``pairs``."""
     if kind is ScorerKind.KATZ:
-        return katz_score(adjacency(artifacts.g_train), params["beta"], pairs).scores
+        return katz_score(artifacts.katz, params["beta"], pairs).scores
     if kind in HEURISTIC_KINDS:
         return heuristic_scores(artifacts.heuristics, kind, pairs).scores
     model = artifacts.model(ModelKind.GAE if kind is ScorerKind.GAE else ModelKind.LGAE, params)

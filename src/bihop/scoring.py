@@ -18,9 +18,13 @@ over blocks of Z's rows; each keeps about ``_GATHER_ENTRIES`` floats alive.
 Only Katz keeps two forms, because they compute different quantities: the
 closed form up to ``DENSE_THRESHOLD`` (4096) nodes, a truncated series
 above it.  The graph size alone picks the form; no argument overrides it.
-The series reads only the pairs' entries: its first hops are sparse
-products of a block of target columns, and its last hop is computed
-pointwise at the pairs, by the same CSR row gather ``two_hop`` uses.
+Both read a ``KatzIndex`` built once per training graph (``katz_index``).
+The closed form solves through the biadjacency, with the s x s Gram matrix
+of the smaller side (s <= n / 2), which the index keeps, with the spectral
+radius, from its first call on.  The series reads only the pairs'
+entries: its first hops are sparse products of a block of target columns,
+and its last hop is computed pointwise at the pairs, by the same CSR row
+gather ``two_hop`` uses.
 
 All scorers accept node pairs in GLOBAL indexing (left block first), as a
 (k, 2) integer array or a sequence of integer pairs, reject anything else
@@ -42,6 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -349,16 +354,65 @@ class KatzDivergenceError(ValueError):
     """The closed-form Katz resolvent needs beta < 1 / spectral_radius(A)."""
 
 
-def adjacency_spectral_radius(a: sp.spmatrix) -> float:
-    """Largest absolute eigenvalue of a symmetric adjacency."""
+def _smaller_side_block(a: sp.csr_matrix, n_left: int):
+    """(W, s_lo) for the bipartite adjacency ``a``: W is the dense block of
+    ``a`` whose rows are the larger side's nodes and whose columns are the
+    smaller side's (the left side on a tie), and s_lo is the global index of
+    the smaller side's first node, 0 or n_left."""
     n = a.shape[0]
+    if n_left <= n - n_left:
+        return a[n_left:, :n_left].toarray(), 0
+    return a[:n_left, n_left:].toarray(), n_left
+
+
+def adjacency_spectral_radius(a: sp.spmatrix, n_left: int) -> float:
+    """Largest absolute eigenvalue of the symmetric bipartite adjacency
+    ``a``, whose first ``n_left`` nodes are its left side.
+
+    The eigenvalues of A = [[0, B], [B^T, 0]] are plus and minus the
+    singular values of B, so the radius is sqrt(lambda_max(W^T W)), with W
+    from ``_smaller_side_block``: one ``np.linalg.eigvalsh`` of the smaller
+    side's s x s Gram matrix, s <= n / 2.
+    """
     if a.nnz == 0:
         return 0.0
-    if n <= 64:
-        return float(np.max(np.abs(np.linalg.eigvalsh(a.toarray()))))
-    # A fixed start vector: ARPACK's random one moves the radius in its last bits.
-    vals = sp.linalg.eigsh(a.asfptype(), k=1, which="LM", v0=np.ones(n), return_eigenvectors=False)
-    return float(abs(vals[0]))
+    w, _ = _smaller_side_block(sp.csr_matrix(a, dtype=np.float64), n_left)
+    return math.sqrt(np.linalg.eigvalsh(w.T @ w)[-1])
+
+
+@dataclass(frozen=True, eq=False)
+class KatzIndex:
+    """What Katz reads from one training graph.
+
+    ``adj`` is the symmetric float64 CSR adjacency and its first ``n_left``
+    nodes are the left side; the series reads ``adj`` alone.  The closed
+    form reads ``blocks``, which its first call builds and every later call
+    on the index shares: W and s_lo from ``_smaller_side_block``, the Gram
+    matrix G = W^T W of the smaller side, and the spectral radius.
+    """
+
+    adj: sp.csr_matrix = field(repr=False)
+    n_left: int
+
+    @cached_property
+    def blocks(self) -> tuple:
+        """(W, G, radius, s_lo); built on first use."""
+        w, s_lo = _smaller_side_block(self.adj, self.n_left)
+        return w, w.T @ w, adjacency_spectral_radius(self.adj, self.n_left), s_lo
+
+
+def katz_index(a_train: sp.spmatrix, n_left: int) -> KatzIndex:
+    """The Katz index of the bipartite adjacency ``a_train``, whose first
+    ``n_left`` nodes are the left side; reads its entries only.  ValueError
+    if it is not square or stores an entry inside one side."""
+    a = sp.csr_matrix(a_train, dtype=np.float64)
+    n = a.shape[0]
+    if a.shape != (n, n) or not 0 <= n_left <= n:
+        raise ValueError(f"a {a.shape} matrix with n_left={n_left} is not a bipartite adjacency")
+    row_left = np.repeat(np.arange(n) < n_left, np.diff(a.indptr))
+    if np.any(row_left == (a.indices < n_left)):
+        raise ValueError("the adjacency stores an entry inside one side; Katz needs a bipartite graph")
+    return KatzIndex(adj=a, n_left=n_left)
 
 
 def _entries(x: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -383,34 +437,68 @@ def check_beta(beta: float) -> None:
         raise ValueError(f"beta must be positive and finite, got {beta}")
 
 
-def katz_score(a_train: sp.spmatrix, beta: float, pairs) -> PairScores:
+def _closed_form(index: KatzIndex, beta: float, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """[(I - beta A)^{-1} - I] at the pairs, through the smaller side.
+
+    With S the smaller side, O the other, W the O x S block and
+    M = I - beta^2 W^T W on S, the resolvent's blocks are M^{-1} on S x S,
+    beta W M^{-1} on O x S and (push-through) I + beta^2 W M^{-1} W^T on
+    O x O.  A pair (a, b) reads one column of M^{-1} R: R's column is the
+    unit vector e_a for an S-S pair (a the smaller index) or an S-O pair (a
+    on S), and W's row a for an O-O pair (a the larger index).  One solve
+    covers the call's unique columns; an S-S pair reads entry b of its
+    column, and every other pair dots it with W's row b, times beta (S-O)
+    or beta^2 (O-O).  Both endpoints are picked from the sorted pair, so
+    (u, v) and (v, u) take the same arithmetic.
+    """
+    w, gram, radius, s_lo = index.blocks
+    if radius > 0 and beta >= 1.0 / radius:
+        raise KatzDivergenceError(
+            f"beta={beta} >= 1/spectral_radius={1.0 / radius:.6g}; "
+            "the resolvent series diverges"
+        )
+    s, o_lo = gram.shape[0], index.n_left - s_lo
+    lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+    lo_s, hi_s = (lo >= index.n_left) == bool(s_lo), (hi >= index.n_left) == bool(s_lo)
+    a, b = np.where(lo_s, lo, hi), np.where(lo_s, hi, lo)
+    on_s, on_o = lo_s & hi_s, ~(lo_s | hi_s)
+    # Column keys: the s unit columns, then W's rows.
+    cols, col = np.unique(np.where(on_o, s + a - o_lo, a - s_lo), return_inverse=True)
+    rhs = np.zeros((s, cols.size))
+    unit = cols < s
+    rhs[cols[unit], np.flatnonzero(unit)] = 1.0
+    rhs[:, ~unit] = w[cols[~unit] - s].T
+    x = np.linalg.solve(np.eye(s) - beta**2 * gram, rhs)
+    scores = np.empty(us.size)
+    scores[on_s] = x[b[on_s] - s_lo, col[on_s]] - (lo == hi)[on_s]
+    rest = ~on_s
+    dots = np.einsum("ij,ij->i", w[b[rest] - o_lo], x.T[col[rest]])
+    scores[rest] = np.where(on_o[rest], beta**2, beta) * dots
+    return scores
+
+
+def katz_score(index: KatzIndex, beta: float, pairs) -> PairScores:
     """Katz index: damped walk counts (I - beta A)^{-1} - I at the pairs.
 
     The graph size alone picks the form.  Up to ``DENSE_THRESHOLD`` nodes it
-    is the closed form (one dense solve per call), which requires
-    beta < 1 / spectral_radius(A) (KatzDivergenceError otherwise); larger
-    graphs use the truncated series sum_{l=1..L} (beta A)^l with
-    L = ``_KATZ_TERMS`` (5).  The series runs once for the unique target
-    columns, ``_KATZ_COLUMNS`` at a time.  Hops 1 to L - 1 are sparse
-    products x_l = beta A x_{l-1} of the block; the last hop is computed
-    only at the pairs' (u, target) entries by ``_hop_at``.  Each pair adds
-    its x_1 .. x_L entries in hop order, so no n x n or n x block dense
-    matrix is built, and each score is bit-identical to propagating its
-    target column alone through all L sparse products.
+    is the closed form (``_closed_form``, one s x s solve per call), which
+    requires beta < 1 / spectral_radius(A) (KatzDivergenceError otherwise);
+    larger graphs use the truncated series sum_{l=1..L} (beta A)^l with
+    L = ``_KATZ_TERMS`` (5), which reads ``index.adj`` only.  The series
+    runs once for the unique target columns, ``_KATZ_COLUMNS`` at a time.
+    Hops 1 to L - 1 are sparse products x_l = beta A x_{l-1} of the block;
+    the last hop is computed only at the pairs' (u, target) entries by
+    ``_hop_at``.  Each pair adds its x_1 .. x_L entries in hop order, so no
+    n x n or n x block dense matrix is built, and each score is
+    bit-identical to propagating its target column alone through all L
+    sparse products.
     """
     check_beta(beta)
-    a = sp.csr_matrix(a_train, dtype=np.float64)
+    a = index.adj
     n = a.shape[0]
     pairs, us, vs = _as_index_arrays(pairs, n)
     if n <= DENSE_THRESHOLD:
-        radius = adjacency_spectral_radius(a)
-        if radius > 0 and beta >= 1.0 / radius:
-            raise KatzDivergenceError(
-                f"beta={beta} >= 1/spectral_radius={1.0 / radius:.6g}; "
-                "the resolvent series diverges"
-            )
-        resolvent = np.linalg.solve(np.eye(n) - beta * a.toarray(), np.eye(n))
-        scores = resolvent[us, vs] - (us == vs).astype(np.float64)
+        scores = _closed_form(index, beta, us, vs)
     else:
         scores = np.empty(len(pairs))
         damped = beta * a
@@ -428,7 +516,7 @@ def katz_score(a_train: sp.spmatrix, beta: float, pairs) -> PairScores:
                 total += _entries(x, rows, cols)
             total += _hop_at(damped, x, rows, cols)
             scores[sel] = total
-    return PairScores(pairs=pairs, scores=np.asarray(scores, dtype=np.float64), scorer=ScorerKind.KATZ)
+    return PairScores(pairs=pairs, scores=scores, scorer=ScorerKind.KATZ)
 
 
 def write_scores_csv(pair_scores: PairScores, path, labels=None) -> None:

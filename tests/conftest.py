@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from bihop import scoring
 from bihop.graph import BipartiteGraph, build_graph
 
 # Property tests draw the same examples on every run and keep no example
@@ -57,3 +60,14 @@ def random_bipartite(rng: np.random.Generator, max_side: int = 8, min_edges: int
     while len(pairs) < min_edges:
         pairs.append((int(rng.integers(n_left)), int(rng.integers(n_right))))
     return build_graph(n_left, n_right, pairs)
+
+
+# DENSE_THRESHOLD values that make katz_score take one form whatever the
+# graph size.
+KATZ_THRESHOLDS = {"closed": 1 << 62, "series": -1}
+
+
+def katz_form(form):
+    """Patch scoring.DENSE_THRESHOLD so katz_score takes ``form``; a context
+    manager, so it also holds inside one hypothesis example."""
+    return mock.patch.object(scoring, "DENSE_THRESHOLD", KATZ_THRESHOLDS[form])

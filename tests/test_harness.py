@@ -41,6 +41,8 @@ from bihop.metrics import MetricReport, summarize
 from bihop.scoring import HEURISTIC_KINDS, ScorerKind, adjacency_spectral_radius, heuristic_scores
 from bihop.splits import split_edges
 
+from conftest import katz_form
+
 
 SMALL_GRID = ({"learning_rate": 0.01, "epochs": 40, "embed_dim": 8},)
 SMALL_GAE_GRID = (
@@ -359,7 +361,7 @@ class TestKatzFeasibility:
     def dense_er(self):
         g = generate_bipartite_er(300, 500, 0.1, seed=0)
         artifacts = build_run_artifacts(g, split_edges(g, DEFAULT_RATIOS, seed=0))
-        limit = 1.0 / adjacency_spectral_radius(artifacts.g_train.adj)
+        limit = 1.0 / adjacency_spectral_radius(artifacts.g_train.adj, artifacts.g_train.n_left)
         return artifacts, limit
 
     def test_default_grid_skips_infeasible_points(self, dense_er, caplog):
@@ -440,6 +442,13 @@ class TestLeakageDiscipline:
                 heuristic_scores(a.heuristics, kind, probe).scores,
                 heuristic_scores(b.heuristics, kind, probe).scores,
             ), kind
+        # Katz also takes same-side and self pairs, on both sides.
+        probe += [(0, 5), (7, 7), (block_graph.n_left + 1, block_graph.n_left + 9)]
+        for form in ("closed", "series"):
+            with katz_form(form):
+                katz_a = scoring.katz_score(a.katz, 0.01, probe).scores
+                katz_b = scoring.katz_score(b.katz, 0.01, probe).scores
+            assert katz_a.tobytes() == katz_b.tobytes(), form
 
 
 BLOCKS = DatasetSpec(
@@ -552,6 +561,24 @@ class TestSharedTrainingSide:
         test = np.concatenate([split.test_pos, split.test_neg])
         test_pairs = {(u, g.n_left + v) for u, v in test.tolist()}
         assert sorted(built) == sorted(test_pairs)
+
+    def test_one_spectral_radius_per_training_graph(self, monkeypatch):
+        """The four Katz grid points and run 0's test call score through one
+        index per split, which computes the spectral radius once."""
+        radii = []
+        real = scoring.adjacency_spectral_radius
+
+        def counted(*args):
+            radii.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(scoring, "adjacency_spectral_radius", counted)
+        katz_calls = count_calls(monkeypatch, "katz_score")
+        config = BenchmarkConfig(datasets=(BLOCKS,), scorers=(ScorerKind.KATZ,), runs=1)
+        assert len(config.katz_grid) == 4
+        run_benchmark(config)
+        assert len(katz_calls) == 5
+        assert len(radii) == 1
 
     def test_heuristics_only_build_no_training_side(self, monkeypatch):
         """A heuristic-only run reads the heuristic index alone: it never

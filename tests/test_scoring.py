@@ -5,14 +5,19 @@ a literal path-sum decomposition on a six-node graph, and agreement with the
 explicit An @ R matrix on random instances (the acceptance suite scales the
 latter up to 100 graphs).  The batched Katz series and the indexed
 heuristics are checked bit for bit against the per-pair loops they
-replaced, and every scorer is checked to give the same scores whether a
-pair list is scored at once or in pieces.
+replaced, the Katz closed form against the dense resolvent, and every
+scorer is checked to give the same scores whether a pair list is scored
+at once or in pieces.
 """
 
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from contextlib import nullcontext
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -38,6 +43,7 @@ from bihop.scoring import (
     decode_score,
     heuristic_index,
     heuristic_scores,
+    katz_index,
     katz_score,
     recon_two_hop_score,
     two_hop_score,
@@ -45,7 +51,7 @@ from bihop.scoring import (
 )
 from bihop.splits import split_edges, train_graph
 
-from conftest import random_bipartite
+from conftest import katz_form, random_bipartite
 
 
 def model_for(g, z):
@@ -161,15 +167,9 @@ def heuristic_one(g, kind, u, v):
     return heuristic_scores(heuristic_index(g), kind, [(u, v)]).scores[0]
 
 
-# DENSE_THRESHOLD values that make katz_score take one form whatever the
-# graph size.
-KATZ_THRESHOLDS = {"closed": 1 << 62, "series": -1}
-
-
-def katz_form(form):
-    """Patch scoring.DENSE_THRESHOLD so katz_score takes ``form``; a context
-    manager, so it also holds inside one hypothesis example."""
-    return mock.patch.object(scoring, "DENSE_THRESHOLD", KATZ_THRESHOLDS[form])
+def katz_of(g, beta, pairs):
+    """Katz scores of ``pairs`` on ``g``'s adjacency, from a fresh index."""
+    return katz_score(katz_index(adjacency(g), g.n_left), beta, pairs)
 
 
 def katz_terms(terms):
@@ -188,7 +188,7 @@ def scored_with(kind, g, z, pairs):
     if kind in (ScorerKind.LGAE, ScorerKind.GAE):
         return decode_score(model, pairs, kind=kind)
     if kind is ScorerKind.KATZ:
-        return katz_score(adjacency(g), 0.05, pairs)
+        return katz_of(g, 0.05, pairs)
     return heuristic_scores(heuristic_index(g), kind, pairs)
 
 
@@ -678,7 +678,7 @@ class TestHeuristics:
 class TestKatz:
     def test_single_edge_closed_form(self):
         g = build_graph(1, 1, [(0, 0)])
-        got = katz_score(adjacency(g), 0.5, [(0, 1)]).scores[0]
+        got = katz_of(g, 0.5, [(0, 1)]).scores[0]
         # geometric series over odd walk lengths: beta / (1 - beta^2)
         assert got == pytest.approx(2.0 / 3.0, abs=1e-15)
 
@@ -688,19 +688,18 @@ class TestKatz:
         a = adjacency(g)
         beta = 1e-8
         pairs = het_pairs(g)
-        got = katz_score(a, beta, pairs).scores / beta
+        got = katz_of(g, beta, pairs).scores / beta
         want = np.array([a[u, v] for u, v in pairs])
         assert np.allclose(got, want, rtol=0, atol=1e-6)
 
     def test_truncated_series_approaches_closed_form(self):
         rng = np.random.default_rng(75)
         g = random_bipartite(rng, max_side=5, min_edges=6)
-        a = adjacency(g)
         pairs = het_pairs(g)
         with katz_form("closed"):
-            closed = katz_score(a, 0.05, pairs).scores
+            closed = katz_of(g, 0.05, pairs).scores
         with katz_form("series"), katz_terms(25):
-            series = katz_score(a, 0.05, pairs).scores
+            series = katz_of(g, 0.05, pairs).scores
         denom = np.maximum(np.abs(closed), 1e-30)
         assert np.max(np.abs(series - closed) / denom) <= 1e-8
 
@@ -708,18 +707,18 @@ class TestKatz:
         g = build_graph(1, 1, [(0, 0)])
         beta = 0.3
         with katz_form("series"), katz_terms(5):
-            got = katz_score(adjacency(g), beta, [(0, 1)]).scores[0]
+            got = katz_of(g, beta, [(0, 1)]).scores[0]
         assert got == pytest.approx(beta + beta**3 + beta**5, rel=1e-14)
 
     def test_beta_beyond_radius_rejected_in_dense_mode(self):
         g = build_graph(1, 1, [(0, 0)])  # spectral radius exactly 1
         with katz_form("closed"), pytest.raises(ValueError, match="diverges"):
-            katz_score(adjacency(g), 1.5, [(0, 1)])
+            katz_of(g, 1.5, [(0, 1)])
 
     def test_series_mode_tolerates_large_beta(self):
         g = build_graph(1, 1, [(0, 0)])
         with katz_form("series"), katz_terms(3):
-            got = katz_score(adjacency(g), 1.5, [(0, 1)]).scores[0]
+            got = katz_of(g, 1.5, [(0, 1)]).scores[0]
         assert got == pytest.approx(1.5 + 1.5**3, rel=1e-14)
 
     def test_graph_size_picks_the_form(self):
@@ -729,9 +728,9 @@ class TestKatz:
         g = build_graph(1, 1, [(0, 0)])
         beta = 0.3
         with mock.patch.object(scoring, "DENSE_THRESHOLD", g.n):
-            closed = katz_score(adjacency(g), beta, [(0, 1)]).scores[0]
+            closed = katz_of(g, beta, [(0, 1)]).scores[0]
         with mock.patch.object(scoring, "DENSE_THRESHOLD", g.n - 1):
-            series = katz_score(adjacency(g), beta, [(0, 1)]).scores[0]
+            series = katz_of(g, beta, [(0, 1)]).scores[0]
         assert closed == pytest.approx(beta / (1 - beta**2), rel=1e-14)
         assert series == pytest.approx(beta + beta**3 + beta**5, rel=1e-14)
         assert scoring.DENSE_THRESHOLD == 4096
@@ -739,21 +738,20 @@ class TestKatz:
     def test_nonpositive_beta_rejected(self):
         g = build_graph(1, 1, [(0, 0)])
         with pytest.raises(ValueError, match="positive"):
-            katz_score(adjacency(g), 0.0, [(0, 1)])
+            katz_of(g, 0.0, [(0, 1)])
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
     def test_non_finite_beta_rejected(self, beta):
         """NaN fails every comparison, so a bare beta <= 0 check let it through."""
         g = build_graph(1, 1, [(0, 0)])
         with pytest.raises(ValueError, match="positive and finite"):
-            katz_score(adjacency(g), beta, [(0, 1)])
+            katz_of(g, beta, [(0, 1)])
 
     def test_symmetry(self):
         rng = np.random.default_rng(76)
         g = random_bipartite(rng, max_side=6)
-        a = adjacency(g)
-        fwd = katz_score(a, 0.03, [(0, g.n - 1)]).scores[0]
-        rev = katz_score(a, 0.03, [(g.n - 1, 0)]).scores[0]
+        fwd = katz_of(g, 0.03, [(0, g.n - 1)]).scores[0]
+        rev = katz_of(g, 0.03, [(g.n - 1, 0)]).scores[0]
         assert fwd == pytest.approx(rev, rel=1e-12)
 
     def test_series_bit_identical_to_per_pair_loop(self):
@@ -787,38 +785,98 @@ class TestKatz:
             for matrix, beta in ((a, 0.05), (weighted, 0.3)):
                 for terms in (1, 2, 3, 5):
                     with katz_form("series"), katz_terms(terms):
-                        got = katz_score(matrix, beta, pairs).scores
+                        got = katz_score(katz_index(matrix, n_left), beta, pairs).scores
                     assert np.array_equal(got, katz_series_loop(matrix, beta, pairs, terms))
 
     def test_series_empty_pairs(self):
         g = build_graph(2, 2, [(0, 0)])
         with katz_form("series"):
-            got = katz_score(adjacency(g), 0.1, [])
+            got = katz_of(g, 0.1, [])
         assert got.scores.shape == (0,)
         assert got.pairs.shape == (0, 2)
 
     def test_spectral_radius_small_and_large_paths_agree(self):
+        """The right side larger, then the same graph with its sides swapped:
+        the Gram matrix of either smaller side gives the dense radius of A."""
         rng = np.random.default_rng(77)
         g = random_bipartite(rng, max_side=8, min_edges=10)
-        a = adjacency(g)
-        small = adjacency_spectral_radius(a)
-        dense = float(np.max(np.abs(np.linalg.eigvalsh(a.toarray()))))
-        assert small == pytest.approx(dense, rel=1e-10)
+        swapped = build_graph(g.n_right, g.n_left, g.edges[:, ::-1])
+        assert g.n_left < g.n_right
+        for h in (g, swapped):
+            a = adjacency(h)
+            dense = float(np.max(np.abs(np.linalg.eigvalsh(a.toarray()))))
+            assert adjacency_spectral_radius(a, h.n_left) == pytest.approx(dense, rel=1e-10)
 
     def test_spectral_radius_repeats_bit_for_bit(self):
-        """Above 64 nodes ARPACK runs from a fixed start vector, so the radius
-        that decides Katz feasibility is the same on every call."""
+        """One eigvalsh of the Gram matrix, so the radius that decides Katz
+        feasibility is the same on every call."""
         rng = np.random.default_rng(78)
         edges = [(u, v) for u in range(60) for v in range(50) if rng.random() < 0.1]
         a = adjacency(build_graph(60, 50, edges))
-        radii = {adjacency_spectral_radius(a) for _ in range(5)}
+        radii = {adjacency_spectral_radius(a, 60) for _ in range(5)}
         assert len(radii) == 1
         dense = float(np.max(np.abs(np.linalg.eigvalsh(a.toarray()))))
         assert radii.pop() == pytest.approx(dense, rel=1e-10)
 
     def test_empty_graph_radius_zero(self):
         g = build_graph(3, 3, [])
-        assert adjacency_spectral_radius(adjacency(g)) == 0.0
+        assert adjacency_spectral_radius(adjacency(g), g.n_left) == 0.0
+
+    def test_closed_form_matches_dense_resolvent(self):
+        """Every ordered pair of nodes (left-right pairs in both
+        orientations, same-side pairs on both sides, self-pairs) against
+        inv(I - beta A) - I, at 1e-12 of the largest |score|: the left side
+        smaller, larger and equal, a node on each side with no edge, 0/1 and
+        random symmetric weights, and beta at 0.5 and 0.9 of 1 / radius.
+        The empty graph scores exactly 0."""
+        rng = np.random.default_rng(84)
+        for n_left, n_right in ((3, 7), (7, 3), (5, 5)):
+            # Left node 0 and right node 0 stay isolated.
+            edges = [(u, v) for u in range(1, n_left) for v in range(1, n_right) if rng.random() < 0.6]
+            g = build_graph(n_left, n_right, edges)
+            a = adjacency(g)
+            upper = sp.triu(a).multiply(rng.uniform(0.5, 2.0, size=a.shape))
+            pairs = [(u, v) for u in range(g.n) for v in range(g.n)]
+            for matrix in (a, sp.csr_matrix(upper + upper.T)):
+                dense = matrix.toarray()
+                index = katz_index(matrix, n_left)
+                radius = float(np.max(np.abs(np.linalg.eigvalsh(dense))))
+                for beta in (0.5 / radius, 0.9 / radius):
+                    want = np.linalg.inv(np.eye(g.n) - beta * dense) - np.eye(g.n)
+                    with katz_form("closed"):
+                        got = katz_score(index, beta, pairs).scores
+                    tol = 1e-12 * np.max(np.abs(want))
+                    assert np.max(np.abs(got - np.array([want[u, v] for u, v in pairs]))) <= tol
+        empty = build_graph(3, 4, [])
+        pairs = [(u, v) for u in range(empty.n) for v in range(empty.n)]
+        assert not np.any(katz_of(empty, 0.5, pairs).scores)
+
+    def test_index_rejects_non_bipartite_matrix(self):
+        """The closed form holds only for A = [[0, B], [B^T, 0]]; an entry
+        inside one side, or a non-square matrix, is refused."""
+        with pytest.raises(ValueError, match="inside one side"):
+            katz_index(sp.csr_matrix(np.ones((2, 2))), 1)
+        with pytest.raises(ValueError, match="not a bipartite adjacency"):
+            katz_index(sp.csr_matrix((2, 3)), 1)
+
+    def test_closed_form_loads_no_scipy_linalg(self):
+        """A closed-form call loads neither scipy.sparse.linalg nor
+        scipy.linalg; in a fresh process, since this one may have loaded
+        them already."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys, bihop\n"
+            "g = bihop.generate_bipartite_er(30, 40, 0.2, seed=1)\n"
+            "bihop.katz_score(bihop.katz_index(g.adj, g.n_left), 0.01, [(0, 30), (1, 2), (31, 32)])\n"
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.sparse.linalg'))))"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == "[]"
 
 
 class TestPairValidation:
