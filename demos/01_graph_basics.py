@@ -9,7 +9,7 @@ import numpy as np
 from bihop import (
     adjacency,
     build_graph,
-    normalized_adjacency,
+    normalize,
     southern_women_graph,
     split_edges,
     train_graph,
@@ -38,7 +38,7 @@ a = adjacency(g)
 print("adjacency (dense view, left block rows 0..2, right block rows 3..5):")
 print(a.toarray())
 
-norm = normalized_adjacency(g)
+norm = normalize(g.adj)
 print("normalized adjacency (self-loops added, scaled by degree products):")
 print(np.round(norm.matrix.toarray(), 3))
 print(f"self-loop degrees: {norm.tilde_degrees}")
@@ -46,7 +46,7 @@ print(f"self-loop degrees: {norm.tilde_degrees}")
 print()
 print("single-edge sanity check: a 1+1 graph normalizes to all 0.5 exactly")
 tiny = build_graph(1, 1, [(0, 0)])
-print(normalized_adjacency(tiny).matrix.toarray())
+print(normalize(tiny.adj).matrix.toarray())
 
 print()
 print("=" * 64)

@@ -18,7 +18,7 @@ from bihop import (
     adjacency,
     decode_pairs,
     load_model,
-    normalized_adjacency,
+    normalize,
     save_model,
     southern_women_graph,
     split_edges,
@@ -35,7 +35,7 @@ g = southern_women_graph()
 split = split_edges(g, (0.85, 0.05, 0.10), seed=0)
 gt = train_graph(g, split)
 a_train = adjacency(gt)
-norm = normalized_adjacency(gt)
+norm = normalize(gt.adj)
 labels = training_labels(a_train)
 print(f"graph: {g.n} nodes, training edges: {gt.m}")
 print(f"label matrix keeps edges plus self-loops: nnz = {labels.nnz}")

@@ -23,7 +23,7 @@ from bihop import (
     heuristic_scores,
     katz_index,
     katz_score,
-    normalized_adjacency,
+    normalize,
     roc_auc,
     southern_women_graph,
     split_edges,
@@ -42,7 +42,7 @@ g = southern_women_graph()
 split = split_edges(g, (0.85, 0.05, 0.10), seed=0)
 gt = train_graph(g, split)
 a_train = adjacency(gt)
-norm = normalized_adjacency(gt)
+norm = normalize(gt.adj)
 model = train(norm, training_labels(a_train), TrainConfig(seed=0))
 print(f"training edges: {gt.m}, held-out test edges: {len(split.test_pos)}")
 

@@ -219,22 +219,7 @@ def normalize(a: sp.spmatrix) -> NormalizedAdjacency:
     return NormalizedAdjacency(matrix=mat, tilde_degrees=tilde_deg)
 
 
-def normalized_adjacency(g: BipartiteGraph) -> NormalizedAdjacency:
-    """Shorthand for ``normalize(adjacency(g))``."""
-    return normalize(adjacency(g))
-
-
-def sparse_dense_product(s, d: np.ndarray) -> np.ndarray:
-    """Exact sparse-times-dense product ``s @ d``.
-
-    ``s`` may be a sparse matrix or a NormalizedAdjacency; ``d`` is a dense
-    (n, k) array.  Dimension mismatch raises ValueError.
-    """
-    if isinstance(s, NormalizedAdjacency):
-        s = s.matrix
-    d = np.asarray(d, dtype=np.float64)
-    if d.ndim == 1:
-        d = d[:, None]
-    if s.shape[1] != d.shape[0]:
-        raise ValueError(f"dimension mismatch: {s.shape} @ {d.shape}")
-    return np.asarray(s @ d)
+def sparse_dense_product(norm_adj: NormalizedAdjacency, d: np.ndarray) -> np.ndarray:
+    """Exact sparse-times-dense product ``norm_adj.matrix @ d`` for a 2-D
+    float64 ``d``; scipy raises ValueError on a dimension mismatch."""
+    return norm_adj.matrix @ d

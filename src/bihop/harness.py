@@ -1,11 +1,11 @@
 """Experiment orchestration: multi-run benchmarks, tuning, and diagnostics.
 
-A benchmark run r uses seed base_seed + r for its split and for model
-initialization, so the whole experiment is a pure function of (graph,
-config).  ``BenchmarkConfig`` holds each input in one form, and each split
-has one ``RunArtifacts``: the split and its training graph, with the
-normalization, labels, heuristic and Katz indices and models built on
-first use.
+A benchmark makes exactly ``runs`` runs per dataset, and run r uses seed
+base_seed + r for its split and for model initialization, so the whole
+experiment is a pure function of (graph, config).  ``BenchmarkConfig``
+holds each input in one form, and each split has one ``RunArtifacts``: the
+split and its training graph, with the normalization, labels, heuristic
+and Katz indices and models built on first use.
 Hyperparameters with more than one grid point are chosen by validation AUC
 on run 0's artifacts and then frozen for the remaining runs; run 0 scores
 its test pairs on those same artifacts, so it reuses the search's split,
@@ -19,7 +19,6 @@ validation and test pairs enter only as scoring arguments.
 from __future__ import annotations
 
 import logging
-import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -58,7 +57,7 @@ from .scoring import (
     recon_two_hop_score,
     two_hop_score,
 )
-from .splits import EdgeSplit, child_keys, sample_negatives, split_edges, train_graph
+from .splits import EdgeSplit, check_ratios, child_keys, sample_negatives, split_edges, train_graph
 
 logger = logging.getLogger(__name__)
 
@@ -82,7 +81,6 @@ class BenchmarkConfig:
     lgae_grid: tuple = DEFAULT_LGAE_GRID
     gae_grid: tuple = DEFAULT_GAE_GRID
     katz_grid: tuple = DEFAULT_KATZ_GRID
-    time_budget_s: float | None = None
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -96,6 +94,7 @@ class BenchmarkConfig:
         specs = (s if isinstance(s, DatasetSpec) else DatasetSpec(id=s) for s in self.datasets)
         put(self, "datasets", tuple(specs))
         put(self, "ratios", tuple(map(float, self.ratios)))
+        check_ratios(self.ratios)
         put(self, "katz_grid", tuple(map(float, self.katz_grid)))
         put(self, "lgae_grid", tuple(map(dict, self.lgae_grid)))
         put(self, "gae_grid", tuple(map(dict, self.gae_grid)))
@@ -341,12 +340,11 @@ def run_benchmark(config: BenchmarkConfig, data_dir=None) -> Summary:
     """R runs per dataset, aggregated; emits CSVs when out_dir is set.
 
     A dataset that fails to load is skipped and recorded in
-    ``Summary.missing``; other datasets still run.  Each run builds its
-    split and ``RunArtifacts`` once; tuning uses run 0's, and run 0 then
-    scores on the same ones.  The optional per-dataset wall-clock budget starts after tuning
-    and stops a dataset early (run 0 always completes); the row's ``runs``
-    field shows what was kept.  A failing run raises with one note naming
-    the dataset, run and seed.
+    ``Summary.missing``; other datasets still run.  Each loaded dataset runs
+    exactly ``config.runs`` times, so every row's ``runs`` field is
+    ``config.runs``.  Each run builds its split and ``RunArtifacts`` once;
+    tuning uses run 0's, and run 0 then scores on the same ones.  A failing
+    run raises with one note naming the dataset, run and seed.
     """
     rows = []
     missing = []
@@ -360,22 +358,11 @@ def run_benchmark(config: BenchmarkConfig, data_dir=None) -> Summary:
             continue
         reports = []
         for r in range(config.runs):
-            if (
-                r > 0
-                and config.time_budget_s is not None
-                and time.monotonic() - started > config.time_budget_s
-            ):
-                logger.warning(
-                    "dataset %s: wall-clock budget hit after %d/%d runs",
-                    spec.id, r, config.runs,
-                )
-                break
             seed = config.base_seed + r
             try:
                 artifacts = build_run_artifacts(g, split_edges(g, config.ratios, seed))
                 if r == 0:
                     tuned = tune_scorers(artifacts, config)
-                    started = time.monotonic()
                 reports.extend(run_experiment(artifacts, config, r, dataset_id=spec.id, tuned=tuned))
             except Exception as exc:
                 _add_run_note(exc, spec.id, r, seed)
@@ -534,10 +521,9 @@ def config_from_dict(raw: dict) -> BenchmarkConfig:
       datasets:   list of ids or {"id", "source", "expected_nodes", "expected_edges"}
       scorers:    list of distinct scorer names (see ScorerKind; short aliases accepted)
       runs, base_seed: ints
-      ratios:     [train, val, test] floats summing to 1
+      ratios:     [train, val, test]: three finite, positive floats summing to 1
       lgae_grid / gae_grid: list of {"learning_rate", "epochs", "embed_dim"[, "hidden_dim"]}
       katz_grid:  list of positive, finite damping factors (numbers)
-      time_budget_s: seconds per dataset (null = unlimited)
       out_dir:    directory for CSV reports
     """
     unknown = set(raw) - _CONFIG_KEYS
@@ -562,8 +548,6 @@ def config_from_dict(raw: dict) -> BenchmarkConfig:
     for key in ("runs", "base_seed"):
         if key in raw:
             kwargs[key] = int(raw[key])
-    if "time_budget_s" in raw and raw["time_budget_s"] is not None:
-        kwargs["time_budget_s"] = float(raw["time_budget_s"])
     if "out_dir" in raw and raw["out_dir"] is not None:
         kwargs["out_dir"] = str(raw["out_dir"])
     return BenchmarkConfig(**kwargs)

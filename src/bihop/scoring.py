@@ -253,10 +253,6 @@ class HeuristicIndex:
     ra_terms: list = field(repr=False)
     commons: dict = field(default_factory=dict, repr=False)
 
-    def two_step(self, v: int) -> set:
-        """N2(v), built afresh by ``_two_step_neighborhood``."""
-        return _two_step_neighborhood(self.neighbor_lists, v)
-
 
 # The order of the scores in ``HeuristicIndex.commons``.
 _COMMON_KINDS = (
@@ -268,7 +264,7 @@ def _common_scores(index: HeuristicIndex, v: int, lefts) -> list:
     """(cn, jc, aa, ra) of each left u in ``lefts`` with right v, each read
     from C = N(u) & N2(v).  N2(v) is built once for them all and dropped on
     return."""
-    n2 = index.two_step(v)
+    n2 = _two_step_neighborhood(index.neighbor_lists, v)
     aa_terms, ra_terms = index.aa_terms, index.ra_terms
     out = []
     for u in lefts:

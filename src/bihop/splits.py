@@ -114,18 +114,27 @@ def sample_negatives(g: BipartiteGraph, count: int, exclude, seed: int) -> np.nd
     return read_only(np.column_stack(np.divmod(keys, g.n_right)))
 
 
+def check_ratios(ratios) -> None:
+    """Raise ValueError unless ``ratios`` is three finite, positive values
+    (train, val, test) that sum to 1 within 1e-9."""
+    values = tuple(map(float, ratios))
+    if not (
+        len(values) == 3
+        and all(math.isfinite(r) and r > 0 for r in values)
+        and abs(math.fsum(values) - 1.0) <= 1e-9
+    ):
+        raise ValueError(f"ratios must be three finite, positive values summing to 1, got {values}")
+
+
 def split_edges(g: BipartiteGraph, ratios, seed: int) -> EdgeSplit:
     """Partition the edge set into train/val/test plus sampled negatives.
 
-    ``ratios`` is (train, val, test); each must be positive and they must sum
-    to 1.  Sizes: |test| = round_half_up(test_ratio * m), |val| likewise,
-    train takes the remainder.  Deterministic in (g, ratios, seed).
+    ``ratios`` is (train, val, test), as ``check_ratios`` accepts them.
+    Sizes: |test| = round_half_up(test_ratio * m), |val| likewise, train
+    takes the remainder.  Deterministic in (g, ratios, seed).
     """
-    train_r, val_r, test_r = (float(r) for r in ratios)
-    if min(train_r, val_r, test_r) <= 0:
-        raise ValueError(f"ratios must be positive, got {ratios}")
-    if abs(train_r + val_r + test_r - 1.0) > 1e-9:
-        raise ValueError(f"ratios must sum to 1, got {ratios}")
+    check_ratios(ratios)
+    _, val_r, test_r = (float(r) for r in ratios)
     m = g.m
     if m < 3:
         raise ValueError(f"graph has {m} edges; need at least 3 to split")

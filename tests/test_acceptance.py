@@ -29,7 +29,7 @@ from bihop.autoencoder import (
     training_labels,
 )
 from bihop.data import DatasetSpec, load_dataset, southern_women_graph
-from bihop.graph import adjacency, normalized_adjacency
+from bihop.graph import adjacency, normalize
 from bihop.harness import (
     BenchmarkConfig,
     build_run_artifacts,
@@ -71,7 +71,7 @@ def test_criterion_1_lazy_scores_match_dense_oracle():
     worst = 0.0
     for _ in range(100):
         g = random_bipartite(rng, max_side=32)
-        norm = normalized_adjacency(g)
+        norm = normalize(g.adj)
         z = rng.normal(0.0, 0.8, size=(g.n, 5))
         model = EmbeddingModel(
             Z=z, model_kind=ModelKind.LGAE,
@@ -109,7 +109,7 @@ def test_criterion_2_analytic_gradients_match_finite_differences():
                 g = random_bipartite(rng, max_side=5)
                 if 2 * g.m + g.n < g.n * g.n:
                     break
-            norm = normalized_adjacency(g)
+            norm = normalize(g.adj)
             labels = training_labels(adjacency(g))
             lw = loss_weights(g.n, int(labels.nnz))
             cfg = TrainConfig(
@@ -325,7 +325,7 @@ def test_criterion_6b_southern_women_reference_value():
     # Probe: the benchmark's training, scored through the training-only and
     # the full-graph mixing matrix.
     g = southern_women_graph()
-    norm_full = normalized_adjacency(g)
+    norm_full = normalize(g.adj)
     params = dict(config.lgae_grid[0])
     rescored, leaky = [], []
     for r in range(runs):

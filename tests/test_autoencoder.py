@@ -50,7 +50,7 @@ from bihop.autoencoder import (
     _loss_and_gz,
 )
 from bihop.data import generate_bipartite_er
-from bihop.graph import NormalizedAdjacency, adjacency, build_graph, normalized_adjacency
+from bihop.graph import NormalizedAdjacency, adjacency, build_graph, normalize
 
 from conftest import random_bipartite
 
@@ -60,7 +60,7 @@ def problem_instance(rng, kind: ModelKind, max_side=5, embed_dim=3, hidden_dim=4
         g = random_bipartite(rng, max_side=max_side)
         if 2 * g.m + g.n < g.n * g.n:  # complete graphs make the loss degenerate
             break
-    norm = normalized_adjacency(g)
+    norm = normalize(g.adj)
     labels = training_labels(adjacency(g))
     lw = loss_weights(g.n, int(labels.nnz))
     cfg = TrainConfig(
@@ -154,7 +154,7 @@ class TestForward:
     def test_lgae_matches_dense(self):
         rng = np.random.default_rng(30)
         g = random_bipartite(rng)
-        norm = normalized_adjacency(g)
+        norm = normalize(g.adj)
         w = rng.standard_normal((g.n, 3))
         got = forward((w,), norm)
         assert np.allclose(got, norm.matrix.toarray() @ w, rtol=0, atol=1e-14)
@@ -162,13 +162,13 @@ class TestForward:
     def test_lgae_zero_weights(self):
         rng = np.random.default_rng(31)
         g = random_bipartite(rng)
-        norm = normalized_adjacency(g)
+        norm = normalize(g.adj)
         assert not forward((np.zeros((g.n, 2)),), norm).any()
 
     def test_gae_matches_dense(self):
         rng = np.random.default_rng(32)
         g = random_bipartite(rng)
-        norm = normalized_adjacency(g)
+        norm = normalize(g.adj)
         w0 = rng.standard_normal((g.n, 4))
         w1 = rng.standard_normal((4, 2))
         an = norm.matrix.toarray()
@@ -179,14 +179,14 @@ class TestForward:
         """An all-negative first layer dies under relu, so Z = 0."""
         rng = np.random.default_rng(33)
         g = random_bipartite(rng)
-        norm = normalized_adjacency(g)
+        norm = normalize(g.adj)
         w0 = -np.ones((g.n, 3))
         w1 = rng.standard_normal((3, 2))
         assert not forward((w0, w1), norm).any()
 
     def test_dispatch_rejects_three_matrices(self):
         g = random_bipartite(np.random.default_rng(34))
-        norm = normalized_adjacency(g)
+        norm = normalize(g.adj)
         with pytest.raises(ValueError):
             forward((np.eye(g.n),) * 3, norm)
 
@@ -335,7 +335,7 @@ class TestGradients:
     def test_zero_weights_are_stationary(self):
         rng = np.random.default_rng(44)
         g = random_bipartite(rng)
-        norm = normalized_adjacency(g)
+        norm = normalize(g.adj)
         labels = training_labels(adjacency(g))
         lw = loss_weights(g.n, int(labels.nnz))
         (gw,) = loss_gradient((np.zeros((g.n, 3)),), norm, labels, lw)
@@ -495,7 +495,7 @@ class TestTileInvariance:
         labels = training_labels(adjacency(g))
         lw = loss_weights(g.n, int(labels.nnz))
         (w,) = init_weights(TrainConfig(embed_dim=16), g.n)
-        z = forward((w,), normalized_adjacency(g))
+        z = forward((w,), normalize(g.adj))
         tiles = _label_tiles(labels, TILE_SIDE)
         tracemalloc.start()
         try:
@@ -548,7 +548,7 @@ class TestTrain:
     def test_loss_history_and_descent(self):
         rng = np.random.default_rng(47)
         g = random_bipartite(rng, max_side=10, min_edges=8)
-        norm = normalized_adjacency(g)
+        norm = normalize(g.adj)
         labels = training_labels(adjacency(g))
         cfg = TrainConfig(embed_dim=4, epochs=60, seed=3)
         model = train(norm, labels, cfg)
@@ -559,7 +559,7 @@ class TestTrain:
     def test_embeddings_equal_forward_of_weights(self):
         rng = np.random.default_rng(48)
         g = random_bipartite(rng)
-        norm = normalized_adjacency(g)
+        norm = normalize(g.adj)
         labels = training_labels(adjacency(g))
         for kind in ModelKind:
             cfg = TrainConfig(model_kind=kind, embed_dim=3, epochs=5, seed=4)
@@ -569,7 +569,7 @@ class TestTrain:
     def test_deterministic(self):
         rng = np.random.default_rng(49)
         g = random_bipartite(rng, min_edges=4)
-        norm = normalized_adjacency(g)
+        norm = normalize(g.adj)
         labels = training_labels(adjacency(g))
         cfg = TrainConfig(embed_dim=3, epochs=20, seed=11)
         a = train(norm, labels, cfg)
@@ -609,7 +609,7 @@ class TestTrain:
         rng = np.random.default_rng(50)
         g = random_bipartite(rng)
         model = train(
-            normalized_adjacency(g),
+            normalize(g.adj),
             training_labels(adjacency(g)),
             TrainConfig(epochs=1, seed=0),
         )
@@ -621,7 +621,7 @@ class TestTrain:
         cfg = TrainConfig(embed_dim=4, epochs=5, learning_rate=1e160, seed=2)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDivergedError) as exc:
-                train(normalized_adjacency(g), training_labels(adjacency(g)), cfg)
+                train(normalize(g.adj), training_labels(adjacency(g)), cfg)
         assert 0 <= exc.value.epoch < 5
 
     def test_label_shape_mismatch(self):
@@ -629,7 +629,7 @@ class TestTrain:
         g = random_bipartite(rng)
         bad = sp.identity(g.n + 1, format="csr")
         with pytest.raises(ValueError):
-            train(normalized_adjacency(g), bad, TrainConfig())
+            train(normalize(g.adj), bad, TrainConfig())
 
     def test_rejects_asymmetric_labels(self):
         """The kernel reads only tiles on and above the diagonal, so one-sided
@@ -637,7 +637,7 @@ class TestTrain:
         g = random_bipartite(np.random.default_rng(58), min_edges=2)
         upper = sp.triu(training_labels(adjacency(g)), format="csr")
         with pytest.raises(ValueError, match="symmetric"):
-            train(normalized_adjacency(g), upper, TrainConfig(epochs=1))
+            train(normalize(g.adj), upper, TrainConfig(epochs=1))
 
     @pytest.mark.parametrize("fault", ["stored_zero", "value_two", "duplicate"])
     def test_rejects_non_binary_labels(self, fault):
@@ -652,14 +652,14 @@ class TestTrain:
         else:
             labels.data[0] = 0.0 if fault == "stored_zero" else 2.0
         with pytest.raises(ValueError, match="only ones"):
-            train(normalized_adjacency(g), labels, TrainConfig(epochs=1))
+            train(normalize(g.adj), labels, TrainConfig(epochs=1))
 
 
 class TestCheckpointing:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(53)
         g = random_bipartite(rng, min_edges=3)
-        norm = normalized_adjacency(g)
+        norm = normalize(g.adj)
         labels = training_labels(adjacency(g))
         for kind in ModelKind:
             cfg = TrainConfig(
@@ -682,7 +682,7 @@ class TestCheckpointing:
         """Version-1 files written before the field was dropped still load."""
         g = random_bipartite(np.random.default_rng(57), min_edges=3)
         cfg = TrainConfig(embed_dim=3, epochs=4, seed=8)
-        model = train(normalized_adjacency(g), training_labels(adjacency(g)), cfg)
+        model = train(normalize(g.adj), training_labels(adjacency(g)), cfg)
         save_model(model, cfg, tmp_path / "new.npz")
         with np.load(tmp_path / "new.npz") as data:
             payload = dict(data)

@@ -23,7 +23,6 @@ from bihop.graph import (
     adjacency,
     build_graph,
     normalize,
-    normalized_adjacency,
     sparse_dense_product,
 )
 
@@ -209,12 +208,12 @@ class TestNormalize:
     def test_single_edge_all_entries_half(self, single_edge_graph):
         """n=2, one edge: every node has degree 2 after the self-loop,
         so every entry of the normalized matrix is 1/sqrt(2*2) = 0.5."""
-        norm = normalized_adjacency(single_edge_graph)
+        norm = normalize(single_edge_graph.adj)
         assert np.array_equal(norm.matrix.toarray(), np.full((2, 2), 0.5))
 
     def test_path_graph_entries(self, path_graph):
         # center node has tilde degree 3, each leaf 2
-        norm = normalized_adjacency(path_graph)
+        norm = normalize(path_graph.adj)
         mat = norm.matrix.toarray()
         assert list(norm.tilde_degrees) == [3, 2, 2]
         assert mat[0, 1] == pytest.approx(1.0 / np.sqrt(6), abs=1e-15)
@@ -226,13 +225,13 @@ class TestNormalize:
         rng = np.random.default_rng(10)
         for _ in range(30):
             g = random_bipartite(rng)
-            got = normalized_adjacency(g).matrix.toarray()
+            got = normalize(g.adj).matrix.toarray()
             want = dense_normalized(adjacency(g).toarray())
             assert np.allclose(got, want, rtol=0, atol=1e-14)
 
     def test_isolated_node_diagonal_is_one(self):
         g = build_graph(2, 1, [(0, 0)])  # left node 1 is isolated
-        mat = normalized_adjacency(g).matrix.toarray()
+        mat = normalize(g.adj).matrix.toarray()
         assert mat[1, 1] == 1.0
         assert mat[1, 0] == 0.0
 
@@ -240,7 +239,7 @@ class TestNormalize:
         rng = np.random.default_rng(11)
         for _ in range(20):
             g = random_bipartite(rng)
-            mat = normalized_adjacency(g).matrix.toarray()
+            mat = normalize(g.adj).matrix.toarray()
             assert np.allclose(mat, mat.T, rtol=0, atol=0)
             assert np.all(np.diag(mat) > 0)
             assert mat.max() <= 1.0 + 1e-15
@@ -250,7 +249,7 @@ class TestNormalize:
         rng = np.random.default_rng(12)
         for _ in range(10):
             g = random_bipartite(rng)
-            mat = normalized_adjacency(g).matrix.toarray()
+            mat = normalize(g.adj).matrix.toarray()
             top = np.linalg.eigvalsh(mat).max()
             assert top == pytest.approx(1.0, abs=1e-12)
 
@@ -265,18 +264,13 @@ class TestSparseDenseProduct:
     def test_matches_dense(self):
         rng = np.random.default_rng(13)
         g = random_bipartite(rng)
-        norm = normalized_adjacency(g)
+        norm = normalize(g.adj)
         z = rng.standard_normal((g.n, 4))
         got = sparse_dense_product(norm, z)
         want = norm.matrix.toarray() @ z
         assert np.allclose(got, want, rtol=0, atol=1e-14)
 
-    def test_vector_promoted_to_column(self):
-        g = build_graph(1, 1, [(0, 0)])
-        out = sparse_dense_product(adjacency(g), np.array([1.0, 2.0]))
-        assert out.shape == (2, 1)
-
     def test_dimension_mismatch(self):
         g = build_graph(1, 1, [(0, 0)])
         with pytest.raises(ValueError):
-            sparse_dense_product(adjacency(g), np.ones((3, 2)))
+            sparse_dense_product(normalize(g.adj), np.ones((3, 2)))

@@ -5,9 +5,13 @@ import json
 import logging
 import random
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import bihop.harness as harness
 from bihop import scoring
@@ -42,6 +46,50 @@ from bihop.scoring import HEURISTIC_KINDS, ScorerKind, adjacency_spectral_radius
 from bihop.splits import split_edges
 
 from conftest import katz_form
+
+# Ratios that split graphs of a few edges: each part gets one edge from m = 3.
+SMALL_RATIOS = (0.6, 0.2, 0.2)
+
+
+@st.composite
+def graphs_differing_off_train(draw):
+    """(g, other, split, epochs): ``split`` is a seeded split of ``g``, and
+    ``other`` keeps exactly its training edges plus a drawn set of the other
+    cells, held-out edges of ``g`` or not."""
+    n_left, n_right = draw(st.integers(3, 6)), draw(st.integers(3, 6))
+    cells = [(u, v) for u in range(n_left) for v in range(n_right)]
+    # At least 3 edges to split, and as many non-edges as edges for the negatives.
+    edges = draw(st.sets(st.sampled_from(cells), min_size=3, max_size=len(cells) // 2))
+    g = build_graph(n_left, n_right, sorted(edges))
+    split = split_edges(g, SMALL_RATIOS, draw(st.integers(0, 2**16)))
+    train = set(map(tuple, split.train_edges.tolist()))
+    rest = [c for c in cells if c not in train]
+    in_other = draw(st.lists(st.booleans(), min_size=len(rest), max_size=len(rest)))
+    other = build_graph(n_left, n_right, sorted(train | {c for c, keep in zip(rest, in_other) if keep}))
+    return g, other, split, draw(st.integers(2, 3))
+
+
+@st.composite
+def small_benchmarks(draw):
+    """A config of one to four distinct scorers on one small ER dataset that
+    splits under ``SMALL_RATIOS``, one or two runs, and a two-point model
+    grid of two-epoch models, so run 0 tunes."""
+    source = {
+        "model": "er", "n_left": draw(st.integers(4, 10)), "n_right": draw(st.integers(4, 10)),
+        "p": draw(st.sampled_from([0.2, 0.3, 0.45])), "seed": draw(st.integers(0, 2**16)),
+    }
+    g = generate_bipartite_er(**{k: v for k, v in source.items() if k != "model"})
+    assume(3 <= g.m <= g.n_left * g.n_right // 2)
+    grid = tuple({"learning_rate": 0.01, "epochs": 2, "embed_dim": d} for d in (2, 4))
+    return BenchmarkConfig(
+        datasets=(DatasetSpec(id="er", source=source),),
+        scorers=tuple(draw(st.lists(st.sampled_from(list(ScorerKind)), min_size=1, max_size=4, unique=True))),
+        runs=draw(st.integers(1, 2)),
+        base_seed=draw(st.integers(0, 2**32)),
+        ratios=SMALL_RATIOS,
+        lgae_grid=grid,
+        gae_grid=tuple(dict(point, hidden_dim=4) for point in grid),
+    )
 
 
 SMALL_GRID = ({"learning_rate": 0.01, "epochs": 40, "embed_dim": 8},)
@@ -106,6 +154,20 @@ class TestBenchmarkConfig:
         pa = ScorerKind.PREFERENTIAL_ATTACHMENT
         with pytest.raises(ValueError, match="distinct"):
             BenchmarkConfig(scorers=(pa, ScorerKind.TWO_HOP, pa), runs=2)
+
+    @pytest.mark.parametrize(
+        "ratios",
+        [(np.nan, 0.05, 0.10), (0.85, np.nan, 0.10), (0.85, 0.05, np.inf), (0.85, 0.05), (0.5, 0.5, 0.5)],
+        ids=["nan_train", "nan_val", "inf_test", "two_values", "sum_above_one"],
+    )
+    def test_bad_ratios_rejected_at_construction(self, ratios):
+        """``splits.check_ratios`` runs when the config is built, not in run 0
+        after the dataset has loaded; a NaN train ratio used to run to the
+        end on the split of 0.85."""
+        with pytest.raises(ValueError, match="ratios must be three finite, positive values summing to 1"):
+            BenchmarkConfig(ratios=ratios)
+        with pytest.raises(ValueError, match="ratios"):
+            config_from_dict({"ratios": list(ratios)})
 
     def test_empty_grid_fine_when_unused(self):
         config = BenchmarkConfig(scorers=(ScorerKind.COMMON_NEIGHBORS,), lgae_grid=())
@@ -188,10 +250,12 @@ class TestBenchmarkConfig:
         tuples of dicts, once, at construction; replace() keeps that form."""
         spec = DatasetSpec(id="er", source={"model": "er", "n_left": 3, "n_right": 3, "p": 0.5})
         config = BenchmarkConfig(
-            datasets=["southern_women", spec], ratios=[1, 0, 0], lgae_grid=[SMALL_GRID[0]],
+            datasets=["southern_women", spec],
+            ratios=[np.float32(0.5), 0.25, 0.25],
+            lgae_grid=[SMALL_GRID[0]],
         )
         assert config.datasets == (DatasetSpec(id="southern_women"), spec)
-        assert config.ratios == (1.0, 0.0, 0.0) and all(type(r) is float for r in config.ratios)
+        assert config.ratios == (0.5, 0.25, 0.25) and all(type(r) is float for r in config.ratios)
         assert config.lgae_grid == SMALL_GRID and type(config.lgae_grid) is tuple
         assert harness._grid_for(ScorerKind.TWO_HOP, config) is config.lgae_grid
         assert dataclasses.replace(config) == config
@@ -449,6 +513,26 @@ class TestLeakageDiscipline:
                 katz_a = scoring.katz_score(a.katz, 0.01, probe).scores
                 katz_b = scoring.katz_score(b.katz, 0.01, probe).scores
             assert katz_a.tobytes() == katz_b.tobytes(), form
+
+    @settings(max_examples=50)
+    @given(case=graphs_differing_off_train())
+    def test_scores_ignore_edges_outside_training(self, case):
+        """Two graphs on the same node sets whose edges agree on the split's
+        training edges and may differ anywhere else give byte-equal scores
+        on every heterogeneous pair, for all ten scorers and both Katz forms."""
+        g, other, split, epochs = case
+        a = build_run_artifacts(g, split)
+        b = build_run_artifacts(other, split)
+        probe = np.argwhere(np.ones((g.n_left, g.n_right), dtype=bool)) + (0, g.n_left)
+        params = dict.fromkeys(ScorerKind, {"learning_rate": 0.01, "epochs": epochs, "embed_dim": 4})
+        params[ScorerKind.GAE] = dict(params[ScorerKind.GAE], hidden_dim=4)
+        params[ScorerKind.KATZ] = {"beta": 0.01}
+        for kind in ScorerKind:
+            for form in ("closed", "series") if kind is ScorerKind.KATZ else ("closed",):
+                with katz_form(form):
+                    got_a = harness._score_pairs(kind, probe, a, params[kind])
+                    got_b = harness._score_pairs(kind, probe, b, params[kind])
+                assert got_a.tobytes() == got_b.tobytes(), (kind, form)
 
 
 BLOCKS = DatasetSpec(
@@ -712,16 +796,6 @@ class TestRunBenchmark:
         summary = run_benchmark(config)
         assert summary.rows[0].dataset == "southern_women"
 
-    def test_time_budget_keeps_first_run(self):
-        config = small_config(
-            datasets=(DatasetSpec(id="southern_women"),),
-            scorers=(ScorerKind.PREFERENTIAL_ATTACHMENT,),
-            runs=5,
-            time_budget_s=0.0,
-        )
-        summary = run_benchmark(config)
-        assert summary.rows[0].runs == 1
-
     def test_out_dir_writes_reports(self, tmp_path):
         out = tmp_path / "results"
         config = small_config(
@@ -742,6 +816,20 @@ class TestRunBenchmark:
         for kind, recs in by_scorer.items():
             row = summary.get("southern_women", kind)
             assert row.auc_mean == pytest.approx(np.mean([r.auc for r in recs]))
+
+    @settings(max_examples=25)
+    @given(config=small_benchmarks())
+    def test_whole_run_is_a_function_of_graph_and_config(self, config):
+        """Two ``run_benchmark`` calls with one config write byte-equal
+        results.csv and results_summary.csv, and every row keeps all
+        ``runs`` runs."""
+        with tempfile.TemporaryDirectory() as tmp:
+            outs = [Path(tmp) / name for name in ("first", "second")]
+            summaries = [run_benchmark(dataclasses.replace(config, out_dir=str(out))) for out in outs]
+            for name in ("results.csv", "results_summary.csv"):
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        assert summaries[0] == summaries[1]
+        assert [row.runs for row in summaries[0].rows] == [config.runs] * len(config.scorers)
 
     def test_summary_csv_equals_summary_rows(self, tmp_path):
         """results_summary.csv holds exactly the returned Summary rows."""
@@ -916,7 +1004,6 @@ class TestConfigFromDict:
             "ratios": [0.8, 0.1, 0.1],
             "lgae_grid": [{"learning_rate": 0.02, "epochs": 10, "embed_dim": 4}],
             "katz_grid": [0.001, 0.01],
-            "time_budget_s": 60,
             "out_dir": "/tmp/somewhere",
         }
         config = config_from_dict(raw)
@@ -933,12 +1020,10 @@ class TestConfigFromDict:
             {"learning_rate": 0.02, "epochs": 10, "embed_dim": 4},
         )
         assert config.katz_grid == (0.001, 0.01)
-        assert config.time_budget_s == 60.0
         assert config.out_dir == "/tmp/somewhere"
 
-    def test_null_budget_and_out_dir_stay_none(self):
-        config = config_from_dict({"time_budget_s": None, "out_dir": None})
-        assert config.time_budget_s is None
+    def test_null_out_dir_stays_none(self):
+        config = config_from_dict({"out_dir": None})
         assert config.out_dir is None
 
     def test_unknown_config_key_rejected(self):
@@ -950,6 +1035,25 @@ class TestConfigFromDict:
         now an unknown key, not silently ignored."""
         with pytest.raises(ValueError, match="unknown config keys.*dense_threshold"):
             config_from_dict({"dense_threshold": 4096})
+
+    def test_removed_time_budget_key_rejected(self):
+        """``runs`` is the only bound on the run count; the old wall-clock
+        budget key is now an unknown key, null or not."""
+        for budget in (60, None):
+            with pytest.raises(ValueError, match="unknown config keys.*time_budget_s"):
+                config_from_dict({"time_budget_s": budget})
+        assert not hasattr(BenchmarkConfig(), "time_budget_s")
+
+    def test_readme_config_schema_is_valid(self):
+        """README's "Config schema" block parses with ``config_from_dict`` and
+        names every ``BenchmarkConfig`` field, so the documented keys can
+        neither drift from the accepted ones nor leave one out."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Config schema", 1)[1]
+        block = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
+        raw = json.loads(block)
+        config_from_dict(raw)
+        assert set(raw) == {f.name for f in dataclasses.fields(BenchmarkConfig)}
 
     def test_keys_are_the_config_fields(self):
         raw = {f.name: getattr(BenchmarkConfig(), f.name) for f in dataclasses.fields(BenchmarkConfig)}

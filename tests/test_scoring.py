@@ -31,7 +31,7 @@ from bihop import scoring
 
 from bihop.autoencoder import EmbeddingModel, ModelKind
 from bihop.data import generate_bipartite_er
-from bihop.graph import adjacency, build_graph, normalized_adjacency
+from bihop.graph import adjacency, build_graph, normalize
 from bihop.harness import DEFAULT_RATIOS
 from bihop.metrics import roc_auc
 from bihop.scoring import (
@@ -81,7 +81,7 @@ def recon_chunk_sums(z, pairs):
 
 
 def dense_two_hop_oracle(g, z, us, vs):
-    an = normalized_adjacency(g).matrix.toarray()
+    an = normalize(g.adj).matrix.toarray()
     recon = expit(z @ z.T)
     hop2 = an @ recon
     sym = 0.5 * (hop2 + hop2.T)
@@ -182,7 +182,7 @@ def scored_with(kind, g, z, pairs):
     """The PairScores of one call of the scorer behind ``kind``."""
     model = model_for(g, z)
     if kind is ScorerKind.TWO_HOP:
-        return two_hop_score(model, normalized_adjacency(g), pairs)
+        return two_hop_score(model, normalize(g.adj), pairs)
     if kind is ScorerKind.RECON_TWO_HOP:
         return recon_two_hop_score(model, pairs)
     if kind in (ScorerKind.LGAE, ScorerKind.GAE):
@@ -228,7 +228,7 @@ class TestTwoHop:
         two-hop entry is 0.25 + 0.25 = 0.5."""
         g = single_edge_graph
         model = model_for(g, np.zeros((2, 3)))
-        norm = normalized_adjacency(g)
+        norm = normalize(g.adj)
         got = two_hop_score(model, norm, [(0, 1), (1, 0), (0, 0)])
         assert got.scores.tolist() == [0.5, 0.5, 0.5]
 
@@ -239,7 +239,7 @@ class TestTwoHop:
         rng = np.random.default_rng(60)
         z = rng.standard_normal((6, 4))
         model = model_for(g, z)
-        norm = normalized_adjacency(g)
+        norm = normalize(g.adj)
         an = norm.matrix.toarray()
         dec = lambda i, j: float(expit(z[i] @ z[j]))
         u, v = 0, 5
@@ -264,7 +264,7 @@ class TestTwoHop:
             g = random_bipartite(rng)
             z = rng.standard_normal((g.n, 5))
             model = model_for(g, z)
-            norm = normalized_adjacency(g)
+            norm = normalize(g.adj)
             pairs = het_pairs(g)
             got = two_hop_score(model, norm, pairs).scores
             us = np.array([p[0] for p in pairs])
@@ -281,7 +281,7 @@ class TestTwoHop:
         z = rng.standard_normal((g.n, 4))
         pairs = [(u, v) for u in range(g.n) for v in range(g.n)]
         monkeypatch.setattr(scoring, "_GATHER_ENTRIES", 5)
-        got = two_hop_score(model_for(g, z), normalized_adjacency(g), pairs).scores
+        got = two_hop_score(model_for(g, z), normalize(g.adj), pairs).scores
         arr = np.asarray(pairs)
         want = dense_two_hop_oracle(g, z, arr[:, 0], arr[:, 1])
         assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
@@ -291,7 +291,7 @@ class TestTwoHop:
         g = random_bipartite(rng)
         z = rng.standard_normal((g.n, 3))
         model = model_for(g, z)
-        norm = normalized_adjacency(g)
+        norm = normalize(g.adj)
         fwd = two_hop_score(model, norm, [(0, g.n - 1)]).scores[0]
         rev = two_hop_score(model, norm, [(g.n - 1, 0)]).scores[0]
         assert fwd == rev
@@ -302,12 +302,12 @@ class TestTwoHop:
         g = build_graph(2, 2, [(0, 0)])
         model = model_for(g, np.zeros((7, 2)))
         with pytest.raises(ValueError, match="embeddings"):
-            two_hop_score(model, normalized_adjacency(g), [(0, 2)])
+            two_hop_score(model, normalize(g.adj), [(0, 2)])
 
     def test_empty_pairs(self):
         g = build_graph(2, 2, [(0, 0)])
         model = model_for(g, np.zeros((4, 2)))
-        got = two_hop_score(model, normalized_adjacency(g), [])
+        got = two_hop_score(model, normalize(g.adj), [])
         assert got.scores.shape == (0,)
 
 
@@ -602,9 +602,10 @@ class TestHeuristics:
         for kind in (ScorerKind.ADAMIC_ADAR, ScorerKind.RESOURCE_ALLOCATION):
             got = heuristic_scores(index, kind, pairs).scores
             assert np.array_equal(got, heuristic_loop(g, kind, pairs)), kind
-        terms = index.aa_terms
+        terms, lists = index.aa_terms, index.neighbor_lists
         ascending = [
-            fold(terms[b] for b in sorted(index.neighbor_sets[u] & index.two_step(v))) for u, v in pairs
+            fold(terms[b] for b in sorted(index.neighbor_sets[u] & scoring._two_step_neighborhood(lists, v)))
+            for u, v in pairs
         ]
         assert not np.array_equal(heuristic_scores(index, ScorerKind.ADAMIC_ADAR, pairs).scores, ascending)
 
@@ -615,7 +616,7 @@ class TestHeuristics:
         g = generate_bipartite_er(60, 110, 0.3, seed=3)
         index = heuristic_index(g)
         pairs = het_pairs(g)[::7]
-        commons = [index.neighbor_sets[u] & index.two_step(v) for u, v in pairs]
+        commons = [index.neighbor_sets[u] & scoring._two_step_neighborhood(index.neighbor_lists, v) for u, v in pairs]
         for kind, terms in (
             (ScorerKind.ADAMIC_ADAR, index.aa_terms), (ScorerKind.RESOURCE_ALLOCATION, index.ra_terms)
         ):
@@ -632,7 +633,7 @@ class TestHeuristics:
         indices do not, so the check sees the order."""
         g = generate_bipartite_er(*shape, seed=3)
         index = heuristic_index(g)
-        orders = [list(index.two_step(v)) for v in range(g.n_left, g.n)]
+        orders = [list(scoring._two_step_neighborhood(index.neighbor_lists, v)) for v in range(g.n_left, g.n)]
         assert orders == [list(two_step_loop(g, v)) for v in range(g.n_left, g.n)]
         assert any(order != sorted(order) for order in orders) == (shape[2] < 0.3)
 
@@ -1005,7 +1006,7 @@ class TestMonotoneInvariance:
         g = random_bipartite(rng, max_side=8, min_edges=10)
         z = rng.standard_normal((g.n, 4))
         model = model_for(g, z)
-        norm = normalized_adjacency(g)
+        norm = normalize(g.adj)
         pairs = het_pairs(g)
         scores = two_hop_score(model, norm, pairs).scores
         pos, neg = scores[: len(pairs) // 2], scores[len(pairs) // 2 :]

@@ -176,13 +176,17 @@ class TestSplitEdges:
         assert not np.array_equal(a.test_pos, b.test_pos) or not np.array_equal(a.val_pos, b.val_pos)
 
     def test_ratio_validation(self):
+        """A NaN train ratio used to pass both checks (NaN compares false)
+        and split as 0.85 would, since the train ratio is never read; a NaN
+        val or test ratio failed as a bare float-to-int conversion."""
         g = medium_graph()
-        with pytest.raises(ValueError):
-            split_edges(g, (0.9, 0.05, 0.10), seed=0)
-        with pytest.raises(ValueError):
-            split_edges(g, (1.0, 0.0, 0.0), seed=0)
-        with pytest.raises(ValueError):
-            split_edges(g, (0.9, -0.1, 0.2), seed=0)
+        for ratios in (
+            (0.9, 0.05, 0.10), (1.0, 0.0, 0.0), (0.9, -0.1, 0.2),
+            (np.nan, 0.05, 0.10), (0.85, np.nan, 0.10), (0.85, 0.05, np.nan), (np.inf, 0.05, 0.10),
+            (0.85, 0.05), (0.5, 0.25, 0.15, 0.10),
+        ):
+            with pytest.raises(ValueError, match="ratios must be three finite, positive values summing to 1"):
+                split_edges(g, ratios, seed=0)
 
     def test_too_few_edges(self):
         g = build_graph(2, 2, [(0, 0), (1, 1)])
