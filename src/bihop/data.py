@@ -306,23 +306,16 @@ def _generate_from_spec(params: dict) -> BipartiteGraph:
 
 def load_dataset(spec: DatasetSpec, data_dir=None) -> BipartiteGraph:
     """Resolve a DatasetSpec to a graph and validate its shape."""
-    if spec.source is None:
-        if spec.id == "southern_women":
-            g = southern_women_graph()
-        else:
-            base = Path(data_dir) if data_dir is not None else Path(".")
-            candidate = base / f"{spec.id}.edges"
-            if not candidate.exists():
-                raise FileNotFoundError(
-                    f"dataset {spec.id!r} has no source and no file at {candidate}"
-                )
-            g = load_edge_list_detailed(candidate).graph
+    if spec.source is None and spec.id == "southern_women":
+        g = southern_women_graph()
     elif isinstance(spec.source, dict):
         g = _generate_from_spec(spec.source)
     else:
-        p = Path(str(spec.source))
+        p = Path(f"{spec.id}.edges" if spec.source is None else str(spec.source))
         if data_dir is not None and not p.is_absolute():
             p = Path(data_dir) / p
+        if spec.source is None and not p.exists():
+            raise FileNotFoundError(f"dataset {spec.id!r} has no source and no file at {p}")
         g = load_edge_list_detailed(p).graph
     if spec.expected_nodes is not None and g.n != spec.expected_nodes:
         raise GraphInputError(

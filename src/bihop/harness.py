@@ -22,6 +22,7 @@ import logging
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -98,6 +99,11 @@ class BenchmarkConfig:
         put(self, "katz_grid", tuple(map(float, self.katz_grid)))
         put(self, "lgae_grid", tuple(map(dict, self.lgae_grid)))
         put(self, "gae_grid", tuple(map(dict, self.gae_grid)))
+        for key in ("runs", "base_seed"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise TypeError(f"{key} must be an integer, got {value!r}")
+            put(self, key, int(value))
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         for kind in self.scorers:
@@ -529,8 +535,9 @@ def config_from_dict(raw: dict) -> BenchmarkConfig:
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    # BenchmarkConfig itself gives ratios, grids and dataset ids their form.
-    kwargs = {key: raw[key] for key in ("ratios", "lgae_grid", "gae_grid", "katz_grid") if key in raw}
+    # BenchmarkConfig itself gives counts, ratios, grids and dataset ids their form.
+    passed = ("runs", "base_seed", "ratios", "lgae_grid", "gae_grid", "katz_grid")
+    kwargs = {key: raw[key] for key in passed if key in raw}
     if "datasets" in raw:
         specs = []
         for i, entry in enumerate(raw["datasets"]):
@@ -545,9 +552,6 @@ def config_from_dict(raw: dict) -> BenchmarkConfig:
         kwargs["datasets"] = specs
     if "scorers" in raw:
         kwargs["scorers"] = tuple(ScorerKind.parse(s) for s in raw["scorers"])
-    for key in ("runs", "base_seed"):
-        if key in raw:
-            kwargs[key] = int(raw[key])
     if "out_dir" in raw and raw["out_dir"] is not None:
         kwargs["out_dir"] = str(raw["out_dir"])
     return BenchmarkConfig(**kwargs)

@@ -20,8 +20,9 @@ closed form up to ``DENSE_THRESHOLD`` (4096) nodes, a truncated series
 above it.  The graph size alone picks the form; no argument overrides it.
 Both read a ``KatzIndex`` built once per training graph (``katz_index``).
 The closed form solves through the biadjacency, with the s x s Gram matrix
-of the smaller side (s <= n / 2), which the index keeps, with the spectral
-radius, from its first call on.  The series reads only the pairs'
+of the smaller side (s <= n / 2).  The index builds that block and its Gram
+matrix once, on its first closed-form call, and takes the spectral radius
+from the same Gram matrix.  The series reads only the pairs'
 entries: its first hops are sparse products of a block of target columns,
 and its last hop is computed pointwise at the pairs, by the same CSR row
 gather ``two_hop`` uses.
@@ -218,7 +219,7 @@ def decode_score(model: EmbeddingModel, pairs, kind: ScorerKind | None = None) -
     pairs, us, vs = _as_index_arrays(pairs, model.Z.shape[0])
     scores = decode_pairs(model.Z, us, vs)
     if kind is None:
-        kind = ScorerKind.LGAE if model.model_kind.value == "lgae" else ScorerKind.GAE
+        kind = ScorerKind(model.model_kind.value)
     return PairScores(pairs=pairs, scores=scores, scorer=kind)
 
 
@@ -350,30 +351,19 @@ class KatzDivergenceError(ValueError):
     """The closed-form Katz resolvent needs beta < 1 / spectral_radius(A)."""
 
 
-def _smaller_side_block(a: sp.csr_matrix, n_left: int):
-    """(W, s_lo) for the bipartite adjacency ``a``: W is the dense block of
-    ``a`` whose rows are the larger side's nodes and whose columns are the
-    smaller side's (the left side on a tie), and s_lo is the global index of
-    the smaller side's first node, 0 or n_left."""
-    n = a.shape[0]
-    if n_left <= n - n_left:
-        return a[n_left:, :n_left].toarray(), 0
-    return a[:n_left, n_left:].toarray(), n_left
+def adjacency_spectral_radius(gram: np.ndarray) -> float:
+    """Largest absolute eigenvalue of a symmetric bipartite adjacency
+    A = [[0, B], [B^T, 0]], from ``gram``, the Gram matrix G = W^T W of the
+    block W of B or B^T whose columns are the smaller side.
 
-
-def adjacency_spectral_radius(a: sp.spmatrix, n_left: int) -> float:
-    """Largest absolute eigenvalue of the symmetric bipartite adjacency
-    ``a``, whose first ``n_left`` nodes are its left side.
-
-    The eigenvalues of A = [[0, B], [B^T, 0]] are plus and minus the
-    singular values of B, so the radius is sqrt(lambda_max(W^T W)), with W
-    from ``_smaller_side_block``: one ``np.linalg.eigvalsh`` of the smaller
-    side's s x s Gram matrix, s <= n / 2.
+    The eigenvalues of A are plus and minus the singular values of B, so
+    the radius is sqrt(lambda_max(G)): one ``np.linalg.eigvalsh`` of an
+    s x s matrix, s <= n / 2.  An all-zero G (no edge, or an empty side)
+    gives 0.0.
     """
-    if a.nnz == 0:
+    if not gram.any():
         return 0.0
-    w, _ = _smaller_side_block(sp.csr_matrix(a, dtype=np.float64), n_left)
-    return math.sqrt(np.linalg.eigvalsh(w.T @ w)[-1])
+    return math.sqrt(np.linalg.eigvalsh(gram)[-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,8 +373,11 @@ class KatzIndex:
     ``adj`` is the symmetric float64 CSR adjacency and its first ``n_left``
     nodes are the left side; the series reads ``adj`` alone.  The closed
     form reads ``blocks``, which its first call builds and every later call
-    on the index shares: W and s_lo from ``_smaller_side_block``, the Gram
-    matrix G = W^T W of the smaller side, and the spectral radius.
+    on the index shares: W, the dense block of ``adj`` whose rows are the
+    larger side's nodes and whose columns are the smaller side's (the left
+    side on a tie); the Gram matrix G = W^T W; the spectral radius, from G;
+    and s_lo, the global index of the smaller side's first node, 0 or
+    n_left.
     """
 
     adj: sp.csr_matrix = field(repr=False)
@@ -393,8 +386,13 @@ class KatzIndex:
     @cached_property
     def blocks(self) -> tuple:
         """(W, G, radius, s_lo); built on first use."""
-        w, s_lo = _smaller_side_block(self.adj, self.n_left)
-        return w, w.T @ w, adjacency_spectral_radius(self.adj, self.n_left), s_lo
+        n_left = self.n_left
+        if n_left <= self.adj.shape[0] - n_left:
+            w, s_lo = self.adj[n_left:, :n_left].toarray(), 0
+        else:
+            w, s_lo = self.adj[:n_left, n_left:].toarray(), n_left
+        gram = w.T @ w
+        return w, gram, adjacency_spectral_radius(gram), s_lo
 
 
 def katz_index(a_train: sp.spmatrix, n_left: int) -> KatzIndex:

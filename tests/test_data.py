@@ -6,6 +6,8 @@ a four-sigma band so they are deterministic for the pinned seeds yet still
 meaningful.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -276,7 +278,8 @@ class TestLoadDataset:
         assert g.m == 1
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
+        want = f"dataset 'absent' has no source and no file at {tmp_path / 'absent.edges'}"
+        with pytest.raises(FileNotFoundError, match=re.escape(want)):
             load_dataset(DatasetSpec(id="absent"), data_dir=tmp_path)
 
     def test_expected_shape_enforced(self, tmp_path):

@@ -42,7 +42,7 @@ from bihop.harness import (
     tune_scorers,
 )
 from bihop.metrics import MetricReport, summarize
-from bihop.scoring import HEURISTIC_KINDS, ScorerKind, adjacency_spectral_radius, heuristic_scores
+from bihop.scoring import HEURISTIC_KINDS, ScorerKind, heuristic_scores
 from bihop.splits import split_edges
 
 from conftest import katz_form
@@ -137,6 +137,19 @@ class TestBenchmarkConfig:
     def test_rejects_zero_runs(self):
         with pytest.raises(ValueError, match="runs"):
             BenchmarkConfig(runs=0)
+
+    @pytest.mark.parametrize("key", ["runs", "base_seed"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, "3", True])
+    def test_rejects_non_integer_counts(self, key, value):
+        """A float, a string or a bool fails at construction, before any
+        dataset loads, and the error names the field."""
+        with pytest.raises(TypeError, match=f"{key} must be an integer"):
+            BenchmarkConfig(**{key: value})
+
+    def test_numpy_integer_counts_become_ints(self):
+        config = BenchmarkConfig(runs=np.int64(3), base_seed=np.uint8(7))
+        assert (config.runs, config.base_seed) == (3, 7)
+        assert type(config.runs) is int and type(config.base_seed) is int
 
     def test_rejects_string_scorers(self):
         with pytest.raises(TypeError, match="ScorerKind"):
@@ -425,7 +438,7 @@ class TestKatzFeasibility:
     def dense_er(self):
         g = generate_bipartite_er(300, 500, 0.1, seed=0)
         artifacts = build_run_artifacts(g, split_edges(g, DEFAULT_RATIOS, seed=0))
-        limit = 1.0 / adjacency_spectral_radius(artifacts.g_train.adj, artifacts.g_train.n_left)
+        limit = 1.0 / artifacts.katz.blocks[2]
         return artifacts, limit
 
     def test_default_grid_skips_infeasible_points(self, dense_er, caplog):
@@ -1021,6 +1034,13 @@ class TestConfigFromDict:
         )
         assert config.katz_grid == (0.001, 0.01)
         assert config.out_dir == "/tmp/somewhere"
+
+    def test_fractional_runs_rejected(self):
+        """JSON ``"runs": 2.7`` is refused rather than truncated to 2 runs."""
+        with pytest.raises(TypeError, match="runs must be an integer, got 2.7"):
+            config_from_dict({"runs": 2.7})
+        with pytest.raises(TypeError, match="base_seed must be an integer"):
+            config_from_dict({"base_seed": "11"})
 
     def test_null_out_dir_stays_none(self):
         config = config_from_dict({"out_dir": None})

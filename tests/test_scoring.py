@@ -10,6 +10,7 @@ scorer is checked to give the same scores whether a pair list is scored
 at once or in pieces.
 """
 
+import dataclasses
 import math
 import os
 import re
@@ -436,6 +437,11 @@ class TestDecodeScore:
         assert np.allclose(got.scores, want, rtol=0, atol=1e-15)
         assert got.scorer is ScorerKind.LGAE
 
+    def test_kind_defaults_to_the_model_kind(self):
+        g = build_graph(1, 1, [(0, 0)])
+        gae = dataclasses.replace(model_for(g, np.zeros((2, 2))), model_kind=ModelKind.GAE)
+        assert decode_score(gae, [(0, 1)]).scorer is ScorerKind.GAE
+
     def test_kind_override(self):
         g = build_graph(1, 1, [(0, 0)])
         model = model_for(g, np.zeros((2, 2)))
@@ -806,22 +812,50 @@ class TestKatz:
         for h in (g, swapped):
             a = adjacency(h)
             dense = float(np.max(np.abs(np.linalg.eigvalsh(a.toarray()))))
-            assert adjacency_spectral_radius(a, h.n_left) == pytest.approx(dense, rel=1e-10)
+            _, gram, radius, _ = katz_index(a, h.n_left).blocks
+            assert gram.shape == (min(h.n_left, h.n_right),) * 2
+            assert radius == adjacency_spectral_radius(gram)
+            assert radius == pytest.approx(dense, rel=1e-10)
 
     def test_spectral_radius_repeats_bit_for_bit(self):
         """One eigvalsh of the Gram matrix, so the radius that decides Katz
-        feasibility is the same on every call."""
+        feasibility is the same on every call and every index."""
         rng = np.random.default_rng(78)
         edges = [(u, v) for u in range(60) for v in range(50) if rng.random() < 0.1]
         a = adjacency(build_graph(60, 50, edges))
-        radii = {adjacency_spectral_radius(a, 60) for _ in range(5)}
+        gram = katz_index(a, 60).blocks[1]
+        radii = {adjacency_spectral_radius(gram) for _ in range(5)}
+        radii |= {katz_index(a, 60).blocks[2] for _ in range(5)}
         assert len(radii) == 1
         dense = float(np.max(np.abs(np.linalg.eigvalsh(a.toarray()))))
         assert radii.pop() == pytest.approx(dense, rel=1e-10)
 
     def test_empty_graph_radius_zero(self):
+        """No edge, or no node on one side (an s = 0 Gram matrix): 0.0."""
         g = build_graph(3, 3, [])
-        assert adjacency_spectral_radius(adjacency(g), g.n_left) == 0.0
+        assert katz_index(adjacency(g), g.n_left).blocks[2] == 0.0
+        for n_left in (0, 4):
+            _, gram, radius, _ = katz_index(sp.csr_matrix((4, 4)), n_left).blocks
+            assert gram.shape == (0, 0)
+            assert radius == 0.0 == adjacency_spectral_radius(gram)
+
+    def test_radius_reads_the_index_gram(self):
+        """The index passes its own Gram matrix to adjacency_spectral_radius,
+        once, rather than the radius rebuilding W and G from the adjacency."""
+        g = random_bipartite(np.random.default_rng(76), max_side=8, min_edges=10)
+        index = katz_index(adjacency(g), g.n_left)
+        seen = []
+        real = scoring.adjacency_spectral_radius
+
+        def recorded(*args):
+            seen.append(args)
+            return real(*args)
+
+        with mock.patch.object(scoring, "adjacency_spectral_radius", recorded):
+            blocks = index.blocks
+            katz_score(index, 0.01, het_pairs(g))
+        assert len(seen) == 1 and len(seen[0]) == 1
+        assert seen[0][0] is blocks[1]
 
     def test_closed_form_matches_dense_resolvent(self):
         """Every ordered pair of nodes (left-right pairs in both
