@@ -8,14 +8,15 @@ identity, so the feature matrix never appears):
 
 Both share the inner-product decoder ``sigmoid(z_i . z_j)`` and a weighted
 binary cross-entropy reconstruction loss over all n^2 node pairs against the
-symmetric label matrix ``A_train + I``.  Gradients are computed analytically
-(verified against finite differences in the test suite).  The logits
-``Z Z^T`` are symmetric too, so loss and gradient stream over the square
-tiles on and above the diagonal, ``TILE_SIDE`` nodes a side, in index order
-for every n, and results are deterministic.  Each tile scores all its pairs
-as negatives, then overwrites the label-one entries it owns, found through
-flat in-tile indices built once from the sparse labels; no dense label
-matrix is ever built.
+symmetric label matrix ``A_train + I``; as in Kipf & Welling's GAE, the
+class weights follow from the labels alone.  Gradients are computed
+analytically (verified against finite differences in the test suite).  The
+logits ``Z Z^T`` are symmetric too, so loss and gradient stream over the
+square tiles on and above the diagonal, ``TILE_SIDE`` nodes a side, in index
+order for every n, and results are deterministic.  Each tile scores all its
+pairs as negatives, then overwrites the label-one entries it owns, found
+through flat in-tile indices built once from the sparse labels; no dense
+label matrix is ever built.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .graph import NormalizedAdjacency, sparse_dense_product
-from .splits import philox
+from .splits import check_int, philox
 
 TILE_SIDE = 128
 # Rows per block of the GCN encoder's dW1 sum; up to this many nodes it is
@@ -67,6 +68,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for key in ("embed_dim", "hidden_dim", "epochs", "seed"):
+            object.__setattr__(self, key, check_int(key, getattr(self, key)))
         if self.embed_dim < 1:
             raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
         if self.model_kind is ModelKind.GAE and self.hidden_dim < 1:
@@ -75,14 +78,6 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be > 0 and finite, got {self.learning_rate}")
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Class-imbalance reweighting for the all-pairs reconstruction loss."""
-
-    pos_weight: float
-    norm: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,28 +127,29 @@ def training_labels(a_train: sp.spmatrix) -> sp.csr_matrix:
     return labels
 
 
-def loss_weights(n: int, s: int) -> LossWeights:
-    """Reweighting constants for a label matrix with ``s`` ones out of n^2.
+def _label_tiles(labels, n: int) -> tuple:
+    """(side, ptr, flat, pos_weight, norm) of n x n labels with s ones.
 
-    pos_weight = (n^2 - s) / s scales positive terms up to balance classes;
-    norm = n^2 / (2 (n^2 - s)) rescales the mean loss.
+    Raises ValueError unless the labels are n x n, store only ones, are
+    symmetric and 0 < s < n^2.  pos_weight = (n^2 - s) / s balances the
+    classes; norm = n^2 / (2 (n^2 - s)) rescales the mean loss.  Tile (I, J),
+    I <= J, of side ``TILE_SIDE`` (read at call time) covers rows
+    [I*side, (I+1)*side) and columns [J*side, (J+1)*side), and owns the
+    labels ``flat[ptr[k]:ptr[k + 1]]``, k = I*nb + J with nb = ceil(n / side),
+    as flat indices into the row-major tile.
     """
-    total = n * n
+    if labels.shape != (n, n):
+        raise ValueError(f"labels shape {labels.shape} does not match n={n}")
+    labels = sp.csr_matrix(labels, dtype=np.float64, copy=True)
+    labels.sort_indices()
+    if not labels.has_canonical_format or np.any(labels.data != 1.0):
+        raise ValueError("labels must store only ones: no stored zeros, duplicates or other values")
+    if (labels != labels.T).nnz:
+        raise ValueError("labels must be symmetric")
+    total, s = n * n, int(labels.nnz)
     if s <= 0 or s >= total:
         raise ValueError(f"degenerate label count s={s} for n={n}")
-    return LossWeights(pos_weight=(total - s) / s, norm=total / (2.0 * (total - s)))
-
-
-def _label_tiles(labels: sp.csr_matrix, side: int) -> tuple:
-    """(side, ptr, flat): the stored labels of each upper-triangle tile.
-
-    Tile (I, J), I <= J, covers rows [I*side, (I+1)*side) and columns
-    [J*side, (J+1)*side).  It owns the labels ``flat[ptr[k]:ptr[k + 1]]``,
-    k = I*nb + J with nb = ceil(n / side), as flat indices into the
-    row-major tile.
-    """
-    n = labels.shape[0]
-    side = max(1, int(side))
+    side = max(1, int(TILE_SIDE))
     nb = -(-n // side)
     rows = np.repeat(np.arange(n), np.diff(labels.indptr))
     bi, bj = rows // side, labels.indices // side
@@ -161,10 +157,11 @@ def _label_tiles(labels: sp.csr_matrix, side: int) -> tuple:
     key = (bi * nb + bj)[upper]
     order = np.argsort(key, kind="stable")
     flat = (rows % side) * np.minimum(side, n - bj * side) + labels.indices % side
-    return side, np.searchsorted(key[order], np.arange(nb * nb + 1)), flat[upper][order]
+    ptr = np.searchsorted(key[order], np.arange(nb * nb + 1))
+    return side, ptr, flat[upper][order], (total - s) / s, total / (2.0 * (total - s))
 
 
-def _loss_and_gz(z, tiles, lw, want_grad):
+def _loss_and_gz(z, tiles, want_grad):
     """Shared streaming kernel: loss and (optionally) dL/dZ.
 
     Only tiles I <= J are computed.  An off-diagonal tile stands for itself
@@ -178,9 +175,8 @@ def _loss_and_gz(z, tiles, lw, want_grad):
     changes only round-off.
     """
     n = z.shape[0]
-    side, ptr, flat = tiles
+    side, ptr, flat, pw, norm = tiles
     nb = -(-n // side)
-    pw = lw.pos_weight
     loss = 0.0
     gz = np.zeros_like(z) if want_grad else None
     for bi in range(nb):
@@ -205,41 +201,38 @@ def _loss_and_gz(z, tiles, lw, want_grad):
             theta += ell  # softplus(theta)
             theta.ravel()[own] = pw * np.logaddexp(0.0, -t)
             loss += (1.0 if bi == bj else 2.0) * float(theta.sum())
-    scale = lw.norm / (n * n)
+    scale = norm / (n * n)
     if want_grad:
         gz *= 2.0 * scale  # theta = Z Z^T, so each pair reaches dL/dZ twice
     return scale * loss, gz
 
 
-def reconstruction_loss(z, labels, lw: LossWeights) -> float:
+def reconstruction_loss(z, labels) -> float:
     """Weighted cross-entropy over all n^2 pairs (labels are A_train + I).
 
-    The labels must be symmetric: only tiles on and above the diagonal are
-    read.  The tiles are ``TILE_SIDE`` nodes a side, read at call time, as
-    in training; a side of n or more makes one tile.
+    Labels are checked and weighted as in ``train``.  The tiles are
+    ``TILE_SIDE`` nodes a side, read at call time, as in training; a side of
+    n or more makes one tile.
     """
     z = np.asarray(z, dtype=np.float64)
-    loss, _ = _loss_and_gz(z, _label_tiles(sp.csr_matrix(labels), TILE_SIDE), lw, False)
-    return loss
+    return _loss_and_gz(z, _label_tiles(labels, z.shape[0]), False)[0]
 
 
-def loss_gradient(weights, norm_adj, labels, lw: LossWeights) -> tuple:
+def loss_gradient(weights, norm_adj, labels) -> tuple:
     """Analytic gradient of the reconstruction loss w.r.t. the weights.
 
     Labels and tiles are as in ``reconstruction_loss``.
     """
-    tiles = _label_tiles(sp.csr_matrix(labels), TILE_SIDE)
-    _, grads = _loss_value_and_gradient(weights, norm_adj, tiles, lw)
-    return grads
+    return _loss_value_and_gradient(weights, norm_adj, _label_tiles(labels, norm_adj.n))[1]
 
 
-def _loss_value_and_gradient(weights, norm_adj, tiles, lw):
+def _loss_value_and_gradient(weights, norm_adj, tiles):
     if len(weights) != 2:
-        loss, dz = _loss_and_gz(forward(weights, norm_adj), tiles, lw, True)
+        loss, dz = _loss_and_gz(forward(weights, norm_adj), tiles, True)
         return loss, (sparse_dense_product(norm_adj, dz),)
     w0, w1 = weights
     pre, hidden, z = _gae_parts(norm_adj, w0, w1)
-    loss, dz = _loss_and_gz(z, tiles, lw, True)
+    loss, dz = _loss_and_gz(z, tiles, True)
     a_dz = sparse_dense_product(norm_adj, dz)
     # dW1 = hidden^T a_dz sums over all n rows.  BLAS may split a long inner
     # dimension across its threads, which moves the last bits with the
@@ -271,28 +264,17 @@ def init_weights(config: TrainConfig, n: int) -> tuple:
 def train(norm_adj: NormalizedAdjacency, labels: sp.spmatrix, config: TrainConfig) -> EmbeddingModel:
     """Full-batch Adam on the reconstruction loss; deterministic given the seed.
 
-    Raises ValueError unless the labels are symmetric and every stored
-    label is a one, and TrainingDivergedError (carrying the epoch index)
-    if the loss ever becomes non-finite.
+    Raises ValueError unless the labels are n x n, symmetric and store only
+    ones, and TrainingDivergedError (carrying the epoch index) if the loss
+    ever becomes non-finite.  The class weights come from the labels.
     """
-    n = norm_adj.n
-    if labels.shape != (n, n):
-        raise ValueError(f"labels shape {labels.shape} does not match n={n}")
-    labels = sp.csr_matrix(labels, dtype=np.float64, copy=True)
-    labels.sort_indices()
-    if not labels.has_canonical_format or np.any(labels.data != 1.0):
-        raise ValueError("labels must store only ones: no stored zeros, duplicates or other values")
-    if (labels != labels.T).nnz:
-        raise ValueError("labels must be symmetric")
-    lw = loss_weights(n, int(labels.nnz))
-    tiles = _label_tiles(labels, TILE_SIDE)
-
-    weights = [w.copy() for w in init_weights(config, n)]
+    tiles = _label_tiles(labels, norm_adj.n)
+    weights = [w.copy() for w in init_weights(config, norm_adj.n)]
     m_state = [np.zeros_like(w) for w in weights]
     v_state = [np.zeros_like(w) for w in weights]
     history = []
     for epoch in range(config.epochs):
-        loss, grads = _loss_value_and_gradient(tuple(weights), norm_adj, tiles, lw)
+        loss, grads = _loss_value_and_gradient(tuple(weights), norm_adj, tiles)
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss at epoch {epoch}", epoch=epoch)
         history.append(loss)
@@ -306,7 +288,7 @@ def train(norm_adj: NormalizedAdjacency, labels: sp.spmatrix, config: TrainConfi
 
     final_weights = tuple(weights)
     z = forward(final_weights, norm_adj)
-    final_loss, _ = _loss_and_gz(z, tiles, lw, False)
+    final_loss, _ = _loss_and_gz(z, tiles, False)
     if not np.isfinite(final_loss):
         raise TrainingDivergedError(
             f"non-finite loss after final epoch {config.epochs - 1}",

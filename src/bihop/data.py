@@ -26,7 +26,7 @@ import numpy as np
 
 from .graph import BipartiteGraph, GraphInputError, build_graph
 from .metrics import MetricReport, summarize
-from .splits import philox
+from .splits import check_int, philox
 
 logger = logging.getLogger(__name__)
 
@@ -279,7 +279,8 @@ class DatasetSpec:
     source is a file path (str), a generator mapping such as
     {"model": "er", "n_left": 100, "n_right": 100, "p": 0.05, "seed": 7} or
     {"model": "sbm", "left_sizes": [...], "right_sizes": [...], ...}, or None
-    for the built-in southern_women network.
+    for the built-in southern_women network.  A generator key the model does
+    not take, or a size or seed that is not an integer, fails the load.
     """
 
     id: str
@@ -288,20 +289,29 @@ class DatasetSpec:
     expected_edges: int | None = None
 
 
+_GENERATOR_KEYS = {
+    "er": ("n_left", "n_right", "p", "seed"),
+    "sbm": ("left_sizes", "right_sizes", "p_in", "p_out", "seed"),
+}
+
+
 def _generate_from_spec(params: dict) -> BipartiteGraph:
     params = dict(params)
     model = params.pop("model", None)
+    if model not in _GENERATOR_KEYS:
+        raise ValueError(f"unknown generator model {model!r} (expected 'er' or 'sbm')")
+    unknown = [key for key in params if key not in _GENERATOR_KEYS[model]]
+    if unknown:
+        raise ValueError(f"generator model {model!r} takes {_GENERATOR_KEYS[model]}, got unknown {unknown}")
+    seed = check_int("seed", params.get("seed", 0))
     if model == "er":
-        return generate_bipartite_er(
-            int(params["n_left"]), int(params["n_right"]),
-            float(params["p"]), int(params.get("seed", 0)),
-        )
-    if model == "sbm":
-        return generate_bipartite_sbm(
-            params["left_sizes"], params["right_sizes"],
-            float(params["p_in"]), float(params["p_out"]), int(params.get("seed", 0)),
-        )
-    raise ValueError(f"unknown generator model {model!r} (expected 'er' or 'sbm')")
+        n_left, n_right = (check_int(key, params[key]) for key in ("n_left", "n_right"))
+        return generate_bipartite_er(n_left, n_right, float(params["p"]), seed)
+    left, right = (
+        [check_int(f"{key}[{i}]", v) for i, v in enumerate(params[key])]
+        for key in ("left_sizes", "right_sizes")
+    )
+    return generate_bipartite_sbm(left, right, float(params["p_in"]), float(params["p_out"]), seed)
 
 
 def load_dataset(spec: DatasetSpec, data_dir=None) -> BipartiteGraph:

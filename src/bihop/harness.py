@@ -22,7 +22,6 @@ import logging
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from numbers import Integral
 
 import numpy as np
 
@@ -58,7 +57,7 @@ from .scoring import (
     recon_two_hop_score,
     two_hop_score,
 )
-from .splits import EdgeSplit, check_ratios, child_keys, sample_negatives, split_edges, train_graph
+from .splits import EdgeSplit, check_int, check_ratios, child_keys, sample_negatives, split_edges, train_graph
 
 logger = logging.getLogger(__name__)
 
@@ -100,10 +99,7 @@ class BenchmarkConfig:
         put(self, "lgae_grid", tuple(map(dict, self.lgae_grid)))
         put(self, "gae_grid", tuple(map(dict, self.gae_grid)))
         for key in ("runs", "base_seed"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise TypeError(f"{key} must be an integer, got {value!r}")
-            put(self, key, int(value))
+            put(self, key, check_int(key, getattr(self, key)))
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         for kind in self.scorers:

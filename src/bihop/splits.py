@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -112,6 +113,13 @@ def sample_negatives(g: BipartiteGraph, count: int, exclude, seed: int) -> np.nd
             need -= new.size
         keys = np.concatenate(picked)
     return read_only(np.column_stack(np.divmod(keys, g.n_right)))
+
+
+def check_int(name: str, value) -> int:
+    """``value`` as an int; TypeError naming ``name`` for a bool or a non-Integral."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def check_ratios(ratios) -> None:

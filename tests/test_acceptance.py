@@ -23,7 +23,6 @@ from bihop.autoencoder import (
     TrainConfig,
     init_weights,
     loss_gradient,
-    loss_weights,
     reconstruction_loss,
     forward,
     training_labels,
@@ -111,21 +110,20 @@ def test_criterion_2_analytic_gradients_match_finite_differences():
                     break
             norm = normalize(g.adj)
             labels = training_labels(adjacency(g))
-            lw = loss_weights(g.n, int(labels.nnz))
             cfg = TrainConfig(
                 model_kind=kind, embed_dim=3, hidden_dim=4,
                 seed=int(rng.integers(2**31)),
             )
             weights = init_weights(cfg, g.n)
-            analytic = loss_gradient(weights, norm, labels, lw)
+            analytic = loss_gradient(weights, norm, labels)
             for k, w in enumerate(weights):
                 fd = np.zeros_like(w)
                 for idx in np.ndindex(*w.shape):
                     bumped = [x.copy() for x in weights]
                     bumped[k][idx] = w[idx] + h
-                    hi = reconstruction_loss(forward(tuple(bumped), norm), labels, lw)
+                    hi = reconstruction_loss(forward(tuple(bumped), norm), labels)
                     bumped[k][idx] = w[idx] - h
-                    lo = reconstruction_loss(forward(tuple(bumped), norm), labels, lw)
+                    lo = reconstruction_loss(forward(tuple(bumped), norm), labels)
                     fd[idx] = (hi - lo) / (2.0 * h)
                 denom = max(float(np.abs(fd).max()), 1e-12)
                 worst = max(worst, float(np.abs(analytic[k] - fd).max()) / denom)

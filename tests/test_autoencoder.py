@@ -32,7 +32,6 @@ from bihop import autoencoder
 from bihop.autoencoder import (
     TILE_SIDE,
     EmbeddingModel,
-    LossWeights,
     ModelKind,
     TrainConfig,
     TrainingDivergedError,
@@ -41,13 +40,13 @@ from bihop.autoencoder import (
     init_weights,
     load_model,
     loss_gradient,
-    loss_weights,
     reconstruction_loss,
     save_model,
     train,
     training_labels,
     _label_tiles,
     _loss_and_gz,
+    _loss_value_and_gradient,
 )
 from bihop.data import generate_bipartite_er
 from bihop.graph import NormalizedAdjacency, adjacency, build_graph, normalize
@@ -62,7 +61,6 @@ def problem_instance(rng, kind: ModelKind, max_side=5, embed_dim=3, hidden_dim=4
             break
     norm = normalize(g.adj)
     labels = training_labels(adjacency(g))
-    lw = loss_weights(g.n, int(labels.nnz))
     cfg = TrainConfig(
         model_kind=kind,
         embed_dim=embed_dim,
@@ -70,10 +68,19 @@ def problem_instance(rng, kind: ModelKind, max_side=5, embed_dim=3, hidden_dim=4
         seed=int(rng.integers(2**31)),
     )
     weights = init_weights(cfg, g.n)
-    return norm, labels, lw, weights
+    return norm, labels, weights
 
 
-def fd_gradient(weights, norm, labels, lw, h=1e-5):
+def class_weights(labels):
+    """(pos_weight, norm) from their definition, independent of the kernel:
+    s ones among n^2 labels give (n^2 - s) / s and n^2 / (2 (n^2 - s))."""
+    dense = labels.toarray()
+    total = dense.size
+    s = int(np.count_nonzero(dense == 1.0))
+    return (total - s) / s, total / (2.0 * (total - s))
+
+
+def fd_gradient(weights, norm, labels, h=1e-5):
     """Central finite differences of the loss in every weight entry."""
     grads = []
     for k, w in enumerate(weights):
@@ -81,26 +88,27 @@ def fd_gradient(weights, norm, labels, lw, h=1e-5):
         for idx in np.ndindex(*w.shape):
             bumped = [x.copy() for x in weights]
             bumped[k][idx] = w[idx] + h
-            hi = reconstruction_loss(forward(tuple(bumped), norm), labels, lw)
+            hi = reconstruction_loss(forward(tuple(bumped), norm), labels)
             bumped[k][idx] = w[idx] - h
-            lo = reconstruction_loss(forward(tuple(bumped), norm), labels, lw)
+            lo = reconstruction_loss(forward(tuple(bumped), norm), labels)
             grad[idx] = (hi - lo) / (2.0 * h)
         grads.append(grad)
     return tuple(grads)
 
 
-def dense_reference(z, labels, lw):
+def dense_reference(z, labels):
     """Loss and residual R (dL/dZ = 2 R Z) from dense n x n arrays."""
     n = z.shape[0]
     theta = z @ z.T
     y = labels.toarray()
-    scale = lw.norm / (n * n)
+    pos_weight, norm = class_weights(labels)
+    scale = norm / (n * n)
     loss = scale * float(
-        np.sum(lw.pos_weight * y * np.logaddexp(0.0, -theta))
+        np.sum(pos_weight * y * np.logaddexp(0.0, -theta))
         + np.sum((1.0 - y) * np.logaddexp(0.0, theta))
     )
     sig = expit(theta)
-    return loss, scale * (lw.pos_weight * y * (sig - 1.0) + (1.0 - y) * sig)
+    return loss, scale * (pos_weight * y * (sig - 1.0) + (1.0 - y) * sig)
 
 
 def closed_form_gradient(weights, norm, r):
@@ -115,19 +123,20 @@ def closed_form_gradient(weights, norm, r):
     return (an.T @ ((a_dz @ w1.T) * (pre > 0.0)), hidden.T @ a_dz)
 
 
-def double_loop_oracle(z, labels, lw):
+def double_loop_oracle(z, labels):
     """Loss and dL/dZ pair by pair, each term in its exact scalar form."""
     n = z.shape[0]
     dense = labels.toarray()
-    scale = lw.norm / (n * n)
+    pos_weight, norm = class_weights(labels)
+    scale = norm / (n * n)
     loss = 0.0
     gz = np.zeros_like(z)
     for i in range(n):
         for j in range(n):
             theta = float(z[i] @ z[j])
             if dense[i, j]:
-                loss += lw.pos_weight * np.logaddexp(0.0, -theta)
-                g = -lw.pos_weight * expit(-theta)
+                loss += pos_weight * np.logaddexp(0.0, -theta)
+                g = -pos_weight * expit(-theta)
             else:
                 loss += np.logaddexp(0.0, theta)
                 g = expit(theta)
@@ -216,22 +225,31 @@ class TestDecode:
         assert np.allclose(got, want, rtol=0, atol=1e-15)
 
 
+def symmetric_ones(n, pairs):
+    """n x n labels: the diagonal plus each (i, j) of ``pairs`` both ways."""
+    rows = list(range(n)) + [i for i, j in pairs] + [j for i, j in pairs]
+    cols = list(range(n)) + [j for i, j in pairs] + [i for i, j in pairs]
+    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+
+
 class TestLossWeights:
+    """The class weights come from the labels, through ``_label_tiles``."""
+
     def test_worked_example(self):
-        lw = loss_weights(3, 5)
-        assert lw.pos_weight == 0.8
-        assert lw.norm == 1.125
+        *_, pos_weight, norm = _label_tiles(symmetric_ones(3, [(0, 1)]), 3)
+        assert pos_weight == 0.8
+        assert norm == 1.125
 
     def test_balanced_labels(self):
-        lw = loss_weights(4, 8)
-        assert lw.pos_weight == 1.0
-        assert lw.norm == 1.0
+        *_, pos_weight, norm = _label_tiles(symmetric_ones(4, [(0, 1), (2, 3)]), 4)
+        assert pos_weight == 1.0
+        assert norm == 1.0
 
     def test_degenerate_counts_rejected(self):
-        with pytest.raises(ValueError):
-            loss_weights(3, 0)
-        with pytest.raises(ValueError):
-            loss_weights(3, 9)
+        with pytest.raises(ValueError, match="degenerate label count"):
+            _label_tiles(sp.csr_matrix((3, 3)), 3)
+        with pytest.raises(ValueError, match="degenerate label count"):
+            _label_tiles(sp.csr_matrix(np.ones((3, 3))), 3)
 
 
 class TestTrainingLabels:
@@ -253,8 +271,7 @@ class TestReconstructionLoss:
         for _ in range(10):
             g = random_bipartite(rng)
             labels = training_labels(adjacency(g))
-            lw = loss_weights(g.n, int(labels.nnz))
-            loss = reconstruction_loss(np.zeros((g.n, 3)), labels, lw)
+            loss = reconstruction_loss(np.zeros((g.n, 3)), labels)
             assert loss == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_matches_double_loop_oracle(self):
@@ -264,7 +281,7 @@ class TestReconstructionLoss:
             if 2 * g.m + g.n == g.n * g.n:
                 continue
             labels = training_labels(adjacency(g))
-            lw = loss_weights(g.n, int(labels.nnz))
+            pos_weight, norm = class_weights(labels)
             z = rng.standard_normal((g.n, 3))
             dense = labels.toarray()
             total = 0.0
@@ -272,29 +289,28 @@ class TestReconstructionLoss:
                 for j in range(g.n):
                     theta = float(z[i] @ z[j])
                     y = dense[i, j]
-                    total += lw.pos_weight * y * np.logaddexp(0.0, -theta)
+                    total += pos_weight * y * np.logaddexp(0.0, -theta)
                     total += (1.0 - y) * np.logaddexp(0.0, theta)
-            want = lw.norm * total / (g.n * g.n)
-            got = reconstruction_loss(z, labels, lw)
+            want = norm * total / (g.n * g.n)
+            got = reconstruction_loss(z, labels)
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_block_streaming_matches_dense(self):
         rng = np.random.default_rng(40)
         g = random_bipartite(rng, max_side=8)
         labels = training_labels(adjacency(g))
-        lw = loss_weights(g.n, int(labels.nnz))
         z = rng.standard_normal((g.n, 4))
         with tile_side(g.n):
-            dense = reconstruction_loss(z, labels, lw)
+            dense = reconstruction_loss(z, labels)
         for block in (1, 2, 3, g.n):
             with tile_side(block):
-                blocked = reconstruction_loss(z, labels, lw)
+                blocked = reconstruction_loss(z, labels)
             assert blocked == pytest.approx(dense, rel=1e-12)
 
     def test_confident_correct_reconstruction_drives_loss_down(self):
         g = random_bipartite(np.random.default_rng(41), max_side=4)
         labels = training_labels(adjacency(g))
-        lw = loss_weights(g.n, int(labels.nnz))
+        pos_weight, norm = class_weights(labels)
         # embed each node so that z_i . z_j is a large positive logit
         # exactly on label support and large negative elsewhere
         dense = np.asarray(labels.todense())
@@ -304,20 +320,63 @@ class TestReconstructionLoss:
         # shift spectrum to be representable: synthesize logits directly
         theta = 20.0 * sign
         total = (
-            lw.pos_weight * dense * np.logaddexp(0.0, -theta)
+            pos_weight * dense * np.logaddexp(0.0, -theta)
             + (1.0 - dense) * np.logaddexp(0.0, theta)
         ).sum()
-        want = lw.norm * total / (g.n * g.n)
+        want = norm * total / (g.n * g.n)
         assert want < 1e-7  # the target the trained model approaches
+
+
+def loss_entry_point(name, g):
+    """reconstruction_loss or loss_gradient at Glorot weights on g, as a
+    function of the labels alone."""
+    norm = normalize(g.adj)
+    weights = init_weights(TrainConfig(embed_dim=3), g.n)
+    if name == "loss":
+        return lambda labels: reconstruction_loss(forward(weights, norm), labels)
+    return lambda labels: loss_gradient(weights, norm, labels)
+
+
+@pytest.mark.parametrize("entry", ["loss", "gradient"])
+class TestLossLabelChecks:
+    """The loss and its gradient check their labels as ``train`` does."""
+
+    @pytest.mark.parametrize("case", ["small_graph_side_2", "n_200_default_side"])
+    def test_rejects_asymmetric_labels(self, entry, case):
+        """Only tiles on and above the diagonal are read, so one-sided labels
+        would be mirrored into a wrong loss."""
+        if case == "small_graph_side_2":
+            g, side = random_bipartite(np.random.default_rng(59), min_edges=2), 2
+        else:
+            g, side = generate_bipartite_er(100, 100, 0.05, seed=3), TILE_SIDE
+        call = loss_entry_point(entry, g)
+        upper = sp.triu(training_labels(adjacency(g)), format="csr")
+        with tile_side(side), pytest.raises(ValueError, match="symmetric"):
+            call(upper)
+
+    @pytest.mark.parametrize("side", [2, TILE_SIDE])
+    def test_rejects_labels_other_than_one(self, entry, side):
+        g = random_bipartite(np.random.default_rng(60), min_edges=2)
+        labels = training_labels(adjacency(g))
+        labels.data[:] = 2.0
+        call = loss_entry_point(entry, g)
+        with tile_side(side), pytest.raises(ValueError, match="only ones"):
+            call(labels)
+
+    def test_rejects_shape_mismatch(self, entry):
+        g = random_bipartite(np.random.default_rng(61))
+        call = loss_entry_point(entry, g)
+        with pytest.raises(ValueError, match="does not match"):
+            call(sp.identity(g.n + 1, format="csr"))
 
 
 class TestGradients:
     def test_lgae_matches_finite_differences(self):
         rng = np.random.default_rng(42)
         for _ in range(10):
-            norm, labels, lw, weights = problem_instance(rng, ModelKind.LGAE)
-            got = loss_gradient(weights, norm, labels, lw)
-            want = fd_gradient(weights, norm, labels, lw)
+            norm, labels, weights = problem_instance(rng, ModelKind.LGAE)
+            got = loss_gradient(weights, norm, labels)
+            want = fd_gradient(weights, norm, labels)
             for g_a, g_f in zip(got, want):
                 denom = max(np.abs(g_f).max(), 1e-12)
                 assert np.abs(g_a - g_f).max() / denom < 1e-5
@@ -325,9 +384,9 @@ class TestGradients:
     def test_gae_matches_finite_differences(self):
         rng = np.random.default_rng(43)
         for _ in range(10):
-            norm, labels, lw, weights = problem_instance(rng, ModelKind.GAE)
-            got = loss_gradient(weights, norm, labels, lw)
-            want = fd_gradient(weights, norm, labels, lw)
+            norm, labels, weights = problem_instance(rng, ModelKind.GAE)
+            got = loss_gradient(weights, norm, labels)
+            want = fd_gradient(weights, norm, labels)
             for g_a, g_f in zip(got, want):
                 denom = max(np.abs(g_f).max(), 1e-12)
                 assert np.abs(g_a - g_f).max() / denom < 1e-5
@@ -337,20 +396,20 @@ class TestGradients:
         g = random_bipartite(rng)
         norm = normalize(g.adj)
         labels = training_labels(adjacency(g))
-        lw = loss_weights(g.n, int(labels.nnz))
-        (gw,) = loss_gradient((np.zeros((g.n, 3)),), norm, labels, lw)
+        (gw,) = loss_gradient((np.zeros((g.n, 3)),), norm, labels)
         assert not gw.any()
         gw0, gw1 = loss_gradient(
-            (np.zeros((g.n, 4)), np.zeros((4, 2))), norm, labels, lw
+            (np.zeros((g.n, 4)), np.zeros((4, 2))), norm, labels
         )
         assert not gw0.any() and not gw1.any()
 
     def test_gradient_scales_with_norm_constant(self):
         rng = np.random.default_rng(45)
-        norm, labels, lw, weights = problem_instance(rng, ModelKind.LGAE)
-        (g1,) = loss_gradient(weights, norm, labels, lw)
-        doubled = LossWeights(pos_weight=lw.pos_weight, norm=2.0 * lw.norm)
-        (g2,) = loss_gradient(weights, norm, labels, doubled)
+        norm, labels, weights = problem_instance(rng, ModelKind.LGAE)
+        tiles = _label_tiles(labels, norm.n)
+        _, (g1,) = _loss_value_and_gradient(weights, norm, tiles)
+        doubled = tiles[:4] + (2.0 * tiles[4],)
+        _, (g2,) = _loss_value_and_gradient(weights, norm, doubled)
         assert np.allclose(g2, 2.0 * g1, rtol=1e-12, atol=0)
 
     def test_gae_gradient_reuses_the_forward_pass(self, monkeypatch):
@@ -358,11 +417,11 @@ class TestGradients:
         hidden come from the forward pass.  Training matches the former
         formula, which recomputed them, byte for byte."""
 
-        def recomputing(weights, norm_adj, tiles, lw):
+        def recomputing(weights, norm_adj, tiles):
             spmm = autoencoder.sparse_dense_product
             w0, w1 = weights
             z = spmm(norm_adj, np.maximum(spmm(norm_adj, w0), 0.0)) @ w1
-            loss, dz = _loss_and_gz(z, tiles, lw, True)
+            loss, dz = _loss_and_gz(z, tiles, True)
             pre = spmm(norm_adj, w0)
             hidden = np.maximum(pre, 0.0)
             a_dz = spmm(norm_adj, dz)
@@ -371,17 +430,17 @@ class TestGradients:
             return loss, (spmm(norm_adj, d_pre), dw1)
 
         rng = np.random.default_rng(53)
-        norm, labels, lw, weights = problem_instance(rng, ModelKind.GAE, max_side=7)
-        tiles = _label_tiles(labels, TILE_SIDE)
+        norm, labels, weights = problem_instance(rng, ModelKind.GAE, max_side=7)
+        tiles = _label_tiles(labels, norm.n)
         calls = []
         product = autoencoder.sparse_dense_product
         monkeypatch.setattr(
             autoencoder, "sparse_dense_product", lambda *a: calls.append(1) or product(*a)
         )
-        got = autoencoder._loss_value_and_gradient(weights, norm, tiles, lw)
+        got = _loss_value_and_gradient(weights, norm, tiles)
         assert len(calls) == 4
         calls.clear()
-        want = recomputing(weights, norm, tiles, lw)
+        want = recomputing(weights, norm, tiles)
         assert len(calls) == 5
         assert got[0] == want[0]
         assert all(np.array_equal(a, b) for a, b in zip(got[1], want[1]))
@@ -396,11 +455,11 @@ class TestGradients:
 
     def test_blocked_gradient_matches_dense(self):
         rng = np.random.default_rng(46)
-        norm, labels, lw, weights = problem_instance(rng, ModelKind.GAE, max_side=7)
+        norm, labels, weights = problem_instance(rng, ModelKind.GAE, max_side=7)
         with tile_side(norm.n):
-            dense = loss_gradient(weights, norm, labels, lw)
+            dense = loss_gradient(weights, norm, labels)
         with tile_side(2):
-            blocked = loss_gradient(weights, norm, labels, lw)
+            blocked = loss_gradient(weights, norm, labels)
         for g_d, g_b in zip(dense, blocked):
             assert np.allclose(g_b, g_d, rtol=1e-11, atol=1e-14)
 
@@ -410,15 +469,15 @@ class TestDenseOracles:
         rng = np.random.default_rng(54)
         for kind in ModelKind:
             for _ in range(10):
-                norm, labels, lw, weights = problem_instance(rng, kind)
+                norm, labels, weights = problem_instance(rng, kind)
                 weights = tuple(3.0 * w for w in weights)
                 z = forward(weights, norm)
-                ref_loss, r = dense_reference(z, labels, lw)
+                ref_loss, r = dense_reference(z, labels)
                 want = closed_form_gradient(weights, norm, r)
                 for block in (TILE_SIDE, 1, 2, 3, norm.n):
                     with tile_side(block):
-                        loss = reconstruction_loss(z, labels, lw)
-                        got = loss_gradient(weights, norm, labels, lw)
+                        loss = reconstruction_loss(z, labels)
+                        got = loss_gradient(weights, norm, labels)
                     assert loss == pytest.approx(ref_loss, rel=1e-12)
                     for g_a, g_w in zip(got, want):
                         assert max_rel_error(g_a, g_w) <= 1e-12
@@ -429,14 +488,13 @@ class TestDenseOracles:
         for _ in range(5):
             g = random_bipartite(rng, max_side=6, min_edges=2)
             labels = training_labels(adjacency(g))
-            lw = loss_weights(g.n, int(labels.nnz))
             z = rng.standard_normal((g.n, 3))
             z *= np.sqrt(reach / np.abs(z @ z.T).max())
-            want_loss, want_gz = double_loop_oracle(z, labels, lw)
+            want_loss, want_gz = double_loop_oracle(z, labels)
             for block in (g.n, 2):
                 with tile_side(block):
-                    loss = reconstruction_loss(z, labels, lw)
-                    (gz,) = loss_gradient((z,), identity_encoder(g.n), labels, lw)
+                    loss = reconstruction_loss(z, labels)
+                    (gz,) = loss_gradient((z,), identity_encoder(g.n), labels)
                 assert np.isfinite(loss) and np.all(np.isfinite(gz))
                 assert loss == pytest.approx(want_loss, rel=1e-12)
                 assert max_rel_error(gz, want_gz) <= 1e-12
@@ -448,15 +506,14 @@ class TestDenseOracles:
         lost to cancellation against the large label-one logits."""
         g = build_graph(3, 3, [(0, 0), (1, 1), (2, 2)])
         labels = training_labels(adjacency(g))
-        lw = loss_weights(g.n, int(labels.nnz))
         z = np.vstack([np.eye(3), np.eye(3)]) - 1.0 / 3.0
         z *= np.sqrt(1.5 * reach)
-        want_loss, want_gz = double_loop_oracle(z, labels, lw)
+        want_loss, want_gz = double_loop_oracle(z, labels)
         assert 0.0 < want_loss < 1e-8
         for block in (g.n, 1, 4):
             with tile_side(block):
-                loss = reconstruction_loss(z, labels, lw)
-                (gz,) = loss_gradient((z,), identity_encoder(g.n), labels, lw)
+                loss = reconstruction_loss(z, labels)
+                (gz,) = loss_gradient((z,), identity_encoder(g.n), labels)
             assert loss == pytest.approx(want_loss, rel=1e-12)
             assert max_rel_error(gz, want_gz) <= 1e-12
 
@@ -478,12 +535,11 @@ class TestTileInvariance:
     def test_every_tile_side_matches_dense_oracles(self, case):
         g, z, side = case
         labels = training_labels(adjacency(g))
-        lw = loss_weights(g.n, int(labels.nnz))
-        ref_loss, r = dense_reference(z, labels, lw)
+        ref_loss, r = dense_reference(z, labels)
         enc = identity_encoder(g.n)
         with tile_side(side):
-            loss = reconstruction_loss(z, labels, lw)
-            (gz,) = loss_gradient((z,), enc, labels, lw)
+            loss = reconstruction_loss(z, labels)
+            (gz,) = loss_gradient((z,), enc, labels)
         assert loss == pytest.approx(ref_loss, rel=1e-12)
         (want,) = closed_form_gradient((z,), enc, r)
         assert max_rel_error(gz, want) <= 1e-12
@@ -493,13 +549,12 @@ class TestTileInvariance:
         a whole-row block of n logits would take 8 MB per array."""
         g = generate_bipartite_er(500, 500, 0.01, seed=0)
         labels = training_labels(adjacency(g))
-        lw = loss_weights(g.n, int(labels.nnz))
         (w,) = init_weights(TrainConfig(embed_dim=16), g.n)
         z = forward((w,), normalize(g.adj))
-        tiles = _label_tiles(labels, TILE_SIDE)
+        tiles = _label_tiles(labels, g.n)
         tracemalloc.start()
         try:
-            _loss_and_gz(z, tiles, lw, True)
+            _loss_and_gz(z, tiles, True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -539,6 +594,20 @@ class TestTrainConfig:
                 TrainConfig(learning_rate=rate)
         with pytest.raises(ValueError):
             TrainConfig(model_kind=ModelKind.GAE, hidden_dim=0)
+
+    @pytest.mark.parametrize("key", ["embed_dim", "hidden_dim", "epochs", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 4.0, "3", True, None])
+    def test_rejects_non_integer_sizes(self, key, value):
+        """A float is not truncated and a bool is not a count: ``epochs=True``
+        used to train for one epoch."""
+        with pytest.raises(TypeError, match=f"{key} must be an integer"):
+            TrainConfig(model_kind=ModelKind.GAE, **{key: value})
+
+    def test_numpy_integer_sizes_become_ints(self):
+        cfg = TrainConfig(embed_dim=np.int64(3), hidden_dim=np.int32(4), epochs=np.uint16(5), seed=np.int64(7))
+        assert (cfg.embed_dim, cfg.hidden_dim, cfg.epochs, cfg.seed) == (3, 4, 5, 7)
+        assert all(type(v) is int for v in (cfg.embed_dim, cfg.hidden_dim, cfg.epochs, cfg.seed))
+        assert cfg == TrainConfig(embed_dim=3, hidden_dim=4, epochs=5, seed=7)
 
     def test_lgae_ignores_hidden_dim(self):
         TrainConfig(model_kind=ModelKind.LGAE, hidden_dim=0)  # no error

@@ -296,6 +296,49 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="unknown generator"):
             load_dataset(DatasetSpec(id="x", source={"model": "tree"}))
 
+    @pytest.mark.parametrize(
+        "source, key",
+        [
+            ({"model": "er", "n_left": 20, "n_right": 20, "p": 0.25, "p_typo": 3}, "p_typo"),
+            ({"model": "sbm", "left_sizes": [5, 5], "right_sizes": [5, 5], "p_in": 0.5,
+              "p_out": 0.1, "n_left": 10}, "n_left"),
+        ],
+        ids=["er", "sbm"],
+    )
+    def test_generator_rejects_unknown_keys(self, source, key):
+        """A key the model does not take raises, naming it, instead of being
+        ignored."""
+        with pytest.raises(ValueError, match=f"unknown.*{key}"):
+            load_dataset(DatasetSpec(id="x", source=source))
+
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            ({"n_left": 20.9}, "n_left"),
+            ({"n_right": 20.0}, "n_right"),
+            ({"seed": 1.7}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"model": "sbm", "left_sizes": [5, 5.5], "right_sizes": [5, 5], "p_in": 0.5,
+              "p_out": 0.1}, r"left_sizes\[1\]"),
+            ({"model": "sbm", "left_sizes": [5, 5], "right_sizes": [False, 5], "p_in": 0.5,
+              "p_out": 0.1}, r"right_sizes\[0\]"),
+        ],
+        ids=["n_left", "n_right", "seed_float", "seed_bool", "left_sizes", "right_sizes"],
+    )
+    def test_generator_rejects_non_integer_sizes_and_seeds(self, change, key):
+        """20.9 left nodes used to load as 20, and seed 1.7 as seed 1."""
+        source = {"model": "er", "n_left": 20, "n_right": 20, "p": 0.25, "seed": 1}
+        if change.get("model") == "sbm":
+            source = {"seed": 1}
+        source.update(change)
+        with pytest.raises(TypeError, match=f"{key} must be an integer"):
+            load_dataset(DatasetSpec(id="x", source=source))
+
+    def test_generator_numpy_integers_accepted(self):
+        source = {"model": "er", "n_left": np.int64(10), "n_right": 10, "p": 0.3, "seed": np.uint8(2)}
+        g = load_dataset(DatasetSpec(id="x", source=source))
+        assert np.array_equal(g.edges, generate_bipartite_er(10, 10, 0.3, seed=2).edges)
+
 
 def make_report(dataset, scorer, run, auc, ap):
     return MetricReport(

@@ -146,6 +146,15 @@ class TestBenchmarkConfig:
         with pytest.raises(TypeError, match=f"{key} must be an integer"):
             BenchmarkConfig(**{key: value})
 
+    @pytest.mark.parametrize("key", ["embed_dim", "epochs"])
+    @pytest.mark.parametrize("value", [2.5, 4.5, True])
+    def test_rejects_non_integer_grid_sizes(self, key, value):
+        """A fractional or bool training size fails at construction and
+        names the grid point; 2.5 epochs used to fail in run 0, after the
+        dataset had loaded, and ``True`` trained for one epoch."""
+        with pytest.raises(TypeError, match=rf"lgae_grid\[1\]: {key} must be an integer"):
+            BenchmarkConfig(lgae_grid=(SMALL_GRID[0], {**SMALL_GRID[0], key: value}))
+
     def test_numpy_integer_counts_become_ints(self):
         config = BenchmarkConfig(runs=np.int64(3), base_seed=np.uint8(7))
         assert (config.runs, config.base_seed) == (3, 7)
@@ -798,6 +807,21 @@ class TestRunBenchmark:
         missing_id, reason = summary.missing[0]
         assert missing_id == "no_such_dataset"
         assert reason.startswith("FileNotFoundError:")
+        assert [row.dataset for row in summary.rows] == ["southern_women"]
+
+    def test_bad_generator_spec_recorded_as_missing(self):
+        """A generator mapping with a typo'd key is one missing dataset, as
+        any load error is, and the other datasets still run."""
+        bad = {"model": "er", "n_left": 20, "n_right": 20, "p": 0.25, "seed": 1, "p_typo": 3}
+        config = small_config(
+            datasets=(DatasetSpec(id="typo", source=bad), DatasetSpec(id="southern_women")),
+            scorers=(ScorerKind.PREFERENTIAL_ATTACHMENT,),
+            runs=1,
+        )
+        summary = run_benchmark(config)
+        ((missing_id, reason),) = summary.missing
+        assert missing_id == "typo"
+        assert reason.startswith("ValueError:") and "p_typo" in reason
         assert [row.dataset for row in summary.rows] == ["southern_women"]
 
     def test_string_dataset_entries_coerced(self):
