@@ -28,8 +28,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .graph import NormalizedAdjacency, sparse_dense_product
-from .splits import check_int, philox
+from .graph import NormalizedAdjacency, check_int, check_real, sparse_dense_product
+from .splits import philox
 
 TILE_SIDE = 128
 # Rows per block of the GCN encoder's dW1 sum; up to this many nodes it is
@@ -68,16 +68,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for key in ("embed_dim", "hidden_dim", "epochs", "seed"):
-            object.__setattr__(self, key, check_int(key, getattr(self, key)))
-        if self.embed_dim < 1:
-            raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
-        if self.model_kind is ModelKind.GAE and self.hidden_dim < 1:
-            raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be > 0 and finite, got {self.learning_rate}")
+        hidden_low = 1 if self.model_kind is ModelKind.GAE else None
+        for key, low in (("embed_dim", 1), ("hidden_dim", hidden_low), ("epochs", 1), ("seed", None)):
+            object.__setattr__(self, key, check_int(key, getattr(self, key), low))
+        object.__setattr__(self, "learning_rate", check_real("learning_rate", self.learning_rate))
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,14 +340,9 @@ def load_model(path):
         while f"weight_{k}" in data:
             weights.append(data[f"weight_{k}"])
             k += 1
-        config = TrainConfig(
-            model_kind=kind,
-            embed_dim=int(data["embed_dim"]),
-            hidden_dim=int(data["hidden_dim"]),
-            learning_rate=float(data["learning_rate"]),
-            epochs=int(data["epochs"]),
-            seed=int(data["seed"]),
-        )
+        # .item() keeps each stored scalar's type, so TrainConfig checks it.
+        scalars = ("embed_dim", "hidden_dim", "learning_rate", "epochs", "seed")
+        config = TrainConfig(model_kind=kind, **{key: data[key].item() for key in scalars})
         model = EmbeddingModel(
             Z=data["Z"],
             model_kind=kind,

@@ -16,6 +16,7 @@ embedded as a constant.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import logging
 from dataclasses import dataclass
@@ -24,9 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import BipartiteGraph, GraphInputError, build_graph
+from .graph import BipartiteGraph, GraphInputError, build_graph, check_int, check_real
 from .metrics import MetricReport, summarize
-from .splits import check_int, philox
+from .splits import philox
 
 logger = logging.getLogger(__name__)
 
@@ -154,10 +155,8 @@ def write_edge_list(g: BipartiteGraph, path, left_ids=None, right_ids=None) -> N
 
 def generate_bipartite_er(n_left: int, n_right: int, p: float, seed: int) -> BipartiteGraph:
     """Each left-right pair is an edge independently with probability p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    if n_left < 1 or n_right < 1:
-        raise ValueError("partition sizes must be positive")
+    n_left, n_right = check_int("n_left", n_left, low=1), check_int("n_right", n_right, low=1)
+    p = check_real("p", p, unit=True)
     rng = philox(seed)
     pairs = []
     block = max(1, (1 << 22) // max(n_right, 1))
@@ -175,15 +174,11 @@ def generate_bipartite_sbm(left_sizes, right_sizes, p_in: float, p_out: float, s
     right).  A pair in aligned blocks is an edge with probability p_in, a
     cross-block pair with probability p_out.
     """
-    left_sizes = tuple(int(s) for s in left_sizes)
-    right_sizes = tuple(int(s) for s in right_sizes)
+    left_sizes = tuple(check_int(f"left_sizes[{i}]", s, low=1) for i, s in enumerate(left_sizes))
+    right_sizes = tuple(check_int(f"right_sizes[{i}]", s, low=1) for i, s in enumerate(right_sizes))
     if len(left_sizes) != len(right_sizes) or not left_sizes:
         raise ValueError("need one left size and one right size per block")
-    if any(s < 1 for s in left_sizes + right_sizes):
-        raise ValueError("block sizes must be positive")
-    for name, prob in (("p_in", p_in), ("p_out", p_out)):
-        if not 0.0 <= prob <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1], got {prob}")
+    p_in, p_out = check_real("p_in", p_in, unit=True), check_real("p_out", p_out, unit=True)
     if p_in <= p_out:
         raise ValueError(f"p_in must exceed p_out, got {p_in} <= {p_out}")
     rng = philox(seed)
@@ -279,8 +274,9 @@ class DatasetSpec:
     source is a file path (str), a generator mapping such as
     {"model": "er", "n_left": 100, "n_right": 100, "p": 0.05, "seed": 7} or
     {"model": "sbm", "left_sizes": [...], "right_sizes": [...], ...}, or None
-    for the built-in southern_women network.  A generator key the model does
-    not take, or a size or seed that is not an integer, fails the load.
+    for the built-in southern_women network (a generator's seed defaults to
+    0).  An unknown generator key, a value the generator rejects or an
+    expected count that is not an integer >= 0 fails the load.
     """
 
     id: str
@@ -289,29 +285,20 @@ class DatasetSpec:
     expected_edges: int | None = None
 
 
-_GENERATOR_KEYS = {
-    "er": ("n_left", "n_right", "p", "seed"),
-    "sbm": ("left_sizes", "right_sizes", "p_in", "p_out", "seed"),
-}
+_GENERATORS = {"er": generate_bipartite_er, "sbm": generate_bipartite_sbm}
 
 
 def _generate_from_spec(params: dict) -> BipartiteGraph:
     params = dict(params)
     model = params.pop("model", None)
-    if model not in _GENERATOR_KEYS:
+    if model not in _GENERATORS:
         raise ValueError(f"unknown generator model {model!r} (expected 'er' or 'sbm')")
-    unknown = [key for key in params if key not in _GENERATOR_KEYS[model]]
+    generator = _GENERATORS[model]
+    keys = tuple(inspect.signature(generator).parameters)
+    unknown = [key for key in params if key not in keys]
     if unknown:
-        raise ValueError(f"generator model {model!r} takes {_GENERATOR_KEYS[model]}, got unknown {unknown}")
-    seed = check_int("seed", params.get("seed", 0))
-    if model == "er":
-        n_left, n_right = (check_int(key, params[key]) for key in ("n_left", "n_right"))
-        return generate_bipartite_er(n_left, n_right, float(params["p"]), seed)
-    left, right = (
-        [check_int(f"{key}[{i}]", v) for i, v in enumerate(params[key])]
-        for key in ("left_sizes", "right_sizes")
-    )
-    return generate_bipartite_sbm(left, right, float(params["p_in"]), float(params["p_out"]), seed)
+        raise ValueError(f"generator model {model!r} takes {keys}, got unknown {unknown}")
+    return generator(**{"seed": 0, **params})
 
 
 def load_dataset(spec: DatasetSpec, data_dir=None) -> BipartiteGraph:
@@ -327,13 +314,9 @@ def load_dataset(spec: DatasetSpec, data_dir=None) -> BipartiteGraph:
         if spec.source is None and not p.exists():
             raise FileNotFoundError(f"dataset {spec.id!r} has no source and no file at {p}")
         g = load_edge_list_detailed(p).graph
-    if spec.expected_nodes is not None and g.n != spec.expected_nodes:
-        raise GraphInputError(
-            f"dataset {spec.id!r}: expected {spec.expected_nodes} nodes, got {g.n}"
-        )
-    if spec.expected_edges is not None and g.m != spec.expected_edges:
-        raise GraphInputError(
-            f"dataset {spec.id!r}: expected {spec.expected_edges} edges, got {g.m}"
-        )
+    for key, got in (("expected_nodes", g.n), ("expected_edges", g.m)):
+        want = getattr(spec, key)
+        if want is not None and check_int(key, want, low=0) != got:
+            raise GraphInputError(f"dataset {spec.id!r}: expected {want} {key.split('_')[1]}, got {got}")
     validate_against_registry(g, spec.id)
     return g

@@ -1,4 +1,4 @@
-"""Bipartite graph container, adjacency, and symmetric normalization.
+"""Bipartite graph container, adjacency, normalization, and the input rules.
 
 Global node indexing convention: left nodes occupy indices ``0..n_left-1``,
 right nodes ``n_left..n_left+n_right-1``.  All matrices produced here are
@@ -7,13 +7,17 @@ right nodes ``n_left..n_left+n_right-1``.  All matrices produced here are
 A graph stores its edges once, as the symmetric 0/1 CSR adjacency ``adj``;
 the edge array, its cell keys and the neighbour arrays are views computed
 from it on first use.  Pairs are read-only (k, 2) int64 arrays.
+``pair_array``, ``check_int`` and ``check_real`` are the package's input
+rules for pairs, integers and reals; no other module keeps its own.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral, Real
 
 import numpy as np
 import scipy.sparse as sp
@@ -94,6 +98,7 @@ class BipartiteGraph:
 
     def has_edge(self, left: int, right: int) -> bool:
         """Membership test in partition-local indexing; False out of range."""
+        left, right = check_int("left", left), check_int("right", right)
         inside = 0 <= left < self.n_left and 0 <= right < self.n_right
         return inside and bool(in_sorted(self.edge_keys, np.array([left * self.n_right + right]))[0])
 
@@ -127,6 +132,30 @@ def in_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     if sorted_keys.size == 0:
         return np.zeros(keys.shape, dtype=bool)
     return sorted_keys.take(np.searchsorted(sorted_keys, keys), mode="clip") == keys
+
+
+def check_int(name: str, value, low: int | None = None) -> int:
+    """``value`` as an int.  TypeError naming ``name`` for a bool or a
+    non-Integral; ValueError when it is below ``low``."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
+def check_real(name: str, value, unit: bool = False) -> float:
+    """``value`` as a float.  TypeError naming ``name`` for a bool or a
+    non-Real (a string included); ValueError unless it lies in [0, 1] when
+    ``unit`` (a probability), else unless it is positive and finite."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    value = float(value)
+    if unit and not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value}")
+    if not unit and not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
 
 
 def _is_int_pair(pair) -> bool:
@@ -174,6 +203,7 @@ def build_graph(n_left: int, n_right: int, edge_pairs) -> BipartiteGraph:
     level).  An entry that is not a pair of integers, or whose indices are
     out of range, raises GraphInputError naming the pair and its position.
     """
+    n_left, n_right = check_int("n_left", n_left), check_int("n_right", n_right)
     if n_left < 0 or n_right < 0:
         raise GraphInputError(f"negative partition size: ({n_left}, {n_right})")
     pairs = pair_array(edge_pairs, n_left, n_right)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .autoencoder import EmbeddingModel, ModelKind, TrainConfig, decode_pairs, train, training_labels
 from .data import DatasetSpec, load_dataset, write_report
-from .graph import BipartiteGraph, NormalizedAdjacency, adjacency, normalize
+from .graph import BipartiteGraph, NormalizedAdjacency, adjacency, check_int, check_real, normalize
 from .metrics import (
     ConfusionMatrix,
     MetricReport,
@@ -48,7 +48,6 @@ from .scoring import (
     KatzDivergenceError,
     KatzIndex,
     ScorerKind,
-    check_beta,
     decode_score,
     heuristic_index,
     heuristic_scores,
@@ -57,7 +56,7 @@ from .scoring import (
     recon_two_hop_score,
     two_hop_score,
 )
-from .splits import EdgeSplit, check_int, check_ratios, child_keys, sample_negatives, split_edges, train_graph
+from .splits import EdgeSplit, check_ratios, child_keys, sample_negatives, split_edges, train_graph
 
 logger = logging.getLogger(__name__)
 
@@ -85,23 +84,18 @@ class BenchmarkConfig:
 
     def __post_init__(self):
         # Each input takes its one form here; idempotent, as replace() reruns it.
-        if any(isinstance(b, Mapping) for b in self.katz_grid):
-            raise TypeError(f"katz_grid holds damping factors (numbers), got {self.katz_grid!r}")
         for i, spec in enumerate(self.datasets):
             if not isinstance(spec, (DatasetSpec, str)):
                 raise TypeError(f"datasets[{i}] must be a DatasetSpec or a dataset id, got {spec!r}")
         put = object.__setattr__
         specs = (s if isinstance(s, DatasetSpec) else DatasetSpec(id=s) for s in self.datasets)
         put(self, "datasets", tuple(specs))
-        put(self, "ratios", tuple(map(float, self.ratios)))
-        check_ratios(self.ratios)
-        put(self, "katz_grid", tuple(map(float, self.katz_grid)))
+        put(self, "ratios", check_ratios(self.ratios))
+        put(self, "katz_grid", tuple(check_real(f"katz_grid[{i}]: beta", b) for i, b in enumerate(self.katz_grid)))
         put(self, "lgae_grid", tuple(map(dict, self.lgae_grid)))
         put(self, "gae_grid", tuple(map(dict, self.gae_grid)))
-        for key in ("runs", "base_seed"):
-            put(self, key, check_int(key, getattr(self, key)))
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
+        put(self, "runs", check_int("runs", self.runs, low=1))
+        put(self, "base_seed", check_int("base_seed", self.base_seed))
         for kind in self.scorers:
             if not isinstance(kind, ScorerKind):
                 raise TypeError(f"scorers must be ScorerKind values, got {kind!r}")
@@ -124,18 +118,16 @@ def _grid_for(kind: ScorerKind, config: BenchmarkConfig) -> tuple:
 
 
 def _check_grid(kind: ScorerKind, config: BenchmarkConfig) -> None:
-    """Raise on a point of ``kind``'s grid that ``TrainConfig`` or
-    ``katz_score``'s ``check_beta`` rejects, as run 0 would, naming the point."""
+    """Raise on a point of ``kind``'s model grid that ``TrainConfig``
+    rejects, as run 0 would, naming the point."""
+    if kind not in MODEL_KINDS:
+        return
     model_kind = ModelKind.GAE if kind is ScorerKind.GAE else ModelKind.LGAE
-    name = "katz_grid" if kind is ScorerKind.KATZ else f"{model_kind.value}_grid"
     for i, point in enumerate(_grid_for(kind, config)):
         try:
-            if kind is ScorerKind.KATZ:
-                check_beta(point["beta"])
-            if kind in MODEL_KINDS:
-                TrainConfig(model_kind=model_kind, seed=0, **point)
+            TrainConfig(model_kind=model_kind, seed=0, **point)
         except (TypeError, ValueError) as exc:
-            raise type(exc)(f"{name}[{i}]: {exc}") from exc
+            raise type(exc)(f"{model_kind.value}_grid[{i}]: {exc}") from exc
 
 
 def _param_key(params: dict):
@@ -283,8 +275,7 @@ def run_experiment(
     Models come from ``artifacts.model``, so those trained while tuning on
     the same artifacts are reused.
     """
-    if run_index < 0:
-        raise ValueError(f"run_index must be >= 0, got {run_index}")
+    run_index = check_int("run_index", run_index, low=0)
     split = artifacts.split
     test_pos = _global_pairs(artifacts.g_train, split.test_pos)
     test_neg = _global_pairs(artifacts.g_train, split.test_neg)
@@ -519,18 +510,23 @@ _DATASET_KEYS = frozenset(f.name for f in fields(DatasetSpec))
 def config_from_dict(raw: dict) -> BenchmarkConfig:
     """Build a BenchmarkConfig from a JSON-compatible mapping.
 
-    Schema (all keys optional):
+    Schema (all keys optional; each list must be a JSON array):
       datasets:   list of ids or {"id", "source", "expected_nodes", "expected_edges"}
       scorers:    list of distinct scorer names (see ScorerKind; short aliases accepted)
-      runs, base_seed: ints
-      ratios:     [train, val, test]: three finite, positive floats summing to 1
+      runs, base_seed: integers, runs >= 1 (any seed is taken modulo 2**64)
+      ratios:     [train, val, test]: three finite, positive numbers summing to 1
       lgae_grid / gae_grid: list of {"learning_rate", "epochs", "embed_dim"[, "hidden_dim"]}
       katz_grid:  list of positive, finite damping factors (numbers)
       out_dir:    directory for CSV reports
+    Nothing is coerced: a bool or a string for a number, a float for an
+    integer, or a non-array for a list raises TypeError naming the key.
     """
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key in ("datasets", "scorers", "ratios", "lgae_grid", "gae_grid", "katz_grid"):
+        if key in raw and not isinstance(raw[key], (list, tuple)):
+            raise TypeError(f"{key} must be an array, got {raw[key]!r}")
     # BenchmarkConfig itself gives counts, ratios, grids and dataset ids their form.
     passed = ("runs", "base_seed", "ratios", "lgae_grid", "gae_grid", "katz_grid")
     kwargs = {key: raw[key] for key in passed if key in raw}

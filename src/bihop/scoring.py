@@ -54,7 +54,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .autoencoder import EmbeddingModel, decode_pairs
-from .graph import BipartiteGraph, NormalizedAdjacency, pair_array, read_only
+from .graph import BipartiteGraph, NormalizedAdjacency, check_real, pair_array, read_only
 
 DENSE_THRESHOLD = 4096
 
@@ -425,12 +425,6 @@ def _hop_at(damped: sp.csr_matrix, x: sp.csr_matrix, rows: np.ndarray, cols: np.
     return np.bincount(seg, weights=terms, minlength=rows.size)
 
 
-def check_beta(beta: float) -> None:
-    """Raise ValueError unless the Katz damping ``beta`` is positive and finite."""
-    if not (math.isfinite(beta) and beta > 0):
-        raise ValueError(f"beta must be positive and finite, got {beta}")
-
-
 def _closed_form(index: KatzIndex, beta: float, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """[(I - beta A)^{-1} - I] at the pairs, through the smaller side.
 
@@ -487,7 +481,7 @@ def katz_score(index: KatzIndex, beta: float, pairs) -> PairScores:
     bit-identical to propagating its target column alone through all L
     sparse products.
     """
-    check_beta(beta)
+    beta = check_real("beta", beta)
     a = index.adj
     n = a.shape[0]
     pairs, us, vs = _as_index_arrays(pairs, n)

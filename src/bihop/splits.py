@@ -13,18 +13,18 @@ the graph generators and weight initialization, is a counter-based Philox
 generator from ``philox``, and ``child_keys`` derives independent keys from
 one seed.  A (graph, ratios, seed) triple therefore always produces an
 identical split.  Seeds are taken modulo 2**64, so a negative or oversized
-seed names the same stream as its residue.
+seed names the same stream as its residue; a seed or count that is not an
+integer raises TypeError (``graph.check_int``) rather than being truncated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .graph import BipartiteGraph, build_graph, in_sorted, pair_array, read_only
+from .graph import BipartiteGraph, build_graph, check_int, check_real, in_sorted, pair_array, read_only
 
 # Below this fraction of free (non-edge) cells, rejection sampling may stall,
 # so negatives are drawn by enumerating and shuffling all free cells instead.
@@ -53,15 +53,15 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def philox(key: int) -> np.random.Generator:
-    """The Philox generator keyed by ``key`` mod 2**64."""
-    return np.random.Generator(np.random.Philox(key=int(key) & (2**64 - 1)))
+def philox(seed: int) -> np.random.Generator:
+    """The Philox generator keyed by the integer ``seed`` mod 2**64."""
+    return np.random.Generator(np.random.Philox(key=check_int("seed", seed) & (2**64 - 1)))
 
 
 def child_keys(seed: int, n: int) -> list:
-    """``n`` independent 64-bit keys derived from ``seed`` mod 2**64."""
-    ss = np.random.SeedSequence(int(seed) & (2**64 - 1))
-    return [int(k) for k in ss.generate_state(n, dtype=np.uint64)]
+    """``n`` independent 64-bit keys derived from the integer ``seed`` mod 2**64."""
+    ss = np.random.SeedSequence(check_int("seed", seed) & (2**64 - 1))
+    return [int(k) for k in ss.generate_state(check_int("n", n, low=0), dtype=np.uint64)]
 
 
 def sample_negatives(g: BipartiteGraph, count: int, exclude, seed: int) -> np.ndarray:
@@ -75,8 +75,7 @@ def sample_negatives(g: BipartiteGraph, count: int, exclude, seed: int) -> np.nd
     to enumerate-and-shuffle when the graph is so dense that rejection would
     struggle to terminate.
     """
-    if count < 0:
-        raise ValueError(f"negative sample count {count}")
+    count, seed = check_int("count", count, low=0), check_int("seed", seed)
     excluded = np.unique(g.cell_keys(pair_array(exclude, g.n_left, g.n_right, what="exclude pair")))
     if count == 0:
         return read_only(np.empty((0, 2), dtype=np.int64))
@@ -115,23 +114,14 @@ def sample_negatives(g: BipartiteGraph, count: int, exclude, seed: int) -> np.nd
     return read_only(np.column_stack(np.divmod(keys, g.n_right)))
 
 
-def check_int(name: str, value) -> int:
-    """``value`` as an int; TypeError naming ``name`` for a bool or a non-Integral."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def check_ratios(ratios) -> None:
-    """Raise ValueError unless ``ratios`` is three finite, positive values
-    (train, val, test) that sum to 1 within 1e-9."""
-    values = tuple(map(float, ratios))
-    if not (
-        len(values) == 3
-        and all(math.isfinite(r) and r > 0 for r in values)
-        and abs(math.fsum(values) - 1.0) <= 1e-9
-    ):
+def check_ratios(ratios) -> tuple:
+    """``ratios`` as three floats (train, val, test).  Each must pass
+    ``check_real`` (positive and finite), and ValueError is raised unless
+    there are three and they sum to 1 within 1e-9."""
+    values = tuple(check_real(f"ratios[{i}]", r) for i, r in enumerate(ratios))
+    if len(values) != 3 or abs(math.fsum(values) - 1.0) > 1e-9:
         raise ValueError(f"ratios must be three finite, positive values summing to 1, got {values}")
+    return values
 
 
 def split_edges(g: BipartiteGraph, ratios, seed: int) -> EdgeSplit:
@@ -141,8 +131,8 @@ def split_edges(g: BipartiteGraph, ratios, seed: int) -> EdgeSplit:
     Sizes: |test| = round_half_up(test_ratio * m), |val| likewise, train
     takes the remainder.  Deterministic in (g, ratios, seed).
     """
-    check_ratios(ratios)
-    _, val_r, test_r = (float(r) for r in ratios)
+    _, val_r, test_r = check_ratios(ratios)
+    seed = check_int("seed", seed)
     m = g.m
     if m < 3:
         raise ValueError(f"graph has {m} edges; need at least 3 to split")
@@ -173,7 +163,7 @@ def split_edges(g: BipartiteGraph, ratios, seed: int) -> EdgeSplit:
         test_pos=read_only(g.edges[order[:n_test]]),
         val_neg=val_neg,
         test_neg=test_neg,
-        seed=int(seed),
+        seed=seed,
     )
 
 

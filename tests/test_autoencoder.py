@@ -590,7 +590,7 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
         for rate in (np.nan, np.inf, -np.inf):
-            with pytest.raises(ValueError, match="learning_rate must be > 0 and finite"):
+            with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
                 TrainConfig(learning_rate=rate)
         with pytest.raises(ValueError):
             TrainConfig(model_kind=ModelKind.GAE, hidden_dim=0)
@@ -602,6 +602,17 @@ class TestTrainConfig:
         used to train for one epoch."""
         with pytest.raises(TypeError, match=f"{key} must be an integer"):
             TrainConfig(model_kind=ModelKind.GAE, **{key: value})
+
+    @pytest.mark.parametrize("rate", [True, "0.01", None])
+    def test_rejects_non_numeric_learning_rate(self, rate):
+        """``learning_rate=True`` used to build and train at rate 1.0."""
+        with pytest.raises(TypeError, match="learning_rate must be a real number"):
+            TrainConfig(learning_rate=rate)
+
+    def test_learning_rate_becomes_a_float(self):
+        cfg = TrainConfig(learning_rate=np.float32(0.5))
+        assert type(cfg.learning_rate) is float and cfg == TrainConfig(learning_rate=0.5)
+        assert TrainConfig(learning_rate=1).learning_rate == 1.0
 
     def test_numpy_integer_sizes_become_ints(self):
         cfg = TrainConfig(embed_dim=np.int64(3), hidden_dim=np.int32(4), epochs=np.uint16(5), seed=np.int64(7))

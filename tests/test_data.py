@@ -136,6 +136,46 @@ class TestGenerators:
         with pytest.raises(ValueError):
             generate_bipartite_er(0, 5, 0.5, seed=0)
 
+    @pytest.mark.parametrize(
+        "args, error, match",
+        [
+            ((10, 10, 0.3, 1.7), TypeError, "seed must be an integer"),
+            ((10, 10, True, 0), TypeError, "p must be a real number"),
+            ((10, 10, "0.3", 0), TypeError, "p must be a real number"),
+            ((10, 10, float("nan"), 0), ValueError, r"p must be in \[0, 1\]"),
+            ((10.0, 10, 0.3, 0), TypeError, "n_left must be an integer"),
+            ((10, -2, 0.3, 0), ValueError, "n_right must be >= 1"),
+        ],
+        ids=["float_seed", "bool_p", "string_p", "nan_p", "float_size", "negative_size"],
+    )
+    def test_er_rejects_what_it_used_to_truncate(self, args, error, match):
+        """Seed 1.7 used to draw seed 1's graph and ``p=True`` the complete
+        graph."""
+        with pytest.raises(error, match=match):
+            generate_bipartite_er(*args)
+
+    @pytest.mark.parametrize(
+        "args, error, match",
+        [
+            (([5.9, 5], [5, 5], 0.5, 0.1, 0), TypeError, r"left_sizes\[0\] must be an integer"),
+            (([5, 5], [5, True], 0.5, 0.1, 0), TypeError, r"right_sizes\[1\] must be an integer"),
+            (([5, 5], [5, 5], 0.5, False, 0), TypeError, "p_out must be a real number"),
+            (([5, 5], [5, 5], 0.5, 0.1, 2.0), TypeError, "seed must be an integer"),
+        ],
+        ids=["float_size", "bool_size", "bool_p_out", "float_seed"],
+    )
+    def test_sbm_rejects_what_it_used_to_truncate(self, args, error, match):
+        """``left_sizes=[5.9, 5]`` used to build the [5, 5] graph."""
+        with pytest.raises(error, match=match):
+            generate_bipartite_sbm(*args)
+
+    def test_numpy_scalars_accepted(self):
+        """numpy integers and floats are numbers like any other."""
+        got = generate_bipartite_er(np.int64(12), np.uint16(9), np.float64(0.25), np.int32(3))
+        assert np.array_equal(got.edges, generate_bipartite_er(12, 9, 0.25, 3).edges)
+        got = generate_bipartite_sbm(np.array([4, 5]), [6, 3], 0.6, np.float32(0.125), seed=1)
+        assert np.array_equal(got.edges, generate_bipartite_sbm([4, 5], [6, 3], 0.6, 0.125, seed=1).edges)
+
     def test_sbm_biclique_extreme(self):
         """p_in=1, p_out=0 yields two exact bicliques."""
         g = generate_bipartite_sbm([2, 3], [4, 2], 1.0, 0.0, seed=3)
@@ -186,7 +226,7 @@ class TestGenerators:
             generate_bipartite_sbm([5], [5], 0.1, 0.1, seed=0)
         with pytest.raises(ValueError, match="per block"):
             generate_bipartite_sbm([5, 5], [5], 0.2, 0.1, seed=0)
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match=r"left_sizes\[1\] must be >= 1"):
             generate_bipartite_sbm([5, 0], [5, 5], 0.2, 0.1, seed=0)
         with pytest.raises(ValueError, match="p_in"):
             generate_bipartite_sbm([5], [5], 1.2, 0.1, seed=0)
@@ -333,6 +373,19 @@ class TestLoadDataset:
         source.update(change)
         with pytest.raises(TypeError, match=f"{key} must be an integer"):
             load_dataset(DatasetSpec(id="x", source=source))
+
+    @pytest.mark.parametrize("key", ["expected_nodes", "expected_edges"])
+    @pytest.mark.parametrize("value", ["32", True, 32.0, -1])
+    def test_expected_counts_must_be_non_negative_integers(self, key, value):
+        """``expected_nodes="32"`` used to fail as "expected 32 nodes, got
+        32", ``True`` as "expected True nodes", and 32.0 passed."""
+        with pytest.raises((TypeError, ValueError), match=f"{key} must be"):
+            load_dataset(DatasetSpec(id="southern_women", **{key: value}))
+
+    def test_generator_seed_defaults_to_zero(self):
+        source = {"model": "sbm", "left_sizes": [4, 5], "right_sizes": [6, 3], "p_in": 0.6, "p_out": 0.1}
+        got = load_dataset(DatasetSpec(id="x", source=source))
+        assert np.array_equal(got.edges, generate_bipartite_sbm([4, 5], [6, 3], 0.6, 0.1, seed=0).edges)
 
     def test_generator_numpy_integers_accepted(self):
         source = {"model": "er", "n_left": np.int64(10), "n_right": 10, "p": 0.3, "seed": np.uint8(2)}

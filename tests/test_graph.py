@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bihop.data import southern_women_graph
 from bihop.graph import (
     GraphInputError,
     adjacency,
@@ -78,6 +79,22 @@ class TestBuildGraph:
         assert toy_graph.has_edge(0, 0)
         assert toy_graph.has_edge(1, 1)
         assert not toy_graph.has_edge(1, 0)
+
+    @pytest.mark.parametrize(
+        "left, right, name", [(0.5, 0, "left"), (0, 7.0, "right"), (True, 0, "left"), ("0", 0, "left")]
+    )
+    def test_has_edge_rejects_non_integer_nodes(self, left, right, name):
+        """On Southern Women, ``has_edge(0.5, 0)`` used to answer True: its
+        key 0.5 * 14 + 0 = 7 is the cell of edge (0, 7)."""
+        g = southern_women_graph()
+        assert g.has_edge(0, 7) and g.has_edge(np.int64(0), np.uint8(7))
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            g.has_edge(left, right)
+
+    @pytest.mark.parametrize("sizes", [(2.0, 2), (2, True), ("2", 2)])
+    def test_non_integer_partition_size_rejected(self, sizes):
+        with pytest.raises(TypeError, match="must be an integer"):
+            build_graph(*sizes, [(0, 0)])
 
     def test_neighbors_are_global_and_sorted(self, toy_graph):
         # left node 0 touches right nodes 0 and 1, i.e. globals 3 and 4

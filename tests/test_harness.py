@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import logging
+import math
 import random
 import sys
 import tempfile
@@ -186,7 +187,7 @@ class TestBenchmarkConfig:
         """``splits.check_ratios`` runs when the config is built, not in run 0
         after the dataset has loaded; a NaN train ratio used to run to the
         end on the split of 0.85."""
-        with pytest.raises(ValueError, match="ratios must be three finite, positive values summing to 1"):
+        with pytest.raises(ValueError, match=r"ratios(\[\d\])? must be"):
             BenchmarkConfig(ratios=ratios)
         with pytest.raises(ValueError, match="ratios"):
             config_from_dict({"ratios": list(ratios)})
@@ -197,13 +198,19 @@ class TestBenchmarkConfig:
 
     def test_katz_grid_scalars_coerced_mappings_rejected(self):
         """Katz points are damping factors; a mapping used to score as the
-        default beta whatever it held, so it is refused at construction."""
-        config = BenchmarkConfig(scorers=(ScorerKind.KATZ,), katz_grid=[1, "0.01"])
-        assert config.katz_grid == (1.0, 0.01)
+        default beta whatever it held, so it is refused at construction.
+        Numbers become floats; a string or a bool is not a number and is
+        refused too, naming its index (``"0.01"`` used to be parsed and
+        ``True`` to become beta 1.0)."""
+        config = BenchmarkConfig(scorers=(ScorerKind.KATZ,), katz_grid=[1, np.float32(0.5)])
+        assert config.katz_grid == (1.0, 0.5)
         assert all(type(b) is float for b in config.katz_grid)
-        assert harness._grid_for(ScorerKind.KATZ, config) == ({"beta": 1.0}, {"beta": 0.01})
+        assert harness._grid_for(ScorerKind.KATZ, config) == ({"beta": 1.0}, {"beta": 0.5})
         for grid in (({},), ({"beta": 0.005, "gamma": 3},), (0.001, {"beta": 0.01})):
             with pytest.raises(TypeError, match="katz_grid"):
+                BenchmarkConfig(katz_grid=grid)
+        for grid, index in (([1, "0.01"], 1), ([True], 0), ([0.01, 0.02, False], 2)):
+            with pytest.raises(TypeError, match=rf"katz_grid\[{index}\]: beta must be a real number"):
                 BenchmarkConfig(katz_grid=grid)
 
     def test_dataset_entry_neither_spec_nor_id_rejected(self):
@@ -250,7 +257,7 @@ class TestBenchmarkConfig:
             *(
                 (
                     ScorerKind.LGAE, {"lgae_grid": (dict(SMALL_GRID[0], learning_rate=rate),)},
-                    ValueError, r"lgae_grid\[0\]: learning_rate must be > 0 and finite",
+                    ValueError, r"lgae_grid\[0\]: learning_rate must be positive and finite",
                 )
                 for rate in (np.nan, np.inf, -np.inf)
             ),
@@ -1131,3 +1138,144 @@ class TestConfigFromDict:
         assert config.scorers == (
             ScorerKind.COMMON_NEIGHBORS, ScorerKind.JACCARD,
         )
+
+    @pytest.mark.parametrize(
+        "raw, key",
+        [
+            ({"datasets": "abc"}, "datasets"),
+            ({"scorers": "pa"}, "scorers"),
+            ({"ratios": "0.85"}, "ratios"),
+            ({"lgae_grid": {"learning_rate": 0.01}}, "lgae_grid"),
+            ({"gae_grid": "x"}, "gae_grid"),
+            ({"katz_grid": 0.01}, "katz_grid"),
+        ],
+        ids=["datasets", "scorers", "ratios", "lgae_grid", "gae_grid", "katz_grid"],
+    )
+    def test_lists_must_be_arrays(self, raw, key):
+        """``{"datasets": "abc"}`` used to build datasets a, b and c, and
+        ``{"scorers": "pa"}`` failed as ``unknown scorer 'p'``."""
+        with pytest.raises(TypeError, match=f"{key} must be an array"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "raw, match",
+        [
+            ({"scorers": ["katz"], "katz_grid": [True]}, r"katz_grid\[0\]: beta must be a real number"),
+            ({"scorers": ["katz"], "katz_grid": [0.001, "0.01"]}, r"katz_grid\[1\]: beta must be a real number"),
+            ({"ratios": ["0.85", "0.05", "0.10"]}, r"ratios\[0\] must be a real number"),
+        ],
+        ids=["bool_beta", "string_beta", "string_ratios"],
+    )
+    def test_json_numbers_are_not_coerced(self, raw, match):
+        """``[true]`` used to become beta 1.0, and strings were parsed."""
+        with pytest.raises(TypeError, match=match):
+            config_from_dict(raw)
+
+    def test_string_probability_in_generator_spec_lands_in_missing(self):
+        """A spec with ``"p": "0.3"`` used to load and run."""
+        source = {"model": "er", "n_left": 10, "n_right": 10, "p": "0.3", "seed": 1}
+        config = config_from_dict({"datasets": [{"id": "er", "source": source}], "scorers": ["pa"], "runs": 1})
+        summary = run_benchmark(config)
+        assert summary.rows == ()
+        assert summary.missing == (("er", "TypeError: p must be a real number, got '0.3'"),)
+
+
+@st.composite
+def valid_json_configs(draw):
+    """A valid JSON config for one small generated dataset: every scorer
+    that reads a grid is listed, so every grid point is checked."""
+    source = {
+        "model": "er", "n_left": draw(st.integers(6, 9)), "n_right": draw(st.integers(6, 9)),
+        "p": draw(st.sampled_from([0.3, 0.4])), "seed": draw(st.integers(-(2**70), 2**70)),
+    }
+    g = generate_bipartite_er(**{k: v for k, v in source.items() if k != "model"})
+    assume(3 <= g.m <= g.n_left * g.n_right // 2)
+    return {
+        "datasets": [{"id": "er", "source": source, "expected_nodes": g.n, "expected_edges": g.m}],
+        "scorers": ["pa", "katz", "lgae", "gae"],
+        "runs": draw(st.integers(1, 2)),
+        "base_seed": draw(st.integers(-(2**70), 2**70)),
+        "ratios": list(SMALL_RATIOS),
+        "lgae_grid": [{"learning_rate": 0.01, "epochs": 2, "embed_dim": 2}],
+        "gae_grid": [{"learning_rate": 0.01, "epochs": 2, "embed_dim": 2, "hidden_dim": 4}],
+        "katz_grid": [0.001, 0.01],
+    }
+
+
+# What a valid value of each numeric leaf may be.
+COUNT, SEED, TALLY, RATE, PROBABILITY = "count >= 1", "seed", "count >= 0", "rate", "probability"
+UNKNOWN_KEY = "bogus_key"
+
+
+def numeric_leaves(raw: dict) -> list:
+    """(path, kind) of every numeric leaf of ``raw``."""
+    source = ("datasets", 0, "source")
+    leaves = [
+        (("runs",), COUNT), (("base_seed",), SEED),
+        (("datasets", 0, "expected_nodes"), TALLY), (("datasets", 0, "expected_edges"), TALLY),
+        (source + ("n_left",), COUNT), (source + ("n_right",), COUNT),
+        (source + ("p",), PROBABILITY), (source + ("seed",), SEED),
+    ]
+    leaves += [(("ratios", i), RATE) for i in range(3)]
+    leaves += [(("katz_grid", i), RATE) for i in range(len(raw["katz_grid"]))]
+    for grid in ("lgae_grid", "gae_grid"):
+        leaves += [((grid, 0, key), RATE if key == "learning_rate" else COUNT) for key in raw[grid][0]]
+    return leaves
+
+
+def broken_values(value, kind: str) -> list:
+    """Values that break a leaf of ``kind`` whose valid value is ``value``."""
+    broken = [True, False, math.nan, math.inf, -math.inf, str(value)]
+    if kind in (COUNT, SEED, TALLY):
+        broken += [float(value), value + 0.5]
+    if kind != SEED:  # any integer is a seed
+        broken.append(-abs(value) - 1)
+    return broken
+
+
+class TestInputBoundary:
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_a_broken_leaf_is_named_before_any_run(self, data):
+        """Break one numeric leaf of a valid JSON config (or add an unknown
+        key beside it): ``config_from_dict`` raises naming it, or, for a
+        dataset-spec leaf, the dataset lands in ``Summary.missing`` naming it
+        and the benchmark finishes.  Nothing is truncated or coerced."""
+        raw = data.draw(valid_json_configs())
+        path, kind = data.draw(st.sampled_from(numeric_leaves(raw)))
+        parent = raw
+        for step in path[:-1]:
+            parent = parent[step]
+        choices = broken_values(parent[path[-1]], kind) + ([UNKNOWN_KEY] if isinstance(parent, dict) else [])
+        value = data.draw(st.sampled_from(choices))
+        if value == UNKNOWN_KEY:
+            parent[UNKNOWN_KEY], name = 1, UNKNOWN_KEY
+        else:
+            parent[path[-1]] = value
+            name = path[-1] if isinstance(path[-1], str) else f"{path[-2]}[{path[-1]}]"
+        raw = json.loads(json.dumps(raw))  # NaN and Infinity round-trip as in a config file
+        in_spec = path[0] == "datasets" and (name != UNKNOWN_KEY or path[2] == "source")
+        if not in_spec:
+            with pytest.raises((TypeError, ValueError)) as exc:
+                config_from_dict(raw)
+            assert name in str(exc.value)
+            if path[0].endswith("_grid") and len(path) == 3:
+                assert f"{path[0]}[0]" in str(exc.value)
+            return
+        summary = run_benchmark(config_from_dict(raw))
+        assert summary.rows == ()
+        ((dataset_id, reason),) = summary.missing
+        assert dataset_id == "er"
+        assert (UNKNOWN_KEY if name == UNKNOWN_KEY else f"{name} must be") in reason
+
+    @settings(max_examples=20)
+    @given(raw=valid_json_configs())
+    def test_valid_config_runs_with_seed_base_plus_r(self, raw):
+        """Every run of a valid config finishes, and run r's reports record
+        seed base_seed + r as given, whatever its sign or size."""
+        with tempfile.TemporaryDirectory() as tmp:
+            summary = run_benchmark(config_from_dict(dict(raw, out_dir=tmp)))
+            reports = read_report(Path(tmp) / "results.csv")
+        assert summary.missing == () and len(reports) == 4 * raw["runs"]
+        assert all(report.seed == raw["base_seed"] + report.run for report in reports)
+        assert sorted({report.run for report in reports}) == list(range(raw["runs"]))

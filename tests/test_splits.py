@@ -106,6 +106,21 @@ class TestSeeding:
         assert np.array_equal(philox(2**64 + 5).random(4), philox(5).random(4))
         assert child_keys(-1, 3) == child_keys(2**64 - 1, 3)
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, "1", np.float64(2.0)])
+    def test_non_integer_seed_rejected(self, seed):
+        """``philox(1.5)`` and ``child_keys(1.5, 2)`` used to run as seed 1."""
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            philox(seed)
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            child_keys(seed, 2)
+
+    def test_child_key_count_checked(self):
+        with pytest.raises(TypeError, match="n must be an integer"):
+            child_keys(0, 2.0)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            child_keys(0, -1)
+        assert child_keys(np.int64(3), np.uint8(2)) == child_keys(3, 2)
+
 
 class TestRounding:
     def test_round_half_up(self):
@@ -185,7 +200,7 @@ class TestSplitEdges:
             (np.nan, 0.05, 0.10), (0.85, np.nan, 0.10), (0.85, 0.05, np.nan), (np.inf, 0.05, 0.10),
             (0.85, 0.05), (0.5, 0.25, 0.15, 0.10),
         ):
-            with pytest.raises(ValueError, match="ratios must be three finite, positive values summing to 1"):
+            with pytest.raises(ValueError, match=r"ratios(\[\d\])? must be"):
                 split_edges(g, ratios, seed=0)
 
     def test_too_few_edges(self):
@@ -206,6 +221,32 @@ class TestSplitEdges:
         g = build_graph(3, 3, pairs)
         with pytest.raises(ValueError, match="negatives"):
             split_edges(g, (1 / 2, 1 / 4, 1 / 4), seed=0)
+
+    @pytest.mark.parametrize("seed", [1.7, True, "1", None])
+    def test_non_integer_seed_rejected(self, seed):
+        """``split_edges(g, r, 1.7)`` and ``split_edges(g, r, True)`` used to
+        split as seed 1 and record seed 1."""
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            split_edges(medium_graph(), DEFAULT, seed)
+
+    def test_numpy_integer_seed_recorded_as_int(self):
+        split = split_edges(medium_graph(), DEFAULT, np.int64(5))
+        assert type(split.seed) is int
+        assert_same_split(split, split_edges(medium_graph(), DEFAULT, 5))
+
+    @pytest.mark.parametrize(
+        "ratios, error, match",
+        [
+            (("0.85", "0.05", "0.10"), TypeError, r"ratios\[0\] must be a real number"),
+            ((0.85, True, 0.10), TypeError, r"ratios\[1\] must be a real number"),
+            ((0.85, 0.05, -0.1), ValueError, r"ratios\[2\] must be positive and finite"),
+        ],
+        ids=["strings", "bool", "negative"],
+    )
+    def test_ratio_entries_checked_one_by_one(self, ratios, error, match):
+        """String ratios used to be parsed as floats; each entry is named."""
+        with pytest.raises(error, match=match):
+            split_edges(medium_graph(), ratios, seed=0)
 
     def test_seed_recorded(self):
         g = medium_graph()
@@ -280,6 +321,14 @@ class TestSampleNegatives:
         g = build_graph(2, 2, [(0, 0)])
         with pytest.raises(ValueError):
             sample_negatives(g, -1, exclude=(), seed=0)
+
+    @pytest.mark.parametrize("key, value", [("seed", 2.9), ("seed", "2"), ("count", True), ("count", 1.0)])
+    def test_non_integer_count_or_seed_rejected(self, key, value):
+        """``seed=2.9`` used to draw what seed 2 draws, and ``count=True``
+        drew one pair."""
+        g = build_graph(3, 3, [(0, 0)])
+        with pytest.raises(TypeError, match=f"{key} must be an integer"):
+            sample_negatives(g, exclude=(), **{"count": 2, "seed": 0, key: value})
 
     def test_deterministic(self):
         g = medium_graph()
