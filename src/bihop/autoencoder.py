@@ -9,14 +9,17 @@ identity, so the feature matrix never appears):
 Both share the inner-product decoder ``sigmoid(z_i . z_j)`` and a weighted
 binary cross-entropy reconstruction loss over all n^2 node pairs against the
 symmetric label matrix ``A_train + I``; as in Kipf & Welling's GAE, the
-class weights follow from the labels alone.  Gradients are computed
-analytically (verified against finite differences in the test suite).  The
-logits ``Z Z^T`` are symmetric too, so loss and gradient stream over the
-square tiles on and above the diagonal, ``TILE_SIDE`` nodes a side, in index
-order for every n, and results are deterministic.  Each tile scores all its
-pairs as negatives, then overwrites the label-one entries it owns, found
-through flat in-tile indices built once from the sparse labels; no dense
-label matrix is ever built.
+class weights follow from the labels alone.  ``sigmoid`` is this module's
+numpy form, 1 / (1 + exp(-x)), which every scorer calls too.  Gradients are
+computed analytically (verified against finite differences in the test
+suite).  The logits ``Z Z^T`` are symmetric too, so loss and gradient stream
+over the square tiles on and above the diagonal, ``TILE_SIDE`` nodes a side,
+in index order for every n, and results are deterministic.  Each tile scores
+all its pairs as negatives, then overwrites the label-one entries it owns,
+found through flat in-tile indices built once from the sparse labels; no
+dense label matrix is ever built.  Both classes' terms, the positive ones
+included, read the tile's one L = log1p(exp(-|theta|)), so the kernel calls
+no sigmoid.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
 
 from .graph import NormalizedAdjacency, check_int, check_real, sparse_dense_product
 from .splits import philox
@@ -107,11 +109,24 @@ def forward(weights: tuple, norm_adj: NormalizedAdjacency) -> np.ndarray:
     raise ValueError(f"expected 1 or 2 weight matrices, got {len(weights)}")
 
 
+def sigmoid(x, out=None) -> np.ndarray:
+    """1 / (1 + exp(-x)) elementwise, into ``out`` when given (may be ``x``).
+
+    exp(-x) overflows to inf below x of about -709, which gives exactly 0.0;
+    the overflow is expected and raises no warning.
+    """
+    with np.errstate(over="ignore"):
+        out = np.exp(np.negative(x, out=out), out=out)
+        out += 1.0
+        return np.divide(1.0, out, out=out)
+
+
 def decode_pairs(z: np.ndarray, us, vs) -> np.ndarray:
     """Edge probabilities sigmoid(z_u . z_v) over parallel index arrays."""
     us = np.asarray(us, dtype=np.int64)
     vs = np.asarray(vs, dtype=np.int64)
-    return expit(np.einsum("ij,ij->i", z[us], z[vs]))
+    dots = np.einsum("ij,ij->i", z[us], z[vs])
+    return sigmoid(dots, out=dots)
 
 
 def training_labels(a_train: sp.spmatrix) -> sp.csr_matrix:
@@ -165,8 +180,10 @@ def _loss_and_gz(z, tiles, want_grad):
     softplus(theta) = max(theta, 0) + L and
     sigmoid(theta) = exp(min(theta, 0) - L), with no masked pass.  The
     label-one entries the tile owns are then overwritten with their
-    positive terms, so no term comes from a cancellation.  Tile side
-    changes only round-off.
+    positive terms, read from the same L at t = -theta (L is even in
+    theta): pw * (max(t, 0) + L) for the loss and -pw * exp(min(t, 0) - L)
+    for the residual.  Both classes share one stable form and no term comes
+    from a cancellation.  Tile side changes only round-off.
     """
     n = z.shape[0]
     side, ptr, flat, pw, norm = tiles
@@ -180,20 +197,21 @@ def _loss_and_gz(z, tiles, want_grad):
             k = bi * nb + bj
             own = flat[ptr[k] : ptr[k + 1]]
             theta = z[rows] @ z[cols].T
-            t = theta.ravel()[own]
+            t = -theta.ravel()[own]
             ell = np.abs(theta)
             np.exp(np.negative(ell, out=ell), out=ell)
             np.log1p(ell, out=ell)
+            ell_t = ell.ravel()[own]
             if want_grad:
                 sig = np.minimum(theta, 0.0)
                 np.exp(np.subtract(sig, ell, out=sig), out=sig)
-                sig.ravel()[own] = -pw * expit(-t)
+                sig.ravel()[own] = -pw * np.exp(np.minimum(t, 0.0) - ell_t)
                 gz[rows] += sig @ z[cols]
                 if bi != bj:
                     gz[cols] += sig.T @ z[rows]
             np.maximum(theta, 0.0, out=theta)
             theta += ell  # softplus(theta)
-            theta.ravel()[own] = pw * np.logaddexp(0.0, -t)
+            theta.ravel()[own] = pw * (np.maximum(t, 0.0) + ell_t)
             loss += (1.0 if bi == bj else 2.0) * float(theta.sum())
     scale = norm / (n * n)
     if want_grad:
@@ -266,6 +284,7 @@ def train(norm_adj: NormalizedAdjacency, labels: sp.spmatrix, config: TrainConfi
     weights = [w.copy() for w in init_weights(config, norm_adj.n)]
     m_state = [np.zeros_like(w) for w in weights]
     v_state = [np.zeros_like(w) for w in weights]
+    scratch = [np.empty_like(w) for w in weights]
     history = []
     for epoch in range(config.epochs):
         loss, grads = _loss_value_and_gradient(tuple(weights), norm_adj, tiles)
@@ -273,12 +292,24 @@ def train(norm_adj: NormalizedAdjacency, labels: sp.spmatrix, config: TrainConfi
             raise TrainingDivergedError(f"non-finite loss at epoch {epoch}", epoch=epoch)
         history.append(loss)
         t = epoch + 1
-        for k, g in enumerate(grads):
-            m_state[k] = ADAM_BETA1 * m_state[k] + (1.0 - ADAM_BETA1) * g
-            v_state[k] = ADAM_BETA2 * v_state[k] + (1.0 - ADAM_BETA2) * g * g
-            m_hat = m_state[k] / (1.0 - ADAM_BETA1**t)
-            v_hat = v_state[k] / (1.0 - ADAM_BETA2**t)
-            weights[k] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        # In place, in the operation order of m = b1 m + (1 - b1) g,
+        # v = b2 v + (1 - b2) g g and w -= lr m_hat / (sqrt(v_hat) + eps);
+        # each gradient is a fresh array, so it serves as a buffer.
+        for w, m, v, buf, g in zip(weights, m_state, v_state, scratch, grads):
+            np.multiply(g, 1.0 - ADAM_BETA2, out=buf)
+            buf *= g
+            v *= ADAM_BETA2
+            v += buf
+            g *= 1.0 - ADAM_BETA1
+            m *= ADAM_BETA1
+            m += g
+            np.divide(v, 1.0 - ADAM_BETA2**t, out=buf)
+            np.sqrt(buf, out=buf)
+            buf += ADAM_EPS
+            np.divide(m, 1.0 - ADAM_BETA1**t, out=g)
+            g *= config.learning_rate
+            g /= buf
+            w -= g
 
     final_weights = tuple(weights)
     z = forward(final_weights, norm_adj)

@@ -19,6 +19,7 @@ validation and test pairs enter only as scoring arguments.
 from __future__ import annotations
 
 import logging
+import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -80,25 +81,34 @@ class BenchmarkConfig:
     lgae_grid: tuple = DEFAULT_LGAE_GRID
     gae_grid: tuple = DEFAULT_GAE_GRID
     katz_grid: tuple = DEFAULT_KATZ_GRID
-    out_dir: str | None = None
+    out_dir: str | os.PathLike | None = None
 
     def __post_init__(self):
         # Each input takes its one form here; idempotent, as replace() reruns it.
         for i, spec in enumerate(self.datasets):
             if not isinstance(spec, (DatasetSpec, str)):
                 raise TypeError(f"datasets[{i}] must be a DatasetSpec or a dataset id, got {spec!r}")
+            dataset_id = spec.id if isinstance(spec, DatasetSpec) else spec
+            if not isinstance(dataset_id, str) or not dataset_id:
+                raise TypeError(f"datasets[{i}]: id must be a non-empty string, got {dataset_id!r}")
+        if self.out_dir is not None and not isinstance(self.out_dir, (str, os.PathLike)):
+            raise TypeError(f"out_dir must be a path string, got {self.out_dir!r}")
         put = object.__setattr__
         specs = (s if isinstance(s, DatasetSpec) else DatasetSpec(id=s) for s in self.datasets)
         put(self, "datasets", tuple(specs))
         put(self, "ratios", check_ratios(self.ratios))
         put(self, "katz_grid", tuple(check_real(f"katz_grid[{i}]: beta", b) for i, b in enumerate(self.katz_grid)))
-        put(self, "lgae_grid", tuple(map(dict, self.lgae_grid)))
-        put(self, "gae_grid", tuple(map(dict, self.gae_grid)))
+        for key in ("lgae_grid", "gae_grid"):
+            points = tuple(getattr(self, key))
+            for i, point in enumerate(points):
+                if not isinstance(point, Mapping):
+                    raise TypeError(f"{key}[{i}] must be a mapping of training parameters, got {point!r}")
+            put(self, key, tuple(map(dict, points)))
         put(self, "runs", check_int("runs", self.runs, low=1))
         put(self, "base_seed", check_int("base_seed", self.base_seed))
-        for kind in self.scorers:
+        for i, kind in enumerate(self.scorers):
             if not isinstance(kind, ScorerKind):
-                raise TypeError(f"scorers must be ScorerKind values, got {kind!r}")
+                raise TypeError(f"scorers[{i}] must be a ScorerKind, got {kind!r}")
             if not _grid_for(kind, self):
                 raise ValueError(f"empty hyperparameter grid for scorer {kind.value}")
             _check_grid(kind, self)
@@ -517,7 +527,7 @@ def config_from_dict(raw: dict) -> BenchmarkConfig:
       ratios:     [train, val, test]: three finite, positive numbers summing to 1
       lgae_grid / gae_grid: list of {"learning_rate", "epochs", "embed_dim"[, "hidden_dim"]}
       katz_grid:  list of positive, finite damping factors (numbers)
-      out_dir:    directory for CSV reports
+      out_dir:    directory for CSV reports (a string)
     Nothing is coerced: a bool or a string for a number, a float for an
     integer, or a non-array for a list raises TypeError naming the key.
     """
@@ -527,8 +537,9 @@ def config_from_dict(raw: dict) -> BenchmarkConfig:
     for key in ("datasets", "scorers", "ratios", "lgae_grid", "gae_grid", "katz_grid"):
         if key in raw and not isinstance(raw[key], (list, tuple)):
             raise TypeError(f"{key} must be an array, got {raw[key]!r}")
-    # BenchmarkConfig itself gives counts, ratios, grids and dataset ids their form.
-    passed = ("runs", "base_seed", "ratios", "lgae_grid", "gae_grid", "katz_grid")
+    # BenchmarkConfig itself gives counts, ratios, grids, dataset ids and
+    # out_dir their form.
+    passed = ("runs", "base_seed", "ratios", "lgae_grid", "gae_grid", "katz_grid", "out_dir")
     kwargs = {key: raw[key] for key in passed if key in raw}
     if "datasets" in raw:
         specs = []
@@ -543,9 +554,8 @@ def config_from_dict(raw: dict) -> BenchmarkConfig:
             specs.append(entry)
         kwargs["datasets"] = specs
     if "scorers" in raw:
-        kwargs["scorers"] = tuple(ScorerKind.parse(s) for s in raw["scorers"])
-    if "out_dir" in raw and raw["out_dir"] is not None:
-        kwargs["out_dir"] = str(raw["out_dir"])
+        # A name is parsed; anything else reaches BenchmarkConfig, which names it.
+        kwargs["scorers"] = tuple(ScorerKind.parse(s) if isinstance(s, str) else s for s in raw["scorers"])
     return BenchmarkConfig(**kwargs)
 
 

@@ -15,6 +15,8 @@ negatives can be scored together and sliced apart.  Neither two-hop scorer
 ever materializes an n x n matrix: ``two_hop`` gathers the sparse rows of An
 and ``recon_two_hop`` computes the needed columns of R per chunk of pairs,
 over blocks of Z's rows; each keeps about ``_GATHER_ENTRIES`` floats alive.
+Every sigmoid, the decoders' included, is ``autoencoder.sigmoid``, taken in
+place on the products it maps.
 Only Katz keeps two forms, because they compute different quantities: the
 closed form up to ``DENSE_THRESHOLD`` (4096) nodes, a truncated series
 above it.  The graph size alone picks the form; no argument overrides it.
@@ -51,9 +53,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
 
-from .autoencoder import EmbeddingModel, decode_pairs
+from .autoencoder import EmbeddingModel, decode_pairs, sigmoid
 from .graph import BipartiteGraph, NormalizedAdjacency, check_real, pair_array, read_only
 
 DENSE_THRESHOLD = 4096
@@ -150,7 +151,7 @@ def _row_hop(mat: sp.csr_matrix, z: np.ndarray, rows: np.ndarray, cols: np.ndarr
     """sum_w mat[r, w] * sigmoid(z_w . z_c) for every (r, c): one CSR gather."""
     seg, pos = _gather_rows(mat, rows)
     dots = np.einsum("ij,ij->i", z[mat.indices[pos]], z[cols[seg]])
-    return np.bincount(seg, weights=mat.data[pos] * expit(dots), minlength=rows.size)
+    return np.bincount(seg, weights=mat.data[pos] * sigmoid(dots, out=dots), minlength=rows.size)
 
 
 def two_hop_score(model: EmbeddingModel, norm_adj: NormalizedAdjacency, pairs) -> PairScores:
@@ -204,8 +205,8 @@ def recon_two_hop_score(model: EmbeddingModel, pairs) -> PairScores:
         for r, end in zip(bounds, bounds[1:]):
             row_u = z[r:end] @ zu
             row_v = z[r:end] @ zv
-            expit(row_u, out=row_u)
-            expit(row_v, out=row_v)
+            sigmoid(row_u, out=row_u)
+            sigmoid(row_v, out=row_v)
             np.multiply(row_u, row_v, out=row_u)
             if acc is not None:
                 row_u[0] += acc

@@ -18,6 +18,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -223,6 +224,46 @@ class TestDecode:
         got = decode_pairs(z, us, vs)
         want = [expit(z[u] @ z[v]) for u, v in zip(us, vs)]
         assert np.allclose(got, want, rtol=0, atol=1e-15)
+
+
+class TestSigmoid:
+    """``autoencoder.sigmoid`` against scipy's ``expit`` as the independent
+    reference; the package itself does not import ``scipy.special``."""
+
+    def test_matches_expit(self):
+        rng = np.random.default_rng(37)
+        x = np.concatenate([np.linspace(-700.0, 700.0, 200001), rng.normal(0.0, 30.0, 100000)])
+        want = expit(x)
+        assert np.max(np.abs(autoencoder.sigmoid(x) - want) / want) <= 1e-15
+
+    def test_saturates_exactly_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = autoencoder.sigmoid(np.array([-800.0, 800.0, 0.0]))
+        assert got.tolist() == [0.0, 1.0, 0.5]
+
+    def test_out_argument_works_in_place(self):
+        x = np.array([[-1.0, 0.0], [2.0, -800.0]])
+        want = expit(x)
+        got = autoencoder.sigmoid(x, out=x)
+        assert got is x
+        assert np.max(np.abs(x - want)) <= 1e-16
+        out = np.empty(3)
+        assert autoencoder.sigmoid(np.array([1.0, 2.0, 3.0]), out=out) is out
+        assert np.allclose(out, expit([1.0, 2.0, 3.0]), rtol=1e-15, atol=0)
+
+    def test_import_leaves_scipy_special_unloaded(self):
+        """``import bihop`` does not load ``scipy.special``, which would add
+        several MB to the import footprint."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, bihop\nprint('scipy.special' in sys.modules)\n"
+        child = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == "False"
 
 
 def symmetric_ones(n, pairs):

@@ -224,6 +224,33 @@ class TestBenchmarkConfig:
         with pytest.raises(TypeError, match=r"datasets\[0\] must be a DatasetSpec or a dataset id, got 5"):
             config_from_dict({"datasets": [5]})
 
+    @pytest.mark.parametrize("bad", [5, None, "", b"toy"])
+    def test_dataset_id_must_be_a_non_empty_string(self, bad):
+        """A spec whose id is not a non-empty str is named by its position;
+        ``DatasetSpec(id=5)`` used to run and report the int 5 as the
+        dataset."""
+        with pytest.raises(TypeError, match=r"datasets\[1\]: id must be a non-empty string"):
+            BenchmarkConfig(datasets=["southern_women", DatasetSpec(id=bad)])
+        with pytest.raises(TypeError, match=r"datasets\[0\]: id must be a non-empty string"):
+            config_from_dict({"datasets": [{"id": bad, "source": None}]})
+
+    @pytest.mark.parametrize("key", ["lgae_grid", "gae_grid"])
+    @pytest.mark.parametrize("point", ["ab", 5, [["epochs", 3]], None])
+    def test_model_grid_point_must_be_a_mapping(self, key, point):
+        """A grid entry that is not a mapping is named by its position, not
+        by ``dict()``'s "dictionary update sequence" or "not iterable"."""
+        with pytest.raises(TypeError, match=rf"{key}\[1\] must be a mapping"):
+            BenchmarkConfig(**{key: (SMALL_GRID[0], point)})
+        with pytest.raises(TypeError, match=rf"{key}\[0\] must be a mapping"):
+            config_from_dict({key: [point]})
+
+    def test_out_dir_must_be_a_path(self, tmp_path):
+        for bad in (5, 1.5, True, ["out"]):
+            with pytest.raises(TypeError, match="out_dir must be a path string"):
+                BenchmarkConfig(out_dir=bad)
+        assert BenchmarkConfig(out_dir=tmp_path).out_dir == tmp_path
+        assert BenchmarkConfig(out_dir="reports").out_dir == "reports"
+
     @pytest.mark.parametrize(
         "scorer, grids, error, match",
         [
@@ -1076,6 +1103,18 @@ class TestConfigFromDict:
     def test_null_out_dir_stays_none(self):
         config = config_from_dict({"out_dir": None})
         assert config.out_dir is None
+
+    def test_out_dir_is_not_cast_to_a_string(self):
+        """JSON ``"out_dir": 5`` used to become the directory "5"."""
+        with pytest.raises(TypeError, match="out_dir must be a path string, got 5"):
+            config_from_dict({"out_dir": 5})
+
+    @pytest.mark.parametrize("bad", [5, None, ["pa"], {"name": "pa"}])
+    def test_scorer_entry_that_is_not_a_name_is_named(self, bad):
+        """``{"scorers": [5]}`` used to raise a bare AttributeError from
+        ``str.strip``."""
+        with pytest.raises(TypeError, match=r"scorers\[1\] must be a ScorerKind"):
+            config_from_dict({"scorers": ["pa", bad]})
 
     def test_unknown_config_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys.*typo"):

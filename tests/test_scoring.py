@@ -28,7 +28,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from bihop import scoring
+from bihop import autoencoder, scoring
 
 from bihop.autoencoder import EmbeddingModel, ModelKind
 from bihop.data import generate_bipartite_er
@@ -71,11 +71,13 @@ def het_pairs(g):
 def recon_chunk_sums(z, pairs):
     """Per chunk of ``_PAIR_CHUNK`` pairs, the axis-0 sum of the product of
     the two full n-row sigmoid columns: the form ``recon_two_hop_score``
-    reproduces byte for byte."""
+    reproduces byte for byte.  Byte equality needs the package's own
+    sigmoid; the tolerance oracles keep scipy's ``expit``."""
     chunk = scoring._PAIR_CHUNK
+    sigmoid = autoencoder.sigmoid
     return np.concatenate(
         [
-            np.sum(expit(z @ z[c[:, 0]].T) * expit(z @ z[c[:, 1]].T), axis=0)
+            np.sum(sigmoid(z @ z[c[:, 0]].T) * sigmoid(z @ z[c[:, 1]].T), axis=0)
             for c in np.array_split(pairs, range(chunk, len(pairs), chunk))
         ]
     )
