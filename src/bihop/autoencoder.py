@@ -24,13 +24,13 @@ no sigmoid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import NormalizedAdjacency, check_int, check_real, sparse_dense_product
+from .graph import NormalizedAdjacency, check_int, check_real
 from .splits import philox
 
 TILE_SIDE = 128
@@ -95,15 +95,15 @@ class EmbeddingModel:
 def _gae_parts(norm_adj: NormalizedAdjacency, w0: np.ndarray, w1: np.ndarray) -> tuple:
     """(pre, hidden, Z) of the GCN encoder: pre = An @ W0, hidden = relu(pre),
     Z = An @ hidden @ W1; the gradient reads pre and hidden back."""
-    pre = sparse_dense_product(norm_adj, w0)
+    pre = norm_adj.matrix @ w0
     hidden = np.maximum(pre, 0.0)
-    return pre, hidden, sparse_dense_product(norm_adj, hidden) @ w1
+    return pre, hidden, (norm_adj.matrix @ hidden) @ w1
 
 
 def forward(weights: tuple, norm_adj: NormalizedAdjacency) -> np.ndarray:
     """Z of the linear encoder for (W,), of the two-layer GCN for (W0, W1)."""
     if len(weights) == 1:
-        return sparse_dense_product(norm_adj, weights[0])
+        return norm_adj.matrix @ weights[0]
     if len(weights) == 2:
         return _gae_parts(norm_adj, weights[0], weights[1])[2]
     raise ValueError(f"expected 1 or 2 weight matrices, got {len(weights)}")
@@ -241,11 +241,11 @@ def loss_gradient(weights, norm_adj, labels) -> tuple:
 def _loss_value_and_gradient(weights, norm_adj, tiles):
     if len(weights) != 2:
         loss, dz = _loss_and_gz(forward(weights, norm_adj), tiles, True)
-        return loss, (sparse_dense_product(norm_adj, dz),)
+        return loss, (norm_adj.matrix @ dz,)
     w0, w1 = weights
     pre, hidden, z = _gae_parts(norm_adj, w0, w1)
     loss, dz = _loss_and_gz(z, tiles, True)
-    a_dz = sparse_dense_product(norm_adj, dz)
+    a_dz = norm_adj.matrix @ dz
     # dW1 = hidden^T a_dz sums over all n rows.  BLAS may split a long inner
     # dimension across its threads, which moves the last bits with the
     # thread count; an ordered sum of row blocks does not.
@@ -253,7 +253,7 @@ def _loss_value_and_gradient(weights, norm_adj, tiles):
     for lo in range(_GRAD_ROWS, hidden.shape[0], _GRAD_ROWS):
         dw1 += hidden[lo : lo + _GRAD_ROWS].T @ a_dz[lo : lo + _GRAD_ROWS]
     d_pre = (a_dz @ w1.T) * (pre > 0.0)
-    dw0 = sparse_dense_product(norm_adj, d_pre)
+    dw0 = norm_adj.matrix @ d_pre
     return loss, (dw0, dw1)
 
 
@@ -329,6 +329,8 @@ def train(norm_adj: NormalizedAdjacency, labels: sp.spmatrix, config: TrainConfi
 
 
 CHECKPOINT_VERSION = 1
+# The TrainConfig fields a checkpoint stores as scalars, by name.
+_CONFIG_SCALARS = tuple(f.name for f in fields(TrainConfig) if f.name != "model_kind")
 
 
 def save_model(model: EmbeddingModel, config: TrainConfig, path) -> None:
@@ -336,24 +338,30 @@ def save_model(model: EmbeddingModel, config: TrainConfig, path) -> None:
 
     Layout (all float64 unless noted): ``format_version`` (int),
     ``model_kind`` (str), ``weight_<k>`` for each weight matrix, ``Z``,
-    ``loss_history``, and the scalar config fields ``embed_dim``,
-    ``hidden_dim``, ``learning_rate``, ``epochs``, ``seed``.  Values
-    round-trip exactly.
+    ``loss_history``, and each other ``TrainConfig`` field under its own
+    name (``embed_dim``, ``hidden_dim``, ``learning_rate``, ``epochs``,
+    ``seed``).  An integer field is stored as its decimal string, so a seed
+    of any size fits.  Values round-trip exactly.
     """
     payload = {
         "format_version": np.int64(CHECKPOINT_VERSION),
         "model_kind": np.str_(model.model_kind.value),
         "Z": model.Z,
         "loss_history": model.loss_history,
-        "embed_dim": np.int64(config.embed_dim),
-        "hidden_dim": np.int64(config.hidden_dim),
-        "learning_rate": np.float64(config.learning_rate),
-        "epochs": np.int64(config.epochs),
-        "seed": np.int64(config.seed),
     }
+    for key in _CONFIG_SCALARS:
+        value = getattr(config, key)
+        payload[key] = np.str_(value) if isinstance(value, int) else np.float64(value)
     for k, w in enumerate(model.weights):
         payload[f"weight_{k}"] = w
     np.savez(path, **payload)
+
+
+def _config_scalar(stored: np.ndarray):
+    """A stored config field, an int's decimal string (int64 in older files)
+    or a float64; ``.item()`` keeps any other type for TrainConfig to reject."""
+    value = stored.item()
+    return int(value) if isinstance(value, str) else value
 
 
 def load_model(path):
@@ -367,13 +375,9 @@ def load_model(path):
             raise ValueError(f"unsupported checkpoint version {version}")
         kind = ModelKind(str(data["model_kind"]))
         weights = []
-        k = 0
-        while f"weight_{k}" in data:
-            weights.append(data[f"weight_{k}"])
-            k += 1
-        # .item() keeps each stored scalar's type, so TrainConfig checks it.
-        scalars = ("embed_dim", "hidden_dim", "learning_rate", "epochs", "seed")
-        config = TrainConfig(model_kind=kind, **{key: data[key].item() for key in scalars})
+        while f"weight_{len(weights)}" in data:
+            weights.append(data[f"weight_{len(weights)}"])
+        config = TrainConfig(model_kind=kind, **{key: _config_scalar(data[key]) for key in _CONFIG_SCALARS})
         model = EmbeddingModel(
             Z=data["Z"],
             model_kind=kind,

@@ -19,6 +19,8 @@ import csv
 import inspect
 import json
 import logging
+import os
+from collections.abc import Mapping
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -141,13 +143,26 @@ def load_edge_list_detailed(path) -> EdgeListResult:
 
 
 def write_edge_list(g: BipartiteGraph, path, left_ids=None, right_ids=None) -> None:
-    """Write one ``left right`` line per edge (ids default to l<i> / r<j>)."""
+    """Write one ``left right`` line per edge (ids default to l<i> / r<j>).
+
+    ValueError names the first id that would not read back as itself, before
+    the file is opened: each must be a non-empty string without whitespace
+    or ``#``, used once across both sides.
+    """
     if left_ids is None:
         left_ids = tuple(f"l{i}" for i in range(g.n_left))
     if right_ids is None:
         right_ids = tuple(f"r{j}" for j in range(g.n_right))
     if len(left_ids) != g.n_left or len(right_ids) != g.n_right:
         raise ValueError("id sequences must match the partition sizes")
+    sides: dict = {}  # id -> the side that used it first
+    for side, ids in (("left", left_ids), ("right", right_ids)):
+        for i, node_id in enumerate(ids):
+            if not isinstance(node_id, str) or "#" in node_id or node_id.split() != [node_id]:
+                raise ValueError(f"{side}_ids[{i}] {node_id!r} must be a non-empty str without whitespace or '#'")
+            if node_id in sides:
+                raise ValueError(f"{side}_ids[{i}] {node_id!r} is already a {sides[node_id]} id")
+            sides[node_id] = side
     with open(path, "w", encoding="utf-8") as fh:
         for u, v in g.edges:
             fh.write(f"{left_ids[u]} {right_ids[v]}\n")
@@ -254,29 +269,16 @@ def dataset_registry() -> dict:
     return json.loads(text)
 
 
-def validate_against_registry(g: BipartiteGraph, dataset_id: str) -> None:
-    """Reject a graph whose (n, m) disagree with the registry entry for its id."""
-    registry = dataset_registry()
-    if dataset_id not in registry:
-        return
-    entry = registry[dataset_id]
-    if g.n != entry["nodes"] or g.m != entry["edges"]:
-        raise GraphInputError(
-            f"dataset {dataset_id!r}: loaded graph has n={g.n}, m={g.m}; "
-            f"registry expects n={entry['nodes']}, m={entry['edges']}"
-        )
-
-
 @dataclass(frozen=True)
 class DatasetSpec:
     """Where a dataset comes from and what shape it must have.
 
-    source is a file path (str), a generator mapping such as
+    source is a file path (str or os.PathLike), a generator mapping such as
     {"model": "er", "n_left": 100, "n_right": 100, "p": 0.05, "seed": 7} or
     {"model": "sbm", "left_sizes": [...], "right_sizes": [...], ...}, or None
     for the built-in southern_women network (a generator's seed defaults to
-    0).  An unknown generator key, a value the generator rejects or an
-    expected count that is not an integer >= 0 fails the load.
+    0).  Any other source, an unknown generator key, a value the generator
+    rejects or an expected count that is not an integer >= 0 fails the load.
     """
 
     id: str
@@ -302,21 +304,29 @@ def _generate_from_spec(params: dict) -> BipartiteGraph:
 
 
 def load_dataset(spec: DatasetSpec, data_dir=None) -> BipartiteGraph:
-    """Resolve a DatasetSpec to a graph and validate its shape."""
-    if spec.source is None and spec.id == "southern_women":
+    """Resolve a DatasetSpec to a graph and check its node and edge counts,
+    first against the spec's expected counts, then against the registry
+    entry for its id, if there is one."""
+    source = spec.source
+    if source is None and spec.id == "southern_women":
         g = southern_women_graph()
-    elif isinstance(spec.source, dict):
-        g = _generate_from_spec(spec.source)
-    else:
-        p = Path(f"{spec.id}.edges" if spec.source is None else str(spec.source))
+    elif isinstance(source, Mapping):
+        g = _generate_from_spec(source)
+    elif source is None or isinstance(source, (str, os.PathLike)):
+        p = Path(f"{spec.id}.edges" if source is None else source)
         if data_dir is not None and not p.is_absolute():
             p = Path(data_dir) / p
-        if spec.source is None and not p.exists():
+        if source is None and not p.exists():
             raise FileNotFoundError(f"dataset {spec.id!r} has no source and no file at {p}")
         g = load_edge_list_detailed(p).graph
-    for key, got in (("expected_nodes", g.n), ("expected_edges", g.m)):
+    else:
+        raise TypeError(f"dataset {spec.id!r}: source must be a path or a generator mapping, got {source!r}")
+    registry = dataset_registry().get(spec.id, {})
+    for what, got in (("nodes", g.n), ("edges", g.m)):
+        key = f"expected_{what}"
         want = getattr(spec, key)
         if want is not None and check_int(key, want, low=0) != got:
-            raise GraphInputError(f"dataset {spec.id!r}: expected {want} {key.split('_')[1]}, got {got}")
-    validate_against_registry(g, spec.id)
+            raise GraphInputError(f"dataset {spec.id!r}: expected {want} {what}, got {got}")
+        if what in registry and registry[what] != got:
+            raise GraphInputError(f"dataset {spec.id!r}: registry expects {registry[what]} {what}, got {got}")
     return g

@@ -248,8 +248,3 @@ def normalize(a: sp.spmatrix) -> NormalizedAdjacency:
     )
     return NormalizedAdjacency(matrix=mat, tilde_degrees=tilde_deg)
 
-
-def sparse_dense_product(norm_adj: NormalizedAdjacency, d: np.ndarray) -> np.ndarray:
-    """Exact sparse-times-dense product ``norm_adj.matrix @ d`` for a 2-D
-    float64 ``d``; scipy raises ValueError on a dimension mismatch."""
-    return norm_adj.matrix @ d

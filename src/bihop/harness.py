@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 import os
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -44,7 +44,6 @@ from .metrics import (
 )
 from .scoring import (
     HEURISTIC_KINDS,
-    MODEL_KINDS,
     HeuristicIndex,
     KatzDivergenceError,
     KatzIndex,
@@ -68,6 +67,10 @@ DEFAULT_GAE_GRID = (
 )
 DEFAULT_KATZ_GRID = (0.001, 0.005, 0.01, 0.05)
 
+# The model each model scorer trains, whose grid (``<model>_grid``) it reads.
+SCORER_MODELS = {ScorerKind.TWO_HOP: ModelKind.LGAE, ScorerKind.RECON_TWO_HOP: ModelKind.LGAE,
+                 ScorerKind.LGAE: ModelKind.LGAE, ScorerKind.GAE: ModelKind.GAE}
+
 CONFUSION_PAIR_LIMIT = 2000
 
 
@@ -85,6 +88,9 @@ class BenchmarkConfig:
 
     def __post_init__(self):
         # Each input takes its one form here; idempotent, as replace() reruns it.
+        put = object.__setattr__
+        for key in ("datasets", "scorers", "ratios", "lgae_grid", "gae_grid", "katz_grid"):
+            put(self, key, _array(key, getattr(self, key)))
         for i, spec in enumerate(self.datasets):
             if not isinstance(spec, (DatasetSpec, str)):
                 raise TypeError(f"datasets[{i}] must be a DatasetSpec or a dataset id, got {spec!r}")
@@ -93,17 +99,15 @@ class BenchmarkConfig:
                 raise TypeError(f"datasets[{i}]: id must be a non-empty string, got {dataset_id!r}")
         if self.out_dir is not None and not isinstance(self.out_dir, (str, os.PathLike)):
             raise TypeError(f"out_dir must be a path string, got {self.out_dir!r}")
-        put = object.__setattr__
         specs = (s if isinstance(s, DatasetSpec) else DatasetSpec(id=s) for s in self.datasets)
         put(self, "datasets", tuple(specs))
         put(self, "ratios", check_ratios(self.ratios))
         put(self, "katz_grid", tuple(check_real(f"katz_grid[{i}]: beta", b) for i, b in enumerate(self.katz_grid)))
         for key in ("lgae_grid", "gae_grid"):
-            points = tuple(getattr(self, key))
-            for i, point in enumerate(points):
+            for i, point in enumerate(getattr(self, key)):
                 if not isinstance(point, Mapping):
                     raise TypeError(f"{key}[{i}] must be a mapping of training parameters, got {point!r}")
-            put(self, key, tuple(map(dict, points)))
+            put(self, key, tuple(map(dict, getattr(self, key))))
         put(self, "runs", check_int("runs", self.runs, low=1))
         put(self, "base_seed", check_int("base_seed", self.base_seed))
         for i, kind in enumerate(self.scorers):
@@ -116,12 +120,18 @@ class BenchmarkConfig:
             raise ValueError(f"scorers must be distinct, got {[k.value for k in self.scorers]}")
 
 
+def _array(key: str, value) -> tuple:
+    """``value``'s items as a tuple; TypeError naming ``key`` for a str,
+    bytes, mapping or non-iterable value."""
+    if isinstance(value, (str, bytes, Mapping)) or not isinstance(value, Iterable):
+        raise TypeError(f"{key} must be an array, got {value!r}")
+    return tuple(value)
+
+
 def _grid_for(kind: ScorerKind, config: BenchmarkConfig) -> tuple:
     """``kind``'s grid as a tuple of parameter dicts."""
-    if kind in (ScorerKind.TWO_HOP, ScorerKind.RECON_TWO_HOP, ScorerKind.LGAE):
-        return config.lgae_grid
-    if kind is ScorerKind.GAE:
-        return config.gae_grid
+    if kind in SCORER_MODELS:
+        return getattr(config, f"{SCORER_MODELS[kind].value}_grid")
     if kind is ScorerKind.KATZ:
         return tuple({"beta": b} for b in config.katz_grid)
     return ({},)  # degree/path heuristics have nothing to tune
@@ -130,9 +140,9 @@ def _grid_for(kind: ScorerKind, config: BenchmarkConfig) -> tuple:
 def _check_grid(kind: ScorerKind, config: BenchmarkConfig) -> None:
     """Raise on a point of ``kind``'s model grid that ``TrainConfig``
     rejects, as run 0 would, naming the point."""
-    if kind not in MODEL_KINDS:
+    model_kind = SCORER_MODELS.get(kind)
+    if model_kind is None:
         return
-    model_kind = ModelKind.GAE if kind is ScorerKind.GAE else ModelKind.LGAE
     for i, point in enumerate(_grid_for(kind, config)):
         try:
             TrainConfig(model_kind=model_kind, seed=0, **point)
@@ -207,7 +217,7 @@ def _score_pairs(kind: ScorerKind, pairs, artifacts: RunArtifacts, params: dict)
         return katz_score(artifacts.katz, params["beta"], pairs).scores
     if kind in HEURISTIC_KINDS:
         return heuristic_scores(artifacts.heuristics, kind, pairs).scores
-    model = artifacts.model(ModelKind.GAE if kind is ScorerKind.GAE else ModelKind.LGAE, params)
+    model = artifacts.model(SCORER_MODELS[kind], params)
     if kind is ScorerKind.TWO_HOP:
         return two_hop_score(model, artifacts.norm, pairs).scores
     if kind is ScorerKind.RECON_TWO_HOP:
@@ -462,34 +472,22 @@ def diagnose(
 
     # (b) mean raw two-hop mass per evaluation set, for both surfaces
     false_edges = sample_negatives(g, g.m, exclude=(), seed=extra_keys[1])
-    mass_sets = {
-        name: _global_pairs(g, pairs)
-        for name, pairs in (
-            ("test_pos", split.test_pos), ("test_neg", split.test_neg), ("val_pos", split.val_pos),
-            ("val_neg", split.val_neg), ("all_edges", g.edges), ("false_edges", false_edges),
-        )
-    }
-    mass_recon = score_mass_report(
-        **{
-            name: recon_two_hop_score(model, pairs).scores
-            for name, pairs in mass_sets.items()
-        }
-    )
-    mass_two_hop = score_mass_report(
-        **{
-            name: two_hop_score(model, artifacts.norm, pairs).scores
-            for name, pairs in mass_sets.items()
-        }
-    )
+    mass_pairs = [  # score_mass_report's six sets, in its parameter order
+        _global_pairs(g, pairs)
+        for pairs in (split.test_pos, split.test_neg, split.val_pos, split.val_neg, g.edges, false_edges)
+    ]
+    mass_recon = score_mass_report(*(recon_two_hop_score(model, p).scores for p in mass_pairs))
+    mass_two_hop = score_mass_report(*(two_hop_score(model, artifacts.norm, p).scores for p in mass_pairs))
 
     # (c) ranking quality of both surfaces on train/val/test with matched negatives
     train_neg = _global_pairs(
         g, sample_negatives(g, len(split.train_edges), exclude=(), seed=extra_keys[2])
     )
+    test_pos, test_neg, val_pos, val_neg = mass_pairs[:4]
     subsets = (
         ("train", _global_pairs(g, split.train_edges), train_neg),
-        ("val", mass_sets["val_pos"], mass_sets["val_neg"]),
-        ("test", mass_sets["test_pos"], mass_sets["test_neg"]),
+        ("val", val_pos, val_neg),
+        ("test", test_pos, test_neg),
     )
     ranking = []
     for name, pos, neg in subsets:
@@ -534,16 +532,13 @@ def config_from_dict(raw: dict) -> BenchmarkConfig:
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("datasets", "scorers", "ratios", "lgae_grid", "gae_grid", "katz_grid"):
-        if key in raw and not isinstance(raw[key], (list, tuple)):
-            raise TypeError(f"{key} must be an array, got {raw[key]!r}")
     # BenchmarkConfig itself gives counts, ratios, grids, dataset ids and
     # out_dir their form.
     passed = ("runs", "base_seed", "ratios", "lgae_grid", "gae_grid", "katz_grid", "out_dir")
     kwargs = {key: raw[key] for key in passed if key in raw}
     if "datasets" in raw:
         specs = []
-        for i, entry in enumerate(raw["datasets"]):
+        for i, entry in enumerate(_array("datasets", raw["datasets"])):
             if isinstance(entry, Mapping):
                 extra = set(entry) - _DATASET_KEYS
                 if extra:
@@ -555,7 +550,8 @@ def config_from_dict(raw: dict) -> BenchmarkConfig:
         kwargs["datasets"] = specs
     if "scorers" in raw:
         # A name is parsed; anything else reaches BenchmarkConfig, which names it.
-        kwargs["scorers"] = tuple(ScorerKind.parse(s) if isinstance(s, str) else s for s in raw["scorers"])
+        names = _array("scorers", raw["scorers"])
+        kwargs["scorers"] = tuple(ScorerKind.parse(s) if isinstance(s, str) else s for s in names)
     return BenchmarkConfig(**kwargs)
 
 

@@ -224,30 +224,16 @@ def score_mass_report(test_pos, test_neg, val_pos, val_neg, all_edges, false_edg
 
     Separation of the edge column from the false-edge column is the
     calibration signal that distinguishes a useful two-hop surface from a
-    flat one.
+    flat one.  ValueError names a set that is empty or not finite.
     """
-    sets = {
-        "test_pos": test_pos,
-        "test_neg": test_neg,
-        "val_pos": val_pos,
-        "val_neg": val_neg,
-        "all_edges": all_edges,
-        "false_edges": false_edges,
-    }
-    means = {}
+    sets = dict(locals())  # the six parameters, in ScoreMassReport's field order
+    means = []
     for name, values in sets.items():
         arr = _validate_scores(values, name)
         if arr.size == 0:
             raise ValueError(f"score set {name} is empty")
-        means[name] = float(arr.mean())
-    return ScoreMassReport(
-        test_edge=means["test_pos"],
-        test_false=means["test_neg"],
-        val_edge=means["val_pos"],
-        val_false=means["val_neg"],
-        all_edge=means["all_edges"],
-        all_false=means["false_edges"],
-    )
+        means.append(float(arr.mean()))
+    return ScoreMassReport(*means)
 
 
 def format_mass_table(report: ScoreMassReport, title: str = "") -> str:

@@ -14,6 +14,7 @@ expit over every logit against the densified labels) as an oracle for the
 sparse-label tile kernel.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -199,6 +200,12 @@ class TestForward:
         norm = normalize(g.adj)
         with pytest.raises(ValueError):
             forward((np.eye(g.n),) * 3, norm)
+
+    def test_weight_rows_must_match_the_nodes(self):
+        """A weight whose row count is not n fails in the sparse product."""
+        norm = normalize(build_graph(1, 1, [(0, 0)]).adj)
+        with pytest.raises(ValueError):
+            forward((np.ones((3, 2)),), norm)
 
 
 class TestDecode:
@@ -459,32 +466,40 @@ class TestGradients:
         formula, which recomputed them, byte for byte."""
 
         def recomputing(weights, norm_adj, tiles):
-            spmm = autoencoder.sparse_dense_product
+            an = norm_adj.matrix
             w0, w1 = weights
-            z = spmm(norm_adj, np.maximum(spmm(norm_adj, w0), 0.0)) @ w1
+            z = (an @ np.maximum(an @ w0, 0.0)) @ w1
             loss, dz = _loss_and_gz(z, tiles, True)
-            pre = spmm(norm_adj, w0)
+            pre = an @ w0
             hidden = np.maximum(pre, 0.0)
-            a_dz = spmm(norm_adj, dz)
+            a_dz = an @ dz
             dw1 = hidden.T @ a_dz
             d_pre = (a_dz @ w1.T) * (pre > 0.0)
-            return loss, (spmm(norm_adj, d_pre), dw1)
+            return loss, (an @ d_pre, dw1)
+
+        calls = []
+
+        class CountingCsr(sp.csr_matrix):
+            """Counts the sparse-times-dense products made through it."""
+
+            def __matmul__(self, other):
+                calls.append(1)
+                return super().__matmul__(other)
 
         rng = np.random.default_rng(53)
         norm, labels, weights = problem_instance(rng, ModelKind.GAE, max_side=7)
+        counting = NormalizedAdjacency(matrix=CountingCsr(norm.matrix), tilde_degrees=norm.tilde_degrees)
         tiles = _label_tiles(labels, norm.n)
-        calls = []
-        product = autoencoder.sparse_dense_product
-        monkeypatch.setattr(
-            autoencoder, "sparse_dense_product", lambda *a: calls.append(1) or product(*a)
-        )
-        got = _loss_value_and_gradient(weights, norm, tiles)
+        got = _loss_value_and_gradient(weights, counting, tiles)
         assert len(calls) == 4
         calls.clear()
-        want = recomputing(weights, norm, tiles)
+        want = recomputing(weights, counting, tiles)
         assert len(calls) == 5
         assert got[0] == want[0]
         assert all(np.array_equal(a, b) for a, b in zip(got[1], want[1]))
+        plain = _loss_value_and_gradient(weights, norm, tiles)
+        assert plain[0] == got[0]
+        assert all(np.array_equal(a, b) for a, b in zip(plain[1], got[1]))
 
         cfg = TrainConfig(model_kind=ModelKind.GAE, embed_dim=3, hidden_dim=4, epochs=30, seed=5)
         model = train(norm, labels, cfg)
@@ -813,6 +828,44 @@ class TestCheckpointing:
         assert loaded_cfg == cfg
         assert np.array_equal(loaded.Z, model.Z)
         assert np.array_equal(loaded.weights[0], model.weights[0])
+
+    @pytest.mark.parametrize("seed", [-5, 2**63 - 1, 2**63, 2**64 - 1, 2**70])
+    def test_any_integer_seed_round_trips(self, tmp_path, seed):
+        """A seed of 2**63 or more used to raise OverflowError on save."""
+        g = random_bipartite(np.random.default_rng(58), min_edges=3)
+        cfg = TrainConfig(embed_dim=3, epochs=2, seed=seed)
+        model = train(normalize(g.adj), training_labels(adjacency(g)), cfg)
+        save_model(model, cfg, tmp_path / "seed.npz")
+        loaded, loaded_cfg = load_model(tmp_path / "seed.npz")
+        assert loaded_cfg == cfg and type(loaded_cfg.seed) is int
+        assert np.array_equal(loaded.Z, model.Z)
+
+    def test_version_1_file_with_int64_fields_loads(self, tmp_path):
+        """Files written before integers were stored as decimal strings
+        hold them as int64 scalars; they load to the same config."""
+        g = random_bipartite(np.random.default_rng(59), min_edges=3)
+        cfg = TrainConfig(model_kind=ModelKind.GAE, embed_dim=3, hidden_dim=4, epochs=3, seed=-7)
+        model = train(normalize(g.adj), training_labels(adjacency(g)), cfg)
+        np.savez(
+            tmp_path / "old.npz",
+            format_version=np.int64(1), model_kind=np.str_("gae"), Z=model.Z,
+            loss_history=model.loss_history, embed_dim=np.int64(3), hidden_dim=np.int64(4),
+            learning_rate=np.float64(cfg.learning_rate), epochs=np.int64(3), seed=np.int64(-7),
+            weight_0=model.weights[0], weight_1=model.weights[1],
+        )
+        loaded, loaded_cfg = load_model(tmp_path / "old.npz")
+        assert loaded_cfg == cfg
+        assert all(np.array_equal(a, b) for a, b in zip(loaded.weights, model.weights))
+
+    def test_config_fields_are_stored_by_name(self, tmp_path):
+        """Every TrainConfig field but the model kind has its own entry."""
+        g = random_bipartite(np.random.default_rng(60), min_edges=3)
+        cfg = TrainConfig(embed_dim=3, epochs=2, seed=4)
+        save_model(train(normalize(g.adj), training_labels(adjacency(g)), cfg), cfg, tmp_path / "m.npz")
+        with np.load(tmp_path / "m.npz") as data:
+            names = {f.name for f in dataclasses.fields(TrainConfig)} - {"model_kind"}
+            assert names <= set(data.files)
+            assert data["seed"].item() == "4" and data["learning_rate"].item() == 0.01
 
     def test_unsupported_version_rejected(self, tmp_path):
         path = tmp_path / "bad.npz"

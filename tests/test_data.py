@@ -22,7 +22,6 @@ from bihop.data import (
     load_edge_list_detailed,
     read_report,
     southern_women_graph,
-    validate_against_registry,
     write_edge_list,
     write_report,
 )
@@ -107,6 +106,40 @@ class TestEdgeListParsing:
         g = build_graph(2, 1, [(0, 0)])
         with pytest.raises(ValueError):
             write_edge_list(g, tmp_path / "x.edges", left_ids=("only",))
+
+    @pytest.mark.parametrize(
+        "left_ids, match",
+        [
+            (SOUTHERN_WOMEN_NAMES, r"left_ids\[0\] 'Evelyn Jefferson' must be a non-empty str"),
+            (tuple(f"w#{i}" for i in range(18)), r"left_ids\[0\] 'w#0' must be"),
+            (("",) + tuple(f"w{i}" for i in range(1, 18)), r"left_ids\[0\] '' must be"),
+            (tuple(f"w{i}" for i in range(17)) + ("w\t17",), r"left_ids\[17\] 'w\\t17' must be"),
+            (tuple(range(18)), r"left_ids\[0\] 0 must be"),
+            (("w",) * 18, r"left_ids\[1\] 'w' is already a left id"),
+            (tuple(f"w{i}" for i in range(17)) + ("E3",), r"right_ids\[2\] 'E3' is already a left id"),
+        ],
+        ids=["space", "hash", "empty", "tab", "not_a_str", "repeat", "both_sides"],
+    )
+    def test_write_rejects_ids_that_do_not_read_back(self, tmp_path, left_ids, match):
+        """Each of these used to be written: the names and ``w#0`` then
+        failed to load, and 18 equal ids loaded as one left node."""
+        path = tmp_path / "sw.edges"
+        with pytest.raises(ValueError, match=match):
+            write_edge_list(southern_women_graph(), path, left_ids=left_ids, right_ids=SOUTHERN_WOMEN_EVENTS)
+        assert not path.exists()
+
+    def test_write_named_ids_round_trip(self, tmp_path):
+        g = southern_women_graph()
+        names = tuple(name.replace(" ", "_") for name in SOUTHERN_WOMEN_NAMES)
+        path = tmp_path / "sw.edges"
+        write_edge_list(g, path, left_ids=names, right_ids=SOUTHERN_WOMEN_EVENTS)
+        res = load_edge_list_detailed(path)
+        back = {
+            (names.index(res.left_ids[u]), SOUTHERN_WOMEN_EVENTS.index(res.right_ids[v]))
+            for u, v in res.graph.edges
+        }
+        assert back == set(pairs_of(g.edges))
+        assert res.duplicate_count == 0
 
 
 class TestGenerators:
@@ -280,16 +313,24 @@ class TestRegistry:
         for entry in dataset_registry().values():
             assert set(entry) >= {"nodes", "edges", "source", "notes"}
 
-    def test_validate_passes_builtin(self):
-        validate_against_registry(southern_women_graph(), "southern_women")
+    def test_validate_passes_builtin(self, tmp_path):
+        """A file-backed spec with a registry id loads when its shape matches."""
+        path = tmp_path / "sw.edges"
+        write_edge_list(southern_women_graph(), path)
+        g = load_dataset(DatasetSpec(id="southern_women", source=str(path)))
+        assert (g.n, g.m) == (32, 89)
 
-    def test_validate_rejects_mismatch(self):
-        g = build_graph(2, 2, [(0, 0)])
-        with pytest.raises(GraphInputError, match="registry expects"):
-            validate_against_registry(g, "southern_women")
+    def test_validate_rejects_mismatch(self, tmp_path):
+        path = tmp_path / "small.edges"
+        write_edge_list(build_graph(2, 2, [(0, 0)]), path)
+        with pytest.raises(GraphInputError, match="registry expects 32 nodes, got 2"):
+            load_dataset(DatasetSpec(id="southern_women", source=str(path)))
 
-    def test_unknown_id_is_no_op(self):
-        validate_against_registry(build_graph(1, 1, [(0, 0)]), "not_a_dataset")
+    def test_unknown_id_is_no_op(self, tmp_path):
+        path = tmp_path / "one.edges"
+        write_edge_list(build_graph(1, 1, [(0, 0)]), path)
+        g = load_dataset(DatasetSpec(id="not_a_dataset", source=str(path)))
+        assert (g.n, g.m) == (2, 1)
 
 
 class TestLoadDataset:
@@ -331,6 +372,24 @@ class TestLoadDataset:
         spec = DatasetSpec(id="mini", source=str(path), expected_edges=9)
         with pytest.raises(GraphInputError, match="expected 9 edges"):
             load_dataset(spec)
+
+    @pytest.mark.parametrize("source", [5, ["a"], b"mini.edges", 2.5], ids=["int", "list", "bytes", "float"])
+    def test_source_of_another_type_rejected(self, tmp_path, source):
+        """``source=5`` used to look for a file named ``5``, and ``["a"]``
+        for one named ``['a']``."""
+        (tmp_path / str(source)).write_text("a x\n")
+        with pytest.raises(TypeError, match="source must be a path or a generator mapping"):
+            load_dataset(DatasetSpec(id="mini", source=source), data_dir=tmp_path)
+
+    def test_path_like_source_and_generator_mapping(self, tmp_path):
+        from types import MappingProxyType
+
+        path = tmp_path / "mini.edges"
+        path.write_text("a x\nb x\n")
+        assert load_dataset(DatasetSpec(id="mini", source=path)).m == 2
+        params = {"model": "er", "n_left": 10, "n_right": 10, "p": 0.3, "seed": 2}
+        g = load_dataset(DatasetSpec(id="toy_er", source=MappingProxyType(params)))
+        assert np.array_equal(g.edges, load_dataset(DatasetSpec(id="toy_er", source=params)).edges)
 
     def test_unknown_generator_model(self):
         with pytest.raises(ValueError, match="unknown generator"):

@@ -24,7 +24,6 @@ from bihop.graph import (
     adjacency,
     build_graph,
     normalize,
-    sparse_dense_product,
 )
 
 from conftest import random_bipartite
@@ -276,18 +275,3 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize(sp.csr_matrix(np.ones((2, 3))))
 
-
-class TestSparseDenseProduct:
-    def test_matches_dense(self):
-        rng = np.random.default_rng(13)
-        g = random_bipartite(rng)
-        norm = normalize(g.adj)
-        z = rng.standard_normal((g.n, 4))
-        got = sparse_dense_product(norm, z)
-        want = norm.matrix.toarray() @ z
-        assert np.allclose(got, want, rtol=0, atol=1e-14)
-
-    def test_dimension_mismatch(self):
-        g = build_graph(1, 1, [(0, 0)])
-        with pytest.raises(ValueError):
-            sparse_dense_product(normalize(g.adj), np.ones((3, 2)))

@@ -858,6 +858,20 @@ class TestRunBenchmark:
         assert reason.startswith("ValueError:") and "p_typo" in reason
         assert [row.dataset for row in summary.rows] == ["southern_women"]
 
+    def test_source_of_another_type_recorded_as_missing(self):
+        """``source=5`` used to be read as the path ``5``; now it is one
+        missing dataset, named, and the other datasets still run."""
+        config = small_config(
+            datasets=(DatasetSpec(id="five", source=5), DatasetSpec(id="southern_women")),
+            scorers=(ScorerKind.PREFERENTIAL_ATTACHMENT,),
+            runs=1,
+        )
+        summary = run_benchmark(config)
+        ((missing_id, reason),) = summary.missing
+        assert missing_id == "five"
+        assert reason.startswith("TypeError:") and "source must be" in reason
+        assert [row.dataset for row in summary.rows] == ["southern_women"]
+
     def test_string_dataset_entries_coerced(self):
         config = small_config(
             datasets=("southern_women",),
@@ -1192,9 +1206,49 @@ class TestConfigFromDict:
     )
     def test_lists_must_be_arrays(self, raw, key):
         """``{"datasets": "abc"}`` used to build datasets a, b and c, and
-        ``{"scorers": "pa"}`` failed as ``unknown scorer 'p'``."""
+        ``{"scorers": "pa"}`` failed as ``unknown scorer 'p'``.  The rule is
+        BenchmarkConfig's, so it holds for a config built in Python and for
+        ``dataclasses.replace`` too."""
         with pytest.raises(TypeError, match=f"{key} must be an array"):
             config_from_dict(raw)
+        with pytest.raises(TypeError, match=f"{key} must be an array"):
+            BenchmarkConfig(**raw)
+        with pytest.raises(TypeError, match=f"{key} must be an array"):
+            dataclasses.replace(BenchmarkConfig(), **raw)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("datasets", "southern_women"),
+            ("datasets", 5),
+            ("datasets", b"southern_women"),
+            ("scorers", ScorerKind.KATZ),
+            ("ratios", 0.85),
+            ("katz_grid", 0.01),
+            ("lgae_grid", {"learning_rate": 0.01}),
+            ("gae_grid", None),
+        ],
+        ids=["datasets_str", "datasets_int", "datasets_bytes", "scorers_kind", "ratios_float",
+             "katz_grid_float", "lgae_grid_mapping", "gae_grid_none"],
+    )
+    def test_config_built_in_python_requires_arrays(self, key, value):
+        """``datasets="southern_women"`` used to run 14 one-letter datasets,
+        all missing, and ``katz_grid=0.01`` failed as "'float' object is not
+        iterable", naming no key."""
+        with pytest.raises(TypeError, match=f"{key} must be an array"):
+            BenchmarkConfig(**{key: value})
+
+    def test_array_fields_take_any_iterable_as_a_tuple(self):
+        config = BenchmarkConfig(
+            datasets=["southern_women"],
+            scorers=iter([ScorerKind.KATZ]),
+            ratios=[0.85, 0.05, 0.10],
+            katz_grid=np.array([0.01, 0.05]),
+        )
+        assert config.datasets == (DatasetSpec(id="southern_women"),)
+        assert config.scorers == (ScorerKind.KATZ,)
+        assert config.katz_grid == (0.01, 0.05)
+        assert dataclasses.replace(config) == config
 
     @pytest.mark.parametrize(
         "raw, match",

@@ -33,11 +33,10 @@ from bihop import autoencoder, scoring
 from bihop.autoencoder import EmbeddingModel, ModelKind
 from bihop.data import generate_bipartite_er
 from bihop.graph import adjacency, build_graph, normalize
-from bihop.harness import DEFAULT_RATIOS
+from bihop.harness import DEFAULT_RATIOS, SCORER_MODELS
 from bihop.metrics import roc_auc
 from bihop.scoring import (
     HEURISTIC_KINDS,
-    MODEL_KINDS,
     PairScores,
     ScorerKind,
     adjacency_spectral_radius,
@@ -221,8 +220,12 @@ class TestScorerKind:
             ScorerKind.parse("pagerank")
 
     def test_kind_partition(self):
-        assert HEURISTIC_KINDS | MODEL_KINDS | {ScorerKind.KATZ} == set(ScorerKind)
-        assert not HEURISTIC_KINDS & MODEL_KINDS
+        """The harness's scorer-to-model map, the heuristics and Katz
+        partition the scorers."""
+        models = set(SCORER_MODELS)
+        assert HEURISTIC_KINDS | models | {ScorerKind.KATZ} == set(ScorerKind)
+        assert not HEURISTIC_KINDS & models
+        assert ScorerKind.KATZ not in HEURISTIC_KINDS | models
 
 
 class TestTwoHop:
@@ -1064,6 +1067,35 @@ class TestScoresCsv:
         assert lines[0] == "u,v,score,scorer,label"
         assert lines[1] == "0,3,0.25,two_hop,1"
         assert lines[2] == "1,4,0.5,two_hop,0"
+
+    @pytest.mark.parametrize(
+        "labels, match",
+        [
+            ([0.7, 0], r"labels\[0\] must be 0 or 1, got 0.7"),
+            ([1, 1.9], r"labels\[1\] must be 0 or 1, got 1.9"),
+            ([2, 0], r"labels\[0\] must be 0 or 1, got 2"),
+            (["1", 0], r"labels\[0\] must be 0 or 1, got '1'"),
+            ([1], "labels has 1 entries for 2 pairs"),
+            ([1, 0, 1], "labels has 3 entries for 2 pairs"),
+        ],
+        ids=["fraction", "above_one", "two", "string", "short", "long"],
+    )
+    def test_bad_labels_rejected_before_writing(self, tmp_path, labels, match):
+        """0.7 and 1.9 used to be written as 0 and 1, 2 as 2, a short list
+        failed after the header and a row were on disk, and extra labels
+        were dropped."""
+        ps = PairScores(pairs=np.array([(0, 3), (1, 4)]), scores=np.array([0.25, 0.5]), scorer=ScorerKind.KATZ)
+        path = tmp_path / "scores.csv"
+        with pytest.raises(ValueError, match=match):
+            write_scores_csv(ps, path, labels=labels)
+        assert not path.exists()
+
+    def test_numeric_zero_one_labels_accepted(self, tmp_path):
+        ps = PairScores(pairs=np.array([(0, 3), (1, 4)]), scores=np.array([0.25, 0.5]), scorer=ScorerKind.KATZ)
+        for labels in (np.array([1, 0]), [1.0, 0.0], np.array([True, False])):
+            write_scores_csv(ps, tmp_path / "scores.csv", labels=labels)
+            rows = (tmp_path / "scores.csv").read_text().splitlines()[1:]
+            assert [row.rsplit(",", 1)[1] for row in rows] == ["1", "0"]
 
     def test_labels_optional(self, tmp_path):
         ps = PairScores(
