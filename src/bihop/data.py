@@ -147,7 +147,8 @@ def write_edge_list(g: BipartiteGraph, path, left_ids=None, right_ids=None) -> N
 
     ValueError names the first id that would not read back as itself, before
     the file is opened: each must be a non-empty string without whitespace
-    or ``#``, used once across both sides.
+    or ``#``, used once across both sides.  A node with no edge cannot be
+    written either, so ValueError also names the first isolated node.
     """
     if left_ids is None:
         left_ids = tuple(f"l{i}" for i in range(g.n_left))
@@ -155,6 +156,10 @@ def write_edge_list(g: BipartiteGraph, path, left_ids=None, right_ids=None) -> N
         right_ids = tuple(f"r{j}" for j in range(g.n_right))
     if len(left_ids) != g.n_left or len(right_ids) != g.n_right:
         raise ValueError("id sequences must match the partition sizes")
+    isolated = np.flatnonzero(g.degrees() == 0)
+    if isolated.size:
+        side, i = ("left", isolated[0]) if isolated[0] < g.n_left else ("right", isolated[0] - g.n_left)
+        raise ValueError(f"{side} node {i} has no edge, and an edge list cannot hold it")
     sides: dict = {}  # id -> the side that used it first
     for side, ids in (("left", left_ids), ("right", right_ids)):
         for i, node_id in enumerate(ids):
@@ -168,17 +173,21 @@ def write_edge_list(g: BipartiteGraph, path, left_ids=None, right_ids=None) -> N
             fh.write(f"{left_ids[u]} {right_ids[v]}\n")
 
 
+def _bernoulli_block(rng, n_rows: int, n_cols: int, p: float, row0: int = 0, col0: int = 0):
+    """Yield the (row0 + i, col0 + j) cells of an n_rows x n_cols block, each
+    an edge with probability p, from draws of at most 2**22 cells at a time.
+    The draws run row-major, so they are the cells of one whole-block draw."""
+    step = max(1, (1 << 22) // n_cols)
+    for start in range(0, n_rows, step):
+        rows, cols = np.nonzero(rng.random((min(step, n_rows - start), n_cols)) < p)
+        yield np.column_stack([rows + (row0 + start), cols + col0])
+
+
 def generate_bipartite_er(n_left: int, n_right: int, p: float, seed: int) -> BipartiteGraph:
     """Each left-right pair is an edge independently with probability p."""
     n_left, n_right = check_int("n_left", n_left, low=1), check_int("n_right", n_right, low=1)
     p = check_real("p", p, unit=True)
-    rng = philox(seed)
-    pairs = []
-    block = max(1, (1 << 22) // max(n_right, 1))
-    for start in range(0, n_left, block):
-        stop = min(start + block, n_left)
-        rows, cols = np.nonzero(rng.random((stop - start, n_right)) < p)
-        pairs.append(np.column_stack([rows + start, cols]))
+    pairs = list(_bernoulli_block(philox(seed), n_left, n_right, p))
     return build_graph(n_left, n_right, np.concatenate(pairs))
 
 
@@ -204,8 +213,9 @@ def generate_bipartite_sbm(left_sizes, right_sizes, p_in: float, p_out: float, s
     for bi in range(k):
         for bj in range(k):
             prob = p_in if bi == bj else p_out
-            rows, cols = np.nonzero(rng.random((left_sizes[bi], right_sizes[bj])) < prob)
-            pairs.append(np.column_stack([rows + left_starts[bi], cols + right_starts[bj]]))
+            pairs.extend(
+                _bernoulli_block(rng, left_sizes[bi], right_sizes[bj], prob, left_starts[bi], right_starts[bj])
+            )
     return build_graph(int(left_starts[-1]), int(right_starts[-1]), np.concatenate(pairs))
 
 

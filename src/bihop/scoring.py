@@ -30,9 +30,11 @@ and its last hop is computed pointwise at the pairs, by the same CSR row
 gather ``two_hop`` uses.
 
 All scorers accept node pairs in GLOBAL indexing (left block first), as a
-(k, 2) integer array or a sequence of integer pairs, reject anything else
-and indices outside [0, n) with ValueError, and are symmetric in the pair
-order.
+(k, 2) integer array or a sequence of integer pairs, and reject anything
+else and indices outside [0, n) with ValueError.  The model scorers take
+any pair; Katz and the heuristics take left-right pairs only (ValueError
+otherwise).  Every scorer reads a pair's sorted ends, so all ten give a
+pair and its reverse the same bytes.
 Heuristic indices use the Daminelli-style bipartite adaptation: the "common
 neighbors" of a heterogeneous pair (u, v) are the intermediate nodes of
 length-3 paths, C(u, v) = N(u) n N2(v) with N2(v) the union of
@@ -120,10 +122,19 @@ class PairScores:
 
 
 def _as_index_arrays(pairs, n: int):
-    """(``pairs`` as a read-only (k, 2) int64 view, its two columns), checked
-    by ``pair_array``: an int64 array is not copied, and nothing is reshaped."""
+    """(``pairs`` as a read-only (k, 2) int64 view, each pair's smaller and
+    larger end), checked by ``pair_array``: an int64 array is not copied."""
     arr = pair_array(pairs, n, n, what="pair")
-    return read_only(arr), arr[:, 0], arr[:, 1]
+    return read_only(arr), np.minimum(*arr.T), np.maximum(*arr.T)
+
+
+def _left_right(pairs: np.ndarray, lo: np.ndarray, hi: np.ndarray, n_left: int) -> None:
+    """ValueError naming the first pair, as given, whose sorted ends ``lo``
+    and ``hi`` do not join the left side [0, n_left) to the right side."""
+    same_side = np.flatnonzero((lo >= n_left) | (hi < n_left))
+    if same_side.size:
+        u, v = pairs[same_side[0]]
+        raise ValueError(f"pair ({u}, {v}) is homogeneous; Katz and the heuristics need a left-right pair")
 
 
 def _check_model_size(model: EmbeddingModel, n: int):
@@ -318,14 +329,8 @@ def heuristic_scores(index: HeuristicIndex, kind: ScorerKind, pairs) -> PairScor
     """
     if kind not in HEURISTIC_KINDS:
         raise ValueError(f"{kind} is not a heuristic scorer")
-    n_left = index.g.n_left
-    pairs, us, vs = _as_index_arrays(pairs, index.g.n)
-    homogeneous = np.flatnonzero((us < n_left) == (vs < n_left))
-    if homogeneous.size:
-        u, v = pairs[homogeneous[0]]
-        raise ValueError(f"pair ({u}, {v}) is homogeneous; heuristics need a left-right pair")
-    # A heterogeneous pair's left node is its smaller index.
-    lefts, rights = np.minimum(us, vs), np.maximum(us, vs)
+    pairs, lefts, rights = _as_index_arrays(pairs, index.g.n)
+    _left_right(pairs, lefts, rights, index.g.n_left)
     if kind is ScorerKind.PREFERENTIAL_ATTACHMENT:
         scores = (index.degrees[lefts] * index.degrees[rights]).astype(np.float64)
         return PairScores(pairs=pairs, scores=scores, scorer=kind)
@@ -422,19 +427,14 @@ def _hop_at(damped: sp.csr_matrix, x: sp.csr_matrix, rows: np.ndarray, cols: np.
     return np.bincount(seg, weights=terms, minlength=rows.size)
 
 
-def _closed_form(index: KatzIndex, beta: float, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """[(I - beta A)^{-1} - I] at the pairs, through the smaller side.
+def _closed_form(index: KatzIndex, beta: float, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+    """[(I - beta A)^{-1} - I] at left-right pairs, through the smaller side.
 
     With S the smaller side, O the other, W the O x S block and
-    M = I - beta^2 W^T W on S, the resolvent's blocks are M^{-1} on S x S,
-    beta W M^{-1} on O x S and (push-through) I + beta^2 W M^{-1} W^T on
-    O x O.  A pair (a, b) reads one column of M^{-1} R: R's column is the
-    unit vector e_a for an S-S pair (a the smaller index) or an S-O pair (a
-    on S), and W's row a for an O-O pair (a the larger index).  One solve
-    covers the call's unique columns; an S-S pair reads entry b of its
-    column, and every other pair dots it with W's row b, times beta (S-O)
-    or beta^2 (O-O).  Both endpoints are picked from the sorted pair, so
-    (u, v) and (v, u) take the same arithmetic.
+    M = I - beta^2 W^T W on S, the resolvent's O x S block is beta W M^{-1}.
+    A pair reads column a of M^{-1}, a its end on S, and dots it with W's
+    row b, b its end on O.  One solve over the unit columns of the call's
+    unique S ends covers every pair.
     """
     w, gram, radius, s_lo = index.blocks
     if radius > 0 and beta >= 1.0 / radius:
@@ -442,56 +442,46 @@ def _closed_form(index: KatzIndex, beta: float, us: np.ndarray, vs: np.ndarray) 
             f"beta={beta} >= 1/spectral_radius={1.0 / radius:.6g}; "
             "the resolvent series diverges"
         )
-    s, o_lo = gram.shape[0], index.n_left - s_lo
-    lo, hi = np.minimum(us, vs), np.maximum(us, vs)
-    lo_s, hi_s = (lo >= index.n_left) == bool(s_lo), (hi >= index.n_left) == bool(s_lo)
-    a, b = np.where(lo_s, lo, hi), np.where(lo_s, hi, lo)
-    on_s, on_o = lo_s & hi_s, ~(lo_s | hi_s)
-    # Column keys: the s unit columns, then W's rows.
-    cols, col = np.unique(np.where(on_o, s + a - o_lo, a - s_lo), return_inverse=True)
-    rhs = np.zeros((s, cols.size))
-    unit = cols < s
-    rhs[cols[unit], np.flatnonzero(unit)] = 1.0
-    rhs[:, ~unit] = w[cols[~unit] - s].T
-    x = np.linalg.solve(np.eye(s) - beta**2 * gram, rhs)
-    scores = np.empty(us.size)
-    scores[on_s] = x[b[on_s] - s_lo, col[on_s]] - (lo == hi)[on_s]
-    rest = ~on_s
-    dots = np.einsum("ij,ij->i", w[b[rest] - o_lo], x.T[col[rest]])
-    scores[rest] = np.where(on_o[rest], beta**2, beta) * dots
-    return scores
+    a, b = (lefts, rights) if s_lo == 0 else (rights, lefts)
+    cols, col = np.unique(a - s_lo, return_inverse=True)
+    rhs = np.zeros((gram.shape[0], cols.size))
+    rhs[cols, np.arange(cols.size)] = 1.0
+    x = np.linalg.solve(np.eye(gram.shape[0]) - beta**2 * gram, rhs)
+    return beta * np.einsum("ij,ij->i", w[b - (index.n_left - s_lo)], x.T[col])
 
 
 def katz_score(index: KatzIndex, beta: float, pairs) -> PairScores:
-    """Katz index: damped walk counts (I - beta A)^{-1} - I at the pairs.
+    """Katz index: damped walk counts (I - beta A)^{-1} - I at left-right
+    pairs; a same-side or self pair raises ValueError.
 
     The graph size alone picks the form.  Up to ``DENSE_THRESHOLD`` nodes it
     is the closed form (``_closed_form``, one s x s solve per call), which
     requires beta < 1 / spectral_radius(A) (KatzDivergenceError otherwise);
     larger graphs use the truncated series sum_{l=1..L} (beta A)^l with
     L = ``_KATZ_TERMS`` (5), which reads ``index.adj`` only.  The series
-    runs once for the unique target columns, ``_KATZ_COLUMNS`` at a time.
-    Hops 1 to L - 1 are sparse products x_l = beta A x_{l-1} of the block;
-    the last hop is computed only at the pairs' (u, target) entries by
-    ``_hop_at``.  Each pair adds its x_1 .. x_L entries in hop order, so no
-    n x n or n x block dense matrix is built, and each score is
-    bit-identical to propagating its target column alone through all L
+    runs once for the unique right ends, ``_KATZ_COLUMNS`` target columns
+    at a time.  Hops 1 to L - 1 are sparse products x_l = beta A x_{l-1} of
+    the block; the last hop is computed only at the pairs' (left, right)
+    entries by ``_hop_at``.  Each pair adds its x_1 .. x_L entries in hop
+    order, so no n x n or n x block dense matrix is built, and each score
+    is bit-identical to propagating its right column alone through all L
     sparse products.
     """
     beta = check_real("beta", beta)
     a = index.adj
     n = a.shape[0]
-    pairs, us, vs = _as_index_arrays(pairs, n)
+    pairs, lefts, rights = _as_index_arrays(pairs, n)
+    _left_right(pairs, lefts, rights, index.n_left)
     if n <= DENSE_THRESHOLD:
-        scores = _closed_form(index, beta, us, vs)
+        scores = _closed_form(index, beta, lefts, rights)
     else:
         scores = np.empty(len(pairs))
         damped = beta * a
-        targets, column = np.unique(vs, return_inverse=True)
+        targets, column = np.unique(rights, return_inverse=True)
         for lo in range(0, targets.size, _KATZ_COLUMNS):
             block = targets[lo : lo + _KATZ_COLUMNS]
             sel = np.flatnonzero((column >= lo) & (column < lo + block.size))
-            rows, cols = us[sel], column[sel] - lo
+            rows, cols = lefts[sel], column[sel] - lo
             x = sp.csr_matrix(
                 (np.ones(block.size), (block, np.arange(block.size))), shape=(n, block.size)
             )

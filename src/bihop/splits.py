@@ -212,14 +212,14 @@ def load_split(path, g: BipartiteGraph) -> EdgeSplit:
                 current = name
                 continue
             if current == "seed":
-                seed_lines.append(line)
+                seed_lines.append(_int_token(path, lineno, line))
             elif current is None:
                 raise ValueError(f"{path}:{lineno}: data before any section header")
             else:
                 parts = line.split()
                 if len(parts) != 2:
                     raise ValueError(f"{path}:{lineno}: expected 'u v', got {line!r}")
-                sections[current].append((int(parts[0]), int(parts[1])))
+                sections[current].append(tuple(_int_token(path, lineno, token) for token in parts))
     if len(seed_lines) != 1:
         raise ValueError(f"{path}: expected exactly one seed line")
     try:
@@ -228,7 +228,15 @@ def load_split(path, g: BipartiteGraph) -> EdgeSplit:
         raise ValueError(f"{path}: a pair index does not fit in int64") from None
     _check_split_pairs(path, g, pairs)
     fields = {field: read_only(pairs[name]) for name, field in _SECTIONS.items()}
-    return EdgeSplit(**fields, seed=int(seed_lines[0]))
+    return EdgeSplit(**fields, seed=seed_lines[0])
+
+
+def _int_token(path, lineno: int, token: str) -> int:
+    """``token`` as an int; ValueError naming ``path:lineno`` if it is not one."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: {token!r} is not an integer") from None
 
 
 def _check_split_pairs(path, g: BipartiteGraph, sections: dict) -> None:

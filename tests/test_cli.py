@@ -98,6 +98,21 @@ class TestGenerate:
         assert record["error"] == "ValueError"
         assert "--left-sizes" in record["message"]
 
+    def test_isolated_node_is_json_error(self, capsys, tmp_path):
+        """p = 0 leaves every node without an edge, which an edge list
+        cannot hold: nothing is written, where a file that loads back as a
+        smaller graph was written before."""
+        out = tmp_path / "empty.edges"
+        code, stdout, stderr = run_cli(
+            capsys, "generate", "--model", "er", "--out", str(out),
+            "--n-left", "4", "--n-right", "3", "--p", "0", "--seed", "1",
+        )
+        assert code == 1 and stdout == ""
+        record = stderr_record(stderr)
+        assert record["error"] == "ValueError"
+        assert "left node 0 has no edge" in record["message"]
+        assert not out.exists()
+
     def test_unknown_model_rejected_by_argparse(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["generate", "--model", "triangle", "--out", str(tmp_path / "x")])

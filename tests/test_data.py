@@ -7,6 +7,7 @@ meaningful.
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,12 +83,21 @@ class TestEdgeListParsing:
             load_edge_list_detailed(path)
 
     def test_write_then_load_round_trip(self, tmp_path):
+        """A graph with an isolated node is refused (two of these five); every
+        other one reads back as the same graph."""
         rng = np.random.default_rng(80)
+        refused = 0
         for _ in range(5):
             g = random_bipartite(rng, max_side=7)
             path = tmp_path / "round.edges"
+            if np.any(g.degrees() == 0):
+                with pytest.raises(ValueError, match="has no edge"):
+                    write_edge_list(g, path)
+                refused += 1
+                continue
             write_edge_list(g, path)
             res = load_edge_list_detailed(path)
+            assert (res.graph.n_left, res.graph.n_right) == (g.n_left, g.n_right)
             # ids are written in edge order, so indices may permute; compare
             # through the id mapping
             back = {
@@ -95,6 +105,24 @@ class TestEdgeListParsing:
                 for u, v in res.graph.edges
             }
             assert back == set(pairs_of(g.edges))
+        assert refused == 2
+
+    @pytest.mark.parametrize(
+        "n_left, n_right, edges, match",
+        [
+            (3, 3, [(0, 0), (1, 1)], "left node 2 has no edge"),
+            (2, 3, [(0, 0), (1, 2)], "right node 1 has no edge"),
+            (2, 2, [], "left node 0 has no edge"),
+        ],
+    )
+    def test_write_rejects_isolated_node(self, tmp_path, n_left, n_right, edges, match):
+        """An edge list cannot hold a node with no edge: ``build_graph(3, 3,
+        [(0, 0), (1, 1)])`` (n = 6) used to be written and read back with
+        n = 4.  The first isolated node is named before the file is opened."""
+        path = tmp_path / "iso.edges"
+        with pytest.raises(ValueError, match=match):
+            write_edge_list(build_graph(n_left, n_right, edges), path)
+        assert not path.exists()
 
     def test_write_custom_ids(self, tmp_path):
         g = build_graph(2, 1, [(0, 0), (1, 0)])
@@ -148,6 +176,20 @@ class TestGenerators:
         assert empty.m == 0
         full = generate_bipartite_er(5, 7, 1.0, seed=1)
         assert full.m == 35
+
+    def test_sbm_block_drawn_in_bounded_chunks(self):
+        """A 4096 x 2048 block is drawn 2**22 cells at a time, as ER draws:
+        it peaks under 48 MiB (one chunk's floats are 32 MiB), where a
+        whole-block draw peaked at 72 MiB, and a one-block SBM makes ER's
+        draws in ER's order, so both give the same edges."""
+        tracemalloc.start()
+        try:
+            g = generate_bipartite_sbm([4096], [2048], 0.001, 0.0, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
+        assert np.array_equal(g.edges, generate_bipartite_er(4096, 2048, 0.001, seed=1).edges)
 
     def test_er_deterministic(self):
         a = generate_bipartite_er(30, 30, 0.1, seed=9)
@@ -322,7 +364,7 @@ class TestRegistry:
 
     def test_validate_rejects_mismatch(self, tmp_path):
         path = tmp_path / "small.edges"
-        write_edge_list(build_graph(2, 2, [(0, 0)]), path)
+        write_edge_list(build_graph(1, 1, [(0, 0)]), path)
         with pytest.raises(GraphInputError, match="registry expects 32 nodes, got 2"):
             load_dataset(DatasetSpec(id="southern_women", source=str(path)))
 

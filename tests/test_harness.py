@@ -562,8 +562,6 @@ class TestLeakageDiscipline:
                 heuristic_scores(a.heuristics, kind, probe).scores,
                 heuristic_scores(b.heuristics, kind, probe).scores,
             ), kind
-        # Katz also takes same-side and self pairs, on both sides.
-        probe += [(0, 5), (7, 7), (block_graph.n_left + 1, block_graph.n_left + 9)]
         for form in ("closed", "series"):
             with katz_form(form):
                 katz_a = scoring.katz_score(a.katz, 0.01, probe).scores

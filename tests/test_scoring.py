@@ -556,16 +556,22 @@ class TestHeuristics:
 
     def test_homogeneous_pair_rejected(self):
         """The whole batch is checked, and the message names the first
-        homogeneous pair as given."""
+        homogeneous pair as given, same-side or self, for every heuristic
+        and for Katz in both forms."""
         g = build_graph(3, 3, [(0, 0)])
         index = heuristic_index(g)
         with pytest.raises(ValueError, match=re.escape("pair (0, 1) is homogeneous")):
             heuristic_one(g, ScorerKind.COMMON_NEIGHBORS, 0, 1)
         with pytest.raises(ValueError, match=re.escape("pair (3, 5) is homogeneous")):
             heuristic_one(g, ScorerKind.PREFERENTIAL_ATTACHMENT, 3, 5)
-        for kind in HEURISTIC_KINDS:
-            with pytest.raises(ValueError, match=re.escape("pair (5, 4) is homogeneous")):
-                heuristic_scores(index, kind, [(0, 3), (4, 1), (5, 4), (0, 1)])
+        calls = [lambda pairs, kind=kind: heuristic_scores(index, kind, pairs) for kind in HEURISTIC_KINDS]
+        calls.append(lambda pairs: katz_of(g, 0.1, pairs))
+        batches = {"(5, 4)": [(0, 3), (4, 1), (5, 4), (0, 1)], "(2, 2)": [(0, 3), (2, 2)]}
+        for form in ("closed", "series"):
+            for call in calls:
+                for first, batch in batches.items():
+                    with katz_form(form), pytest.raises(ValueError, match=re.escape(f"pair {first} is homogeneous")):
+                        call(batch)
 
     def test_non_heuristic_kind_rejected(self):
         g = build_graph(2, 2, [(0, 0)])
@@ -767,13 +773,14 @@ class TestKatz:
         assert fwd == pytest.approx(rev, rel=1e-12)
 
     def test_series_bit_identical_to_per_pair_loop(self):
-        """More unique targets than one column chunk, repeated targets, both
-        pair orientations, and a left node and a target with no training
-        neighbours: every score equals the per-pair walk, for a series that
-        is its pointwise last hop alone (1 term) and for series whose last
-        hop follows one or more sparse products (2, 3, 5 terms)."""
+        """More unique right ends than one column chunk, repeated right
+        ends, left-right pairs in both orientations, and a left and a right
+        node with no training neighbours: every score equals the per-pair
+        walk from the pair's right end, for a series that is its pointwise
+        last hop alone (1 term) and for series whose last hop follows one or
+        more sparse products (2, 3, 5 terms)."""
         rng = np.random.default_rng(79)
-        for n_left, n_right in ((150, 170), (40, 30)):
+        for n_left, n_right in ((150, 300), (40, 30)):
             # Left node 0 and right node 0 (global n_left) stay isolated.
             edges = [
                 (u, v)
@@ -788,17 +795,18 @@ class TestKatz:
             # order, so a reordered accumulation shows up as a mismatch.
             upper = sp.triu(a).multiply(rng.uniform(0.5, 2.0, size=a.shape))
             weighted = sp.csr_matrix(upper + upper.T)
-            targets = np.concatenate([np.arange(g.n), rng.integers(0, g.n, size=50)])
-            pairs = [(int(rng.integers(g.n)), int(v)) for v in targets]
-            pairs += [(v, u) for u, v in pairs[:60]]
-            pairs += [(0, n_left + 1), (1, n_left), (0, n_left), (0, 1)]
+            rights = n_left + np.concatenate([np.arange(n_right), rng.integers(0, n_right, size=50)])
+            pairs = [(int(rng.integers(n_left)), int(v)) for v in rights]
+            pairs += [(0, n_left + 1), (1, n_left), (0, n_left)]
             if n_left == 150:
                 assert len({v for _, v in pairs}) > scoring._KATZ_COLUMNS
+            oriented = pairs + [(v, u) for u, v in pairs[:60]]
             for matrix, beta in ((a, 0.05), (weighted, 0.3)):
                 for terms in (1, 2, 3, 5):
                     with katz_form("series"), katz_terms(terms):
-                        got = katz_score(katz_index(matrix, n_left), beta, pairs).scores
-                    assert np.array_equal(got, katz_series_loop(matrix, beta, pairs, terms))
+                        got = katz_score(katz_index(matrix, n_left), beta, oriented).scores
+                    want = katz_series_loop(matrix, beta, pairs, terms)
+                    assert np.array_equal(got, np.concatenate([want, want[:60]]))
 
     def test_series_empty_pairs(self):
         g = build_graph(2, 2, [(0, 0)])
@@ -863,8 +871,7 @@ class TestKatz:
         assert seen[0][0] is blocks[1]
 
     def test_closed_form_matches_dense_resolvent(self):
-        """Every ordered pair of nodes (left-right pairs in both
-        orientations, same-side pairs on both sides, self-pairs) against
+        """Every left-right pair in both orientations against
         inv(I - beta A) - I, at 1e-12 of the largest |score|: the left side
         smaller, larger and equal, a node on each side with no edge, 0/1 and
         random symmetric weights, and beta at 0.5 and 0.9 of 1 / radius.
@@ -876,7 +883,8 @@ class TestKatz:
             g = build_graph(n_left, n_right, edges)
             a = adjacency(g)
             upper = sp.triu(a).multiply(rng.uniform(0.5, 2.0, size=a.shape))
-            pairs = [(u, v) for u in range(g.n) for v in range(g.n)]
+            pairs = het_pairs(g)
+            pairs += [(v, u) for u, v in pairs]
             for matrix in (a, sp.csr_matrix(upper + upper.T)):
                 dense = matrix.toarray()
                 index = katz_index(matrix, n_left)
@@ -888,8 +896,8 @@ class TestKatz:
                     tol = 1e-12 * np.max(np.abs(want))
                     assert np.max(np.abs(got - np.array([want[u, v] for u, v in pairs]))) <= tol
         empty = build_graph(3, 4, [])
-        pairs = [(u, v) for u in range(empty.n) for v in range(empty.n)]
-        assert not np.any(katz_of(empty, 0.5, pairs).scores)
+        pairs = het_pairs(empty)
+        assert not np.any(katz_of(empty, 0.5, pairs + [(v, u) for u, v in pairs]).scores)
 
     def test_index_rejects_non_bipartite_matrix(self):
         """The closed form holds only for A = [[0, B], [B^T, 0]]; an entry
@@ -908,7 +916,7 @@ class TestKatz:
         code = (
             "import sys, bihop\n"
             "g = bihop.generate_bipartite_er(30, 40, 0.2, seed=1)\n"
-            "bihop.katz_score(bihop.katz_index(g.adj, g.n_left), 0.01, [(0, 30), (1, 2), (31, 32)])\n"
+            "bihop.katz_score(bihop.katz_index(g.adj, g.n_left), 0.01, [(0, 30), (35, 1), (29, 69)])\n"
             "print(sorted(m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.sparse.linalg'))))"
         )
         child = subprocess.run(
@@ -1020,21 +1028,18 @@ class TestPairOrderSymmetry:
     @pytest.mark.parametrize("kind", list(ScorerKind), ids=lambda k: k.value)
     @given(case=graph_and_pair_lists())
     def test_reversed_pairs_score_alike(self, kind, case):
-        """Scoring (v, u) gives the bytes of scoring (u, v) for every scorer
-        but Katz, which agrees to 1e-12 relative in both forms.  Heuristics
-        take heterogeneous pairs only; the rest also take arbitrary pairs."""
+        """Scoring (v, u) gives the bytes of scoring (u, v) for every scorer,
+        Katz in both forms.  Katz and the heuristics take heterogeneous pairs
+        only; the model scorers also take arbitrary pairs."""
         g, z, het, anywhere = case
-        pairs = het if kind in HEURISTIC_KINDS else het + anywhere
+        pairs = het if kind in HEURISTIC_KINDS | {ScorerKind.KATZ} else het + anywhere
         reversed_pairs = [(v, u) for u, v in pairs]
         forms = ("closed", "series") if kind is ScorerKind.KATZ else (None,)
         for form in forms:
             with katz_form(form) if form else nullcontext():
                 forward = score_with(kind, g, z, pairs)
                 backward = score_with(kind, g, z, reversed_pairs)
-            if kind is ScorerKind.KATZ:
-                assert np.allclose(backward, forward, rtol=1e-12, atol=0)
-            else:
-                assert backward.tobytes() == forward.tobytes()
+            assert backward.tobytes() == forward.tobytes()
 
 
 class TestMonotoneInvariance:

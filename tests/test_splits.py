@@ -392,6 +392,22 @@ class TestSaveLoad:
         with pytest.raises(ValueError, match="expected"):
             load_split(path, medium_graph())
 
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("#seed\n1\n#train\n0 0\n1.5 2\n", r"bad.txt:5: '1.5' is not an integer"),
+            ("#seed\n0.5\n#train\n0 0\n", r"bad.txt:2: '0.5' is not an integer"),
+        ],
+        ids=["pair", "seed"],
+    )
+    def test_non_integer_token_names_file_and_line(self, tmp_path, text, match):
+        """A token that is not an integer used to raise int()'s bare
+        "invalid literal" message, naming neither the file nor the line."""
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            load_split(path, medium_graph())
+
     def test_rejects_missing_seed(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("#train\n0 0\n")
