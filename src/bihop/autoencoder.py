@@ -59,6 +59,11 @@ class TrainingDivergedError(RuntimeError):
         super().__init__(message)
         self.epoch = epoch
 
+    def __reduce__(self):
+        # The default rebuilds from ``args`` alone, which lacks ``epoch``;
+        # the state dict carries ``epoch`` and any ``__notes__``.
+        return type(self), (self.args[0], self.epoch), self.__dict__
+
 
 @dataclass(frozen=True)
 class TrainConfig:

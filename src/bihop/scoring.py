@@ -40,10 +40,13 @@ neighbors" of a heterogeneous pair (u, v) are the intermediate nodes of
 length-3 paths, C(u, v) = N(u) n N2(v) with N2(v) the union of
 neighbors-of-neighbors of v.  They read a ``HeuristicIndex`` built once per
 training graph (``heuristic_index``): its neighbour lists, sets, degrees and
-aa/ra terms, and each pair's cn/jc/aa/ra, kept on first use, are shared by
-all five indices and every call on that graph.  N2(v) is built once per
-target per call, from the shared lists, and dropped once its pairs are
-scored, so the index holds at most one N2 set at a time.
+aa/ra term arrays are shared by all five indices and every call on that
+graph, and it keeps each batch's cn/jc/aa/ra arrays on first use, so the
+four indices that read C score the same pairs with one pass.  That pass
+builds N2(v) once per target, from the shared lists, and drops it once its
+pairs are scored, so the index holds at most one N2 set at a time; it
+gathers each C in its iteration order and folds aa and ra with
+``np.bincount``.
 """
 
 from __future__ import annotations
@@ -62,7 +65,8 @@ from .graph import BipartiteGraph, NormalizedAdjacency, check_real, pair_array, 
 DENSE_THRESHOLD = 4096
 
 _PAIR_CHUNK = 256
-# (pair, neighbor) entries two_hop gathers at a time.
+# Entries a gather holds at a time: two_hop's (pair, neighbor) entries and
+# the heuristics' common-set elements before a fold.
 _GATHER_ENTRIES = 1 << 16
 # Target columns the truncated Katz series propagates at a time.
 _KATZ_COLUMNS = 256
@@ -245,21 +249,22 @@ class HeuristicIndex:
     N2 built from them, ``neighbor_sets[u]`` N(u) for each left node u
     (only a pair's left node needs its set), ``degrees`` the degree array,
     ``aa_terms[b]`` the Adamic-Adar term 1 / ln deg(b) (0.0 below degree 2)
-    and ``ra_terms[b]`` the resource-allocation term 1 / deg(b).
-    ``commons[u, v]`` keeps a pair's cn, jc, aa and ra scores once a call
-    has built them, so a pair's C = N(u) & N2(v) is built once per training
-    graph.  N2(v) is not kept: ``heuristic_scores`` builds it once per
-    target per call and drops it.  Every set is built the same way for
-    every call, so C iterates in one fixed order and the aa/ra sums do not
-    depend on which call, or which other pairs, asked.
+    and ``ra_terms[b]`` the resource-allocation term 1 / deg(b), as float64
+    arrays.  ``commons`` maps a batch's sorted pair ends (their bytes) to
+    its cn, jc, aa and ra arrays once a call has built them, so cn, jc, aa
+    and ra on the same pairs build each C = N(u) & N2(v) once.  N2(v) is
+    not kept: ``_common_scores`` builds it once per target and drops it.
+    Every set is built the same way for every call, so C iterates in one
+    fixed order and the aa/ra sums do not depend on which call, or which
+    other pairs, asked.
     """
 
     g: BipartiteGraph
     neighbor_lists: tuple = field(repr=False)
     neighbor_sets: tuple = field(repr=False)
     degrees: np.ndarray = field(repr=False)
-    aa_terms: list = field(repr=False)
-    ra_terms: list = field(repr=False)
+    aa_terms: np.ndarray = field(repr=False)
+    ra_terms: np.ndarray = field(repr=False)
     commons: dict = field(default_factory=dict, repr=False)
 
 
@@ -269,24 +274,53 @@ _COMMON_KINDS = (
 )
 
 
-def _common_scores(index: HeuristicIndex, v: int, lefts) -> list:
-    """(cn, jc, aa, ra) of each left u in ``lefts`` with right v, each read
-    from C = N(u) & N2(v).  N2(v) is built once for them all and dropped on
-    return."""
-    n2 = _two_step_neighborhood(index.neighbor_lists, v)
-    aa_terms, ra_terms = index.aa_terms, index.ra_terms
-    out = []
-    for u in lefts:
-        nu = index.neighbor_sets[u]
-        common = nu & n2
-        c = len(common)
-        union = len(nu) + len(n2) - c
-        aa = ra = 0.0  # a left-to-right fold: sum() compensates floats from Python 3.12
-        for b in common:
-            aa += aa_terms[b]
-            ra += ra_terms[b]
-        out.append((c, c / union if union else 0.0, aa, ra))
-    return out
+def _common_scores(index: HeuristicIndex, lefts: np.ndarray, rights: np.ndarray) -> tuple:
+    """(cn, jc, aa, ra) arrays of the pairs (lefts[i], rights[i]), each read
+    from C = N(u) & N2(v).
+
+    The pairs are taken in order of their right end (stable), N2(v) is
+    built once per target and dropped after its pairs, and each C's
+    elements are gathered into one flat buffer in C's iteration order.
+    Whenever the buffer reaches ``_GATHER_ENTRIES`` entries, at a pair's
+    end, ``np.bincount`` folds it: it adds each pair's aa and ra terms from
+    0.0 in buffer order, the left-to-right fold of C in its set order.
+    """
+    k = lefts.size
+    order = np.argsort(rights, kind="stable")
+    lefts, rights = lefts[order], rights[order]
+    us, vs = lefts.tolist(), rights.tolist()
+    sets, lists = index.neighbor_sets, index.neighbor_lists
+    sizes, n2_sizes, flat = [], np.empty(k, dtype=np.int64), []
+    aa, ra = np.empty(k), np.empty(k)
+    done = 0
+
+    def fold(end):
+        nonlocal done
+        seg = np.repeat(np.arange(end - done), sizes[done:end])
+        entries = np.array(flat, dtype=np.intp)
+        aa[done:end] = np.bincount(seg, weights=index.aa_terms[entries], minlength=end - done)
+        ra[done:end] = np.bincount(seg, weights=index.ra_terms[entries], minlength=end - done)
+        flat.clear()
+        done = end
+
+    starts = np.flatnonzero(np.diff(rights, prepend=-1)).tolist()
+    for lo, hi in zip(starts, starts[1:] + [k]):
+        n2 = _two_step_neighborhood(lists, vs[lo])
+        n2_sizes[lo:hi] = len(n2)
+        for u in us[lo:hi]:
+            common = sets[u] & n2
+            flat.extend(common)
+            sizes.append(len(common))
+            if len(flat) >= _GATHER_ENTRIES:
+                fold(len(sizes))
+        del n2
+    fold(k)
+    cn = np.array(sizes, dtype=np.float64)
+    union = index.degrees[lefts] + n2_sizes - cn
+    jc = np.divide(cn, union, out=np.zeros(k), where=union > 0)
+    out = np.empty((4, k))
+    out[:, order] = cn, jc, aa, ra
+    return tuple(out)
 
 
 def heuristic_index(g_train: BipartiteGraph) -> HeuristicIndex:
@@ -299,8 +333,8 @@ def heuristic_index(g_train: BipartiteGraph) -> HeuristicIndex:
         neighbor_lists=lists,
         neighbor_sets=tuple(map(set, lists[: g_train.n_left])),
         degrees=degrees,
-        aa_terms=[1.0 / math.log(d) if d >= 2 else 0.0 for d in deg],
-        ra_terms=[1.0 / d if d else 0.0 for d in deg],
+        aa_terms=np.array([1.0 / math.log(d) if d >= 2 else 0.0 for d in deg]),
+        ra_terms=np.array([1.0 / d if d else 0.0 for d in deg]),
     )
 
 
@@ -320,12 +354,13 @@ def heuristic_scores(index: HeuristicIndex, kind: ScorerKind, pairs) -> PairScor
     paths from u to v, which is what "common neighbors" degrades to across
     partitions.  The whole batch is checked first: a non-heuristic ``kind``,
     an out-of-range pair or a homogeneous pair raises ValueError.  The last
-    four read ``index.commons``: a pair's C is built once per index, by
-    whichever of them asks first, which keeps its four scores.  The pairs
-    the memo lacks are grouped by right node v; N2(v) is built once for its
-    group and dropped after it.  The union's size is |N(u)| + |N2(v)| - |C|,
-    and aa/ra add the index's per-node terms over C in the set's iteration
-    order.
+    four read ``index.commons``: whichever of them asks first for a batch
+    scores all four over it (``_common_scores``), and the others on the same
+    pairs read the kept arrays.  That pass takes the pairs by right node v,
+    builds N2(v) once per target and drops it after its pairs.  The union's
+    size is |N(u)| + |N2(v)| - |C|, and aa/ra add the index's per-node terms
+    over C from 0.0 in the set's iteration order, by ``np.bincount`` over the
+    gathered elements.
     """
     if kind not in HEURISTIC_KINDS:
         raise ValueError(f"{kind} is not a heuristic scorer")
@@ -334,19 +369,11 @@ def heuristic_scores(index: HeuristicIndex, kind: ScorerKind, pairs) -> PairScor
     if kind is ScorerKind.PREFERENTIAL_ATTACHMENT:
         scores = (index.degrees[lefts] * index.degrees[rights]).astype(np.float64)
         return PairScores(pairs=pairs, scores=scores, scorer=kind)
-    # The memo keeps four numbers per pair, not its intersection set.
-    memo = index.commons
-    keys = list(zip(lefts.tolist(), rights.tolist()))
-    missing = {}
-    for u, v in dict.fromkeys(keys):
-        if (u, v) not in memo:
-            missing.setdefault(v, []).append(u)
-    for v, group in missing.items():
-        for u, scores in zip(group, _common_scores(index, v, group)):
-            memo[u, v] = scores
-    col = _COMMON_KINDS.index(kind)
-    values = [memo[key][col] for key in keys]
-    return PairScores(pairs=pairs, scores=np.array(values, dtype=np.float64), scorer=kind)
+    key = lefts.tobytes() + rights.tobytes()
+    if key not in index.commons:
+        index.commons[key] = _common_scores(index, lefts, rights)
+    scores = index.commons[key][_COMMON_KINDS.index(kind)].copy()
+    return PairScores(pairs=pairs, scores=scores, scorer=kind)
 
 
 class KatzDivergenceError(ValueError):

@@ -14,8 +14,10 @@ expit over every logit against the densified labels) as an oracle for the
 sparse-label tile kernel.
 """
 
+import copy
 import dataclasses
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -759,6 +761,16 @@ class TestTrain:
             with pytest.raises(TrainingDivergedError) as exc:
                 train(normalize(g.adj), training_labels(adjacency(g)), cfg)
         assert 0 <= exc.value.epoch < 5
+
+    def test_divergence_error_survives_pickle_and_copy(self):
+        """A worker process hands the error back pickled: the copy keeps the
+        type, message, epoch and notes."""
+        err = TrainingDivergedError("non-finite loss at epoch 3", epoch=3)
+        err.add_note("dataset er, run 0, seed 0")
+        for clone in (pickle.loads(pickle.dumps(err)), copy.copy(err), copy.deepcopy(err)):
+            assert type(clone) is TrainingDivergedError
+            assert (str(clone), clone.args, clone.epoch) == (str(err), err.args, 3)
+            assert clone.__notes__ == ["dataset er, run 0, seed 0"]
 
     def test_label_shape_mismatch(self):
         rng = np.random.default_rng(52)

@@ -690,9 +690,9 @@ class TestSharedTrainingSide:
         built = []
         real = scoring._common_scores
 
-        def counted(index, v, lefts):
-            built.extend((u, v) for u in lefts)
-            return real(index, v, lefts)
+        def counted(index, lefts, rights):
+            built.extend(zip(lefts.tolist(), rights.tolist()))
+            return real(index, lefts, rights)
 
         monkeypatch.setattr(scoring, "_common_scores", counted)
         g, split = run_five_heuristics()

@@ -642,6 +642,26 @@ class TestHeuristics:
         compensated = [neumaier(index.aa_terms[b] for b in c) for c in commons]
         assert not np.array_equal(heuristic_scores(index, ScorerKind.ADAMIC_ADAR, pairs).scores, compensated)
 
+    def test_folds_in_bounded_pieces(self, monkeypatch):
+        """With a gather bound of a few entries one batch folds many times,
+        each fold at a pair's end; aa and ra still equal the per-pair loop
+        and the default bound's scores byte for byte.  The batch holds a
+        pair with an empty C (its right node is isolated) and a pair listed
+        twice."""
+        er = generate_bipartite_er(60, 110, 0.3, seed=3)
+        g = build_graph(er.n_left, er.n_right + 1, er.edges)
+        isolated = g.n - 1
+        pairs = het_pairs(g)[::37] + [(5, isolated), (0, g.n_left + 4), (0, g.n_left + 4)]
+        index = heuristic_index(g)
+        assert index.degrees[isolated] == 0
+        kinds = (ScorerKind.ADAMIC_ADAR, ScorerKind.RESOURCE_ALLOCATION)
+        default = [heuristic_scores(index, kind, pairs).scores for kind in kinds]
+        monkeypatch.setattr(scoring, "_GATHER_ENTRIES", 3)
+        for kind, want in zip(kinds, default):
+            got = heuristic_scores(heuristic_index(g), kind, pairs).scores
+            assert got.tobytes() == want.tobytes() == heuristic_loop(g, kind, pairs).tobytes(), kind
+            assert got[-3] == 0.0 and got[-2] == got[-1] > 0.0, kind
+
     @pytest.mark.parametrize("shape", [(60, 110, 0.3), (200, 300, 0.02)])
     def test_two_step_sets_keep_the_loop_order(self, shape):
         """Every N2(v) iterates exactly as the per-neighbour ``update``
