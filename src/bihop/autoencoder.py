@@ -369,10 +369,29 @@ def _config_scalar(stored: np.ndarray):
     return int(value) if isinstance(value, str) else value
 
 
+def _check_checkpoint(model: EmbeddingModel, config: TrainConfig) -> None:
+    """ValueError naming the first stored field of a checkpoint whose count
+    or shape does not fit ``config``; n is the first weight's row count."""
+    lgae = config.model_kind is ModelKind.LGAE
+    if len(model.weights) != (1 if lgae else 2):
+        raise ValueError(
+            f"weights: a {config.model_kind.value} checkpoint holds {1 if lgae else 2}, got {len(model.weights)}"
+        )
+    n = model.weights[0].shape[:1]  # (n,), or () for a 0-d weight, which then fails its shape
+    e, h = config.embed_dim, config.hidden_dim
+    shapes = ([n + (e,)] if lgae else [n + (h,), (h, e)]) + [n + (e,), (config.epochs + 1,)]
+    stored = [(f"weight_{k}", w) for k, w in enumerate(model.weights)]
+    for (name, value), shape in zip(stored + [("Z", model.Z), ("loss_history", model.loss_history)], shapes):
+        if value.shape != shape:
+            raise ValueError(f"{name} has shape {value.shape}, expected {shape}")
+
+
 def load_model(path):
     """Read a checkpoint written by save_model; returns (model, config).
 
-    A stored ``dense_threshold`` (written by older versions) is ignored.
+    ValueError if the weight count, or the shape of a weight, ``Z`` or
+    ``loss_history``, does not fit the stored config.  A stored
+    ``dense_threshold`` (written by older versions) is ignored.
     """
     with np.load(path) as data:
         version = int(data["format_version"])
@@ -389,4 +408,5 @@ def load_model(path):
             weights=tuple(weights),
             loss_history=data["loss_history"],
         )
+    _check_checkpoint(model, config)
     return model, config

@@ -25,7 +25,6 @@ from .harness import (
     load_config,
     run_benchmark,
 )
-from .scoring import ScorerKind
 from .splits import save_split, split_edges
 
 
@@ -89,7 +88,7 @@ def _load_cli_config(args) -> BenchmarkConfig:
     if getattr(args, "dataset", None):
         overrides["datasets"] = tuple(args.dataset)
     if getattr(args, "method", None):
-        overrides["scorers"] = tuple(ScorerKind.parse(m) for m in args.method)
+        overrides["scorers"] = tuple(args.method)
     if getattr(args, "out_dir", None):
         overrides["out_dir"] = args.out_dir
     if overrides:

@@ -86,10 +86,12 @@ class BipartiteGraph:
         return tuple(indices[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
 
     def right_global(self, j: int) -> int:
-        """Global index of right node ``j``."""
-        return self.n_left + j
+        """Global index of right node ``j``, 0 <= j < n_right."""
+        return self.n_left + _in_range("j", j, self.n_right)
 
     def degree(self, i: int) -> int:
+        """Degree of global node ``i``, 0 <= i < n."""
+        i = _in_range("i", i, self.n)
         return int(self.adj.indptr[i + 1] - self.adj.indptr[i])
 
     def degrees(self) -> np.ndarray:
@@ -142,6 +144,15 @@ def check_int(name: str, value, low: int | None = None) -> int:
     if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
     return int(value)
+
+
+def _in_range(name: str, value, size: int) -> int:
+    """``value`` as an int in [0, size); TypeError as ``check_int``,
+    ValueError naming ``name`` and the range otherwise."""
+    value = check_int(name, value)
+    if not 0 <= value < size:
+        raise ValueError(f"{name} = {value} is outside [0, {size})")
+    return value
 
 
 def check_real(name: str, value, unit: bool = False) -> float:

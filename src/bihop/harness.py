@@ -73,6 +73,8 @@ SCORER_MODELS = {ScorerKind.TWO_HOP: ModelKind.LGAE, ScorerKind.RECON_TWO_HOP: M
 
 CONFUSION_PAIR_LIMIT = 2000
 
+_DATASET_KEYS = frozenset(f.name for f in fields(DatasetSpec))
+
 
 @dataclass(frozen=True)
 class BenchmarkConfig:
@@ -87,35 +89,50 @@ class BenchmarkConfig:
     out_dir: str | os.PathLike | None = None
 
     def __post_init__(self):
-        # Each input takes its one form here; idempotent, as replace() reruns it.
+        # The one parser of a benchmark's inputs: each takes its one form
+        # here, from Python or JSON alike; idempotent, as replace() reruns it.
         put = object.__setattr__
         for key in ("datasets", "scorers", "ratios", "lgae_grid", "gae_grid", "katz_grid"):
             put(self, key, _array(key, getattr(self, key)))
+        specs = []
         for i, spec in enumerate(self.datasets):
-            if not isinstance(spec, (DatasetSpec, str)):
-                raise TypeError(f"datasets[{i}] must be a DatasetSpec or a dataset id, got {spec!r}")
-            dataset_id = spec.id if isinstance(spec, DatasetSpec) else spec
-            if not isinstance(dataset_id, str) or not dataset_id:
-                raise TypeError(f"datasets[{i}]: id must be a non-empty string, got {dataset_id!r}")
+            if isinstance(spec, Mapping):
+                extra = set(spec) - _DATASET_KEYS
+                if extra:
+                    raise ValueError(f"unknown dataset keys in datasets[{i}]: {sorted(extra)}")
+                if "id" not in spec:
+                    raise ValueError(f"datasets[{i}] has no 'id': {spec!r}")
+                spec = DatasetSpec(**spec)
+            elif isinstance(spec, str):
+                spec = DatasetSpec(id=spec)
+            elif not isinstance(spec, DatasetSpec):
+                raise TypeError(f"datasets[{i}] must be a DatasetSpec, its fields or a dataset id, got {spec!r}")
+            if not isinstance(spec.id, str) or not spec.id:
+                raise TypeError(f"datasets[{i}]: id must be a non-empty string, got {spec.id!r}")
+            specs.append(spec)
+        put(self, "datasets", tuple(specs))
         if self.out_dir is not None and not isinstance(self.out_dir, (str, os.PathLike)):
             raise TypeError(f"out_dir must be a path string, got {self.out_dir!r}")
-        specs = (s if isinstance(s, DatasetSpec) else DatasetSpec(id=s) for s in self.datasets)
-        put(self, "datasets", tuple(specs))
         put(self, "ratios", check_ratios(self.ratios))
         put(self, "katz_grid", tuple(check_real(f"katz_grid[{i}]: beta", b) for i, b in enumerate(self.katz_grid)))
-        for key in ("lgae_grid", "gae_grid"):
+        for model_kind in ModelKind:
+            key = f"{model_kind.value}_grid"
             for i, point in enumerate(getattr(self, key)):
                 if not isinstance(point, Mapping):
                     raise TypeError(f"{key}[{i}] must be a mapping of training parameters, got {point!r}")
+                try:  # as run 0 would train it
+                    TrainConfig(model_kind=model_kind, seed=0, **point)
+                except (TypeError, ValueError) as exc:
+                    raise type(exc)(f"{key}[{i}]: {exc}") from exc
             put(self, key, tuple(map(dict, getattr(self, key))))
         put(self, "runs", check_int("runs", self.runs, low=1))
         put(self, "base_seed", check_int("base_seed", self.base_seed))
+        put(self, "scorers", tuple(ScorerKind.parse(k) if isinstance(k, str) else k for k in self.scorers))
         for i, kind in enumerate(self.scorers):
             if not isinstance(kind, ScorerKind):
-                raise TypeError(f"scorers[{i}] must be a ScorerKind, got {kind!r}")
+                raise TypeError(f"scorers[{i}] must be a ScorerKind or a scorer name, got {kind!r}")
             if not _grid_for(kind, self):
                 raise ValueError(f"empty hyperparameter grid for scorer {kind.value}")
-            _check_grid(kind, self)
         if len(set(self.scorers)) != len(self.scorers):
             raise ValueError(f"scorers must be distinct, got {[k.value for k in self.scorers]}")
 
@@ -135,19 +152,6 @@ def _grid_for(kind: ScorerKind, config: BenchmarkConfig) -> tuple:
     if kind is ScorerKind.KATZ:
         return tuple({"beta": b} for b in config.katz_grid)
     return ({},)  # degree/path heuristics have nothing to tune
-
-
-def _check_grid(kind: ScorerKind, config: BenchmarkConfig) -> None:
-    """Raise on a point of ``kind``'s model grid that ``TrainConfig``
-    rejects, as run 0 would, naming the point."""
-    model_kind = SCORER_MODELS.get(kind)
-    if model_kind is None:
-        return
-    for i, point in enumerate(_grid_for(kind, config)):
-        try:
-            TrainConfig(model_kind=model_kind, seed=0, **point)
-        except (TypeError, ValueError) as exc:
-            raise type(exc)(f"{model_kind.value}_grid[{i}]: {exc}") from exc
 
 
 def _param_key(params: dict):
@@ -512,7 +516,6 @@ def diagnose(
 
 
 _CONFIG_KEYS = frozenset(f.name for f in fields(BenchmarkConfig))
-_DATASET_KEYS = frozenset(f.name for f in fields(DatasetSpec))
 
 
 def config_from_dict(raw: dict) -> BenchmarkConfig:
@@ -528,31 +531,12 @@ def config_from_dict(raw: dict) -> BenchmarkConfig:
       out_dir:    directory for CSV reports (a string)
     Nothing is coerced: a bool or a string for a number, a float for an
     integer, or a non-array for a list raises TypeError naming the key.
+    ``BenchmarkConfig`` parses every value; only unknown keys are caught here.
     """
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    # BenchmarkConfig itself gives counts, ratios, grids, dataset ids and
-    # out_dir their form.
-    passed = ("runs", "base_seed", "ratios", "lgae_grid", "gae_grid", "katz_grid", "out_dir")
-    kwargs = {key: raw[key] for key in passed if key in raw}
-    if "datasets" in raw:
-        specs = []
-        for i, entry in enumerate(_array("datasets", raw["datasets"])):
-            if isinstance(entry, Mapping):
-                extra = set(entry) - _DATASET_KEYS
-                if extra:
-                    raise ValueError(f"unknown dataset keys in datasets[{i}]: {sorted(extra)}")
-                if "id" not in entry:
-                    raise ValueError(f"datasets[{i}] has no 'id': {entry!r}")
-                entry = DatasetSpec(**entry)
-            specs.append(entry)
-        kwargs["datasets"] = specs
-    if "scorers" in raw:
-        # A name is parsed; anything else reaches BenchmarkConfig, which names it.
-        names = _array("scorers", raw["scorers"])
-        kwargs["scorers"] = tuple(ScorerKind.parse(s) if isinstance(s, str) else s for s in names)
-    return BenchmarkConfig(**kwargs)
+    return BenchmarkConfig(**raw)
 
 
 def load_config(path) -> BenchmarkConfig:

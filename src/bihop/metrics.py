@@ -5,7 +5,8 @@ score pairs ranked correctly, ties counted half.  Average precision walks the
 ranking from the top and sums precision at each recall step; among tied
 scores negatives are placed BEFORE positives, so tied blocks can only lower
 precision (documented pessimistic convention; the optimistic
-positives-first order is not used).
+positives-first order is not used).  Both count each positive against the
+sorted negatives with ``np.searchsorted``.
 """
 
 from __future__ import annotations
@@ -104,58 +105,44 @@ def _validate_scores(arr, name: str) -> np.ndarray:
     return arr
 
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks of ``x``, each tie run given its mean rank.
-
-    The ranks are half-integers, exact in float64, and equal scipy's
-    ``rankdata(x, method="average")`` byte for byte.
-    """
-    order = np.argsort(x, kind="stable")
-    ordered = x[order]
-    starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
-    ends = np.append(starts[1:], x.size)
-    ranks = np.empty(x.size)
-    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
-    return ranks
-
-
 def roc_auc(pos_scores, neg_scores) -> float:
     """Probability a random positive outranks a random negative (ties half).
 
-    Rank-based O((P+N) log(P+N)) evaluation; exactly equals the brute-force
-    pair count (# greater + 0.5 # equal) / (P * N).
+    Each positive is counted against the sorted negatives by
+    ``np.searchsorted``: U = sum over positives of (# negatives below + half
+    # negatives tied), an exact integer sum halved, in O((P+N) log N).  It
+    exactly equals the brute-force pair count (# greater + 0.5 # equal) /
+    (P * N).
     """
     pos = _validate_scores(pos_scores, "pos_scores")
     neg = _validate_scores(neg_scores, "neg_scores")
     if pos.size == 0 or neg.size == 0:
         raise ValueError("roc_auc needs at least one positive and one negative score")
-    ranks = _average_ranks(np.concatenate([pos, neg]))
-    u_stat = ranks[: pos.size].sum() - pos.size * (pos.size + 1) / 2.0
+    neg = np.sort(neg)
+    below_twice = np.searchsorted(neg, pos, side="left") + np.searchsorted(neg, pos, side="right")
+    u_stat = below_twice.sum() / 2.0
     return float(u_stat / (pos.size * neg.size))
-
-
-def _ranked_labels(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
-    """Labels sorted by score descending, tied negatives ahead of positives."""
-    scores = np.concatenate([neg, pos])
-    labels = np.concatenate([np.zeros(neg.size, dtype=np.int64), np.ones(pos.size, dtype=np.int64)])
-    order = np.argsort(-scores, kind="stable")
-    return labels[order]
 
 
 def average_precision(pos_scores, neg_scores) -> float:
     """Area under precision-recall by step summation.
 
     AP = sum_k (R_k - R_{k-1}) P_k over ranking positions; recall steps occur
-    exactly at positives, so this is the mean of precision-at-positive.
+    exactly at positives, so this is the mean of precision-at-positive.  With
+    tied negatives ranked first, the j-th positive from the top sits behind
+    every negative scoring at least as high, so its precision is
+    j / (j + # such negatives), counted by ``np.searchsorted`` on the sorted
+    negatives and summed from the top.
     """
     pos = _validate_scores(pos_scores, "pos_scores")
     neg = _validate_scores(neg_scores, "neg_scores")
     if pos.size == 0:
         raise ValueError("average_precision needs at least one positive score")
-    labels = _ranked_labels(pos, neg)
-    positions = np.arange(1, labels.size + 1)
-    precision = np.cumsum(labels) / positions
-    return float(precision[labels == 1].sum() / pos.size)
+    neg = np.sort(neg)
+    pos = np.sort(pos)[::-1]
+    j = np.arange(1, pos.size + 1)
+    ahead = neg.size - np.searchsorted(neg, pos, side="left")
+    return float((j / (j + ahead)).sum() / pos.size)
 
 
 def best_f1_threshold(scores, labels):

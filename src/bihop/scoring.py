@@ -60,7 +60,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .autoencoder import EmbeddingModel, decode_pairs, sigmoid
-from .graph import BipartiteGraph, NormalizedAdjacency, check_real, pair_array, read_only
+from .graph import BipartiteGraph, NormalizedAdjacency, check_int, check_real, pair_array, read_only
 
 DENSE_THRESHOLD = 4096
 
@@ -250,9 +250,10 @@ class HeuristicIndex:
     (only a pair's left node needs its set), ``degrees`` the degree array,
     ``aa_terms[b]`` the Adamic-Adar term 1 / ln deg(b) (0.0 below degree 2)
     and ``ra_terms[b]`` the resource-allocation term 1 / deg(b), as float64
-    arrays.  ``commons`` maps a batch's sorted pair ends (their bytes) to
-    its cn, jc, aa and ra arrays once a call has built them, so cn, jc, aa
-    and ra on the same pairs build each C = N(u) & N2(v) once.  N2(v) is
+    arrays.  ``commons`` maps the latest batch's sorted pair ends (their
+    bytes) to its cn, jc, aa and ra arrays once a call has built them, so
+    cn, jc, aa and ra on the same pairs build each C = N(u) & N2(v) once; a
+    new batch replaces it, so the memo holds one batch.  N2(v) is
     not kept: ``_common_scores`` builds it once per target and drops it.
     Every set is built the same way for every call, so C iterates in one
     fixed order and the aa/ra sums do not depend on which call, or which
@@ -371,6 +372,7 @@ def heuristic_scores(index: HeuristicIndex, kind: ScorerKind, pairs) -> PairScor
         return PairScores(pairs=pairs, scores=scores, scorer=kind)
     key = lefts.tobytes() + rights.tobytes()
     if key not in index.commons:
+        index.commons.clear()  # only the latest batch is kept
         index.commons[key] = _common_scores(index, lefts, rights)
     scores = index.commons[key][_COMMON_KINDS.index(kind)].copy()
     return PairScores(pairs=pairs, scores=scores, scorer=kind)
@@ -426,11 +428,13 @@ class KatzIndex:
 
 def katz_index(a_train: sp.spmatrix, n_left: int) -> KatzIndex:
     """The Katz index of the bipartite adjacency ``a_train``, whose first
-    ``n_left`` nodes are the left side; reads its entries only.  ValueError
-    if it is not square or stores an entry inside one side."""
+    ``n_left`` nodes are the left side; reads its entries only.  TypeError
+    if ``n_left`` is not an integer; ValueError if it is negative, or if the
+    matrix is not square or stores an entry inside one side."""
+    n_left = check_int("n_left", n_left, low=0)
     a = sp.csr_matrix(a_train, dtype=np.float64)
     n = a.shape[0]
-    if a.shape != (n, n) or not 0 <= n_left <= n:
+    if a.shape != (n, n) or n_left > n:
         raise ValueError(f"a {a.shape} matrix with n_left={n_left} is not a bipartite adjacency")
     row_left = np.repeat(np.arange(n) < n_left, np.diff(a.indptr))
     if np.any(row_left == (a.indices < n_left)):

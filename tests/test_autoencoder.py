@@ -879,6 +879,38 @@ class TestCheckpointing:
             assert names <= set(data.files)
             assert data["seed"].item() == "4" and data["learning_rate"].item() == 0.01
 
+    @pytest.mark.parametrize(
+        "kind, field, value, match",
+        [
+            (ModelKind.GAE, "model_kind", np.str_("lgae"), r"weights: a lgae checkpoint holds 1, got 2"),
+            (ModelKind.LGAE, "model_kind", np.str_("gae"), r"weights: a gae checkpoint holds 2, got 1"),
+            (ModelKind.LGAE, "weight_0", np.zeros(5), r"weight_0 has shape \(5,\), expected \(5, 3\)"),
+            (ModelKind.LGAE, "weight_0", np.zeros((9, 4)), r"weight_0 has shape \(9, 4\), expected \(9, 3\)"),
+            (ModelKind.GAE, "weight_0", np.zeros((9, 3)), r"weight_0 has shape \(9, 3\), expected \(9, 4\)"),
+            (ModelKind.GAE, "weight_1", np.zeros((3, 3)), r"weight_1 has shape \(3, 3\), expected \(4, 3\)"),
+            (ModelKind.LGAE, "Z", np.zeros((3, 3)), r"Z has shape \(3, 3\), expected \({n}, 3\)"),
+            (ModelKind.GAE, "Z", np.zeros((3, 3)), r"Z has shape \(3, 3\), expected \({n}, 3\)"),
+            (ModelKind.LGAE, "loss_history", np.zeros(2), r"loss_history has shape \(2,\), expected \(3,\)"),
+            (ModelKind.GAE, "loss_history", np.zeros((3, 1)), r"loss_history has shape \(3, 1\), expected \(3,\)"),
+        ],
+        ids=[
+            "gae_as_lgae", "lgae_as_gae", "1d_weight", "lgae_embed_dim", "gae_hidden_dim", "gae_weight_1",
+            "lgae_z", "gae_z", "short_loss_history", "2d_loss_history",
+        ],
+    )
+    def test_corrupt_checkpoint_rejected(self, tmp_path, kind, field, value, match):
+        """A checkpoint's weight count and every array's shape must fit its
+        config: an "lgae" file with one n x 16 weight and a 3 x 3 Z used to
+        load without error."""
+        g = random_bipartite(np.random.default_rng(61), min_edges=3)
+        cfg = TrainConfig(model_kind=kind, embed_dim=3, hidden_dim=4, epochs=2, seed=1)
+        save_model(train(normalize(g.adj), training_labels(adjacency(g)), cfg), cfg, tmp_path / "m.npz")
+        with np.load(tmp_path / "m.npz") as data:
+            payload = dict(data, **{field: value})
+        np.savez(tmp_path / "bad.npz", **payload)
+        with pytest.raises(ValueError, match=match.format(n=g.n)):
+            load_model(tmp_path / "bad.npz")
+
     def test_unsupported_version_rejected(self, tmp_path):
         path = tmp_path / "bad.npz"
         np.savez(path, format_version=np.int64(99))

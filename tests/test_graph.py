@@ -107,6 +107,22 @@ class TestBuildGraph:
     def test_right_global(self, toy_graph):
         assert toy_graph.right_global(0) == 3
 
+    def test_node_index_checked(self):
+        """On southern_women (18 + 14 nodes) degree(-1) used to return -178,
+        right_global(-1) the left node 17 and right_global(99) the index
+        117, past n = 32."""
+        g = southern_women_graph()
+        assert g.degree(np.int64(31)) == g.degrees()[31] and g.right_global(13) == 31
+        cases = ((g.degree, -1, 32), (g.degree, 32, 32), (g.right_global, -1, 14), (g.right_global, 14, 14),
+                 (g.right_global, 99, 14))
+        for call, bad, size in cases:
+            with pytest.raises(ValueError, match=rf"= {bad} is outside \[0, {size}\)"):
+                call(bad)
+        for call in (g.degree, g.right_global):
+            for bad in (1.0, True, "1"):
+                with pytest.raises(TypeError, match="must be an integer"):
+                    call(bad)
+
     def test_empty_graph(self):
         g = build_graph(3, 2, [])
         assert g.m == 0

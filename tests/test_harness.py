@@ -161,9 +161,14 @@ class TestBenchmarkConfig:
         assert (config.runs, config.base_seed) == (3, 7)
         assert type(config.runs) is int and type(config.base_seed) is int
 
-    def test_rejects_string_scorers(self):
-        with pytest.raises(TypeError, match="ScorerKind"):
-            BenchmarkConfig(scorers=("two_hop",))
+    def test_scorer_names_parse_as_in_json(self):
+        """A scorer name, alias included, parses in Python as it does in
+        JSON; an entry that is neither a name nor a ScorerKind is named."""
+        config = BenchmarkConfig(scorers=("two_hop", "pa", ScorerKind.KATZ))
+        assert config.scorers == (ScorerKind.TWO_HOP, ScorerKind.PREFERENTIAL_ATTACHMENT, ScorerKind.KATZ)
+        assert config == config_from_dict({"scorers": ["two_hop", "pa", "katz"]})
+        with pytest.raises(TypeError, match=r"scorers\[1\] must be a ScorerKind or a scorer name, got 5"):
+            BenchmarkConfig(scorers=("two_hop", 5))
 
     def test_rejects_empty_grid_for_model_scorer(self):
         with pytest.raises(ValueError, match="empty hyperparameter grid"):
@@ -213,16 +218,22 @@ class TestBenchmarkConfig:
             with pytest.raises(TypeError, match=rf"katz_grid\[{index}\]: beta must be a real number"):
                 BenchmarkConfig(katz_grid=grid)
 
-    def test_dataset_entry_neither_spec_nor_id_rejected(self):
-        """A mapping used to become a DatasetSpec whose id was the mapping's
-        repr; only config_from_dict turns JSON mappings into specs, and a
-        JSON entry that is neither is named by its position too."""
+    def test_dataset_mapping_is_a_spec_in_python_and_json(self):
+        """A mapping of DatasetSpec fields becomes the same spec in Python
+        and in JSON, with the same unknown-key and missing-id errors; an
+        entry that is none of a spec, a mapping or an id is named by its
+        position."""
         entry = {"id": "x", "source": {"model": "er", "n_left": 3, "n_right": 3, "p": 0.5}}
-        with pytest.raises(TypeError, match=r"datasets\[1\]"):
-            BenchmarkConfig(datasets=["southern_women", entry])
-        assert config_from_dict({"datasets": [entry]}).datasets == (DatasetSpec(**entry),)
-        with pytest.raises(TypeError, match=r"datasets\[0\] must be a DatasetSpec or a dataset id, got 5"):
-            config_from_dict({"datasets": [5]})
+        config = BenchmarkConfig(datasets=["southern_women", entry])
+        assert config.datasets == (DatasetSpec(id="southern_women"), DatasetSpec(**entry))
+        assert config_from_dict({"datasets": ["southern_women", entry]}) == config
+        for build in (lambda d: BenchmarkConfig(datasets=d), lambda d: config_from_dict({"datasets": d})):
+            with pytest.raises(TypeError, match=r"datasets\[0\] must be a DatasetSpec, its fields or a dataset id, got 5"):
+                build([5])
+            with pytest.raises(ValueError, match=r"unknown dataset keys in datasets\[1\]: \['url'\]"):
+                build(["toy", {"id": "x", "url": "http://x"}])
+            with pytest.raises(ValueError, match=r"datasets\[1\] has no 'id'"):
+                build(["toy", {"source": None}])
 
     @pytest.mark.parametrize("bad", [5, None, "", b"toy"])
     def test_dataset_id_must_be_a_non_empty_string(self, bad):
@@ -300,6 +311,15 @@ class TestBenchmarkConfig:
         check raises and names the grid and index."""
         with pytest.raises(error, match=match):
             BenchmarkConfig(scorers=(scorer,), **grids)
+
+    def test_bad_point_in_an_unused_model_grid_rejected(self):
+        """Every model grid point is checked at construction, whether or not
+        a listed scorer reads its grid; an empty unused grid is still fine."""
+        with pytest.raises(ValueError, match=r"lgae_grid\[1\]: epochs must be >= 1"):
+            BenchmarkConfig(scorers=(ScorerKind.COMMON_NEIGHBORS,), lgae_grid=(SMALL_GRID[0], {"epochs": 0}))
+        with pytest.raises(TypeError, match=r"gae_grid\[0\]: .*'learning_rte'"):
+            BenchmarkConfig(scorers=(ScorerKind.TWO_HOP,), gae_grid=({"learning_rte": 0.01},))
+        assert BenchmarkConfig(scorers=(ScorerKind.KATZ,), lgae_grid=(), gae_grid=()).lgae_grid == ()
 
     def test_inputs_take_one_form(self):
         """Dataset ids become DatasetSpecs, ratios floats and model grids

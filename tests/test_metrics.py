@@ -16,7 +16,6 @@ import pytest
 
 from bihop.metrics import (
     ConfusionMatrix,
-    _average_ranks,
     average_precision,
     best_f1_threshold,
     confusion_at,
@@ -105,18 +104,21 @@ class TestRocAuc:
         with pytest.raises(ValueError):
             roc_auc([np.nan], [0.1])
 
-    def test_average_ranks_byte_equal_scipy(self):
-        """The numpy tie-averaged ranks are scipy's, byte for byte, so the U
-        statistic and the AUC do not move."""
+    def test_byte_equal_scipy_rank_sum(self):
+        """The searchsorted count equals the rank-sum U statistic built from
+        scipy's tie-averaged ranks byte for byte, on tied and untied sets."""
         from scipy.stats import rankdata
 
         rng = np.random.default_rng(103)
         for _ in range(2000):
             pos, neg = random_score_set(rng)
-            x = np.concatenate([pos, neg])
             if rng.random() < 0.2:
-                x[rng.random(x.size) < 0.3] = -0.0  # ties between 0.0 and -0.0
-            assert _average_ranks(x).tobytes() == rankdata(x, method="average").tobytes()
+                pos[rng.random(pos.size) < 0.3] = -0.0  # ties between 0.0 and -0.0
+                neg[rng.random(neg.size) < 0.3] = 0.0
+            ranks = rankdata(np.concatenate([pos, neg]), method="average")
+            u_stat = ranks[: pos.size].sum() - pos.size * (pos.size + 1) / 2.0
+            want = float(u_stat / (pos.size * neg.size))
+            assert np.float64(roc_auc(pos, neg)).tobytes() == np.float64(want).tobytes()
 
     def test_import_leaves_scipy_stats_unloaded(self):
         """``import bihop`` does not load scipy.stats; in a fresh process,
@@ -169,6 +171,21 @@ class TestAveragePrecision:
     def test_no_positives_rejected(self):
         with pytest.raises(ValueError):
             average_precision([], [0.1, 0.2])
+
+    def test_byte_equal_ranked_label_cumsum(self):
+        """The searchsorted count equals the ranked-label form byte for byte,
+        on tied and untied sets: labels sorted by score descending with tied
+        negatives first, precision as the label cumsum over the position,
+        summed at the positives in ranked order."""
+        rng = np.random.default_rng(106)
+        for _ in range(2000):
+            pos, neg = random_score_set(rng)
+            scores = np.concatenate([neg, pos])
+            labels = np.concatenate([np.zeros(neg.size, dtype=np.int64), np.ones(pos.size, dtype=np.int64)])
+            labels = labels[np.argsort(-scores, kind="stable")]
+            precision = np.cumsum(labels) / np.arange(1, labels.size + 1)
+            want = float(precision[labels == 1].sum() / pos.size)
+            assert np.float64(average_precision(pos, neg)).tobytes() == np.float64(want).tobytes()
 
     def test_empty_negatives_allowed(self):
         assert average_precision([0.3, 0.1], []) == 1.0

@@ -31,7 +31,7 @@ from scipy.special import expit
 from bihop import autoencoder, scoring
 
 from bihop.autoencoder import EmbeddingModel, ModelKind
-from bihop.data import generate_bipartite_er
+from bihop.data import generate_bipartite_er, southern_women_graph
 from bihop.graph import adjacency, build_graph, normalize
 from bihop.harness import DEFAULT_RATIOS, SCORER_MODELS
 from bihop.metrics import roc_auc
@@ -696,6 +696,21 @@ class TestHeuristics:
             assert np.concatenate([head, tail]).tobytes() == fresh.tobytes(), kind
             assert heuristic_scores(shared, kind, pairs).scores.tobytes() == fresh.tobytes(), kind
 
+    def test_memo_holds_the_latest_batch_only(self):
+        """50 batches of 200 pairs on one index leave one memo entry, not
+        50, and every batch, the first one scored again included, gets a
+        fresh index's scores."""
+        g = generate_bipartite_er(30, 60, 0.3, seed=3)
+        pairs = np.array(het_pairs(g))
+        rng = np.random.default_rng(0)
+        batches = [pairs[rng.choice(len(pairs), 200, replace=False)] for _ in range(50)]
+        shared = heuristic_index(g)
+        for batch in batches + batches[:1]:
+            for kind in (ScorerKind.COMMON_NEIGHBORS, ScorerKind.ADAMIC_ADAR):
+                fresh = heuristic_scores(heuristic_index(g), kind, batch).scores
+                assert heuristic_scores(shared, kind, batch).scores.tobytes() == fresh.tobytes(), kind
+        assert len(shared.commons) == 1
+
     def test_one_call_holds_one_two_step_set_at_a_time(self):
         """A cn call on the 600 x 1070 ER graph's test pairs (1,070 targets,
         N2 sets of about 870 nodes) keeps four numbers per pair, not every
@@ -926,6 +941,21 @@ class TestKatz:
             katz_index(sp.csr_matrix(np.ones((2, 2))), 1)
         with pytest.raises(ValueError, match="not a bipartite adjacency"):
             katz_index(sp.csr_matrix((2, 3)), 1)
+
+    def test_index_checks_n_left(self):
+        """``n_left`` is an integer >= 0: the float 18.0 used to build an
+        index whose ``n_left`` was a float, and True was read as 1 and then
+        failed with the "inside one side" message."""
+        g = southern_women_graph()
+        with pytest.raises(TypeError, match="n_left must be an integer, got 18.0"):
+            katz_index(g.adj, 18.0)
+        with pytest.raises(TypeError, match="n_left must be an integer, got True"):
+            katz_index(g.adj, True)
+        with pytest.raises(ValueError, match="n_left must be >= 0, got -1"):
+            katz_index(g.adj, -1)
+        with pytest.raises(ValueError, match="not a bipartite adjacency"):
+            katz_index(g.adj, g.n + 1)
+        assert type(katz_index(g.adj, np.int64(18)).n_left) is int
 
     def test_closed_form_loads_no_scipy_linalg(self):
         """A closed-form call loads neither scipy.sparse.linalg nor
