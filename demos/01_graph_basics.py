@@ -24,8 +24,8 @@ print("=" * 64)
 g = build_graph(3, 3, [(0, 0), (0, 1), (1, 1), (2, 2)])
 print(f"nodes: {g.n_left} left + {g.n_right} right = {g.n}")
 print(f"edges: {g.m}")
-print(f"left degrees:  {[g.degree(u) for u in range(g.n_left)]}")
-print(f"right node 1 sits at global index {g.right_global(1)}")
+print(f"left degrees:  {g.degrees()[: g.n_left].tolist()}")
+print(f"right node 1 sits at global index {g.n_left + 1}")
 print(f"has_edge(0, 1) = {g.has_edge(0, 1)}")
 print(f"has_edge(2, 0) = {g.has_edge(2, 0)}")
 

@@ -126,14 +126,6 @@ def sigmoid(x, out=None) -> np.ndarray:
         return np.divide(1.0, out, out=out)
 
 
-def decode_pairs(z: np.ndarray, us, vs) -> np.ndarray:
-    """Edge probabilities sigmoid(z_u . z_v) over parallel index arrays."""
-    us = np.asarray(us, dtype=np.int64)
-    vs = np.asarray(vs, dtype=np.int64)
-    dots = np.einsum("ij,ij->i", z[us], z[vs])
-    return sigmoid(dots, out=dots)
-
-
 def training_labels(a_train: sp.spmatrix) -> sp.csr_matrix:
     """Label matrix for reconstruction: training adjacency plus self-loops."""
     labels = sp.csr_matrix(a_train, dtype=np.float64) + sp.identity(a_train.shape[0], format="csr")

@@ -85,7 +85,7 @@ def _load_cli_config(args) -> BenchmarkConfig:
         overrides["runs"] = args.runs
     if getattr(args, "seed", None) is not None:
         overrides["base_seed"] = args.seed
-    if getattr(args, "dataset", None):
+    if args.command == "benchmark" and args.dataset:  # split and diagnose pick theirs from the config
         overrides["datasets"] = tuple(args.dataset)
     if getattr(args, "method", None):
         overrides["scorers"] = tuple(args.method)

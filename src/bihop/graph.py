@@ -17,6 +17,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from numbers import Integral, Real
 
 import numpy as np
@@ -85,15 +86,6 @@ class BipartiteGraph:
         bounds = self.adj.indptr.tolist()
         return tuple(indices[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
 
-    def right_global(self, j: int) -> int:
-        """Global index of right node ``j``, 0 <= j < n_right."""
-        return self.n_left + _in_range("j", j, self.n_right)
-
-    def degree(self, i: int) -> int:
-        """Degree of global node ``i``, 0 <= i < n."""
-        i = _in_range("i", i, self.n)
-        return int(self.adj.indptr[i + 1] - self.adj.indptr[i])
-
     def degrees(self) -> np.ndarray:
         """Per-node degree vector over global indices."""
         return np.diff(self.adj.indptr).astype(np.int64)
@@ -146,15 +138,6 @@ def check_int(name: str, value, low: int | None = None) -> int:
     return int(value)
 
 
-def _in_range(name: str, value, size: int) -> int:
-    """``value`` as an int in [0, size); TypeError as ``check_int``,
-    ValueError naming ``name`` and the range otherwise."""
-    value = check_int(name, value)
-    if not 0 <= value < size:
-        raise ValueError(f"{name} = {value} is outside [0, {size})")
-    return value
-
-
 def check_real(name: str, value, unit: bool = False) -> float:
     """``value`` as a float.  TypeError naming ``name`` for a bool or a
     non-Real (a string included); ValueError unless it lies in [0, 1] when
@@ -172,13 +155,14 @@ def check_real(name: str, value, unit: bool = False) -> float:
 def _is_int_pair(pair) -> bool:
     if not isinstance(pair, (tuple, list, np.ndarray)) or len(pair) != 2:
         return False
-    return all(isinstance(x, (int, np.integer)) for x in pair)
+    return all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in pair)
 
 
 def pair_array(pairs, n_left: int, n_right: int, what: str = "edge pair") -> np.ndarray:
     """(k, 2) int64 array of ``pairs``, integer pairs or an integer array.
     GraphInputError names the first entry, and its position, that is not a
-    pair of integers in [0, n_left) x [0, n_right); nothing is reshaped."""
+    pair of integers in [0, n_left) x [0, n_right); a bool is not an
+    integer, as in ``check_int``, and nothing is reshaped."""
     if not isinstance(pairs, np.ndarray):
         pairs = list(pairs)
     if len(pairs) == 0:
@@ -187,7 +171,10 @@ def pair_array(pairs, n_left: int, n_right: int, what: str = "edge pair") -> np.
         arr = np.asarray(pairs)
     except ValueError:  # ragged entries
         arr = np.empty(0)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iub":
+    ints = arr.ndim == 2 and arr.shape[1] == 2 and arr.dtype.kind in "iu"
+    if ints and not isinstance(pairs, np.ndarray):  # numpy turns a bool among integers into one
+        ints = not {bool, np.bool_} & set(map(type, chain.from_iterable(pairs)))
+    if not ints:
         for pos, pair in enumerate(pairs):
             if not _is_int_pair(pair):
                 raise GraphInputError(

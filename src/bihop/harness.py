@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .autoencoder import EmbeddingModel, ModelKind, TrainConfig, decode_pairs, train, training_labels
+from .autoencoder import EmbeddingModel, ModelKind, TrainConfig, train, training_labels
 from .data import DatasetSpec, load_dataset, write_report
 from .graph import BipartiteGraph, NormalizedAdjacency, adjacency, check_int, check_real, normalize
 from .metrics import (
@@ -109,6 +109,8 @@ class BenchmarkConfig:
                 raise TypeError(f"datasets[{i}] must be a DatasetSpec, its fields or a dataset id, got {spec!r}")
             if not isinstance(spec.id, str) or not spec.id:
                 raise TypeError(f"datasets[{i}]: id must be a non-empty string, got {spec.id!r}")
+            if spec.id in {s.id for s in specs}:
+                raise ValueError(f"datasets[{i}]: id {spec.id!r} is listed twice; dataset ids must be distinct")
             specs.append(spec)
         put(self, "datasets", tuple(specs))
         if self.out_dir is not None and not isinstance(self.out_dir, (str, os.PathLike)):
@@ -127,12 +129,18 @@ class BenchmarkConfig:
             put(self, key, tuple(map(dict, getattr(self, key))))
         put(self, "runs", check_int("runs", self.runs, low=1))
         put(self, "base_seed", check_int("base_seed", self.base_seed))
-        put(self, "scorers", tuple(ScorerKind.parse(k) if isinstance(k, str) else k for k in self.scorers))
+        scorers = []
         for i, kind in enumerate(self.scorers):
+            try:
+                kind = ScorerKind.parse(kind) if isinstance(kind, str) else kind
+            except ValueError as exc:
+                raise ValueError(f"scorers[{i}]: {exc}") from exc
             if not isinstance(kind, ScorerKind):
                 raise TypeError(f"scorers[{i}] must be a ScorerKind or a scorer name, got {kind!r}")
             if not _grid_for(kind, self):
                 raise ValueError(f"empty hyperparameter grid for scorer {kind.value}")
+            scorers.append(kind)
+        put(self, "scorers", tuple(scorers))
         if len(set(self.scorers)) != len(self.scorers):
             raise ValueError(f"scorers must be distinct, got {[k.value for k in self.scorers]}")
 
@@ -363,9 +371,8 @@ def run_benchmark(config: BenchmarkConfig, data_dir=None) -> Summary:
     tuning uses run 0's, and run 0 then scores on the same ones.  A failing
     run raises with one note naming the dataset, run and seed.
     """
-    rows = []
     missing = []
-    all_reports = []
+    reports = []
     for spec in config.datasets:
         try:
             g = load_dataset(spec, data_dir=data_dir)
@@ -373,7 +380,6 @@ def run_benchmark(config: BenchmarkConfig, data_dir=None) -> Summary:
             logger.warning("dataset %s unavailable: %s", spec.id, exc)
             missing.append((spec.id, f"{type(exc).__name__}: {exc}"))
             continue
-        reports = []
         for r in range(config.runs):
             seed = config.base_seed + r
             try:
@@ -384,15 +390,13 @@ def run_benchmark(config: BenchmarkConfig, data_dir=None) -> Summary:
             except Exception as exc:
                 _add_run_note(exc, spec.id, r, seed)
                 raise
-        rows.extend(summarize(reports))
-        all_reports.extend(reports)
-    summary = Summary(rows=tuple(rows), missing=tuple(missing))
+    summary = Summary(rows=summarize(reports), missing=tuple(missing))
     if config.out_dir is not None:
         from pathlib import Path
 
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_report(all_reports, out / "results.csv")
+        write_report(reports, out / "results.csv")
     return summary
 
 
@@ -427,8 +431,7 @@ class DiagnosticBundle:
 
 def _surface_scores(model: EmbeddingModel, norm: NormalizedAdjacency, pairs: np.ndarray) -> tuple:
     """(decoded reconstruction, normalized adjacency entry) at global (k, 2) ``pairs``."""
-    us, vs = pairs[:, 0], pairs[:, 1]
-    return decode_pairs(model.Z, us, vs), np.asarray(norm.matrix[us, vs]).ravel()
+    return decode_score(model, pairs).scores, np.asarray(norm.matrix[pairs[:, 0], pairs[:, 1]]).ravel()
 
 
 def _confusion_population(g: BipartiteGraph, seed: int):
@@ -531,8 +534,11 @@ def config_from_dict(raw: dict) -> BenchmarkConfig:
       out_dir:    directory for CSV reports (a string)
     Nothing is coerced: a bool or a string for a number, a float for an
     integer, or a non-array for a list raises TypeError naming the key.
-    ``BenchmarkConfig`` parses every value; only unknown keys are caught here.
+    ``BenchmarkConfig`` parses every value; only a non-object and unknown
+    keys are caught here.
     """
+    if not isinstance(raw, Mapping):
+        raise TypeError(f"a config must be a JSON object, got {type(raw).__name__} {raw!r}")
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")

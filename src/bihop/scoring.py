@@ -59,7 +59,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .autoencoder import EmbeddingModel, decode_pairs, sigmoid
+from .autoencoder import EmbeddingModel, sigmoid
 from .graph import BipartiteGraph, NormalizedAdjacency, check_int, check_real, pair_array, read_only
 
 DENSE_THRESHOLD = 4096
@@ -229,10 +229,10 @@ def recon_two_hop_score(model: EmbeddingModel, pairs) -> PairScores:
 def decode_score(model: EmbeddingModel, pairs, kind: ScorerKind | None = None) -> PairScores:
     """Direct decoder scores sigmoid(z_u . z_v)."""
     pairs, us, vs = _as_index_arrays(pairs, model.Z.shape[0])
-    scores = decode_pairs(model.Z, us, vs)
+    dots = np.einsum("ij,ij->i", model.Z[us], model.Z[vs])
     if kind is None:
         kind = ScorerKind(model.model_kind.value)
-    return PairScores(pairs=pairs, scores=scores, scorer=kind)
+    return PairScores(pairs=pairs, scores=sigmoid(dots, out=dots), scorer=kind)
 
 
 def _two_step_neighborhood(lists, v: int) -> set:

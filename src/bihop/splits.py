@@ -129,14 +129,13 @@ def split_edges(g: BipartiteGraph, ratios, seed: int) -> EdgeSplit:
 
     ``ratios`` is (train, val, test), as ``check_ratios`` accepts them.
     Sizes: |test| = round_half_up(test_ratio * m), |val| likewise, train
-    takes the remainder.  Deterministic in (g, ratios, seed).
+    takes the remainder.  Deterministic in (g, ratios, seed).  ValueError
+    if a part would be empty or, from ``sample_negatives``, if fewer than
+    |val| + |test| non-edges exist.
     """
     _, val_r, test_r = check_ratios(ratios)
     seed = check_int("seed", seed)
     m = g.m
-    if m < 3:
-        raise ValueError(f"graph has {m} edges; need at least 3 to split")
-
     n_test = _round_half_up(test_r * m)
     n_val = _round_half_up(val_r * m)
     n_train = m - n_test - n_val
@@ -144,12 +143,6 @@ def split_edges(g: BipartiteGraph, ratios, seed: int) -> EdgeSplit:
         raise ValueError(
             f"split sizes (train={n_train}, val={n_val}, test={n_test}) for "
             f"m={m}: every part needs at least one edge"
-        )
-    available = g.n_left * g.n_right - m
-    if n_val + n_test > available:
-        raise ValueError(
-            f"need {n_val + n_test} negatives but only {available} non-edge "
-            f"pairs exist"
         )
 
     shuffle_key, val_key, test_key = child_keys(seed, 3)

@@ -39,7 +39,6 @@ from bihop.autoencoder import (
     ModelKind,
     TrainConfig,
     TrainingDivergedError,
-    decode_pairs,
     forward,
     init_weights,
     load_model,
@@ -54,6 +53,7 @@ from bihop.autoencoder import (
 )
 from bihop.data import generate_bipartite_er
 from bihop.graph import NormalizedAdjacency, adjacency, build_graph, normalize
+from bihop.scoring import decode_score
 
 from conftest import random_bipartite
 
@@ -210,27 +210,34 @@ class TestForward:
             forward((np.ones((3, 2)),), norm)
 
 
+def decoded(z, us, vs):
+    """``decode_score`` of the pairs (us[k], vs[k]) on a model whose
+    embeddings are ``z``."""
+    model = EmbeddingModel(Z=z, model_kind=ModelKind.LGAE, weights=(), loss_history=np.zeros(1))
+    return decode_score(model, np.column_stack([us, vs])).scores
+
+
 class TestDecode:
     def test_zero_embedding_gives_half(self):
         z = np.zeros((4, 3))
-        assert decode_pairs(z, [0], [2])[0] == 0.5
+        assert decoded(z, [0], [2])[0] == 0.5
 
     def test_log3_norm_gives_three_quarters(self):
         z = np.full((2, 1), np.sqrt(np.log(3.0)))
-        assert decode_pairs(z, [0], [1])[0] == pytest.approx(0.75, abs=1e-12)
+        assert decoded(z, [0], [1])[0] == pytest.approx(0.75, abs=1e-12)
 
     def test_symmetry(self):
         rng = np.random.default_rng(35)
         z = rng.standard_normal((6, 4))
         us, vs = np.divmod(np.arange(36), 6)
-        assert np.array_equal(decode_pairs(z, us, vs), decode_pairs(z, vs, us))
+        assert np.array_equal(decoded(z, us, vs), decoded(z, vs, us))
 
-    def test_decode_pairs_matches_scalar(self):
+    def test_decode_matches_scalar(self):
         rng = np.random.default_rng(36)
         z = rng.standard_normal((8, 3))
         us = rng.integers(0, 8, size=20)
         vs = rng.integers(0, 8, size=20)
-        got = decode_pairs(z, us, vs)
+        got = decoded(z, us, vs)
         want = [expit(z[u] @ z[v]) for u, v in zip(us, vs)]
         assert np.allclose(got, want, rtol=0, atol=1e-15)
 
@@ -440,6 +447,28 @@ class TestGradients:
             for g_a, g_f in zip(got, want):
                 denom = max(np.abs(g_f).max(), 1e-12)
                 assert np.abs(g_a - g_f).max() / denom < 1e-5
+
+    def test_gae_dw1_sums_every_row_block(self, monkeypatch):
+        """Above ``_GRAD_ROWS`` nodes the GCN encoder's dW1 is an ordered sum
+        of row blocks.  With the blocks patched to 2 rows, on graphs of at
+        least three blocks, the sum must equal the one product
+        hidden^T (An dZ) and finite differences."""
+        monkeypatch.setattr(autoencoder, "_GRAD_ROWS", 2)
+        rng = np.random.default_rng(47)
+        checked = 0
+        while checked < 5:
+            norm, labels, weights = problem_instance(rng, ModelKind.GAE, max_side=7)
+            if norm.n <= 4:
+                continue
+            checked += 1
+            w0, w1 = weights
+            hidden = np.maximum(norm.matrix @ w0, 0.0)
+            _, dz = _loss_and_gz((norm.matrix @ hidden) @ w1, _label_tiles(labels, norm.n), True)
+            product = hidden.T @ (norm.matrix @ dz)
+            got = loss_gradient(weights, norm, labels)
+            assert np.abs(got[1] - product).max() <= 1e-12 * np.abs(product).max()
+            for g_a, g_f in zip(got, fd_gradient(weights, norm, labels)):
+                assert np.abs(g_a - g_f).max() / max(np.abs(g_f).max(), 1e-12) < 1e-5
 
     def test_zero_weights_are_stationary(self):
         rng = np.random.default_rng(44)
@@ -761,6 +790,16 @@ class TestTrain:
             with pytest.raises(TrainingDivergedError) as exc:
                 train(normalize(g.adj), training_labels(adjacency(g)), cfg)
         assert 0 <= exc.value.epoch < 5
+
+    def test_divergence_after_the_last_step_raises(self):
+        """A last step that overflows the weights is caught by the final
+        loss and reported as the last epoch."""
+        g = random_bipartite(np.random.default_rng(51), max_side=6, min_edges=4)
+        cfg = TrainConfig(embed_dim=4, epochs=1, learning_rate=1e200, seed=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergedError, match="after final epoch 0") as exc:
+                train(normalize(g.adj), training_labels(adjacency(g)), cfg)
+        assert exc.value.epoch == 0
 
     def test_divergence_error_survives_pickle_and_copy(self):
         """A worker process hands the error back pickled: the copy keeps the

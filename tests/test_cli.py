@@ -87,6 +87,17 @@ class TestGenerate:
         assert record["error"] == "ValueError"
         assert "--n-right" in record["message"]
 
+    def test_sbm_missing_flag_is_json_error(self, capsys, tmp_path):
+        code, stdout, stderr = run_cli(
+            capsys, "generate", "--model", "sbm", "--out", str(tmp_path / "x.edges"),
+            "--left-sizes", "8,8", "--right-sizes", "8,8", "--p-in", "0.5",
+        )
+        assert code == 1
+        assert stdout == ""
+        record = stderr_record(stderr)
+        assert record["error"] == "ValueError"
+        assert "--p-out" in record["message"]
+
     def test_sbm_bad_sizes_is_json_error(self, capsys, tmp_path):
         code, _, stderr = run_cli(
             capsys, "generate", "--model", "sbm", "--out",
@@ -168,7 +179,28 @@ class TestBenchmark:
         assert code == 1
         record = stderr_record(stderr)
         assert record["error"] == "ValueError"
-        assert "psychic" in record["message"]
+        assert record["message"].startswith("scorers[0]: unknown scorer 'psychic'")
+
+    def test_repeated_dataset_is_json_error(self, capsys):
+        code, stdout, stderr = run_cli(
+            capsys, "benchmark", "--dataset", "southern_women", "--dataset", "southern_women",
+            "--method", "pa", "--runs", "1",
+        )
+        assert code == 1
+        assert stdout == ""
+        record = stderr_record(stderr)
+        assert record["error"] == "ValueError"
+        assert "datasets[1]: id 'southern_women' is listed twice" in record["message"]
+
+    @pytest.mark.parametrize("text, kind", [("[]", "list"), ('"abc"', "str"), ("5", "int"), ("null", "NoneType")])
+    def test_config_that_is_not_an_object_is_json_error(self, tmp_path, capsys, text, kind):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(text, encoding="utf-8")
+        code, _, stderr = run_cli(capsys, "benchmark", "--config", str(config_path))
+        assert code == 1
+        record = stderr_record(stderr)
+        assert record["error"] == "TypeError"
+        assert record["message"].startswith(f"a config must be a JSON object, got {kind}")
 
     def test_missing_dataset_listed_not_fatal(self, capsys):
         code, stdout, _ = run_cli(
@@ -232,6 +264,20 @@ class TestSplit:
         loaded = load_split(out, southern_women_graph())
         expected = split_edges(southern_women_graph(), (0.85, 0.05, 0.10), 7)
         assert_same_split(loaded, expected)
+
+    def test_config_dataset_source_respected(self, tmp_path, capsys):
+        """``split --dataset ID`` used to replace the config's datasets with
+        one id per character of ID, so a source given in the config was
+        never found; ``diagnose`` shared the fault."""
+        source = {"model": "er", "n_left": 40, "n_right": 30, "p": 0.2, "seed": 3}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"datasets": [{"id": "er_gen", "source": source}]}))
+        out = tmp_path / "er.split"
+        for argv in (["split", "--seed", "0", "--out", str(out)], ["diagnose"]):
+            code, _, stderr = run_cli(capsys, *argv, "--dataset", "er_gen", "--config", str(config_path))
+            assert code == 0, stderr
+        g = generate_bipartite_er(40, 30, 0.2, 3)
+        assert_same_split(load_split(out, g), split_edges(g, (0.85, 0.05, 0.10), 0))
 
     def test_config_ratios_respected(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

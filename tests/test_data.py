@@ -76,6 +76,12 @@ class TestEdgeListParsing:
         with pytest.raises(GraphInputError, match="already used"):
             load_edge_list_detailed(path)
 
+    def test_right_id_already_a_left_id_rejected(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text("a x\nb a\n")
+        with pytest.raises(GraphInputError, match="line 2: id 'a' already used as a left node"):
+            load_edge_list_detailed(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "g.edges"
         path.write_text("# nothing\n")

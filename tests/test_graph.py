@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bihop.autoencoder import EmbeddingModel, ModelKind
 from bihop.data import southern_women_graph
 from bihop.graph import (
     GraphInputError,
@@ -25,6 +26,8 @@ from bihop.graph import (
     build_graph,
     normalize,
 )
+from bihop.scoring import ScorerKind, decode_score, heuristic_index, heuristic_scores
+from bihop.splits import sample_negatives
 
 from conftest import random_bipartite
 
@@ -104,25 +107,6 @@ class TestBuildGraph:
     def test_degrees(self, toy_graph):
         assert list(toy_graph.degrees()) == [2, 1, 1, 1, 2, 1]
 
-    def test_right_global(self, toy_graph):
-        assert toy_graph.right_global(0) == 3
-
-    def test_node_index_checked(self):
-        """On southern_women (18 + 14 nodes) degree(-1) used to return -178,
-        right_global(-1) the left node 17 and right_global(99) the index
-        117, past n = 32."""
-        g = southern_women_graph()
-        assert g.degree(np.int64(31)) == g.degrees()[31] and g.right_global(13) == 31
-        cases = ((g.degree, -1, 32), (g.degree, 32, 32), (g.right_global, -1, 14), (g.right_global, 14, 14),
-                 (g.right_global, 99, 14))
-        for call, bad, size in cases:
-            with pytest.raises(ValueError, match=rf"= {bad} is outside \[0, {size}\)"):
-                call(bad)
-        for call in (g.degree, g.right_global):
-            for bad in (1.0, True, "1"):
-                with pytest.raises(TypeError, match="must be an integer"):
-                    call(bad)
-
     def test_empty_graph(self):
         g = build_graph(3, 2, [])
         assert g.m == 0
@@ -140,6 +124,27 @@ class TestBuildGraph:
         with pytest.raises(GraphInputError) as exc:
             build_graph(2, 2, np.array([[0.0, 1.0]]))
         assert exc.value.position == 0
+
+    def test_bool_pairs_rejected(self):
+        """A bool is not an integer, as in ``check_int``: ``[(True, True)]``
+        used to build edge (1, 1), and a bool among integers turned into one
+        too.  The error names the entry and its position, whether the pairs
+        come as a list, an array, scorer pairs or ``exclude`` pairs."""
+        g = build_graph(2, 2, [(0, 0), (1, 1)])
+        cases = (
+            (lambda p: build_graph(2, 2, p), [(True, True)], 0),
+            (lambda p: build_graph(2, 2, p), [(0, 0), (1, True)], 1),
+            (lambda p: build_graph(2, 2, p), np.array([[False, True]]), 0),
+            (lambda p: heuristic_scores(heuristic_index(g), ScorerKind.COMMON_NEIGHBORS, p), [(0, 2), (True, 3)], 1),
+            (lambda p: decode_score(EmbeddingModel(np.ones((4, 1)), ModelKind.LGAE, (), np.zeros(1)), p),
+             np.array([[False, True]]), 0),
+            (lambda p: sample_negatives(g, 1, exclude=p, seed=0), [(False, True)], 0),
+        )
+        for call, pairs, pos in cases:
+            with pytest.raises(GraphInputError, match=f"at position {pos} is not a pair of integers") as exc:
+                call(pairs)
+            assert exc.value.position == pos
+            assert exc.value.pair is pairs[pos] or np.array_equal(exc.value.pair, pairs[pos])
 
 
 
@@ -228,7 +233,7 @@ class TestAdjacency:
         for u in range(toy_graph.n_left):
             for v in range(toy_graph.n_right):
                 expected = 1.0 if toy_graph.has_edge(u, v) else 0.0
-                assert a[u, toy_graph.right_global(v)] == expected
+                assert a[u, toy_graph.n_left + v] == expected
 
     def test_empty_graph_adjacency(self):
         a = adjacency(build_graph(2, 2, []))

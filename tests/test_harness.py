@@ -383,7 +383,7 @@ class TestRunExperiment:
         config = small_config(
             datasets=("two_edges",), scorers=(ScorerKind.PREFERENTIAL_ATTACHMENT,), base_seed=2
         )
-        with pytest.raises(ValueError, match="at least 3") as exc:
+        with pytest.raises(ValueError, match="at least one edge") as exc:
             run_benchmark(config)
         if sys.version_info >= (3, 11):
             assert exc.value.__notes__ == ["while running 'two_edges' run 0 (seed 2)"]
@@ -1197,8 +1197,31 @@ class TestConfigFromDict:
             config_from_dict({"scorers": names, "runs": 2})
 
     def test_unknown_scorer_name_rejected(self):
-        with pytest.raises(ValueError):
-            config_from_dict({"scorers": ["definitely_not_a_scorer"]})
+        """The message names the entry's position, as for every other bad
+        entry; ``ScorerKind.parse``'s own message used to come alone."""
+        for build in (lambda s: BenchmarkConfig(scorers=s), lambda s: config_from_dict({"scorers": s})):
+            with pytest.raises(ValueError, match=r"^scorers\[1\]: unknown scorer 'nope'; valid: "):
+                build(["pa", "nope"])
+
+    @pytest.mark.parametrize("raw", ["abc", 5, [], None, 1.5], ids=["str", "int", "list", "null", "float"])
+    def test_config_must_be_an_object(self, raw):
+        """A top level of "abc" used to read "unknown config keys: ['a', 'b',
+        'c']", and 5 and [] failed inside Python."""
+        with pytest.raises(TypeError, match=rf"^a config must be a JSON object, got {type(raw).__name__} "):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "datasets",
+        [["southern_women", "southern_women"], ["a", "southern_women", {"id": "southern_women", "source": None}]],
+        ids=["ids", "id-and-mapping"],
+    )
+    def test_dataset_ids_must_be_distinct(self, datasets):
+        """Two datasets with one id used to run twice: ``Summary.table()``
+        printed two rows while ``results_summary.csv`` merged them into one."""
+        match = rf"datasets\[{len(datasets) - 1}\]: id 'southern_women' is listed twice"
+        for build in (lambda d: BenchmarkConfig(datasets=d), lambda d: config_from_dict({"datasets": d})):
+            with pytest.raises(ValueError, match=match):
+                build(datasets)
 
     def test_load_config_reads_json(self, tmp_path):
         raw = {"runs": 4, "scorers": ["cn", "jc"]}

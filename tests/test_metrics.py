@@ -290,6 +290,10 @@ class TestConfusionAt:
         high = confusion_at(scores, labels, np.inf)
         assert high.tp == 0 and high.fp == 0
 
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            confusion_at([0.9, 0.1], [1], 0.5)
+
     def test_degenerate_f1_is_zero(self):
         cm = ConfusionMatrix(tp=0, fp=0, fn=0, tn=5, threshold=1.0)
         assert cm.f1 == 0.0 and cm.precision == 0.0 and cm.recall == 0.0

@@ -142,10 +142,11 @@ def heuristic_loop(g, kind, pairs):
     intermediate node.  Pairs must be heterogeneous and in range."""
     cache = {}
     out = []
+    deg = g.degrees()
     for u, v in pairs:
         u, v = (u, v) if u < g.n_left else (v, u)
         if kind is ScorerKind.PREFERENTIAL_ATTACHMENT:
-            out.append(float(g.degree(u) * g.degree(v)))
+            out.append(float(deg[u] * deg[v]))
             continue
         if v not in cache:
             cache[v] = two_step_loop(g, v)
@@ -158,9 +159,9 @@ def heuristic_loop(g, kind, pairs):
             union = len(nu | n2)
             out.append(len(common) / union if union else 0.0)
         elif kind is ScorerKind.ADAMIC_ADAR:
-            out.append(fold(1.0 / math.log(g.degree(b)) for b in common if g.degree(b) >= 2))
+            out.append(fold(1.0 / math.log(deg[b]) for b in common if deg[b] >= 2))
         else:
-            out.append(fold(1.0 / g.degree(b) for b in common))
+            out.append(fold(1.0 / deg[b] for b in common))
     return np.array(out, dtype=np.float64)
 
 
@@ -468,7 +469,7 @@ class TestHeuristics:
         common neighbor (b1)."""
         # left: u=0, a1=1; right: b1=0, v=1
         g = build_graph(2, 2, [(0, 0), (1, 0), (1, 1)])
-        u, v = 0, g.right_global(1)
+        u, v = 0, g.n_left + 1
         assert heuristic_one(g, ScorerKind.COMMON_NEIGHBORS, u, v) == 1.0
 
     def test_common_neighbors_no_path(self):
@@ -488,7 +489,7 @@ class TestHeuristics:
             g = random_bipartite(rng, max_side=6)
             for u in range(g.n_left):
                 for vl in range(g.n_right):
-                    v = g.right_global(vl)
+                    v = g.n_left + vl
                     has_path = any(
                         g.has_edge(a, b - g.n_left) and g.has_edge(a, vl)
                         for b in g.neighbors[u].tolist()
@@ -506,16 +507,17 @@ class TestHeuristics:
         rng = np.random.default_rng(69)
         for _ in range(20):
             g = random_bipartite(rng, max_side=6)
+            deg = g.degrees()
             for u in range(g.n_left):
                 for vl in range(g.n_right):
-                    v = g.right_global(vl)
+                    v = g.n_left + vl
                     intermediates = {
                         b
                         for b in g.neighbors[u].tolist()
                         for a in range(g.n_left)
                         if g.has_edge(a, b - g.n_left) and g.has_edge(a, vl)
                     }
-                    want = sum(1.0 / g.degree(b) for b in intermediates)
+                    want = sum(1.0 / deg[b] for b in intermediates)
                     got = heuristic_one(g, ScorerKind.RESOURCE_ALLOCATION, u, v)
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
@@ -532,7 +534,7 @@ class TestHeuristics:
         # pair (0, right 1): C = {right 0 or right 2}? enumerate by hand:
         # N(0) = {r0, r2}; N2(r1) = N(1) u N(2) = {r0, r1, r2}; C = {r0, r2},
         # deg(r0) = 2, deg(r2) = 2 -> AA = 2 / ln 2
-        got2 = heuristic_one(g2, ScorerKind.ADAMIC_ADAR, 0, g2.right_global(1))
+        got2 = heuristic_one(g2, ScorerKind.ADAMIC_ADAR, 0, g2.n_left + 1)
         assert got2 == pytest.approx(2.0 / np.log(2.0), rel=1e-14)
 
     def test_jaccard_range_and_value(self):
@@ -551,7 +553,7 @@ class TestHeuristics:
         g = random_bipartite(rng, max_side=6)
         for kind in HEURISTIC_KINDS:
             for u in range(g.n_left):
-                v = g.right_global(g.n_right - 1)
+                v = g.n_left + g.n_right - 1
                 assert heuristic_one(g, kind, u, v) == heuristic_one(g, kind, v, u)
 
     def test_homogeneous_pair_rejected(self):

@@ -408,6 +408,26 @@ class TestSaveLoad:
         with pytest.raises(ValueError, match=match):
             load_split(path, medium_graph())
 
+    def test_blank_lines_skipped(self, tmp_path):
+        g = medium_graph()
+        split = split_edges(g, DEFAULT, seed=11)
+        path = tmp_path / "split.txt"
+        save_split(split, path)
+        path.write_text("\n" + path.read_text().replace("\n#", "\n\n  \n#"))
+        assert_same_split(load_split(path, g), split)
+
+    def test_rejects_data_before_any_section(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("0 0\n#seed\n1\n")
+        with pytest.raises(ValueError, match="bad.txt:1: data before any section header"):
+            load_split(path, medium_graph())
+
+    def test_rejects_index_past_int64(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"#seed\n1\n#train\n0 {2**63}\n")
+        with pytest.raises(ValueError, match="bad.txt: a pair index does not fit in int64"):
+            load_split(path, medium_graph())
+
     def test_rejects_missing_seed(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("#train\n0 0\n")
