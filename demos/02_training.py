@@ -2,13 +2,10 @@
 """Train the linear autoencoder on the women-by-events network.
 
 Shows the loss trajectory, what the embeddings reconstruct, and the
-checkpoint round trip.
+two-layer encoder behind the same interface.
 
 Run: python demos/02_training.py
 """
-
-import tempfile
-from pathlib import Path
 
 import numpy as np
 
@@ -17,9 +14,7 @@ from bihop import (
     TrainConfig,
     adjacency,
     decode_score,
-    load_model,
     normalize,
-    save_model,
     southern_women_graph,
     split_edges,
     train,
@@ -76,21 +71,7 @@ print(f"decoded probability, sampled non-edge {non_edge}: {probs[2]:.3f}")
 
 print()
 print("=" * 64)
-print("4. Checkpoint round trip")
-print("=" * 64)
-
-with tempfile.TemporaryDirectory() as tmp:
-    path = Path(tmp) / "model.npz"
-    save_model(model, config, path)
-    restored, restored_config = load_model(path)
-    same = np.array_equal(restored.Z, model.Z)
-    print(f"saved to {path.name}, embeddings identical after reload: {same}")
-    print(f"config restored too: epochs={restored_config.epochs}, "
-          f"embed_dim={restored_config.embed_dim}")
-
-print()
-print("=" * 64)
-print("5. The two-layer encoder uses the same interface")
+print("4. The two-layer encoder uses the same interface")
 print("=" * 64)
 
 gae_config = TrainConfig(

@@ -9,9 +9,6 @@ lean toward each other.
 Run: python demos/03_scoring.py
 """
 
-import tempfile
-from pathlib import Path
-
 import numpy as np
 
 from bihop import (
@@ -31,7 +28,6 @@ from bihop import (
     train_graph,
     training_labels,
     two_hop_score,
-    write_scores_csv,
 )
 
 print("=" * 64)
@@ -101,16 +97,3 @@ for i, pair in enumerate(sample):
     label = "edge" if i < 3 else "none"
     print(f"{str(tuple(pair.tolist())):<10} {label:<6} {two[i]:>9.4f} {dec[i]:>9.4f}")
 
-print()
-print("=" * 64)
-print("4. Persist scores for downstream analysis")
-print("=" * 64)
-
-with tempfile.TemporaryDirectory() as tmp:
-    out = Path(tmp) / "scores.csv"
-    labels = [1] * len(test_pos) + [0] * len(test_neg)
-    write_scores_csv(mixed, out, labels=labels)
-    lines = out.read_text().splitlines()
-    print(f"wrote {len(lines) - 1} rows to {out.name}:")
-    for line in lines[:4]:
-        print(f"  {line}")

@@ -24,7 +24,7 @@ no sigmoid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -324,81 +324,3 @@ def train(norm_adj: NormalizedAdjacency, labels: sp.spmatrix, config: TrainConfi
         loss_history=np.array(history),
     )
 
-
-CHECKPOINT_VERSION = 1
-# The TrainConfig fields a checkpoint stores as scalars, by name.
-_CONFIG_SCALARS = tuple(f.name for f in fields(TrainConfig) if f.name != "model_kind")
-
-
-def save_model(model: EmbeddingModel, config: TrainConfig, path) -> None:
-    """Write a versioned npz checkpoint.
-
-    Layout (all float64 unless noted): ``format_version`` (int),
-    ``model_kind`` (str), ``weight_<k>`` for each weight matrix, ``Z``,
-    ``loss_history``, and each other ``TrainConfig`` field under its own
-    name (``embed_dim``, ``hidden_dim``, ``learning_rate``, ``epochs``,
-    ``seed``).  An integer field is stored as its decimal string, so a seed
-    of any size fits.  Values round-trip exactly.
-    """
-    payload = {
-        "format_version": np.int64(CHECKPOINT_VERSION),
-        "model_kind": np.str_(model.model_kind.value),
-        "Z": model.Z,
-        "loss_history": model.loss_history,
-    }
-    for key in _CONFIG_SCALARS:
-        value = getattr(config, key)
-        payload[key] = np.str_(value) if isinstance(value, int) else np.float64(value)
-    for k, w in enumerate(model.weights):
-        payload[f"weight_{k}"] = w
-    np.savez(path, **payload)
-
-
-def _config_scalar(stored: np.ndarray):
-    """A stored config field, an int's decimal string (int64 in older files)
-    or a float64; ``.item()`` keeps any other type for TrainConfig to reject."""
-    value = stored.item()
-    return int(value) if isinstance(value, str) else value
-
-
-def _check_checkpoint(model: EmbeddingModel, config: TrainConfig) -> None:
-    """ValueError naming the first stored field of a checkpoint whose count
-    or shape does not fit ``config``; n is the first weight's row count."""
-    lgae = config.model_kind is ModelKind.LGAE
-    if len(model.weights) != (1 if lgae else 2):
-        raise ValueError(
-            f"weights: a {config.model_kind.value} checkpoint holds {1 if lgae else 2}, got {len(model.weights)}"
-        )
-    n = model.weights[0].shape[:1]  # (n,), or () for a 0-d weight, which then fails its shape
-    e, h = config.embed_dim, config.hidden_dim
-    shapes = ([n + (e,)] if lgae else [n + (h,), (h, e)]) + [n + (e,), (config.epochs + 1,)]
-    stored = [(f"weight_{k}", w) for k, w in enumerate(model.weights)]
-    for (name, value), shape in zip(stored + [("Z", model.Z), ("loss_history", model.loss_history)], shapes):
-        if value.shape != shape:
-            raise ValueError(f"{name} has shape {value.shape}, expected {shape}")
-
-
-def load_model(path):
-    """Read a checkpoint written by save_model; returns (model, config).
-
-    ValueError if the weight count, or the shape of a weight, ``Z`` or
-    ``loss_history``, does not fit the stored config.  A stored
-    ``dense_threshold`` (written by older versions) is ignored.
-    """
-    with np.load(path) as data:
-        version = int(data["format_version"])
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        kind = ModelKind(str(data["model_kind"]))
-        weights = []
-        while f"weight_{len(weights)}" in data:
-            weights.append(data[f"weight_{len(weights)}"])
-        config = TrainConfig(model_kind=kind, **{key: _config_scalar(data[key]) for key in _CONFIG_SCALARS})
-        model = EmbeddingModel(
-            Z=data["Z"],
-            model_kind=kind,
-            weights=tuple(weights),
-            loss_history=data["loss_history"],
-        )
-    _check_checkpoint(model, config)
-    return model, config

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import BipartiteGraph, GraphInputError, build_graph, check_int, check_real
-from .metrics import MetricReport, summarize
+from .metrics import summarize
 from .splits import philox
 
 logger = logging.getLogger(__name__)
@@ -251,26 +251,6 @@ def write_report(records, path):
                 ]
             )
     return path, summary_path
-
-
-def read_report(path):
-    """Load a per-run report CSV back into MetricReport rows."""
-    from .scoring import ScorerKind
-
-    out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(
-                MetricReport(
-                    dataset=row["dataset"],
-                    scorer=ScorerKind.parse(row["method"]),
-                    run=int(row["run"]),
-                    seed=int(row["seed"]),
-                    auc=float(row["auc"]),
-                    ap=float(row["ap"]),
-                )
-            )
-    return out
 
 
 def dataset_registry() -> dict:

@@ -524,24 +524,3 @@ def katz_score(index: KatzIndex, beta: float, pairs) -> PairScores:
             scores[sel] = total
     return PairScores(pairs=pairs, scores=scores, scorer=ScorerKind.KATZ)
 
-
-def write_scores_csv(pair_scores: PairScores, path, labels=None) -> None:
-    """Export scores as ``u,v,score,scorer,label`` rows (label blank if unknown).
-
-    ``labels``, when given, holds one label per pair, each exactly 0 or 1;
-    ValueError names the first that is not, before the file is opened.
-    """
-    k = len(pair_scores.scores)
-    column = [""] * k
-    if labels is not None:
-        labels = list(labels)
-        if len(labels) != k:
-            raise ValueError(f"labels has {len(labels)} entries for {k} pairs")
-        for i, label in enumerate(labels):
-            if label not in (0, 1):
-                raise ValueError(f"labels[{i}] must be 0 or 1, got {label!r}")
-        column = ["1" if label == 1 else "0" for label in labels]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("u,v,score,scorer,label\n")
-        for (u, v), s, label in zip(pair_scores.pairs, pair_scores.scores, column):
-            fh.write(f"{u},{v},{float(s)!r},{pair_scores.scorer.value},{label}\n")

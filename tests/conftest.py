@@ -1,3 +1,4 @@
+import csv
 from unittest import mock
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import settings
 
 from bihop import scoring
 from bihop.graph import BipartiteGraph, build_graph
+from bihop.metrics import MetricReport
 
 # Property tests draw the same examples on every run and keep no example
 # database, so the suite stays deterministic.
@@ -34,6 +36,23 @@ def toy_graph() -> BipartiteGraph:
 def pairs_of(arr) -> tuple:
     """The (u, v) int tuples of a (k, 2) pair array, for set and tuple oracles."""
     return tuple(map(tuple, np.asarray(arr).tolist()))
+
+
+def read_results(path) -> list:
+    """The MetricReport rows of a per-run ``results.csv`` that
+    ``data.write_report`` wrote; floats parse back from their repr exactly."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return [
+            MetricReport(
+                dataset=row["dataset"],
+                scorer=scoring.ScorerKind.parse(row["method"]),
+                run=int(row["run"]),
+                seed=int(row["seed"]),
+                auc=float(row["auc"]),
+                ap=float(row["ap"]),
+            )
+            for row in csv.DictReader(fh)
+        ]
 
 
 SPLIT_FIELDS = ("train_edges", "val_pos", "test_pos", "val_neg", "test_neg")

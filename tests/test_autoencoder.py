@@ -15,7 +15,6 @@ sparse-label tile kernel.
 """
 
 import copy
-import dataclasses
 import os
 import pickle
 import subprocess
@@ -41,10 +40,8 @@ from bihop.autoencoder import (
     TrainingDivergedError,
     forward,
     init_weights,
-    load_model,
     loss_gradient,
     reconstruction_loss,
-    save_model,
     train,
     training_labels,
     _label_tiles,
@@ -841,117 +838,3 @@ class TestTrain:
         with pytest.raises(ValueError, match="only ones"):
             train(normalize(g.adj), labels, TrainConfig(epochs=1))
 
-
-class TestCheckpointing:
-    def test_round_trip_exact(self, tmp_path):
-        rng = np.random.default_rng(53)
-        g = random_bipartite(rng, min_edges=3)
-        norm = normalize(g.adj)
-        labels = training_labels(adjacency(g))
-        for kind in ModelKind:
-            cfg = TrainConfig(
-                model_kind=kind, embed_dim=3, hidden_dim=4, epochs=8,
-                learning_rate=0.02, seed=6,
-            )
-            model = train(norm, labels, cfg)
-            path = tmp_path / f"{kind.value}.npz"
-            save_model(model, cfg, path)
-            loaded, loaded_cfg = load_model(path)
-            assert loaded_cfg == cfg
-            assert loaded.model_kind is kind
-            assert np.array_equal(loaded.Z, model.Z)
-            assert np.array_equal(loaded.loss_history, model.loss_history)
-            assert len(loaded.weights) == len(model.weights)
-            for a, b in zip(loaded.weights, model.weights):
-                assert np.array_equal(a, b)
-
-    def test_version_1_file_with_dense_threshold_loads(self, tmp_path):
-        """Version-1 files written before the field was dropped still load."""
-        g = random_bipartite(np.random.default_rng(57), min_edges=3)
-        cfg = TrainConfig(embed_dim=3, epochs=4, seed=8)
-        model = train(normalize(g.adj), training_labels(adjacency(g)), cfg)
-        save_model(model, cfg, tmp_path / "new.npz")
-        with np.load(tmp_path / "new.npz") as data:
-            payload = dict(data)
-        assert "dense_threshold" not in payload
-        np.savez(tmp_path / "old.npz", dense_threshold=np.int64(4096), **payload)
-        loaded, loaded_cfg = load_model(tmp_path / "old.npz")
-        assert loaded_cfg == cfg
-        assert np.array_equal(loaded.Z, model.Z)
-        assert np.array_equal(loaded.weights[0], model.weights[0])
-
-    @pytest.mark.parametrize("seed", [-5, 2**63 - 1, 2**63, 2**64 - 1, 2**70])
-    def test_any_integer_seed_round_trips(self, tmp_path, seed):
-        """A seed of 2**63 or more used to raise OverflowError on save."""
-        g = random_bipartite(np.random.default_rng(58), min_edges=3)
-        cfg = TrainConfig(embed_dim=3, epochs=2, seed=seed)
-        model = train(normalize(g.adj), training_labels(adjacency(g)), cfg)
-        save_model(model, cfg, tmp_path / "seed.npz")
-        loaded, loaded_cfg = load_model(tmp_path / "seed.npz")
-        assert loaded_cfg == cfg and type(loaded_cfg.seed) is int
-        assert np.array_equal(loaded.Z, model.Z)
-
-    def test_version_1_file_with_int64_fields_loads(self, tmp_path):
-        """Files written before integers were stored as decimal strings
-        hold them as int64 scalars; they load to the same config."""
-        g = random_bipartite(np.random.default_rng(59), min_edges=3)
-        cfg = TrainConfig(model_kind=ModelKind.GAE, embed_dim=3, hidden_dim=4, epochs=3, seed=-7)
-        model = train(normalize(g.adj), training_labels(adjacency(g)), cfg)
-        np.savez(
-            tmp_path / "old.npz",
-            format_version=np.int64(1), model_kind=np.str_("gae"), Z=model.Z,
-            loss_history=model.loss_history, embed_dim=np.int64(3), hidden_dim=np.int64(4),
-            learning_rate=np.float64(cfg.learning_rate), epochs=np.int64(3), seed=np.int64(-7),
-            weight_0=model.weights[0], weight_1=model.weights[1],
-        )
-        loaded, loaded_cfg = load_model(tmp_path / "old.npz")
-        assert loaded_cfg == cfg
-        assert all(np.array_equal(a, b) for a, b in zip(loaded.weights, model.weights))
-
-    def test_config_fields_are_stored_by_name(self, tmp_path):
-        """Every TrainConfig field but the model kind has its own entry."""
-        g = random_bipartite(np.random.default_rng(60), min_edges=3)
-        cfg = TrainConfig(embed_dim=3, epochs=2, seed=4)
-        save_model(train(normalize(g.adj), training_labels(adjacency(g)), cfg), cfg, tmp_path / "m.npz")
-        with np.load(tmp_path / "m.npz") as data:
-            names = {f.name for f in dataclasses.fields(TrainConfig)} - {"model_kind"}
-            assert names <= set(data.files)
-            assert data["seed"].item() == "4" and data["learning_rate"].item() == 0.01
-
-    @pytest.mark.parametrize(
-        "kind, field, value, match",
-        [
-            (ModelKind.GAE, "model_kind", np.str_("lgae"), r"weights: a lgae checkpoint holds 1, got 2"),
-            (ModelKind.LGAE, "model_kind", np.str_("gae"), r"weights: a gae checkpoint holds 2, got 1"),
-            (ModelKind.LGAE, "weight_0", np.zeros(5), r"weight_0 has shape \(5,\), expected \(5, 3\)"),
-            (ModelKind.LGAE, "weight_0", np.zeros((9, 4)), r"weight_0 has shape \(9, 4\), expected \(9, 3\)"),
-            (ModelKind.GAE, "weight_0", np.zeros((9, 3)), r"weight_0 has shape \(9, 3\), expected \(9, 4\)"),
-            (ModelKind.GAE, "weight_1", np.zeros((3, 3)), r"weight_1 has shape \(3, 3\), expected \(4, 3\)"),
-            (ModelKind.LGAE, "Z", np.zeros((3, 3)), r"Z has shape \(3, 3\), expected \({n}, 3\)"),
-            (ModelKind.GAE, "Z", np.zeros((3, 3)), r"Z has shape \(3, 3\), expected \({n}, 3\)"),
-            (ModelKind.LGAE, "loss_history", np.zeros(2), r"loss_history has shape \(2,\), expected \(3,\)"),
-            (ModelKind.GAE, "loss_history", np.zeros((3, 1)), r"loss_history has shape \(3, 1\), expected \(3,\)"),
-        ],
-        ids=[
-            "gae_as_lgae", "lgae_as_gae", "1d_weight", "lgae_embed_dim", "gae_hidden_dim", "gae_weight_1",
-            "lgae_z", "gae_z", "short_loss_history", "2d_loss_history",
-        ],
-    )
-    def test_corrupt_checkpoint_rejected(self, tmp_path, kind, field, value, match):
-        """A checkpoint's weight count and every array's shape must fit its
-        config: an "lgae" file with one n x 16 weight and a 3 x 3 Z used to
-        load without error."""
-        g = random_bipartite(np.random.default_rng(61), min_edges=3)
-        cfg = TrainConfig(model_kind=kind, embed_dim=3, hidden_dim=4, epochs=2, seed=1)
-        save_model(train(normalize(g.adj), training_labels(adjacency(g)), cfg), cfg, tmp_path / "m.npz")
-        with np.load(tmp_path / "m.npz") as data:
-            payload = dict(data, **{field: value})
-        np.savez(tmp_path / "bad.npz", **payload)
-        with pytest.raises(ValueError, match=match.format(n=g.n)):
-            load_model(tmp_path / "bad.npz")
-
-    def test_unsupported_version_rejected(self, tmp_path):
-        path = tmp_path / "bad.npz"
-        np.savez(path, format_version=np.int64(99))
-        with pytest.raises(ValueError, match="version"):
-            load_model(path)

@@ -10,12 +10,11 @@ from bihop.data import (
     generate_bipartite_er,
     generate_bipartite_sbm,
     load_edge_list_detailed,
-    read_report,
     southern_women_graph,
 )
 from bihop.splits import load_split, split_edges
 
-from conftest import assert_same_split, pairs_of
+from conftest import assert_same_split, pairs_of, read_results
 
 
 def run_cli(capsys, *argv):
@@ -148,7 +147,7 @@ class TestBenchmark:
         assert stderr == ""
         assert "southern_women" in stdout
         assert "pref_attach" in stdout and "common_neighbors" in stdout
-        records = read_report(out_dir / "results.csv")
+        records = read_results(out_dir / "results.csv")
         assert len(records) == 4
         assert (out_dir / "results_summary.csv").exists()
 
@@ -160,7 +159,7 @@ class TestBenchmark:
         )
         assert code == 0
         assert "jaccard" in stdout
-        records = read_report(tmp_path / "r" / "results.csv")
+        records = read_results(tmp_path / "r" / "results.csv")
         assert len(records) == 1
         assert records[0].seed == 3
 

@@ -21,7 +21,6 @@ from bihop.data import (
     generate_bipartite_sbm,
     load_dataset,
     load_edge_list_detailed,
-    read_report,
     southern_women_graph,
     write_edge_list,
     write_report,
@@ -30,7 +29,7 @@ from bihop.graph import GraphInputError, build_graph
 from bihop.metrics import MetricReport, summarize
 from bihop.scoring import ScorerKind
 
-from conftest import pairs_of, random_bipartite
+from conftest import pairs_of, random_bipartite, read_results
 
 
 class TestEdgeListParsing:
@@ -515,7 +514,7 @@ class TestReports:
         ]
         path = tmp_path / "results.csv"
         write_report(records, path)
-        back = read_report(path)
+        back = read_results(path)
         assert back == records
 
     def test_headers(self, tmp_path):

@@ -21,7 +21,6 @@ from bihop.data import (
     DatasetSpec,
     generate_bipartite_er,
     generate_bipartite_sbm,
-    read_report,
     southern_women_graph,
 )
 from bihop.graph import build_graph
@@ -46,7 +45,7 @@ from bihop.metrics import MetricReport, summarize
 from bihop.scoring import HEURISTIC_KINDS, ScorerKind, heuristic_scores
 from bihop.splits import split_edges
 
-from conftest import katz_form
+from conftest import katz_form, read_results
 
 # Ratios that split graphs of a few edges: each part gets one edge from m = 3.
 SMALL_RATIOS = (0.6, 0.2, 0.2)
@@ -911,7 +910,7 @@ class TestRunBenchmark:
         per_run = out / "results.csv"
         per_summary = out / "results_summary.csv"
         assert per_run.exists() and per_summary.exists()
-        records = read_report(per_run)
+        records = read_results(per_run)
         assert len(records) == 4
         by_scorer = {}
         for rec in records:
@@ -1409,7 +1408,7 @@ class TestInputBoundary:
         seed base_seed + r as given, whatever its sign or size."""
         with tempfile.TemporaryDirectory() as tmp:
             summary = run_benchmark(config_from_dict(dict(raw, out_dir=tmp)))
-            reports = read_report(Path(tmp) / "results.csv")
+            reports = read_results(Path(tmp) / "results.csv")
         assert summary.missing == () and len(reports) == 4 * raw["runs"]
         assert all(report.seed == raw["base_seed"] + report.run for report in reports)
         assert sorted({report.run for report in reports}) == list(range(raw["runs"]))

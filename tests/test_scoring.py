@@ -37,7 +37,6 @@ from bihop.harness import DEFAULT_RATIOS, SCORER_MODELS
 from bihop.metrics import roc_auc
 from bihop.scoring import (
     HEURISTIC_KINDS,
-    PairScores,
     ScorerKind,
     adjacency_spectral_radius,
     decode_score,
@@ -47,7 +46,6 @@ from bihop.scoring import (
     katz_score,
     recon_two_hop_score,
     two_hop_score,
-    write_scores_csv,
 )
 from bihop.splits import split_edges, train_graph
 
@@ -1094,6 +1092,58 @@ class TestPairOrderSymmetry:
             assert backward.tobytes() == forward.tobytes()
 
 
+class TestSideSwap:
+    """Which side a graph lists first is part of a heuristic's definition.
+
+    u is a pair's left node and C = N(u) n N2(v) lies on the right side, so
+    the graph with its sides swapped, ``build_graph(n_right, n_left,
+    edges[:, ::-1])``, scores each pair from C' = N(v) n N2(u) on the left
+    side instead.  pa and the Katz closed form read no side and keep their
+    bytes."""
+
+    @pytest.fixture(scope="class")
+    def swap(self):
+        g = generate_bipartite_er(60, 110, 0.3, seed=3)
+        swapped = build_graph(g.n_right, g.n_left, g.edges[:, ::-1])
+        us, vs = np.divmod(np.arange(g.n_left * g.n_right), g.n_right)
+        pairs = np.column_stack([us, g.n_left + vs])
+        across = np.column_stack([vs, g.n_right + us])
+        return g, swapped, pairs, across
+
+    def test_pa_and_katz_closed_form_keep_their_bytes(self, swap):
+        g, swapped, pairs, across = swap
+        kind = ScorerKind.PREFERENTIAL_ATTACHMENT
+        pa = heuristic_scores(heuristic_index(g), kind, pairs).scores
+        assert heuristic_scores(heuristic_index(swapped), kind, across).scores.tobytes() == pa.tobytes()
+        with katz_form("closed"):
+            katz = katz_of(g, 0.01, pairs).scores
+            assert katz_of(swapped, 0.01, across).scores.tobytes() == katz.tobytes()
+
+    def test_swapped_common_sets_are_the_left_side_oracle(self, swap):
+        """On the swapped graph cn and jc equal the C' oracle exactly, aa and
+        ra to 1e-12 relative (the oracle adds C' in another order)."""
+        g, swapped, pairs, across = swap
+        b = g.adj[: g.n_left, g.n_left :].toarray()  # b[u, v]: left u, right v
+        two_step = (b @ b.T > 0).astype(np.float64)  # two_step[u, w]: w in N2(u)
+        deg = b.sum(axis=1)  # left degrees
+        aa_terms = np.divide(1.0, np.log(deg), out=np.zeros(g.n_left), where=deg >= 2)
+        cn = two_step @ b  # |N(v) n N2(u)| at [u, v]
+        union = two_step.sum(axis=1)[:, None] + b.sum(axis=0)[None, :] - cn
+        oracle = {
+            ScorerKind.COMMON_NEIGHBORS: cn,
+            ScorerKind.JACCARD: np.divide(cn, union, out=np.zeros_like(cn), where=union > 0),
+            ScorerKind.ADAMIC_ADAR: (two_step * aa_terms) @ b,
+            ScorerKind.RESOURCE_ALLOCATION: (two_step / np.maximum(deg, 1)) @ b,
+        }
+        index = heuristic_index(swapped)
+        for kind, want in oracle.items():
+            got = heuristic_scores(index, kind, across).scores
+            if kind in (ScorerKind.COMMON_NEIGHBORS, ScorerKind.JACCARD):
+                assert got.tobytes() == want.ravel().tobytes(), kind
+            else:
+                assert np.allclose(got, want.ravel(), rtol=1e-12, atol=0), kind
+
+
 class TestMonotoneInvariance:
     def test_auc_unchanged_by_increasing_transforms(self):
         """Joint property with the metrics module: AUC depends only on the
@@ -1110,64 +1160,3 @@ class TestMonotoneInvariance:
         for f in (lambda x: 10.0 * x - 3.0, np.exp, lambda x: x + x**3):
             assert roc_auc(f(pos), f(neg)) == base
 
-
-class TestScoresCsv:
-    def test_header_and_rows(self, tmp_path):
-        ps = PairScores(
-            pairs=np.array([(0, 3), (1, 4)]),
-            scores=np.array([0.25, 0.5]),
-            scorer=ScorerKind.TWO_HOP,
-        )
-        path = tmp_path / "scores.csv"
-        write_scores_csv(ps, path, labels=[1, 0])
-        lines = path.read_text().splitlines()
-        assert lines[0] == "u,v,score,scorer,label"
-        assert lines[1] == "0,3,0.25,two_hop,1"
-        assert lines[2] == "1,4,0.5,two_hop,0"
-
-    @pytest.mark.parametrize(
-        "labels, match",
-        [
-            ([0.7, 0], r"labels\[0\] must be 0 or 1, got 0.7"),
-            ([1, 1.9], r"labels\[1\] must be 0 or 1, got 1.9"),
-            ([2, 0], r"labels\[0\] must be 0 or 1, got 2"),
-            (["1", 0], r"labels\[0\] must be 0 or 1, got '1'"),
-            ([1], "labels has 1 entries for 2 pairs"),
-            ([1, 0, 1], "labels has 3 entries for 2 pairs"),
-        ],
-        ids=["fraction", "above_one", "two", "string", "short", "long"],
-    )
-    def test_bad_labels_rejected_before_writing(self, tmp_path, labels, match):
-        """0.7 and 1.9 used to be written as 0 and 1, 2 as 2, a short list
-        failed after the header and a row were on disk, and extra labels
-        were dropped."""
-        ps = PairScores(pairs=np.array([(0, 3), (1, 4)]), scores=np.array([0.25, 0.5]), scorer=ScorerKind.KATZ)
-        path = tmp_path / "scores.csv"
-        with pytest.raises(ValueError, match=match):
-            write_scores_csv(ps, path, labels=labels)
-        assert not path.exists()
-
-    def test_numeric_zero_one_labels_accepted(self, tmp_path):
-        ps = PairScores(pairs=np.array([(0, 3), (1, 4)]), scores=np.array([0.25, 0.5]), scorer=ScorerKind.KATZ)
-        for labels in (np.array([1, 0]), [1.0, 0.0], np.array([True, False])):
-            write_scores_csv(ps, tmp_path / "scores.csv", labels=labels)
-            rows = (tmp_path / "scores.csv").read_text().splitlines()[1:]
-            assert [row.rsplit(",", 1)[1] for row in rows] == ["1", "0"]
-
-    def test_labels_optional(self, tmp_path):
-        ps = PairScores(
-            pairs=np.array([(2, 5)]), scores=np.array([1.0]), scorer=ScorerKind.KATZ
-        )
-        path = tmp_path / "scores.csv"
-        write_scores_csv(ps, path)
-        assert path.read_text().splitlines()[1] == "2,5,1.0,katz,"
-
-    def test_round_trip_precision(self, tmp_path):
-        value = 0.12345678901234567
-        ps = PairScores(
-            pairs=np.array([(0, 1)]), scorer=ScorerKind.LGAE, scores=np.array([value])
-        )
-        path = tmp_path / "scores.csv"
-        write_scores_csv(ps, path)
-        text = path.read_text().splitlines()[1].split(",")[2]
-        assert float(text) == value
