@@ -26,8 +26,9 @@ print(f"nodes: {g.n_left} left + {g.n_right} right = {g.n}")
 print(f"edges: {g.m}")
 print(f"left degrees:  {g.degrees()[: g.n_left].tolist()}")
 print(f"right node 1 sits at global index {g.n_left + 1}")
-print(f"has_edge(0, 1) = {g.has_edge(0, 1)}")
-print(f"has_edge(2, 0) = {g.has_edge(2, 0)}")
+# The adjacency is the one edge store: an edge is an entry of it.
+print(f"edge (0, 1): {bool(g.adj[0, g.n_left + 1])}")
+print(f"edge (2, 0): {bool(g.adj[2, g.n_left + 0])}")
 
 print()
 print("=" * 64)
@@ -41,7 +42,7 @@ print(a.toarray())
 norm = normalize(g.adj)
 print("normalized adjacency (self-loops added, scaled by degree products):")
 print(np.round(norm.matrix.toarray(), 3))
-print(f"self-loop degrees: {norm.tilde_degrees}")
+print(f"self-loop degrees: {g.degrees() + 1}")
 
 print()
 print("single-edge sanity check: a 1+1 graph normalizes to all 0.5 exactly")

@@ -74,9 +74,9 @@ for kind in (
     auc = roc_auc(result.scores[: len(test_pos)], result.scores[len(test_pos):])
     print(f"{kind.value:<18} {auc:>6.3f}")
 
-# Katz reads an index of the training adjacency; its closed form solves
+# Katz reads an index of the training graph; its closed form solves
 # through the smaller side's Gram matrix, built by the first call and kept.
-katz = katz_score(katz_index(a_train, gt.n_left), 0.005, pairs)
+katz = katz_score(katz_index(gt), 0.005, pairs)
 auc = roc_auc(katz.scores[: len(test_pos)], katz.scores[len(test_pos):])
 print(f"{'katz':<18} {auc:>6.3f}")
 

@@ -3,8 +3,13 @@
 Edge-list files are plain UTF-8 text: one edge per line, two whitespace
 separated tokens, first token a Left node id and second a Right node id.
 ``#`` starts a comment, blank lines are skipped.  Ids are mapped to contiguous
-local indices in order of first appearance, Left and Right id spaces kept
-independent; the mapping is retained so a written file round-trips.
+local indices in order of first appearance, each side numbered on its own;
+an id may not appear on both sides.  The loader keeps the mapping
+(``EdgeListResult``).  ``write_edge_list`` writes ``l<i> r<j>`` lines in
+edge order, so a written file reads back as the same edges under the id
+mapping but not as the same graph: the right side comes back numbered in
+order of first appearance, in general a permutation of the one written,
+and a split of it differs.
 
 The registry (registry.json, shipped inside the package) records the twelve
 benchmark networks this package targets: expected node/edge counts, source
@@ -134,43 +139,22 @@ def load_edge_list_detailed(path) -> EdgeListResult:
     duplicates = len(pairs) - graph.m
     if duplicates:
         logger.warning("%s: %d duplicate edge lines ignored", path, duplicates)
-    return EdgeListResult(
-        graph=graph,
-        left_ids=tuple(left_index),
-        right_ids=tuple(right_index),
-        duplicate_count=duplicates,
-    )
+    return EdgeListResult(graph, tuple(left_index), tuple(right_index), duplicates)
 
 
-def write_edge_list(g: BipartiteGraph, path, left_ids=None, right_ids=None) -> None:
-    """Write one ``left right`` line per edge (ids default to l<i> / r<j>).
+def write_edge_list(g: BipartiteGraph, path) -> None:
+    """Write one ``l<i> r<j>`` line per edge, in the order of ``g.edges``.
 
-    ValueError names the first id that would not read back as itself, before
-    the file is opened: each must be a non-empty string without whitespace
-    or ``#``, used once across both sides.  A node with no edge cannot be
-    written either, so ValueError also names the first isolated node.
+    A node with no edge cannot be written, so ValueError names the first
+    isolated node before the file is opened.
     """
-    if left_ids is None:
-        left_ids = tuple(f"l{i}" for i in range(g.n_left))
-    if right_ids is None:
-        right_ids = tuple(f"r{j}" for j in range(g.n_right))
-    if len(left_ids) != g.n_left or len(right_ids) != g.n_right:
-        raise ValueError("id sequences must match the partition sizes")
     isolated = np.flatnonzero(g.degrees() == 0)
     if isolated.size:
         side, i = ("left", isolated[0]) if isolated[0] < g.n_left else ("right", isolated[0] - g.n_left)
         raise ValueError(f"{side} node {i} has no edge, and an edge list cannot hold it")
-    sides: dict = {}  # id -> the side that used it first
-    for side, ids in (("left", left_ids), ("right", right_ids)):
-        for i, node_id in enumerate(ids):
-            if not isinstance(node_id, str) or "#" in node_id or node_id.split() != [node_id]:
-                raise ValueError(f"{side}_ids[{i}] {node_id!r} must be a non-empty str without whitespace or '#'")
-            if node_id in sides:
-                raise ValueError(f"{side}_ids[{i}] {node_id!r} is already a {sides[node_id]} id")
-            sides[node_id] = side
     with open(path, "w", encoding="utf-8") as fh:
         for u, v in g.edges:
-            fh.write(f"{left_ids[u]} {right_ids[v]}\n")
+            fh.write(f"l{u} r{v}\n")
 
 
 def _bernoulli_block(rng, n_rows: int, n_cols: int, p: float, row0: int = 0, col0: int = 0):

@@ -5,8 +5,8 @@ right nodes ``n_left..n_left+n_right-1``.  All matrices produced here are
 ``n x n`` with ``n = n_left + n_right``.
 
 A graph stores its edges once, as the symmetric 0/1 CSR adjacency ``adj``;
-the edge array, its cell keys and the neighbour arrays are views computed
-from it on first use.  Pairs are read-only (k, 2) int64 arrays.
+the edge array and its cell keys are views computed from it on first use.
+Pairs are read-only (k, 2) int64 arrays.
 ``pair_array``, ``check_int`` and ``check_real`` are the package's input
 rules for pairs, integers and reals; no other module keeps its own.
 """
@@ -46,10 +46,10 @@ class BipartiteGraph:
     """Immutable bipartite graph with two disjoint node partitions.
 
     ``adj`` is the one edge store: the symmetric n x n 0/1 CSR adjacency in
-    global indexing, canonical and read-only.  ``edges`` (the sorted local
-    (left, right) pairs, a read-only (m, 2) int64 array), ``edge_keys``
-    (their sorted cell keys) and ``neighbors`` (per node, sorted int64
-    global indices) are views of it.  Equality is identity.
+    global indexing, canonical and read-only, so row x's ``indices`` are
+    N(x), sorted.  ``edges`` (the sorted local (left, right) pairs, a
+    read-only (m, 2) int64 array) and ``edge_keys`` (their sorted cell keys)
+    are views of it.  Equality is identity.
     """
 
     n_left: int
@@ -79,22 +79,9 @@ class BipartiteGraph:
         """Cell key ``left * n_right + right`` of each in-range local pair."""
         return pairs[:, 0] * self.n_right + pairs[:, 1]
 
-    @cached_property
-    def neighbors(self) -> tuple:
-        """Per-node sorted int64 arrays of global neighbour indices."""
-        indices = self.adj.indices.astype(np.int64)
-        bounds = self.adj.indptr.tolist()
-        return tuple(indices[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
-
     def degrees(self) -> np.ndarray:
         """Per-node degree vector over global indices."""
         return np.diff(self.adj.indptr).astype(np.int64)
-
-    def has_edge(self, left: int, right: int) -> bool:
-        """Membership test in partition-local indexing; False out of range."""
-        left, right = check_int("left", left), check_int("right", right)
-        inside = 0 <= left < self.n_left and 0 <= right < self.n_right
-        return inside and bool(in_sorted(self.edge_keys, np.array([left * self.n_right + right]))[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +94,6 @@ class NormalizedAdjacency:
     """
 
     matrix: sp.csr_matrix
-    tilde_degrees: np.ndarray
 
     @property
     def n(self) -> int:
@@ -244,5 +230,5 @@ def normalize(a: sp.spmatrix) -> NormalizedAdjacency:
     mat = sp.csr_matrix(
         (a_tilde.data / scale, a_tilde.indices, a_tilde.indptr), shape=(n, n)
     )
-    return NormalizedAdjacency(matrix=mat, tilde_degrees=tilde_deg)
+    return NormalizedAdjacency(matrix=mat)
 

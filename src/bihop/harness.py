@@ -36,7 +36,6 @@ from .metrics import (
     SummaryRow,
     average_precision,
     best_f1_threshold,
-    confusion_at,
     format_mass_table,
     roc_auc,
     score_mass_report,
@@ -215,7 +214,7 @@ class RunArtifacts:
     def katz(self) -> KatzIndex:
         """The Katz index of ``g_train``; its dense blocks and spectral
         radius are built by the first closed-form Katz call."""
-        return katz_index(adjacency(self.g_train), self.g_train.n_left)
+        return katz_index(self.g_train)
 
 
 def build_run_artifacts(g: BipartiteGraph, split: EdgeSplit) -> RunArtifacts:
@@ -472,10 +471,8 @@ def diagnose(
     # (a) best-F1 confusion of each surface against the full graph's edges
     pop_pairs, pop_labels = _confusion_population(g, extra_keys[0])
     recon_scores, norm_scores = _surface_scores(model, artifacts.norm, pop_pairs)
-    recon_thr, _ = best_f1_threshold(recon_scores, pop_labels)
-    norm_thr, _ = best_f1_threshold(norm_scores, pop_labels)
-    recon_confusion = confusion_at(recon_scores, pop_labels, recon_thr)
-    norm_confusion = confusion_at(norm_scores, pop_labels, norm_thr)
+    recon_confusion = best_f1_threshold(recon_scores, pop_labels)
+    norm_confusion = best_f1_threshold(norm_scores, pop_labels)
 
     # (b) mean raw two-hop mass per evaluation set, for both surfaces
     false_edges = sample_negatives(g, g.m, exclude=(), seed=extra_keys[1])

@@ -27,20 +27,6 @@ class ConfusionMatrix:
     threshold: float
 
     @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
-    @property
-    def precision(self) -> float:
-        denom = self.tp + self.fp
-        return self.tp / denom if denom else 0.0
-
-    @property
-    def recall(self) -> float:
-        denom = self.tp + self.fn
-        return self.tp / denom if denom else 0.0
-
-    @property
     def f1(self) -> float:
         denom = 2 * self.tp + self.fp + self.fn
         return 2 * self.tp / denom if denom else 0.0
@@ -145,11 +131,12 @@ def average_precision(pos_scores, neg_scores) -> float:
     return float((j / (j + ahead)).sum() / pos.size)
 
 
-def best_f1_threshold(scores, labels):
-    """Threshold (from the distinct score values) maximizing F1.
+def best_f1_threshold(scores, labels) -> ConfusionMatrix:
+    """The confusion counts at the threshold (from the distinct score
+    values) maximizing F1.
 
-    Predicts positive when score >= threshold.  Ties on F1 resolve to the
-    larger threshold.  Returns (threshold, f1).
+    Predicts positive when score >= threshold; a label of 1 is a positive
+    and any other a negative.  Ties on F1 resolve to the larger threshold.
     """
     scores = _validate_scores(scores, "scores")
     labels = np.asarray(labels, dtype=np.int64).ravel()
@@ -159,32 +146,19 @@ def best_f1_threshold(scores, labels):
         raise ValueError("best_f1_threshold needs at least one positive label")
     order = np.argsort(-scores, kind="stable")
     s_sorted = scores[order]
-    l_sorted = labels[order]
-    cum_pos = np.cumsum(l_sorted)
-    total_pos = cum_pos[-1]
+    cum_pos = np.cumsum(labels[order] == 1)
+    total_pos = int(cum_pos[-1])
     # Candidate thresholds: each distinct value, evaluated at its LAST
     # occurrence in the descending order so the >= rule is respected.
     last = np.nonzero(np.diff(s_sorted, append=-np.inf) != 0)[0]
     ks = last + 1
-    tp = cum_pos[last].astype(np.float64)
-    f1s = 2.0 * tp / (ks + total_pos)
+    f1s = 2.0 * cum_pos[last] / (ks + total_pos)
     best = int(np.argmax(f1s))  # first (= largest threshold) among F1 ties
-    return float(s_sorted[last[best]]), float(f1s[best])
-
-
-def confusion_at(scores, labels, threshold: float) -> ConfusionMatrix:
-    """Confusion counts for the rule: predict positive iff score >= threshold."""
-    scores = _validate_scores(scores, "scores")
-    labels = np.asarray(labels, dtype=np.int64).ravel()
-    if scores.size != labels.size:
-        raise ValueError("scores and labels differ in length")
-    pred = scores >= threshold
-    actual = labels == 1
-    tp = int(np.sum(pred & actual))
-    fp = int(np.sum(pred & ~actual))
-    fn = int(np.sum(~pred & actual))
-    tn = int(np.sum(~pred & ~actual))
-    return ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=tn, threshold=float(threshold))
+    k, tp = int(ks[best]), int(cum_pos[last[best]])
+    fn = total_pos - tp
+    return ConfusionMatrix(
+        tp=tp, fp=k - tp, fn=fn, tn=scores.size - k - fn, threshold=float(s_sorted[last[best]])
+    )
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .autoencoder import EmbeddingModel, sigmoid
-from .graph import BipartiteGraph, NormalizedAdjacency, check_int, check_real, pair_array, read_only
+from .graph import BipartiteGraph, NormalizedAdjacency, check_real, pair_array, read_only
 
 DENSE_THRESHOLD = 4096
 
@@ -328,7 +328,8 @@ def heuristic_index(g_train: BipartiteGraph) -> HeuristicIndex:
     """The neighbourhood index of ``g_train``; reads its edges only."""
     degrees = g_train.degrees()
     deg = degrees.tolist()
-    lists = tuple(nb.tolist() for nb in g_train.neighbors)
+    indices, bounds = g_train.adj.indices.tolist(), g_train.adj.indptr.tolist()
+    lists = tuple(indices[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
     return HeuristicIndex(
         g=g_train,
         neighbor_lists=lists,
@@ -401,14 +402,14 @@ def adjacency_spectral_radius(gram: np.ndarray) -> float:
 class KatzIndex:
     """What Katz reads from one training graph.
 
-    ``adj`` is the symmetric float64 CSR adjacency and its first ``n_left``
-    nodes are the left side; the series reads ``adj`` alone.  The closed
-    form reads ``blocks``, which its first call builds and every later call
-    on the index shares: W, the dense block of ``adj`` whose rows are the
-    larger side's nodes and whose columns are the smaller side's (the left
-    side on a tie); the Gram matrix G = W^T W; the spectral radius, from G;
-    and s_lo, the global index of the smaller side's first node, 0 or
-    n_left.
+    ``adj`` is a symmetric float64 CSR adjacency with no entry inside one
+    side, and its first ``n_left`` nodes are the left side; the series
+    reads ``adj`` alone.  The closed form reads ``blocks``, which its first
+    call builds and every later call on the index shares: W, the dense
+    block of ``adj`` whose rows are the larger side's nodes and whose
+    columns are the smaller side's (the left side on a tie); the Gram matrix
+    G = W^T W; the spectral radius, from G; and s_lo, the global index of
+    the smaller side's first node, 0 or n_left.
     """
 
     adj: sp.csr_matrix = field(repr=False)
@@ -426,20 +427,9 @@ class KatzIndex:
         return w, gram, adjacency_spectral_radius(gram), s_lo
 
 
-def katz_index(a_train: sp.spmatrix, n_left: int) -> KatzIndex:
-    """The Katz index of the bipartite adjacency ``a_train``, whose first
-    ``n_left`` nodes are the left side; reads its entries only.  TypeError
-    if ``n_left`` is not an integer; ValueError if it is negative, or if the
-    matrix is not square or stores an entry inside one side."""
-    n_left = check_int("n_left", n_left, low=0)
-    a = sp.csr_matrix(a_train, dtype=np.float64)
-    n = a.shape[0]
-    if a.shape != (n, n) or n_left > n:
-        raise ValueError(f"a {a.shape} matrix with n_left={n_left} is not a bipartite adjacency")
-    row_left = np.repeat(np.arange(n) < n_left, np.diff(a.indptr))
-    if np.any(row_left == (a.indices < n_left)):
-        raise ValueError("the adjacency stores an entry inside one side; Katz needs a bipartite graph")
-    return KatzIndex(adj=a, n_left=n_left)
+def katz_index(g_train: BipartiteGraph) -> KatzIndex:
+    """The Katz index of ``g_train``; reads its edges only."""
+    return KatzIndex(adj=g_train.adj, n_left=g_train.n_left)
 
 
 def _entries(x: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

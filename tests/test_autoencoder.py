@@ -153,7 +153,7 @@ def tile_side(side):
 
 def identity_encoder(n):
     """An = I, so the linear encoder's Z is its weight and dL/dW = dL/dZ."""
-    return NormalizedAdjacency(matrix=sp.identity(n, format="csr"), tilde_degrees=np.ones(n))
+    return NormalizedAdjacency(matrix=sp.identity(n, format="csr"))
 
 
 def max_rel_error(got, want):
@@ -516,7 +516,7 @@ class TestGradients:
 
         rng = np.random.default_rng(53)
         norm, labels, weights = problem_instance(rng, ModelKind.GAE, max_side=7)
-        counting = NormalizedAdjacency(matrix=CountingCsr(norm.matrix), tilde_degrees=norm.tilde_degrees)
+        counting = NormalizedAdjacency(matrix=CountingCsr(norm.matrix))
         tiles = _label_tiles(labels, norm.n)
         got = _loss_value_and_gradient(weights, counting, tiles)
         assert len(calls) == 4

@@ -42,7 +42,7 @@ from bihop.harness import (
     tune_scorers,
 )
 from bihop.metrics import MetricReport, summarize
-from bihop.scoring import HEURISTIC_KINDS, ScorerKind, heuristic_scores
+from bihop.scoring import HEURISTIC_KINDS, KatzDivergenceError, ScorerKind, heuristic_scores
 from bihop.splits import split_edges
 
 from conftest import katz_form, read_results
@@ -541,6 +541,25 @@ class TestKatzFeasibility:
             run_benchmark(config)
         assert exc.value.__notes__ == ["while running 'dense_er' run 0 (seed 4)"]
 
+    def test_beta_tuned_on_run0_can_diverge_on_a_later_run(self):
+        """The grid is searched on run 0's training graph alone.  Here run 0's
+        radius is 19.888, so beta = 0.05025 is feasible there and wins; run
+        4's training graph has radius 19.928, where the frozen beta
+        diverges, so the benchmark raises KatzDivergenceError with run 4's
+        note rather than skipping the point."""
+        source = {"model": "er", "n_left": 150, "n_right": 150, "p": 0.15, "seed": 0}
+        config = BenchmarkConfig(
+            datasets=(DatasetSpec(id="er", source=source),),
+            scorers=(ScorerKind.KATZ,), runs=5, katz_grid=(0.001, 0.05025),
+        )
+        g = generate_bipartite_er(150, 150, 0.15, seed=0)
+        run0 = build_run_artifacts(g, split_edges(g, config.ratios, 0))
+        assert tune_scorers(run0, config) == {ScorerKind.KATZ: {"beta": 0.05025}}
+        with pytest.raises(KatzDivergenceError, match="beta=0.05025") as exc:
+            run_benchmark(config)
+        if sys.version_info >= (3, 11):
+            assert exc.value.__notes__ == ["while running 'er' run 4 (seed 4)"]
+
 
 class TestTuneScorers:
     def test_singleton_grids_skip_search(self, block_graph):
@@ -1007,7 +1026,7 @@ class TestDiagnose:
         sampled = pairs[m:] - (0, g.n_left)
         assert ((0 <= sampled) & (sampled < (g.n_left, g.n_right))).all()
         assert len({(u, v) for u, v in sampled.tolist()}) == m
-        assert not any(g.has_edge(u, v) for u, v in sampled.tolist())
+        assert not any(g.adj[u, g.n_left + v] for u, v in sampled.tolist())
         assert labels.tolist() == [1] * m + [0] * m
         again, again_labels = harness._confusion_population(g, seed=11)
         assert np.array_equal(again, pairs) and np.array_equal(again_labels, labels)

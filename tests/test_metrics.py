@@ -9,6 +9,7 @@ The production implementations must agree exactly, not approximately.
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,6 @@ from bihop.metrics import (
     ConfusionMatrix,
     average_precision,
     best_f1_threshold,
-    confusion_at,
     format_mass_table,
     roc_auc,
     score_mass_report,
@@ -199,50 +199,62 @@ class TestAveragePrecision:
             assert got == base
 
 
+def confusion_oracle(scores, labels, threshold) -> tuple:
+    """(tp, fp, fn, tn) of the rule score >= threshold, counted pair by pair."""
+    cells = Counter((score >= threshold, label == 1) for score, label in zip(scores, labels))
+    return cells[True, True], cells[True, False], cells[False, True], cells[False, False]
+
+
+def f1_of(tp, fp, fn, tn) -> float:
+    return 2 * tp / (2 * tp + fp + fn) if tp + fp + fn else 0.0
+
+
 class TestBestF1:
     def test_perfect_separation(self):
         scores = np.array([0.9, 0.8, 0.2, 0.1])
         labels = np.array([1, 1, 0, 0])
-        threshold, f1 = best_f1_threshold(scores, labels)
-        assert f1 == 1.0
-        assert threshold == 0.8  # smallest positive score
+        cm = best_f1_threshold(scores, labels)
+        assert cm.f1 == 1.0
+        assert cm.threshold == 0.8  # smallest positive score
+        assert (cm.tp, cm.fp, cm.fn, cm.tn) == (2, 0, 0, 2)
 
     def test_all_scores_equal_half_positive(self):
         """Only one candidate threshold exists: predict everything positive.
         With half the labels positive, F1 = 2*P / (2*P + N) = 2/3."""
         scores = np.full(10, 0.4)
         labels = np.array([1] * 5 + [0] * 5)
-        threshold, f1 = best_f1_threshold(scores, labels)
-        assert threshold == 0.4
-        assert f1 == pytest.approx(2 / 3, abs=1e-15)
+        cm = best_f1_threshold(scores, labels)
+        assert cm.threshold == 0.4
+        assert cm.f1 == pytest.approx(2 / 3, abs=1e-15)
 
     def test_all_positive_labels(self):
         scores = np.array([0.3, 0.9, 0.5])
         labels = np.array([1, 1, 1])
-        threshold, f1 = best_f1_threshold(scores, labels)
-        assert f1 == 1.0
-        assert threshold == 0.3
+        cm = best_f1_threshold(scores, labels)
+        assert cm.f1 == 1.0
+        assert cm.threshold == 0.3
 
     def test_f1_ties_take_larger_threshold(self):
         # threshold 0.9: tp=1, fn=1 -> F1 = 2/3; threshold 0.4: tp=2, fp=2
         # -> F1 = 2/3 as well; the larger threshold must win
         scores = np.array([0.9, 0.5, 0.5, 0.4])
         labels = np.array([1, 0, 0, 1])
-        threshold, f1 = best_f1_threshold(scores, labels)
-        assert threshold == 0.9
-        assert f1 == pytest.approx(2 / 3, abs=1e-15)
+        cm = best_f1_threshold(scores, labels)
+        assert cm.threshold == 0.9
+        assert cm.f1 == pytest.approx(2 / 3, abs=1e-15)
 
     def test_reported_f1_matches_confusion(self):
+        """The counts are those of the rule score >= threshold, a label of 1
+        the only positive."""
         rng = np.random.default_rng(106)
         for _ in range(100):
             n = int(rng.integers(2, 60))
             scores = np.round(rng.random(n), 2)  # force ties
-            labels = rng.integers(0, 2, size=n)
-            if not labels.any():
+            labels = rng.integers(-1, 3, size=n)
+            if not np.any(labels == 1):
                 labels[0] = 1
-            threshold, f1 = best_f1_threshold(scores, labels)
-            cm = confusion_at(scores, labels, threshold)
-            assert f1 == pytest.approx(cm.f1, abs=1e-12)
+            cm = best_f1_threshold(scores, labels)
+            assert (cm.tp, cm.fp, cm.fn, cm.tn) == confusion_oracle(scores, labels, cm.threshold)
 
     def test_exhaustive_oracle(self):
         """No threshold (including +-inf) beats the one returned."""
@@ -253,9 +265,9 @@ class TestBestF1:
             labels = rng.integers(0, 2, size=n)
             if not labels.any():
                 labels[0] = 1
-            _, f1 = best_f1_threshold(scores, labels)
+            f1 = best_f1_threshold(scores, labels).f1
             candidates = np.concatenate([np.unique(scores), [np.inf, -np.inf]])
-            best = max(confusion_at(scores, labels, t).f1 for t in candidates)
+            best = max(f1_of(*confusion_oracle(scores, labels, t)) for t in candidates)
             assert f1 == pytest.approx(best, abs=1e-12)
 
     def test_rejects_no_positive(self):
@@ -268,35 +280,27 @@ class TestBestF1:
 
 
 class TestConfusionAt:
+    """The counts ``best_f1_threshold`` returns at its threshold."""
+
     def test_hand_case(self):
+        # thresholds 0.9, 0.6, 0.4, 0.1 give F1 2/3, 1/2, 4/5, 2/3
         scores = np.array([0.9, 0.6, 0.4, 0.1])
         labels = np.array([1, 0, 1, 0])
-        cm = confusion_at(scores, labels, 0.5)
-        assert (cm.tp, cm.fp, cm.fn, cm.tn) == (1, 1, 1, 1)
-        assert cm.total == 4
-        assert cm.precision == 0.5
-        assert cm.recall == 0.5
-        assert cm.f1 == 0.5
+        cm = best_f1_threshold(scores, labels)
+        assert cm.threshold == 0.4
+        assert (cm.tp, cm.fp, cm.fn, cm.tn) == (2, 1, 0, 1)
+        assert cm.f1 == 0.8
 
     def test_threshold_is_inclusive(self):
-        cm = confusion_at([0.5], [1], 0.5)
-        assert cm.tp == 1 and cm.fn == 0
-
-    def test_extreme_thresholds(self):
-        scores = np.array([0.9, 0.6, 0.4, 0.1])
-        labels = np.array([1, 0, 1, 0])
-        low = confusion_at(scores, labels, -np.inf)
-        assert low.fn == 0 and low.tn == 0 and low.tp == 2 and low.fp == 2
-        high = confusion_at(scores, labels, np.inf)
-        assert high.tp == 0 and high.fp == 0
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="differ in length"):
-            confusion_at([0.9, 0.1], [1], 0.5)
+        """Every score tied with the threshold is predicted positive."""
+        cm = best_f1_threshold([0.5, 0.5, 0.2], [1, 0, 1])
+        assert cm.threshold == 0.2 and (cm.tp, cm.fp, cm.fn, cm.tn) == (2, 1, 0, 0)
+        cm = best_f1_threshold([0.5, 0.5, 0.2], [1, 1, 0])
+        assert cm.threshold == 0.5 and (cm.tp, cm.fp, cm.fn, cm.tn) == (2, 0, 0, 1)
 
     def test_degenerate_f1_is_zero(self):
         cm = ConfusionMatrix(tp=0, fp=0, fn=0, tn=5, threshold=1.0)
-        assert cm.f1 == 0.0 and cm.precision == 0.0 and cm.recall == 0.0
+        assert cm.f1 == 0.0
 
 
 class TestScoreMass:

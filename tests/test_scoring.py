@@ -31,12 +31,13 @@ from scipy.special import expit
 from bihop import autoencoder, scoring
 
 from bihop.autoencoder import EmbeddingModel, ModelKind
-from bihop.data import generate_bipartite_er, southern_women_graph
+from bihop.data import generate_bipartite_er
 from bihop.graph import adjacency, build_graph, normalize
 from bihop.harness import DEFAULT_RATIOS, SCORER_MODELS
 from bihop.metrics import roc_auc
 from bihop.scoring import (
     HEURISTIC_KINDS,
+    KatzIndex,
     ScorerKind,
     adjacency_spectral_radius,
     decode_score,
@@ -109,8 +110,8 @@ def two_step_loop(g, v):
     """N2(v) as it was built before the index shared its neighbour lists:
     one ``update`` with a fresh list per neighbour of v."""
     out = set()
-    for a in g.neighbors[v]:
-        out.update(g.neighbors[a].tolist())
+    for a in g.adj[v].indices:
+        out.update(g.adj[a].indices.tolist())
     return out
 
 
@@ -149,7 +150,7 @@ def heuristic_loop(g, kind, pairs):
         if v not in cache:
             cache[v] = two_step_loop(g, v)
         n2 = cache[v]
-        nu = set(g.neighbors[u].tolist())
+        nu = set(g.adj[u].indices.tolist())
         common = nu & n2
         if kind is ScorerKind.COMMON_NEIGHBORS:
             out.append(float(len(common)))
@@ -170,7 +171,7 @@ def heuristic_one(g, kind, u, v):
 
 def katz_of(g, beta, pairs):
     """Katz scores of ``pairs`` on ``g``'s adjacency, from a fresh index."""
-    return katz_score(katz_index(adjacency(g), g.n_left), beta, pairs)
+    return katz_score(katz_index(g), beta, pairs)
 
 
 def katz_terms(terms):
@@ -489,8 +490,8 @@ class TestHeuristics:
                 for vl in range(g.n_right):
                     v = g.n_left + vl
                     has_path = any(
-                        g.has_edge(a, b - g.n_left) and g.has_edge(a, vl)
-                        for b in g.neighbors[u].tolist()
+                        g.adj[a, b] and g.adj[a, v]
+                        for b in g.adj[u].indices.tolist()
                         for a in range(g.n_left)
                     )
                     cn = heuristic_one(g, ScorerKind.COMMON_NEIGHBORS, u, v)
@@ -511,9 +512,9 @@ class TestHeuristics:
                     v = g.n_left + vl
                     intermediates = {
                         b
-                        for b in g.neighbors[u].tolist()
+                        for b in g.adj[u].indices.tolist()
                         for a in range(g.n_left)
-                        if g.has_edge(a, b - g.n_left) and g.has_edge(a, vl)
+                        if g.adj[a, b] and g.adj[a, v]
                     }
                     want = sum(1.0 / deg[b] for b in intermediates)
                     got = heuristic_one(g, ScorerKind.RESOURCE_ALLOCATION, u, v)
@@ -839,7 +840,7 @@ class TestKatz:
             for matrix, beta in ((a, 0.05), (weighted, 0.3)):
                 for terms in (1, 2, 3, 5):
                     with katz_form("series"), katz_terms(terms):
-                        got = katz_score(katz_index(matrix, n_left), beta, oriented).scores
+                        got = katz_score(KatzIndex(adj=matrix, n_left=n_left), beta, oriented).scores
                     want = katz_series_loop(matrix, beta, pairs, terms)
                     assert np.array_equal(got, np.concatenate([want, want[:60]]))
 
@@ -858,9 +859,8 @@ class TestKatz:
         swapped = build_graph(g.n_right, g.n_left, g.edges[:, ::-1])
         assert g.n_left < g.n_right
         for h in (g, swapped):
-            a = adjacency(h)
-            dense = float(np.max(np.abs(np.linalg.eigvalsh(a.toarray()))))
-            _, gram, radius, _ = katz_index(a, h.n_left).blocks
+            dense = float(np.max(np.abs(np.linalg.eigvalsh(h.adj.toarray()))))
+            _, gram, radius, _ = katz_index(h).blocks
             assert gram.shape == (min(h.n_left, h.n_right),) * 2
             assert radius == adjacency_spectral_radius(gram)
             assert radius == pytest.approx(dense, rel=1e-10)
@@ -870,20 +870,19 @@ class TestKatz:
         feasibility is the same on every call and every index."""
         rng = np.random.default_rng(78)
         edges = [(u, v) for u in range(60) for v in range(50) if rng.random() < 0.1]
-        a = adjacency(build_graph(60, 50, edges))
-        gram = katz_index(a, 60).blocks[1]
+        g = build_graph(60, 50, edges)
+        gram = katz_index(g).blocks[1]
         radii = {adjacency_spectral_radius(gram) for _ in range(5)}
-        radii |= {katz_index(a, 60).blocks[2] for _ in range(5)}
+        radii |= {katz_index(g).blocks[2] for _ in range(5)}
         assert len(radii) == 1
-        dense = float(np.max(np.abs(np.linalg.eigvalsh(a.toarray()))))
+        dense = float(np.max(np.abs(np.linalg.eigvalsh(g.adj.toarray()))))
         assert radii.pop() == pytest.approx(dense, rel=1e-10)
 
     def test_empty_graph_radius_zero(self):
         """No edge, or no node on one side (an s = 0 Gram matrix): 0.0."""
-        g = build_graph(3, 3, [])
-        assert katz_index(adjacency(g), g.n_left).blocks[2] == 0.0
-        for n_left in (0, 4):
-            _, gram, radius, _ = katz_index(sp.csr_matrix((4, 4)), n_left).blocks
+        assert katz_index(build_graph(3, 3, [])).blocks[2] == 0.0
+        for g in (build_graph(0, 4, []), build_graph(4, 0, [])):
+            _, gram, radius, _ = katz_index(g).blocks
             assert gram.shape == (0, 0)
             assert radius == 0.0 == adjacency_spectral_radius(gram)
 
@@ -891,7 +890,7 @@ class TestKatz:
         """The index passes its own Gram matrix to adjacency_spectral_radius,
         once, rather than the radius rebuilding W and G from the adjacency."""
         g = random_bipartite(np.random.default_rng(76), max_side=8, min_edges=10)
-        index = katz_index(adjacency(g), g.n_left)
+        index = katz_index(g)
         seen = []
         real = scoring.adjacency_spectral_radius
 
@@ -922,7 +921,7 @@ class TestKatz:
             pairs += [(v, u) for u, v in pairs]
             for matrix in (a, sp.csr_matrix(upper + upper.T)):
                 dense = matrix.toarray()
-                index = katz_index(matrix, n_left)
+                index = KatzIndex(adj=matrix, n_left=n_left)
                 radius = float(np.max(np.abs(np.linalg.eigvalsh(dense))))
                 for beta in (0.5 / radius, 0.9 / radius):
                     want = np.linalg.inv(np.eye(g.n) - beta * dense) - np.eye(g.n)
@@ -934,29 +933,6 @@ class TestKatz:
         pairs = het_pairs(empty)
         assert not np.any(katz_of(empty, 0.5, pairs + [(v, u) for u, v in pairs]).scores)
 
-    def test_index_rejects_non_bipartite_matrix(self):
-        """The closed form holds only for A = [[0, B], [B^T, 0]]; an entry
-        inside one side, or a non-square matrix, is refused."""
-        with pytest.raises(ValueError, match="inside one side"):
-            katz_index(sp.csr_matrix(np.ones((2, 2))), 1)
-        with pytest.raises(ValueError, match="not a bipartite adjacency"):
-            katz_index(sp.csr_matrix((2, 3)), 1)
-
-    def test_index_checks_n_left(self):
-        """``n_left`` is an integer >= 0: the float 18.0 used to build an
-        index whose ``n_left`` was a float, and True was read as 1 and then
-        failed with the "inside one side" message."""
-        g = southern_women_graph()
-        with pytest.raises(TypeError, match="n_left must be an integer, got 18.0"):
-            katz_index(g.adj, 18.0)
-        with pytest.raises(TypeError, match="n_left must be an integer, got True"):
-            katz_index(g.adj, True)
-        with pytest.raises(ValueError, match="n_left must be >= 0, got -1"):
-            katz_index(g.adj, -1)
-        with pytest.raises(ValueError, match="not a bipartite adjacency"):
-            katz_index(g.adj, g.n + 1)
-        assert type(katz_index(g.adj, np.int64(18)).n_left) is int
-
     def test_closed_form_loads_no_scipy_linalg(self):
         """A closed-form call loads neither scipy.sparse.linalg nor
         scipy.linalg; in a fresh process, since this one may have loaded
@@ -966,7 +942,7 @@ class TestKatz:
         code = (
             "import sys, bihop\n"
             "g = bihop.generate_bipartite_er(30, 40, 0.2, seed=1)\n"
-            "bihop.katz_score(bihop.katz_index(g.adj, g.n_left), 0.01, [(0, 30), (35, 1), (29, 69)])\n"
+            "bihop.katz_score(bihop.katz_index(g), 0.01, [(0, 30), (35, 1), (29, 69)])\n"
             "print(sorted(m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.sparse.linalg'))))"
         )
         child = subprocess.run(

@@ -174,7 +174,7 @@ class TestSplitEdges:
         g = medium_graph()
         split = split_edges(g, DEFAULT, seed=7)
         for u, v in np.concatenate([split.val_neg, split.test_neg]):
-            assert not g.has_edge(u, v)
+            assert not g.adj[u, g.n_left + v]
             assert 0 <= u < g.n_left and 0 <= v < g.n_right
         assert not (set(pairs_of(split.val_neg)) & set(pairs_of(split.test_neg)))
         assert len(set(pairs_of(split.val_neg))) == len(split.val_neg)
@@ -281,7 +281,7 @@ class TestSampleNegatives:
             assert len(got) == 3
             assert len(set(pairs_of(got))) == 3
             for u, v in got:
-                assert not g.has_edge(u, v)
+                assert not g.adj[u, g.n_left + v]
 
     def test_exclusion_respected(self):
         g = build_graph(4, 4, [(0, 0)])
@@ -369,7 +369,7 @@ class TestTrainGraph:
         assert gt.n_left == g.n_left and gt.n_right == g.n_right
         assert set(pairs_of(gt.edges)) == set(pairs_of(split.train_edges))
         for pair in np.concatenate([split.val_pos, split.test_pos]):
-            assert not gt.has_edge(*pair)
+            assert not gt.adj[pair[0], gt.n_left + pair[1]]
 
 
 class TestSaveLoad:
