@@ -63,7 +63,7 @@ print("=" * 64)
 # One training edge, one held-out edge and one sampled non-edge, as local
 # (left, right) rows; the right index shifts by n_left to go global.
 local = np.stack([split.train_edges[0], split.test_pos[0], split.test_neg[0]])
-probs = decode_score(model, local + (0, g.n_left)).scores
+probs = decode_score(model, local + (0, g.n_left))
 train_pair, held_pair, non_edge = map(tuple, local.tolist())
 print(f"decoded probability, training edge  {train_pair}: {probs[0]:.3f}")
 print(f"decoded probability, held-out edge  {held_pair}: {probs[1]:.3f}")

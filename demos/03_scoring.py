@@ -55,11 +55,11 @@ print("=" * 64)
 print(f"{'scorer':<18} {'AUC':>6}")
 
 mixed = two_hop_score(model, norm, pairs)
-auc = roc_auc(mixed.scores[: len(test_pos)], mixed.scores[len(test_pos):])
+auc = roc_auc(mixed[: len(test_pos)], mixed[len(test_pos):])
 print(f"{'two_hop':<18} {auc:>6.3f}")
 
 plain = decode_score(model, pairs)
-auc = roc_auc(plain.scores[: len(test_pos)], plain.scores[len(test_pos):])
+auc = roc_auc(plain[: len(test_pos)], plain[len(test_pos):])
 print(f"{'lgae decoder':<18} {auc:>6.3f}")
 
 index = heuristic_index(gt)  # built once, shared by the five heuristics
@@ -71,13 +71,13 @@ for kind in (
     ScorerKind.RESOURCE_ALLOCATION,
 ):
     result = heuristic_scores(index, kind, pairs)
-    auc = roc_auc(result.scores[: len(test_pos)], result.scores[len(test_pos):])
+    auc = roc_auc(result[: len(test_pos)], result[len(test_pos):])
     print(f"{kind.value:<18} {auc:>6.3f}")
 
 # Katz reads an index of the training graph; its closed form solves
 # through the smaller side's Gram matrix, built by the first call and kept.
 katz = katz_score(katz_index(gt), 0.005, pairs)
-auc = roc_auc(katz.scores[: len(test_pos)], katz.scores[len(test_pos):])
+auc = roc_auc(katz[: len(test_pos)], katz[len(test_pos):])
 print(f"{'katz':<18} {auc:>6.3f}")
 
 print()
@@ -90,8 +90,8 @@ print("3. Inspect a few pairs side by side")
 print("=" * 64)
 
 sample = np.concatenate([test_pos[:3], test_neg[:3]])
-two = two_hop_score(model, norm, sample).scores
-dec = decode_score(model, sample).scores
+two = two_hop_score(model, norm, sample)
+dec = decode_score(model, sample)
 print(f"{'pair':<10} {'label':<6} {'two_hop':>9} {'decoder':>9}")
 for i, pair in enumerate(sample):
     label = "edge" if i < 3 else "none"

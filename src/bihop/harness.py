@@ -225,15 +225,15 @@ def build_run_artifacts(g: BipartiteGraph, split: EdgeSplit) -> RunArtifacts:
 def _score_pairs(kind: ScorerKind, pairs, artifacts: RunArtifacts, params: dict) -> np.ndarray:
     """One call of scorer ``kind`` with hyperparameters ``params`` over ``pairs``."""
     if kind is ScorerKind.KATZ:
-        return katz_score(artifacts.katz, params["beta"], pairs).scores
+        return katz_score(artifacts.katz, params["beta"], pairs)
     if kind in HEURISTIC_KINDS:
-        return heuristic_scores(artifacts.heuristics, kind, pairs).scores
+        return heuristic_scores(artifacts.heuristics, kind, pairs)
     model = artifacts.model(SCORER_MODELS[kind], params)
     if kind is ScorerKind.TWO_HOP:
-        return two_hop_score(model, artifacts.norm, pairs).scores
+        return two_hop_score(model, artifacts.norm, pairs)
     if kind is ScorerKind.RECON_TWO_HOP:
-        return recon_two_hop_score(model, pairs).scores
-    return decode_score(model, pairs, kind=kind).scores
+        return recon_two_hop_score(model, pairs)
+    return decode_score(model, pairs, kind=kind)
 
 
 def _pos_neg_scores(kind: ScorerKind, pos, neg, artifacts: RunArtifacts, params: dict):
@@ -327,8 +327,9 @@ def run_experiment(
 
 
 def _add_run_note(exc: Exception, dataset_id: str, run_index: int, seed: int) -> None:
-    if hasattr(exc, "add_note"):  # Python 3.11+
-        exc.add_note(f"while running {dataset_id!r} run {run_index} (seed {seed})")
+    """Append the run to ``exc.__notes__``, which 3.11+ tracebacks print."""
+    note = f"while running {dataset_id!r} run {run_index} (seed {seed})"
+    exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
 
 
 @dataclass(frozen=True)
@@ -338,7 +339,11 @@ class Summary:
     rows: tuple
     missing: tuple = ()
 
-    def get(self, dataset: str, scorer: ScorerKind) -> SummaryRow:
+    def get(self, dataset: str, scorer: ScorerKind | str) -> SummaryRow:
+        """The row of ``dataset`` and ``scorer``, a ``ScorerKind`` or a name
+        ``ScorerKind.parse`` reads; KeyError when there is none."""
+        if isinstance(scorer, str):
+            scorer = ScorerKind.parse(scorer)
         for row in self.rows:
             if row.dataset == dataset and row.scorer is scorer:
                 return row
@@ -430,7 +435,7 @@ class DiagnosticBundle:
 
 def _surface_scores(model: EmbeddingModel, norm: NormalizedAdjacency, pairs: np.ndarray) -> tuple:
     """(decoded reconstruction, normalized adjacency entry) at global (k, 2) ``pairs``."""
-    return decode_score(model, pairs).scores, np.asarray(norm.matrix[pairs[:, 0], pairs[:, 1]]).ravel()
+    return decode_score(model, pairs), np.asarray(norm.matrix[pairs[:, 0], pairs[:, 1]]).ravel()
 
 
 def _confusion_population(g: BipartiteGraph, seed: int):
@@ -480,8 +485,8 @@ def diagnose(
         _global_pairs(g, pairs)
         for pairs in (split.test_pos, split.test_neg, split.val_pos, split.val_neg, g.edges, false_edges)
     ]
-    mass_recon = score_mass_report(*(recon_two_hop_score(model, p).scores for p in mass_pairs))
-    mass_two_hop = score_mass_report(*(two_hop_score(model, artifacts.norm, p).scores for p in mass_pairs))
+    mass_recon = score_mass_report(*(recon_two_hop_score(model, p) for p in mass_pairs))
+    mass_two_hop = score_mass_report(*(two_hop_score(model, artifacts.norm, p) for p in mass_pairs))
 
     # (c) ranking quality of both surfaces on train/val/test with matched negatives
     train_neg = _global_pairs(

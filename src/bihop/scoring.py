@@ -9,10 +9,12 @@ reconstruction, so homogeneous hops become possible even though the training
 graph is bipartite.  ``recon_two_hop`` is the ablation that uses R for both
 hops (R @ R).
 
-Every scorer takes a whole pair sequence and scores it in one call; a pair's
-score does not depend on the other pairs in the call, so positives and
-negatives can be scored together and sliced apart.  Neither two-hop scorer
-ever materializes an n x n matrix: ``two_hop`` gathers the sparse rows of An
+Every scorer takes a whole pair sequence and scores it in one call, and
+returns the scores alone: a new float64 array of shape (k,) whose entry i
+is the score of pair i.  A pair's score does not depend on the other pairs
+in the call, so positives and negatives can be scored together and sliced
+apart.  Neither two-hop scorer ever materializes an n x n matrix:
+``two_hop`` gathers the sparse rows of An
 and ``recon_two_hop`` computes the needed columns of R per chunk of pairs,
 over blocks of Z's rows; each keeps about ``_GATHER_ENTRIES`` floats alive.
 Every sigmoid, the decoders' included, is ``autoencoder.sigmoid``, taken in
@@ -60,7 +62,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .autoencoder import EmbeddingModel, sigmoid
-from .graph import BipartiteGraph, NormalizedAdjacency, check_real, pair_array, read_only
+from .graph import BipartiteGraph, NormalizedAdjacency, check_real, pair_array
 
 DENSE_THRESHOLD = 4096
 
@@ -115,21 +117,11 @@ HEURISTIC_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True, eq=False)
-class PairScores:
-    """``scores[k]`` of row k of ``pairs``, the read-only (k, 2) int64 array
-    of global pairs one scorer scored; equality is identity."""
-
-    pairs: np.ndarray
-    scores: np.ndarray
-    scorer: ScorerKind
-
-
 def _as_index_arrays(pairs, n: int):
-    """(``pairs`` as a read-only (k, 2) int64 view, each pair's smaller and
-    larger end), checked by ``pair_array``: an int64 array is not copied."""
+    """(``pairs`` as a (k, 2) int64 array, each pair's smaller and larger
+    end), checked by ``pair_array``."""
     arr = pair_array(pairs, n, n, what="pair")
-    return read_only(arr), np.minimum(*arr.T), np.maximum(*arr.T)
+    return arr, np.minimum(*arr.T), np.maximum(*arr.T)
 
 
 def _left_right(pairs: np.ndarray, lo: np.ndarray, hi: np.ndarray, n_left: int) -> None:
@@ -165,7 +157,7 @@ def _row_hop(mat: sp.csr_matrix, z: np.ndarray, rows: np.ndarray, cols: np.ndarr
     return np.bincount(seg, weights=mat.data[pos] * sigmoid(dots, out=dots), minlength=rows.size)
 
 
-def two_hop_score(model: EmbeddingModel, norm_adj: NormalizedAdjacency, pairs) -> PairScores:
+def two_hop_score(model: EmbeddingModel, norm_adj: NormalizedAdjacency, pairs) -> np.ndarray:
     """Symmetrized two-hop score through the normalized training adjacency.
 
     score(u, v) = [ sum_w An_uw * dec(w, v) + sum_w An_vw * dec(w, u) ] / 2
@@ -185,10 +177,10 @@ def two_hop_score(model: EmbeddingModel, norm_adj: NormalizedAdjacency, pairs) -
     for lo in range(0, len(pairs), chunk):
         u, v = us[lo : lo + chunk], vs[lo : lo + chunk]
         scores[lo : lo + chunk] = 0.5 * (_row_hop(mat, z, u, v) + _row_hop(mat, z, v, u))
-    return PairScores(pairs=pairs, scores=scores, scorer=ScorerKind.TWO_HOP)
+    return scores
 
 
-def recon_two_hop_score(model: EmbeddingModel, pairs) -> PairScores:
+def recon_two_hop_score(model: EmbeddingModel, pairs) -> np.ndarray:
     """Two-hop score using the reconstruction for both hops (R @ R).
 
     Symmetric without extra averaging since R is symmetric.  Per chunk of
@@ -223,16 +215,18 @@ def recon_two_hop_score(model: EmbeddingModel, pairs) -> PairScores:
                 row_u[0] += acc
             acc = np.sum(row_u, axis=0)
         scores[lo:hi] = acc
-    return PairScores(pairs=pairs, scores=scores, scorer=ScorerKind.RECON_TWO_HOP)
+    return scores
 
 
-def decode_score(model: EmbeddingModel, pairs, kind: ScorerKind | None = None) -> PairScores:
-    """Direct decoder scores sigmoid(z_u . z_v)."""
-    pairs, us, vs = _as_index_arrays(pairs, model.Z.shape[0])
+def decode_score(model: EmbeddingModel, pairs, kind: ScorerKind | None = None) -> np.ndarray:
+    """Direct decoder scores sigmoid(z_u . z_v).
+
+    ``kind`` does not change the scores: it is the label (lgae or gae) the
+    benchmark's tracer reads to count the two decoders' calls apart.
+    """
+    _, us, vs = _as_index_arrays(pairs, model.Z.shape[0])
     dots = np.einsum("ij,ij->i", model.Z[us], model.Z[vs])
-    if kind is None:
-        kind = ScorerKind(model.model_kind.value)
-    return PairScores(pairs=pairs, scores=sigmoid(dots, out=dots), scorer=kind)
+    return sigmoid(dots, out=dots)
 
 
 def _two_step_neighborhood(lists, v: int) -> set:
@@ -340,7 +334,7 @@ def heuristic_index(g_train: BipartiteGraph) -> HeuristicIndex:
     )
 
 
-def heuristic_scores(index: HeuristicIndex, kind: ScorerKind, pairs) -> PairScores:
+def heuristic_scores(index: HeuristicIndex, kind: ScorerKind, pairs) -> np.ndarray:
     """Similarity index for heterogeneous pairs (global indices).
 
     With N(x) the training neighbors, N2(v) the two-step neighborhood, u the
@@ -362,21 +356,20 @@ def heuristic_scores(index: HeuristicIndex, kind: ScorerKind, pairs) -> PairScor
     builds N2(v) once per target and drops it after its pairs.  The union's
     size is |N(u)| + |N2(v)| - |C|, and aa/ra add the index's per-node terms
     over C from 0.0 in the set's iteration order, by ``np.bincount`` over the
-    gathered elements.
+    gathered elements.  A call returns a copy of the kept array, so writing
+    into it leaves the memo as it was.
     """
     if kind not in HEURISTIC_KINDS:
         raise ValueError(f"{kind} is not a heuristic scorer")
     pairs, lefts, rights = _as_index_arrays(pairs, index.g.n)
     _left_right(pairs, lefts, rights, index.g.n_left)
     if kind is ScorerKind.PREFERENTIAL_ATTACHMENT:
-        scores = (index.degrees[lefts] * index.degrees[rights]).astype(np.float64)
-        return PairScores(pairs=pairs, scores=scores, scorer=kind)
+        return (index.degrees[lefts] * index.degrees[rights]).astype(np.float64)
     key = lefts.tobytes() + rights.tobytes()
     if key not in index.commons:
         index.commons.clear()  # only the latest batch is kept
         index.commons[key] = _common_scores(index, lefts, rights)
-    scores = index.commons[key][_COMMON_KINDS.index(kind)].copy()
-    return PairScores(pairs=pairs, scores=scores, scorer=kind)
+    return index.commons[key][_COMMON_KINDS.index(kind)].copy()
 
 
 class KatzDivergenceError(ValueError):
@@ -454,8 +447,10 @@ def _closed_form(index: KatzIndex, beta: float, lefts: np.ndarray, rights: np.nd
     With S the smaller side, O the other, W the O x S block and
     M = I - beta^2 W^T W on S, the resolvent's O x S block is beta W M^{-1}.
     A pair reads column a of M^{-1}, a its end on S, and dots it with W's
-    row b, b its end on O.  One solve over the unit columns of the call's
-    unique S ends covers every pair.
+    row b, b its end on O.  Each call inverts the whole of M: LAPACK's
+    solve rounds a column differently with other right-hand sides beside
+    it, so solving for only the call's S ends would make a pair's score
+    depend on the other pairs in the call.
     """
     w, gram, radius, s_lo = index.blocks
     if radius > 0 and beta >= 1.0 / radius:
@@ -464,19 +459,16 @@ def _closed_form(index: KatzIndex, beta: float, lefts: np.ndarray, rights: np.nd
             "the resolvent series diverges"
         )
     a, b = (lefts, rights) if s_lo == 0 else (rights, lefts)
-    cols, col = np.unique(a - s_lo, return_inverse=True)
-    rhs = np.zeros((gram.shape[0], cols.size))
-    rhs[cols, np.arange(cols.size)] = 1.0
-    x = np.linalg.solve(np.eye(gram.shape[0]) - beta**2 * gram, rhs)
-    return beta * np.einsum("ij,ij->i", w[b - (index.n_left - s_lo)], x.T[col])
+    inverse = np.linalg.inv(np.eye(gram.shape[0]) - beta**2 * gram)
+    return beta * np.einsum("ij,ij->i", w[b - (index.n_left - s_lo)], inverse.T[a - s_lo])
 
 
-def katz_score(index: KatzIndex, beta: float, pairs) -> PairScores:
+def katz_score(index: KatzIndex, beta: float, pairs) -> np.ndarray:
     """Katz index: damped walk counts (I - beta A)^{-1} - I at left-right
     pairs; a same-side or self pair raises ValueError.
 
     The graph size alone picks the form.  Up to ``DENSE_THRESHOLD`` nodes it
-    is the closed form (``_closed_form``, one s x s solve per call), which
+    is the closed form (``_closed_form``, one s x s inverse per call), which
     requires beta < 1 / spectral_radius(A) (KatzDivergenceError otherwise);
     larger graphs use the truncated series sum_{l=1..L} (beta A)^l with
     L = ``_KATZ_TERMS`` (5), which reads ``index.adj`` only.  The series
@@ -512,5 +504,5 @@ def katz_score(index: KatzIndex, beta: float, pairs) -> PairScores:
                 total += _entries(x, rows, cols)
             total += _hop_at(damped, x, rows, cols)
             scores[sel] = total
-    return PairScores(pairs=pairs, scores=scores, scorer=ScorerKind.KATZ)
+    return scores
 

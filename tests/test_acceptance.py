@@ -82,8 +82,8 @@ def test_criterion_1_lazy_scores_match_dense_oracle():
         mixed = norm.matrix.toarray() @ recon
         want_two_hop = 0.5 * (mixed[arr[:, 0], arr[:, 1]] + mixed[arr[:, 1], arr[:, 0]])
         want_recon = (recon @ recon)[arr[:, 0], arr[:, 1]]
-        got_two_hop = two_hop_score(model, norm, pairs).scores
-        got_recon = recon_two_hop_score(model, pairs).scores
+        got_two_hop = two_hop_score(model, norm, pairs)
+        got_recon = recon_two_hop_score(model, pairs)
         worst = max(
             worst,
             float(np.max(np.abs(got_two_hop - want_two_hop) / want_two_hop)),
@@ -333,8 +333,8 @@ def test_criterion_6b_southern_women_reference_value():
         test_pos = [(u, g.n_left + v) for u, v in split.test_pos]
         test_neg = [(u, g.n_left + v) for u, v in split.test_neg]
         for norm, aucs in ((artifacts.norm, rescored), (norm_full, leaky)):
-            pos = two_hop_score(model, norm, test_pos).scores
-            neg = two_hop_score(model, norm, test_neg).scores
+            pos = two_hop_score(model, norm, test_pos)
+            neg = two_hop_score(model, norm, test_neg)
             aucs.append(roc_auc(pos, neg))
     rescored_dev = abs(float(np.mean(rescored)) - clean)
     leaky_mean = float(np.mean(leaky))

@@ -211,7 +211,7 @@ def decoded(z, us, vs):
     """``decode_score`` of the pairs (us[k], vs[k]) on a model whose
     embeddings are ``z``."""
     model = EmbeddingModel(Z=z, model_kind=ModelKind.LGAE, weights=(), loss_history=np.zeros(1))
-    return decode_score(model, np.column_stack([us, vs])).scores
+    return decode_score(model, np.column_stack([us, vs]))
 
 
 class TestDecode:

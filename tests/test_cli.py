@@ -1,7 +1,6 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
 import json
-import sys
 
 import pytest
 
@@ -225,7 +224,6 @@ class TestBenchmark:
         assert "toy" in stdout
         assert "MISSING" not in stdout
 
-    @pytest.mark.skipif(sys.version_info < (3, 11), reason="exception notes need Python 3.11")
     @pytest.mark.parametrize(
         "katz_grid, error",
         [([0.5], "KatzDivergenceError"), ([0.5, 0.9], "ValueError")],

@@ -5,7 +5,6 @@ import json
 import logging
 import math
 import random
-import sys
 import tempfile
 from pathlib import Path
 
@@ -384,8 +383,7 @@ class TestRunExperiment:
         )
         with pytest.raises(ValueError, match="at least one edge") as exc:
             run_benchmark(config)
-        if sys.version_info >= (3, 11):
-            assert exc.value.__notes__ == ["while running 'two_edges' run 0 (seed 2)"]
+        assert exc.value.__notes__ == ["while running 'two_edges' run 0 (seed 2)"]
 
     def test_degree_product_auc_matches_hand_computation(self):
         # Small enough to score by hand: the test set is one held-out edge
@@ -531,7 +529,6 @@ class TestKatzFeasibility:
         with pytest.raises(ValueError, match="beta must be positive"):
             grid_search(artifacts, katz_points((0.001, -0.1)), ScorerKind.KATZ)
 
-    @pytest.mark.skipif(sys.version_info < (3, 11), reason="exception notes need Python 3.11")
     def test_run0_tuning_failure_carries_run_note(self):
         config = BenchmarkConfig(
             datasets=(DatasetSpec(id="dense_er", source=DENSE_ER),),
@@ -557,8 +554,7 @@ class TestKatzFeasibility:
         assert tune_scorers(run0, config) == {ScorerKind.KATZ: {"beta": 0.05025}}
         with pytest.raises(KatzDivergenceError, match="beta=0.05025") as exc:
             run_benchmark(config)
-        if sys.version_info >= (3, 11):
-            assert exc.value.__notes__ == ["while running 'er' run 4 (seed 4)"]
+        assert exc.value.__notes__ == ["while running 'er' run 4 (seed 4)"]
 
 
 class TestTuneScorers:
@@ -597,13 +593,13 @@ class TestLeakageDiscipline:
         probe = [(u, block_graph.n_left + v) for u in range(0, 30, 4) for v in range(30)]
         for kind in HEURISTIC_KINDS:
             assert np.array_equal(
-                heuristic_scores(a.heuristics, kind, probe).scores,
-                heuristic_scores(b.heuristics, kind, probe).scores,
+                heuristic_scores(a.heuristics, kind, probe),
+                heuristic_scores(b.heuristics, kind, probe),
             ), kind
         for form in ("closed", "series"):
             with katz_form(form):
-                katz_a = scoring.katz_score(a.katz, 0.01, probe).scores
-                katz_b = scoring.katz_score(b.katz, 0.01, probe).scores
+                katz_a = scoring.katz_score(a.katz, 0.01, probe)
+                katz_b = scoring.katz_score(b.katz, 0.01, probe)
             assert katz_a.tobytes() == katz_b.tobytes(), form
 
     @settings(max_examples=50)
@@ -786,11 +782,10 @@ def rebuilt(kind):
         "norm": artifacts.norm,
         "model": model,
         "artifacts": artifacts,
-        "scores": scoring.decode_score(model, [(0, 20), (1, 21)]),
     }[kind]
 
 
-@pytest.mark.parametrize("kind", ["graph", "norm", "model", "artifacts", "scores"])
+@pytest.mark.parametrize("kind", ["graph", "norm", "model", "artifacts"])
 def test_equality_of_array_holders_is_identity(kind):
     """== on these returns a bool (identity) instead of raising on arrays."""
     x = rebuilt(kind)
@@ -842,6 +837,22 @@ class TestAggregation:
         assert "dataset" in text and "method" in text
         assert "0.8000" in text
         assert "gone" in text and "MISSING: OSError: nope" in text
+
+    def test_summary_get_takes_a_scorer_name(self):
+        """A name or alias reads the row as its ``ScorerKind`` does; a name
+        with no row is a KeyError naming it, and an unknown name is the
+        ValueError ``ScorerKind.parse`` raises."""
+        row = SummaryRow(
+            dataset="d", scorer=ScorerKind.PREFERENTIAL_ATTACHMENT, runs=1,
+            auc_mean=0.5, auc_std=0.0, ap_mean=0.5, ap_std=0.0,
+        )
+        summary = Summary(rows=(row,))
+        assert summary.get("d", "pa") is row
+        assert summary.get("d", "pref_attach") is row
+        with pytest.raises(KeyError, match="common_neighbors"):
+            summary.get("d", "cn")
+        with pytest.raises(ValueError, match="unknown scorer"):
+            summary.get("d", "nope")
 
 
 class TestRunBenchmark:

@@ -10,7 +10,6 @@ scorer is checked to give the same scores whether a pair list is scored
 at once or in pieces.
 """
 
-import dataclasses
 import math
 import os
 import re
@@ -166,7 +165,7 @@ def heuristic_loop(g, kind, pairs):
 
 def heuristic_one(g, kind, u, v):
     """One pair's heuristic score, through the batched call."""
-    return heuristic_scores(heuristic_index(g), kind, [(u, v)]).scores[0]
+    return heuristic_scores(heuristic_index(g), kind, [(u, v)])[0]
 
 
 def katz_of(g, beta, pairs):
@@ -180,23 +179,23 @@ def katz_terms(terms):
     return mock.patch.object(scoring, "_KATZ_TERMS", terms)
 
 
-def scored_with(kind, g, z, pairs):
-    """The PairScores of one call of the scorer behind ``kind``."""
+def scorer_for(kind, g, z):
+    """The scorer behind ``kind`` on ``g`` with embeddings ``z``, as a
+    function of the pairs; its model and index are built once, so every
+    call of the function shares them."""
     model = model_for(g, z)
     if kind is ScorerKind.TWO_HOP:
-        return two_hop_score(model, normalize(g.adj), pairs)
+        norm = normalize(g.adj)
+        return lambda pairs: two_hop_score(model, norm, pairs)
     if kind is ScorerKind.RECON_TWO_HOP:
-        return recon_two_hop_score(model, pairs)
+        return lambda pairs: recon_two_hop_score(model, pairs)
     if kind in (ScorerKind.LGAE, ScorerKind.GAE):
-        return decode_score(model, pairs, kind=kind)
+        return lambda pairs: decode_score(model, pairs, kind=kind)
     if kind is ScorerKind.KATZ:
-        return katz_of(g, 0.05, pairs)
-    return heuristic_scores(heuristic_index(g), kind, pairs)
-
-
-def score_with(kind, g, z, pairs):
-    """Scores of ``pairs`` from one call of the scorer behind ``kind``."""
-    return scored_with(kind, g, z, pairs).scores
+        index = katz_index(g)
+        return lambda pairs: katz_score(index, 0.05, pairs)
+    index = heuristic_index(g)
+    return lambda pairs: heuristic_scores(index, kind, pairs)
 
 
 # Chunk sizes for the two-hop oracle checks: "dense" scores a whole pair
@@ -236,7 +235,7 @@ class TestTwoHop:
         model = model_for(g, np.zeros((2, 3)))
         norm = normalize(g.adj)
         got = two_hop_score(model, norm, [(0, 1), (1, 0), (0, 0)])
-        assert got.scores.tolist() == [0.5, 0.5, 0.5]
+        assert got.tolist() == [0.5, 0.5, 0.5]
 
     def test_path_sum_decomposition(self):
         """Six nodes, score(0, 5) decomposes into the four length-2 path
@@ -257,7 +256,7 @@ class TestTwoHop:
             + an[v, 2] * dec(2, u)
             + an[v, v] * dec(v, u)
         )
-        got = two_hop_score(model, norm, [(u, v)]).scores[0]
+        got = two_hop_score(model, norm, [(u, v)])[0]
         assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("mode", ["dense", "lazy"])
@@ -272,7 +271,7 @@ class TestTwoHop:
             model = model_for(g, z)
             norm = normalize(g.adj)
             pairs = het_pairs(g)
-            got = two_hop_score(model, norm, pairs).scores
+            got = two_hop_score(model, norm, pairs)
             us = np.array([p[0] for p in pairs])
             vs = np.array([p[1] for p in pairs])
             want = dense_two_hop_oracle(g, z, us, vs)
@@ -287,7 +286,7 @@ class TestTwoHop:
         z = rng.standard_normal((g.n, 4))
         pairs = [(u, v) for u in range(g.n) for v in range(g.n)]
         monkeypatch.setattr(scoring, "_GATHER_ENTRIES", 5)
-        got = two_hop_score(model_for(g, z), normalize(g.adj), pairs).scores
+        got = two_hop_score(model_for(g, z), normalize(g.adj), pairs)
         arr = np.asarray(pairs)
         want = dense_two_hop_oracle(g, z, arr[:, 0], arr[:, 1])
         assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
@@ -298,10 +297,10 @@ class TestTwoHop:
         z = rng.standard_normal((g.n, 3))
         model = model_for(g, z)
         norm = normalize(g.adj)
-        fwd = two_hop_score(model, norm, [(0, g.n - 1)]).scores[0]
-        rev = two_hop_score(model, norm, [(g.n - 1, 0)]).scores[0]
+        fwd = two_hop_score(model, norm, [(0, g.n - 1)])[0]
+        rev = two_hop_score(model, norm, [(g.n - 1, 0)])[0]
         assert fwd == rev
-        all_scores = two_hop_score(model, norm, het_pairs(g)).scores
+        all_scores = two_hop_score(model, norm, het_pairs(g))
         assert np.all(all_scores >= 0.0)
 
     def test_model_size_mismatch(self):
@@ -314,7 +313,7 @@ class TestTwoHop:
         g = build_graph(2, 2, [(0, 0)])
         model = model_for(g, np.zeros((4, 2)))
         got = two_hop_score(model, normalize(g.adj), [])
-        assert got.scores.shape == (0,)
+        assert got.shape == (0,)
 
 
 class TestReconTwoHop:
@@ -323,7 +322,7 @@ class TestReconTwoHop:
         for n_left, n_right in [(2, 3), (4, 4), (1, 6)]:
             g = build_graph(n_left, n_right, [(0, 0)])
             model = model_for(g, np.zeros((g.n, 2)))
-            got = recon_two_hop_score(model, [(0, g.n_left)]).scores[0]
+            got = recon_two_hop_score(model, [(0, g.n_left)])[0]
             assert got == pytest.approx(g.n / 4.0, rel=1e-14)
 
     def test_symmetry(self):
@@ -331,8 +330,8 @@ class TestReconTwoHop:
         z = rng.standard_normal((9, 3))
         g = build_graph(4, 5, [(0, 0)])
         model = model_for(g, z)
-        fwd = recon_two_hop_score(model, [(1, 7)]).scores[0]
-        rev = recon_two_hop_score(model, [(7, 1)]).scores[0]
+        fwd = recon_two_hop_score(model, [(1, 7)])[0]
+        rev = recon_two_hop_score(model, [(7, 1)])[0]
         assert fwd == rev
 
     @pytest.mark.parametrize("mode", ["dense", "lazy"])
@@ -346,7 +345,7 @@ class TestReconTwoHop:
             z = rng.standard_normal((g.n, 4))
             model = model_for(g, z)
             pairs = het_pairs(g)
-            got = recon_two_hop_score(model, pairs).scores
+            got = recon_two_hop_score(model, pairs)
             recon = expit(z @ z.T)
             want = (recon @ recon)[
                 np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
@@ -361,7 +360,7 @@ class TestReconTwoHop:
         z = rng.standard_normal((40, 3))
         model = model_for(g, z)
         pairs = het_pairs(g)  # 400 pairs > the 256-pair chunk
-        got = recon_two_hop_score(model, pairs).scores
+        got = recon_two_hop_score(model, pairs)
         recon = expit(z @ z.T)
         arr = np.asarray(pairs)
         want = (recon @ recon)[arr[:, 0], arr[:, 1]]
@@ -375,7 +374,7 @@ class TestReconTwoHop:
         z = rng.standard_normal((g.n, 3))
         pairs = np.asarray(het_pairs(g))  # 500 pairs > the 256-pair chunk
         assert len(pairs) > scoring._PAIR_CHUNK
-        got = recon_two_hop_score(model_for(g, z), pairs).scores
+        got = recon_two_hop_score(model_for(g, z), pairs)
         assert np.array_equal(got, recon_chunk_sums(z, pairs))
 
     @pytest.mark.parametrize("n_left, n_right, k", [(350, 350, 600), (256, 257, 513)])
@@ -389,7 +388,7 @@ class TestReconTwoHop:
         z = rng.standard_normal((g.n, 16))
         pairs = rng.integers(0, g.n, size=(k, 2))
         assert g.n > scoring._GATHER_ENTRIES // scoring._PAIR_CHUNK
-        got = recon_two_hop_score(model_for(g, z), pairs).scores
+        got = recon_two_hop_score(model_for(g, z), pairs)
         assert np.array_equal(got, recon_chunk_sums(z, pairs))
 
     @pytest.mark.parametrize("n_right, k", [(25, 497), (23, 457)])
@@ -403,7 +402,7 @@ class TestReconTwoHop:
         g = build_graph(20, n_right, [(i, i) for i in range(20)])
         z = rng.standard_normal((g.n, 3))
         pairs = np.asarray(het_pairs(g))[:k]
-        got = recon_two_hop_score(model_for(g, z), pairs).scores
+        got = recon_two_hop_score(model_for(g, z), pairs)
         assert np.array_equal(got, recon_chunk_sums(z, pairs))
 
     def test_one_call_keeps_row_block_memory(self):
@@ -439,20 +438,13 @@ class TestDecodeScore:
                 z[[p[1] for p in pairs]],
             )
         )
-        assert np.allclose(got.scores, want, rtol=0, atol=1e-15)
-        assert got.scorer is ScorerKind.LGAE
-
-    def test_kind_defaults_to_the_model_kind(self):
-        g = build_graph(1, 1, [(0, 0)])
-        gae = dataclasses.replace(model_for(g, np.zeros((2, 2))), model_kind=ModelKind.GAE)
-        assert decode_score(gae, [(0, 1)]).scorer is ScorerKind.GAE
+        assert np.allclose(got, want, rtol=0, atol=1e-15)
 
     def test_kind_override(self):
         g = build_graph(1, 1, [(0, 0)])
         model = model_for(g, np.zeros((2, 2)))
         got = decode_score(model, [(0, 1)], kind=ScorerKind.GAE)
-        assert got.scorer is ScorerKind.GAE
-        assert got.scores[0] == 0.5
+        assert got[0] == 0.5
 
 
 class TestHeuristics:
@@ -544,7 +536,7 @@ class TestHeuristics:
         rng = np.random.default_rng(70)
         for _ in range(10):
             gg = random_bipartite(rng, max_side=6)
-            scores = heuristic_scores(heuristic_index(gg), ScorerKind.JACCARD, het_pairs(gg)).scores
+            scores = heuristic_scores(heuristic_index(gg), ScorerKind.JACCARD, het_pairs(gg))
             assert np.all((scores >= 0.0) & (scores <= 1.0))
 
     def test_symmetric_in_pair_order(self):
@@ -585,7 +577,7 @@ class TestHeuristics:
     def test_integer_count_for_common_neighbors(self):
         rng = np.random.default_rng(72)
         g = random_bipartite(rng, max_side=7)
-        scores = heuristic_scores(heuristic_index(g), ScorerKind.COMMON_NEIGHBORS, het_pairs(g)).scores
+        scores = heuristic_scores(heuristic_index(g), ScorerKind.COMMON_NEIGHBORS, het_pairs(g))
         assert np.array_equal(scores, np.round(scores))
         assert np.all(scores >= 0)
 
@@ -606,9 +598,9 @@ class TestHeuristics:
         flipped = [(v, u) for u, v in pairs]
         index = heuristic_index(g)
         for kind in HEURISTIC_KINDS:
-            got = heuristic_scores(index, kind, pairs).scores
+            got = heuristic_scores(index, kind, pairs)
             assert np.array_equal(got, heuristic_loop(g, kind, pairs)), kind
-            assert heuristic_scores(index, kind, flipped).scores.tobytes() == got.tobytes(), kind
+            assert heuristic_scores(index, kind, flipped).tobytes() == got.tobytes(), kind
 
     def test_sums_keep_set_order_on_a_larger_graph(self):
         """On sets large enough that iteration order is not ascending, aa and
@@ -618,14 +610,14 @@ class TestHeuristics:
         index = heuristic_index(g)
         pairs = het_pairs(g)[::7]
         for kind in (ScorerKind.ADAMIC_ADAR, ScorerKind.RESOURCE_ALLOCATION):
-            got = heuristic_scores(index, kind, pairs).scores
+            got = heuristic_scores(index, kind, pairs)
             assert np.array_equal(got, heuristic_loop(g, kind, pairs)), kind
         terms, lists = index.aa_terms, index.neighbor_lists
         ascending = [
             fold(terms[b] for b in sorted(index.neighbor_sets[u] & scoring._two_step_neighborhood(lists, v)))
             for u, v in pairs
         ]
-        assert not np.array_equal(heuristic_scores(index, ScorerKind.ADAMIC_ADAR, pairs).scores, ascending)
+        assert not np.array_equal(heuristic_scores(index, ScorerKind.ADAMIC_ADAR, pairs), ascending)
 
     def test_sums_are_left_to_right_folds(self):
         """aa and ra add their terms left to right in C's order, on every
@@ -638,10 +630,10 @@ class TestHeuristics:
         for kind, terms in (
             (ScorerKind.ADAMIC_ADAR, index.aa_terms), (ScorerKind.RESOURCE_ALLOCATION, index.ra_terms)
         ):
-            got = heuristic_scores(index, kind, pairs).scores
+            got = heuristic_scores(index, kind, pairs)
             assert got.tobytes() == np.array([fold(terms[b] for b in c) for c in commons]).tobytes(), kind
         compensated = [neumaier(index.aa_terms[b] for b in c) for c in commons]
-        assert not np.array_equal(heuristic_scores(index, ScorerKind.ADAMIC_ADAR, pairs).scores, compensated)
+        assert not np.array_equal(heuristic_scores(index, ScorerKind.ADAMIC_ADAR, pairs), compensated)
 
     def test_folds_in_bounded_pieces(self, monkeypatch):
         """With a gather bound of a few entries one batch folds many times,
@@ -656,10 +648,10 @@ class TestHeuristics:
         index = heuristic_index(g)
         assert index.degrees[isolated] == 0
         kinds = (ScorerKind.ADAMIC_ADAR, ScorerKind.RESOURCE_ALLOCATION)
-        default = [heuristic_scores(index, kind, pairs).scores for kind in kinds]
+        default = [heuristic_scores(index, kind, pairs) for kind in kinds]
         monkeypatch.setattr(scoring, "_GATHER_ENTRIES", 3)
         for kind, want in zip(kinds, default):
-            got = heuristic_scores(heuristic_index(g), kind, pairs).scores
+            got = heuristic_scores(heuristic_index(g), kind, pairs)
             assert got.tobytes() == want.tobytes() == heuristic_loop(g, kind, pairs).tobytes(), kind
             assert got[-3] == 0.0 and got[-2] == got[-1] > 0.0, kind
 
@@ -689,13 +681,13 @@ class TestHeuristics:
         cut = case.draw(st.integers(0, len(pairs)))
         shared = heuristic_index(g)
         for kind in kinds:
-            fresh = heuristic_scores(heuristic_index(g), kind, pairs).scores
+            fresh = heuristic_scores(heuristic_index(g), kind, pairs)
             assert fresh.tobytes() == heuristic_loop(g, kind, pairs).tobytes(), kind
             # The tail is scored before the head, then the whole list again.
-            tail = heuristic_scores(shared, kind, pairs[cut:]).scores
-            head = heuristic_scores(shared, kind, pairs[:cut]).scores
+            tail = heuristic_scores(shared, kind, pairs[cut:])
+            head = heuristic_scores(shared, kind, pairs[:cut])
             assert np.concatenate([head, tail]).tobytes() == fresh.tobytes(), kind
-            assert heuristic_scores(shared, kind, pairs).scores.tobytes() == fresh.tobytes(), kind
+            assert heuristic_scores(shared, kind, pairs).tobytes() == fresh.tobytes(), kind
 
     def test_memo_holds_the_latest_batch_only(self):
         """50 batches of 200 pairs on one index leave one memo entry, not
@@ -708,8 +700,8 @@ class TestHeuristics:
         shared = heuristic_index(g)
         for batch in batches + batches[:1]:
             for kind in (ScorerKind.COMMON_NEIGHBORS, ScorerKind.ADAMIC_ADAR):
-                fresh = heuristic_scores(heuristic_index(g), kind, batch).scores
-                assert heuristic_scores(shared, kind, batch).scores.tobytes() == fresh.tobytes(), kind
+                fresh = heuristic_scores(heuristic_index(g), kind, batch)
+                assert heuristic_scores(shared, kind, batch).tobytes() == fresh.tobytes(), kind
         assert len(shared.commons) == 1
 
     def test_one_call_holds_one_two_step_set_at_a_time(self):
@@ -732,7 +724,7 @@ class TestHeuristics:
 class TestKatz:
     def test_single_edge_closed_form(self):
         g = build_graph(1, 1, [(0, 0)])
-        got = katz_of(g, 0.5, [(0, 1)]).scores[0]
+        got = katz_of(g, 0.5, [(0, 1)])[0]
         # geometric series over odd walk lengths: beta / (1 - beta^2)
         assert got == pytest.approx(2.0 / 3.0, abs=1e-15)
 
@@ -742,7 +734,7 @@ class TestKatz:
         a = adjacency(g)
         beta = 1e-8
         pairs = het_pairs(g)
-        got = katz_of(g, beta, pairs).scores / beta
+        got = katz_of(g, beta, pairs) / beta
         want = np.array([a[u, v] for u, v in pairs])
         assert np.allclose(got, want, rtol=0, atol=1e-6)
 
@@ -751,9 +743,9 @@ class TestKatz:
         g = random_bipartite(rng, max_side=5, min_edges=6)
         pairs = het_pairs(g)
         with katz_form("closed"):
-            closed = katz_of(g, 0.05, pairs).scores
+            closed = katz_of(g, 0.05, pairs)
         with katz_form("series"), katz_terms(25):
-            series = katz_of(g, 0.05, pairs).scores
+            series = katz_of(g, 0.05, pairs)
         denom = np.maximum(np.abs(closed), 1e-30)
         assert np.max(np.abs(series - closed) / denom) <= 1e-8
 
@@ -761,7 +753,7 @@ class TestKatz:
         g = build_graph(1, 1, [(0, 0)])
         beta = 0.3
         with katz_form("series"), katz_terms(5):
-            got = katz_of(g, beta, [(0, 1)]).scores[0]
+            got = katz_of(g, beta, [(0, 1)])[0]
         assert got == pytest.approx(beta + beta**3 + beta**5, rel=1e-14)
 
     def test_beta_beyond_radius_rejected_in_dense_mode(self):
@@ -772,7 +764,7 @@ class TestKatz:
     def test_series_mode_tolerates_large_beta(self):
         g = build_graph(1, 1, [(0, 0)])
         with katz_form("series"), katz_terms(3):
-            got = katz_of(g, 1.5, [(0, 1)]).scores[0]
+            got = katz_of(g, 1.5, [(0, 1)])[0]
         assert got == pytest.approx(1.5 + 1.5**3, rel=1e-14)
 
     def test_graph_size_picks_the_form(self):
@@ -782,9 +774,9 @@ class TestKatz:
         g = build_graph(1, 1, [(0, 0)])
         beta = 0.3
         with mock.patch.object(scoring, "DENSE_THRESHOLD", g.n):
-            closed = katz_of(g, beta, [(0, 1)]).scores[0]
+            closed = katz_of(g, beta, [(0, 1)])[0]
         with mock.patch.object(scoring, "DENSE_THRESHOLD", g.n - 1):
-            series = katz_of(g, beta, [(0, 1)]).scores[0]
+            series = katz_of(g, beta, [(0, 1)])[0]
         assert closed == pytest.approx(beta / (1 - beta**2), rel=1e-14)
         assert series == pytest.approx(beta + beta**3 + beta**5, rel=1e-14)
         assert scoring.DENSE_THRESHOLD == 4096
@@ -804,8 +796,8 @@ class TestKatz:
     def test_symmetry(self):
         rng = np.random.default_rng(76)
         g = random_bipartite(rng, max_side=6)
-        fwd = katz_of(g, 0.03, [(0, g.n - 1)]).scores[0]
-        rev = katz_of(g, 0.03, [(g.n - 1, 0)]).scores[0]
+        fwd = katz_of(g, 0.03, [(0, g.n - 1)])[0]
+        rev = katz_of(g, 0.03, [(g.n - 1, 0)])[0]
         assert fwd == pytest.approx(rev, rel=1e-12)
 
     def test_series_bit_identical_to_per_pair_loop(self):
@@ -840,7 +832,7 @@ class TestKatz:
             for matrix, beta in ((a, 0.05), (weighted, 0.3)):
                 for terms in (1, 2, 3, 5):
                     with katz_form("series"), katz_terms(terms):
-                        got = katz_score(KatzIndex(adj=matrix, n_left=n_left), beta, oriented).scores
+                        got = katz_score(KatzIndex(adj=matrix, n_left=n_left), beta, oriented)
                     want = katz_series_loop(matrix, beta, pairs, terms)
                     assert np.array_equal(got, np.concatenate([want, want[:60]]))
 
@@ -848,8 +840,7 @@ class TestKatz:
         g = build_graph(2, 2, [(0, 0)])
         with katz_form("series"):
             got = katz_of(g, 0.1, [])
-        assert got.scores.shape == (0,)
-        assert got.pairs.shape == (0, 2)
+        assert got.shape == (0,)
 
     def test_spectral_radius_small_and_large_paths_agree(self):
         """The right side larger, then the same graph with its sides swapped:
@@ -926,12 +917,12 @@ class TestKatz:
                 for beta in (0.5 / radius, 0.9 / radius):
                     want = np.linalg.inv(np.eye(g.n) - beta * dense) - np.eye(g.n)
                     with katz_form("closed"):
-                        got = katz_score(index, beta, pairs).scores
+                        got = katz_score(index, beta, pairs)
                     tol = 1e-12 * np.max(np.abs(want))
                     assert np.max(np.abs(got - np.array([want[u, v] for u, v in pairs]))) <= tol
         empty = build_graph(3, 4, [])
         pairs = het_pairs(empty)
-        assert not np.any(katz_of(empty, 0.5, pairs + [(v, u) for u, v in pairs]).scores)
+        assert not np.any(katz_of(empty, 0.5, pairs + [(v, u) for u, v in pairs]))
 
     def test_closed_form_loads_no_scipy_linalg(self):
         """A closed-form call loads neither scipy.sparse.linalg nor
@@ -961,13 +952,12 @@ class TestPairValidation:
         wrapping around to another node."""
         z = np.random.default_rng(80).standard_normal((toy_graph.n, 3))
         with pytest.raises(ValueError, match=re.escape(f"pair {bad} is out of range")):
-            score_with(kind, toy_graph, z, [(0, 3), bad])
+            scorer_for(kind, toy_graph, z)([(0, 3), bad])
 
     @pytest.mark.parametrize("kind", list(ScorerKind), ids=lambda k: k.value)
     def test_tuple_list_and_array_score_alike(self, kind):
         """A list of int tuples and the (k, 2) int64 array of the same pairs
-        give equal scores (both Katz forms); ``pairs`` comes back as a
-        read-only int64 view of the array, not a copy."""
+        give equal scores (both Katz forms)."""
         g = random_bipartite(np.random.default_rng(81), max_side=8, min_edges=10)
         z = np.random.default_rng(82).standard_normal((g.n, 3))
         listed = het_pairs(g)
@@ -975,13 +965,9 @@ class TestPairValidation:
         arr = np.array(listed, dtype=np.int64)
         for form in ("closed", "series") if kind is ScorerKind.KATZ else (None,):
             with katz_form(form) if form else nullcontext():
-                from_list = scored_with(kind, g, z, listed)
-                from_array = scored_with(kind, g, z, arr)
-            assert np.array_equal(from_list.scores, from_array.scores)
-            for got in (from_list, from_array):
-                assert got.pairs.dtype == np.int64 and not got.pairs.flags.writeable
-                assert np.array_equal(got.pairs, arr)
-            assert np.shares_memory(from_array.pairs, arr) and arr.flags.writeable
+                from_list = scorer_for(kind, g, z)(listed)
+                from_array = scorer_for(kind, g, z)(arr)
+            assert np.array_equal(from_list, from_array)
 
     @pytest.mark.parametrize("kind", list(ScorerKind), ids=lambda k: k.value)
     def test_pairs_not_shaped_k_by_2_rejected(self, kind, toy_graph):
@@ -990,11 +976,37 @@ class TestPairValidation:
         z = np.random.default_rng(83).standard_normal((toy_graph.n, 3))
         for bad in (np.zeros((2, 3), dtype=np.int64), [0, 3], np.array([0, 3, 1, 4]), [(0, 3, 1)]):
             with pytest.raises(ValueError, match="at position 0 is not a pair of integers"):
-                score_with(kind, toy_graph, z, bad)
+                scorer_for(kind, toy_graph, z)(bad)
 
     def test_scalar_heuristic_rejects_out_of_range(self, toy_graph):
         with pytest.raises(ValueError, match="out of range"):
             heuristic_one(toy_graph, ScorerKind.COMMON_NEIGHBORS, -1, 3)
+
+
+# Every scorer once, Katz in both forms: (kind, Katz form or None).
+SCORER_FORMS = [
+    *(pytest.param(kind, None, id=kind.value) for kind in ScorerKind if kind is not ScorerKind.KATZ),
+    *(pytest.param(ScorerKind.KATZ, form, id=f"katz-{form}") for form in ("closed", "series")),
+]
+
+
+class TestReturnContract:
+    @pytest.mark.parametrize("kind, form", SCORER_FORMS)
+    def test_returns_the_callers_float64_array(self, kind, form):
+        """A scorer returns a 1-D float64 array with one score per pair, and
+        the array is the caller's: writing into it leaves a repeat call on
+        the same pairs, through the same model or index, byte-equal to the
+        first.  That call reads the heuristic index's kept batch."""
+        g = random_bipartite(np.random.default_rng(84), max_side=8, min_edges=10)
+        z = np.random.default_rng(85).standard_normal((g.n, 3))
+        pairs = het_pairs(g)
+        with katz_form(form) if form else nullcontext():
+            score = scorer_for(kind, g, z)
+            first = score(pairs)
+            assert first.dtype == np.float64 and first.shape == (len(pairs),)
+            want = first.tobytes()
+            first.fill(-1.0)
+            assert score(pairs).tobytes() == want
 
 
 @st.composite
@@ -1023,9 +1035,9 @@ class TestBatchInvariance:
         forms = ("closed", "series") if kind is ScorerKind.KATZ else (None,)
         for form in forms:
             with katz_form(form) if form else nullcontext():
-                together = score_with(kind, g, z, pos + neg)
+                together = scorer_for(kind, g, z)(pos + neg)
                 apart = np.concatenate(
-                    [score_with(kind, g, z, pos), score_with(kind, g, z, neg)]
+                    [scorer_for(kind, g, z)(pos), scorer_for(kind, g, z)(neg)]
                 )
             if kind in (ScorerKind.TWO_HOP, ScorerKind.RECON_TWO_HOP):
                 assert np.allclose(together, apart, rtol=1e-12, atol=0)
@@ -1063,8 +1075,8 @@ class TestPairOrderSymmetry:
         forms = ("closed", "series") if kind is ScorerKind.KATZ else (None,)
         for form in forms:
             with katz_form(form) if form else nullcontext():
-                forward = score_with(kind, g, z, pairs)
-                backward = score_with(kind, g, z, reversed_pairs)
+                forward = scorer_for(kind, g, z)(pairs)
+                backward = scorer_for(kind, g, z)(reversed_pairs)
             assert backward.tobytes() == forward.tobytes()
 
 
@@ -1089,11 +1101,11 @@ class TestSideSwap:
     def test_pa_and_katz_closed_form_keep_their_bytes(self, swap):
         g, swapped, pairs, across = swap
         kind = ScorerKind.PREFERENTIAL_ATTACHMENT
-        pa = heuristic_scores(heuristic_index(g), kind, pairs).scores
-        assert heuristic_scores(heuristic_index(swapped), kind, across).scores.tobytes() == pa.tobytes()
+        pa = heuristic_scores(heuristic_index(g), kind, pairs)
+        assert heuristic_scores(heuristic_index(swapped), kind, across).tobytes() == pa.tobytes()
         with katz_form("closed"):
-            katz = katz_of(g, 0.01, pairs).scores
-            assert katz_of(swapped, 0.01, across).scores.tobytes() == katz.tobytes()
+            katz = katz_of(g, 0.01, pairs)
+            assert katz_of(swapped, 0.01, across).tobytes() == katz.tobytes()
 
     def test_swapped_common_sets_are_the_left_side_oracle(self, swap):
         """On the swapped graph cn and jc equal the C' oracle exactly, aa and
@@ -1113,7 +1125,7 @@ class TestSideSwap:
         }
         index = heuristic_index(swapped)
         for kind, want in oracle.items():
-            got = heuristic_scores(index, kind, across).scores
+            got = heuristic_scores(index, kind, across)
             if kind in (ScorerKind.COMMON_NEIGHBORS, ScorerKind.JACCARD):
                 assert got.tobytes() == want.ravel().tobytes(), kind
             else:
@@ -1130,7 +1142,7 @@ class TestMonotoneInvariance:
         model = model_for(g, z)
         norm = normalize(g.adj)
         pairs = het_pairs(g)
-        scores = two_hop_score(model, norm, pairs).scores
+        scores = two_hop_score(model, norm, pairs)
         pos, neg = scores[: len(pairs) // 2], scores[len(pairs) // 2 :]
         base = roc_auc(pos, neg)
         for f in (lambda x: 10.0 * x - 3.0, np.exp, lambda x: x + x**3):
