@@ -60,11 +60,11 @@ print("=" * 64)
 print("3. What the decoder says about known pairs")
 print("=" * 64)
 
-# One training edge, one held-out edge and one sampled non-edge, as local
-# (left, right) rows; the right index shifts by n_left to go global.
-local = np.stack([split.train_edges[0], split.test_pos[0], split.test_neg[0]])
-probs = decode_score(model, local + (0, g.n_left))
-train_pair, held_pair, non_edge = map(tuple, local.tolist())
+# One training edge, one held-out edge and one sampled non-edge, as
+# (left, right) rows; the decoder is told where the right side starts.
+pairs = np.stack([split.train_edges[0], split.test_pos[0], split.test_neg[0]])
+probs = decode_score(model, g.n_left, pairs)
+train_pair, held_pair, non_edge = map(tuple, pairs.tolist())
 print(f"decoded probability, training edge  {train_pair}: {probs[0]:.3f}")
 print(f"decoded probability, held-out edge  {held_pair}: {probs[1]:.3f}")
 print(f"decoded probability, sampled non-edge {non_edge}: {probs[2]:.3f}")

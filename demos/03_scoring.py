@@ -42,9 +42,8 @@ norm = normalize(gt.adj)
 model = train(norm, training_labels(a_train), TrainConfig(seed=0))
 print(f"training edges: {gt.m}, held-out test edges: {len(split.test_pos)}")
 
-# Scorers take global (k, 2) pair arrays: shift each right index by n_left.
-test_pos = split.test_pos + (0, g.n_left)
-test_neg = split.test_neg + (0, g.n_left)
+# Scorers take the split's (left, right) pair arrays as they are.
+test_pos, test_neg = split.test_pos, split.test_neg
 pairs = np.concatenate([test_pos, test_neg])
 
 print()
@@ -54,11 +53,11 @@ print("=" * 64)
 
 print(f"{'scorer':<18} {'AUC':>6}")
 
-mixed = two_hop_score(model, norm, pairs)
+mixed = two_hop_score(model, norm, g.n_left, pairs)
 auc = roc_auc(mixed[: len(test_pos)], mixed[len(test_pos):])
 print(f"{'two_hop':<18} {auc:>6.3f}")
 
-plain = decode_score(model, pairs)
+plain = decode_score(model, g.n_left, pairs)
 auc = roc_auc(plain[: len(test_pos)], plain[len(test_pos):])
 print(f"{'lgae decoder':<18} {auc:>6.3f}")
 
@@ -90,8 +89,8 @@ print("3. Inspect a few pairs side by side")
 print("=" * 64)
 
 sample = np.concatenate([test_pos[:3], test_neg[:3]])
-two = two_hop_score(model, norm, sample)
-dec = decode_score(model, sample)
+two = two_hop_score(model, norm, g.n_left, sample)
+dec = decode_score(model, g.n_left, sample)
 print(f"{'pair':<10} {'label':<6} {'two_hop':>9} {'decoder':>9}")
 for i, pair in enumerate(sample):
     label = "edge" if i < 3 else "none"

@@ -18,12 +18,11 @@ from .autoencoder import (
 )
 from .data import (
     DatasetSpec,
-    EdgeListResult,
     dataset_registry,
     generate_bipartite_er,
     generate_bipartite_sbm,
     load_dataset,
-    load_edge_list_detailed,
+    load_edge_list,
     southern_women_graph,
     write_edge_list,
     write_report,
@@ -83,7 +82,6 @@ __all__ = [
     "ConfusionMatrix",
     "DatasetSpec",
     "DiagnosticBundle",
-    "EdgeListResult",
     "EdgeSplit",
     "EmbeddingModel",
     "GraphInputError",
@@ -118,7 +116,7 @@ __all__ = [
     "katz_score",
     "load_config",
     "load_dataset",
-    "load_edge_list_detailed",
+    "load_edge_list",
     "load_split",
     "normalize",
     "recon_two_hop_score",

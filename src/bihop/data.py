@@ -4,12 +4,12 @@ Edge-list files are plain UTF-8 text: one edge per line, two whitespace
 separated tokens, first token a Left node id and second a Right node id.
 ``#`` starts a comment, blank lines are skipped.  Ids are mapped to contiguous
 local indices in order of first appearance, each side numbered on its own;
-an id may not appear on both sides.  The loader keeps the mapping
-(``EdgeListResult``).  ``write_edge_list`` writes ``l<i> r<j>`` lines in
-edge order, so a written file reads back as the same edges under the id
-mapping but not as the same graph: the right side comes back numbered in
-order of first appearance, in general a permutation of the one written,
-and a split of it differs.
+an id may not appear on both sides.  ``load_edge_list`` returns the graph
+alone; the ids are not kept.  ``write_edge_list`` writes ``l<i> r<j>``
+lines in edge order, so a written file reads back as the same edges under
+the id mapping but not as the same graph: the right side comes back
+numbered in order of first appearance, in general a permutation of the one
+written, and a split of it differs.
 
 The registry (registry.json, shipped inside the package) records the twelve
 benchmark networks this package targets: expected node/edge counts, source
@@ -96,18 +96,9 @@ def southern_women_graph() -> BipartiteGraph:
     return build_graph(len(SOUTHERN_WOMEN_NAMES), len(SOUTHERN_WOMEN_EVENTS), edges)
 
 
-@dataclass(frozen=True)
-class EdgeListResult:
-    """A loaded edge list plus its id mappings and dedup count."""
-
-    graph: BipartiteGraph
-    left_ids: tuple
-    right_ids: tuple
-    duplicate_count: int
-
-
-def load_edge_list_detailed(path) -> EdgeListResult:
-    """Parse an edge-list file keeping the node-id mappings."""
+def load_edge_list(path) -> BipartiteGraph:
+    """Parse an edge-list file into a graph; duplicate lines are logged as a
+    warning and dropped."""
     left_index: dict = {}
     right_index: dict = {}
     pairs = []
@@ -139,7 +130,7 @@ def load_edge_list_detailed(path) -> EdgeListResult:
     duplicates = len(pairs) - graph.m
     if duplicates:
         logger.warning("%s: %d duplicate edge lines ignored", path, duplicates)
-    return EdgeListResult(graph, tuple(left_index), tuple(right_index), duplicates)
+    return graph
 
 
 def write_edge_list(g: BipartiteGraph, path) -> None:
@@ -292,7 +283,7 @@ def load_dataset(spec: DatasetSpec, data_dir=None) -> BipartiteGraph:
             p = Path(data_dir) / p
         if source is None and not p.exists():
             raise FileNotFoundError(f"dataset {spec.id!r} has no source and no file at {p}")
-        g = load_edge_list_detailed(p).graph
+        g = load_edge_list(p)
     else:
         raise TypeError(f"dataset {spec.id!r}: source must be a path or a generator mapping, got {source!r}")
     registry = dataset_registry().get(spec.id, {})

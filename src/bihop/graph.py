@@ -148,11 +148,12 @@ def pair_array(pairs, n_left: int, n_right: int, what: str = "edge pair") -> np.
     """(k, 2) int64 array of ``pairs``, integer pairs or an integer array.
     GraphInputError names the first entry, and its position, that is not a
     pair of integers in [0, n_left) x [0, n_right); a bool is not an
-    integer, as in ``check_int``, and nothing is reshaped."""
+    integer, as in ``check_int``, and nothing is reshaped, so an empty
+    array is refused too unless it is (0, 2) integers."""
     if not isinstance(pairs, np.ndarray):
         pairs = list(pairs)
-    if len(pairs) == 0:
-        return np.empty((0, 2), dtype=np.int64)
+        if not pairs:
+            return np.empty((0, 2), dtype=np.int64)
     try:
         arr = np.asarray(pairs)
     except ValueError:  # ragged entries
@@ -167,6 +168,8 @@ def pair_array(pairs, n_left: int, n_right: int, what: str = "edge pair") -> np.
                     f"{what} {pair!r} at position {pos} is not a pair of integers",
                     pair=pair, position=pos,
                 )
+        if not len(arr):  # an empty array has no entry to name
+            raise GraphInputError(f"{what} array of shape {arr.shape} and dtype {arr.dtype} is not (k, 2) integers")
     lefts, rights = arr[:, 0], arr[:, 1]
     bad = np.flatnonzero((lefts < 0) | (lefts >= n_left) | (rights < 0) | (rights >= n_right))
     if bad.size:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .autoencoder import EmbeddingModel, ModelKind, TrainConfig, train, training_labels
 from .data import DatasetSpec, load_dataset, write_report
-from .graph import BipartiteGraph, NormalizedAdjacency, adjacency, check_int, check_real, normalize
+from .graph import BipartiteGraph, NormalizedAdjacency, adjacency, check_int, check_real, in_sorted, normalize
 from .metrics import (
     ConfusionMatrix,
     MetricReport,
@@ -165,11 +165,6 @@ def _param_key(params: dict):
     return tuple(sorted(params.items()))
 
 
-def _global_pairs(g: BipartiteGraph, local_pairs: np.ndarray) -> np.ndarray:
-    """Global (k, 2) pairs of the local (k, 2) pairs ``local_pairs``."""
-    return local_pairs + (0, g.n_left)
-
-
 @dataclass(frozen=True, eq=False)
 class RunArtifacts:
     """The training side of one split, shared by every step that uses it.
@@ -228,12 +223,12 @@ def _score_pairs(kind: ScorerKind, pairs, artifacts: RunArtifacts, params: dict)
         return katz_score(artifacts.katz, params["beta"], pairs)
     if kind in HEURISTIC_KINDS:
         return heuristic_scores(artifacts.heuristics, kind, pairs)
-    model = artifacts.model(SCORER_MODELS[kind], params)
+    model, n_left = artifacts.model(SCORER_MODELS[kind], params), artifacts.g_train.n_left
     if kind is ScorerKind.TWO_HOP:
-        return two_hop_score(model, artifacts.norm, pairs)
+        return two_hop_score(model, artifacts.norm, n_left, pairs)
     if kind is ScorerKind.RECON_TWO_HOP:
-        return recon_two_hop_score(model, pairs)
-    return decode_score(model, pairs, kind=kind)
+        return recon_two_hop_score(model, n_left, pairs)
+    return decode_score(model, n_left, pairs, kind=kind)
 
 
 def _pos_neg_scores(kind: ScorerKind, pos, neg, artifacts: RunArtifacts, params: dict):
@@ -256,13 +251,11 @@ def grid_search(artifacts: RunArtifacts, grid, scorer: ScorerKind):
     if not grid:
         raise ValueError("grid_search needs a nonempty grid")
     split = artifacts.split
-    val_pos = _global_pairs(artifacts.g_train, split.val_pos)
-    val_neg = _global_pairs(artifacts.g_train, split.val_neg)
     best = None
     skipped = []
     for point in grid:
         try:
-            pos, neg = _pos_neg_scores(scorer, val_pos, val_neg, artifacts, point)
+            pos, neg = _pos_neg_scores(scorer, split.val_pos, split.val_neg, artifacts, point)
         except KatzDivergenceError as exc:
             logger.warning("%s grid point %s skipped on seed %d: %s", scorer.value, point, split.seed, exc)
             skipped.append(f"{point}: {exc}")
@@ -308,11 +301,9 @@ def run_experiment(
     """
     run_index = check_int("run_index", run_index, low=0)
     split = artifacts.split
-    test_pos = _global_pairs(artifacts.g_train, split.test_pos)
-    test_neg = _global_pairs(artifacts.g_train, split.test_neg)
     reports = []
     for kind in config.scorers:
-        pos, neg = _pos_neg_scores(kind, test_pos, test_neg, artifacts, tuned[kind])
+        pos, neg = _pos_neg_scores(kind, split.test_pos, split.test_neg, artifacts, tuned[kind])
         reports.append(
             MetricReport(
                 dataset=dataset_id,
@@ -433,23 +424,21 @@ class DiagnosticBundle:
     ranking: tuple
 
 
-def _surface_scores(model: EmbeddingModel, norm: NormalizedAdjacency, pairs: np.ndarray) -> tuple:
-    """(decoded reconstruction, normalized adjacency entry) at global (k, 2) ``pairs``."""
-    return decode_score(model, pairs), np.asarray(norm.matrix[pairs[:, 0], pairs[:, 1]]).ravel()
+def _surface_scores(model: EmbeddingModel, artifacts: RunArtifacts, pairs: np.ndarray) -> tuple:
+    """(decoded reconstruction, normalized adjacency entry) at local (k, 2) ``pairs``."""
+    n_left = artifacts.g_train.n_left
+    entries = artifacts.norm.matrix[pairs[:, 0], n_left + pairs[:, 1]]
+    return decode_score(model, n_left, pairs), np.asarray(entries).ravel()
 
 
 def _confusion_population(g: BipartiteGraph, seed: int):
-    """Scored pair population as a (k, 2) global-index array plus 0/1 edge
-    labels: every heterogeneous pair for small graphs, edges plus an equal
+    """Scored pair population as a (k, 2) local pair array plus 0/1 edge
+    labels: every left-right pair for small graphs, edges plus an equal
     sample of non-edges for large ones."""
     if g.n <= CONFUSION_PAIR_LIMIT:
-        us, vs = np.meshgrid(
-            np.arange(g.n_left), np.arange(g.n_left, g.n), indexing="ij"
-        )
-        pairs = np.column_stack([us.ravel(), vs.ravel()])
-        return pairs, np.asarray(g.adj[pairs[:, 0], pairs[:, 1]], dtype=np.int64).ravel()
-    sampled = sample_negatives(g, g.m, exclude=(), seed=seed)
-    pairs = _global_pairs(g, np.concatenate([g.edges, sampled]))
+        pairs = np.column_stack(np.divmod(np.arange(g.n_left * g.n_right), g.n_right))
+        return pairs, in_sorted(g.edge_keys, g.cell_keys(pairs)).astype(np.int64)
+    pairs = np.concatenate([g.edges, sample_negatives(g, g.m, exclude=(), seed=seed)])
     labels = np.concatenate([np.ones(g.m, dtype=np.int64), np.zeros(g.m, dtype=np.int64)])
     return pairs, labels
 
@@ -475,33 +464,28 @@ def diagnose(
 
     # (a) best-F1 confusion of each surface against the full graph's edges
     pop_pairs, pop_labels = _confusion_population(g, extra_keys[0])
-    recon_scores, norm_scores = _surface_scores(model, artifacts.norm, pop_pairs)
+    recon_scores, norm_scores = _surface_scores(model, artifacts, pop_pairs)
     recon_confusion = best_f1_threshold(recon_scores, pop_labels)
     norm_confusion = best_f1_threshold(norm_scores, pop_labels)
 
     # (b) mean raw two-hop mass per evaluation set, for both surfaces
     false_edges = sample_negatives(g, g.m, exclude=(), seed=extra_keys[1])
-    mass_pairs = [  # score_mass_report's six sets, in its parameter order
-        _global_pairs(g, pairs)
-        for pairs in (split.test_pos, split.test_neg, split.val_pos, split.val_neg, g.edges, false_edges)
-    ]
-    mass_recon = score_mass_report(*(recon_two_hop_score(model, p) for p in mass_pairs))
-    mass_two_hop = score_mass_report(*(two_hop_score(model, artifacts.norm, p) for p in mass_pairs))
+    # score_mass_report's six sets, in its parameter order
+    mass_pairs = (split.test_pos, split.test_neg, split.val_pos, split.val_neg, g.edges, false_edges)
+    mass_recon = score_mass_report(*(recon_two_hop_score(model, g.n_left, p) for p in mass_pairs))
+    mass_two_hop = score_mass_report(*(two_hop_score(model, artifacts.norm, g.n_left, p) for p in mass_pairs))
 
     # (c) ranking quality of both surfaces on train/val/test with matched negatives
-    train_neg = _global_pairs(
-        g, sample_negatives(g, len(split.train_edges), exclude=(), seed=extra_keys[2])
-    )
-    test_pos, test_neg, val_pos, val_neg = mass_pairs[:4]
+    train_neg = sample_negatives(g, len(split.train_edges), exclude=(), seed=extra_keys[2])
     subsets = (
-        ("train", _global_pairs(g, split.train_edges), train_neg),
-        ("val", val_pos, val_neg),
-        ("test", test_pos, test_neg),
+        ("train", split.train_edges, train_neg),
+        ("val", split.val_pos, split.val_neg),
+        ("test", split.test_pos, split.test_neg),
     )
     ranking = []
     for name, pos, neg in subsets:
-        pos_scores = _surface_scores(model, artifacts.norm, pos)
-        neg_scores = _surface_scores(model, artifacts.norm, neg)
+        pos_scores = _surface_scores(model, artifacts, pos)
+        neg_scores = _surface_scores(model, artifacts, neg)
         for surface, s_pos, s_neg in zip(("recon", "norm_adj"), pos_scores, neg_scores):
             ranking.append(
                 RankingRow(

@@ -31,12 +31,12 @@ entries: its first hops are sparse products of a block of target columns,
 and its last hop is computed pointwise at the pairs, by the same CSR row
 gather ``two_hop`` uses.
 
-All scorers accept node pairs in GLOBAL indexing (left block first), as a
-(k, 2) integer array or a sequence of integer pairs, and reject anything
-else and indices outside [0, n) with ValueError.  The model scorers take
-any pair; Katz and the heuristics take left-right pairs only (ValueError
-otherwise).  Every scorer reads a pair's sorted ends, so all ten give a
-pair and its reverse the same bytes.
+A pair is (left, right) everywhere, as in ``build_graph`` and every
+split: each scorer takes local pairs, a (k, 2) integer array or a sequence
+of integer pairs, checked by ``pair_array`` against the left and right
+sides, so anything else or an index outside [0, n_left) x [0, n_right)
+raises GraphInputError naming the pair and its position.  The kernels
+index the global ends (left, n_left + right).
 Heuristic indices use the Daminelli-style bipartite adaptation: the "common
 neighbors" of a heterogeneous pair (u, v) are the intermediate nodes of
 length-3 paths, C(u, v) = N(u) n N2(v) with N2(v) the union of
@@ -62,7 +62,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .autoencoder import EmbeddingModel, sigmoid
-from .graph import BipartiteGraph, NormalizedAdjacency, check_real, pair_array
+from .graph import BipartiteGraph, NormalizedAdjacency, check_int, check_real, pair_array
 
 DENSE_THRESHOLD = 4096
 
@@ -117,20 +117,13 @@ HEURISTIC_KINDS = frozenset(
 )
 
 
-def _as_index_arrays(pairs, n: int):
-    """(``pairs`` as a (k, 2) int64 array, each pair's smaller and larger
-    end), checked by ``pair_array``."""
-    arr = pair_array(pairs, n, n, what="pair")
-    return arr, np.minimum(*arr.T), np.maximum(*arr.T)
-
-
-def _left_right(pairs: np.ndarray, lo: np.ndarray, hi: np.ndarray, n_left: int) -> None:
-    """ValueError naming the first pair, as given, whose sorted ends ``lo``
-    and ``hi`` do not join the left side [0, n_left) to the right side."""
-    same_side = np.flatnonzero((lo >= n_left) | (hi < n_left))
-    if same_side.size:
-        u, v = pairs[same_side[0]]
-        raise ValueError(f"pair ({u}, {v}) is homogeneous; Katz and the heuristics need a left-right pair")
+def _pair_ends(pairs, n_left, n: int):
+    """Each pair's global ends (left, n_left + right): ``pairs`` checked by
+    ``pair_array`` as local (left, right) pairs of an n-node graph whose
+    first ``n_left`` nodes are the left side."""
+    n_left = check_int("n_left", n_left, low=0)
+    arr = pair_array(pairs, n_left, n - n_left, what="pair")
+    return arr[:, 0], arr[:, 1] + n_left
 
 
 def _check_model_size(model: EmbeddingModel, n: int):
@@ -157,7 +150,7 @@ def _row_hop(mat: sp.csr_matrix, z: np.ndarray, rows: np.ndarray, cols: np.ndarr
     return np.bincount(seg, weights=mat.data[pos] * sigmoid(dots, out=dots), minlength=rows.size)
 
 
-def two_hop_score(model: EmbeddingModel, norm_adj: NormalizedAdjacency, pairs) -> np.ndarray:
+def two_hop_score(model: EmbeddingModel, norm_adj: NormalizedAdjacency, n_left: int, pairs) -> np.ndarray:
     """Symmetrized two-hop score through the normalized training adjacency.
 
     score(u, v) = [ sum_w An_uw * dec(w, v) + sum_w An_vw * dec(w, u) ] / 2
@@ -170,17 +163,17 @@ def two_hop_score(model: EmbeddingModel, norm_adj: NormalizedAdjacency, pairs) -
     """
     n = norm_adj.n
     _check_model_size(model, n)
-    pairs, us, vs = _as_index_arrays(pairs, n)
+    us, vs = _pair_ends(pairs, n_left, n)
     mat, z = norm_adj.matrix, model.Z
     chunk = max(1, _GATHER_ENTRIES // (2 * int(np.diff(mat.indptr).max(initial=1))))
-    scores = np.empty(len(pairs))
-    for lo in range(0, len(pairs), chunk):
+    scores = np.empty(us.size)
+    for lo in range(0, us.size, chunk):
         u, v = us[lo : lo + chunk], vs[lo : lo + chunk]
         scores[lo : lo + chunk] = 0.5 * (_row_hop(mat, z, u, v) + _row_hop(mat, z, v, u))
     return scores
 
 
-def recon_two_hop_score(model: EmbeddingModel, pairs) -> np.ndarray:
+def recon_two_hop_score(model: EmbeddingModel, n_left: int, pairs) -> np.ndarray:
     """Two-hop score using the reconstruction for both hops (R @ R).
 
     Symmetric without extra averaging since R is symmetric.  Per chunk of
@@ -197,11 +190,11 @@ def recon_two_hop_score(model: EmbeddingModel, pairs) -> np.ndarray:
     """
     z = model.Z
     n = z.shape[0]
-    pairs, us, vs = _as_index_arrays(pairs, n)
+    us, vs = _pair_ends(pairs, n_left, n)
     rows = max(1, _GATHER_ENTRIES // _PAIR_CHUNK)
-    scores = np.empty(len(pairs))
-    for lo in range(0, len(pairs), _PAIR_CHUNK):
-        hi = min(lo + _PAIR_CHUNK, len(pairs))
+    scores = np.empty(us.size)
+    for lo in range(0, us.size, _PAIR_CHUNK):
+        hi = min(lo + _PAIR_CHUNK, us.size)
         zu, zv = z[us[lo:hi]].T, z[vs[lo:hi]].T
         bounds = [*range(0, max(n - 1, 1), rows if hi - lo > 1 else n), n]
         acc = None
@@ -218,13 +211,13 @@ def recon_two_hop_score(model: EmbeddingModel, pairs) -> np.ndarray:
     return scores
 
 
-def decode_score(model: EmbeddingModel, pairs, kind: ScorerKind | None = None) -> np.ndarray:
+def decode_score(model: EmbeddingModel, n_left: int, pairs, kind: ScorerKind | None = None) -> np.ndarray:
     """Direct decoder scores sigmoid(z_u . z_v).
 
     ``kind`` does not change the scores: it is the label (lgae or gae) the
     benchmark's tracer reads to count the two decoders' calls apart.
     """
-    _, us, vs = _as_index_arrays(pairs, model.Z.shape[0])
+    us, vs = _pair_ends(pairs, n_left, model.Z.shape[0])
     dots = np.einsum("ij,ij->i", model.Z[us], model.Z[vs])
     return sigmoid(dots, out=dots)
 
@@ -244,7 +237,7 @@ class HeuristicIndex:
     (only a pair's left node needs its set), ``degrees`` the degree array,
     ``aa_terms[b]`` the Adamic-Adar term 1 / ln deg(b) (0.0 below degree 2)
     and ``ra_terms[b]`` the resource-allocation term 1 / deg(b), as float64
-    arrays.  ``commons`` maps the latest batch's sorted pair ends (their
+    arrays.  ``commons`` maps the latest batch's global pair ends (their
     bytes) to its cn, jc, aa and ra arrays once a call has built them, so
     cn, jc, aa and ra on the same pairs build each C = N(u) & N2(v) once; a
     new batch replaces it, so the memo holds one batch.  N2(v) is
@@ -335,7 +328,7 @@ def heuristic_index(g_train: BipartiteGraph) -> HeuristicIndex:
 
 
 def heuristic_scores(index: HeuristicIndex, kind: ScorerKind, pairs) -> np.ndarray:
-    """Similarity index for heterogeneous pairs (global indices).
+    """Similarity index for local (left, right) pairs.
 
     With N(x) the training neighbors, N2(v) the two-step neighborhood, u the
     left and v the right node of a pair, and C = N(u) n N2(v):
@@ -348,8 +341,8 @@ def heuristic_scores(index: HeuristicIndex, kind: ScorerKind, pairs) -> np.ndarr
 
     C is exactly the set of intermediate nodes adjacent to u on length-3
     paths from u to v, which is what "common neighbors" degrades to across
-    partitions.  The whole batch is checked first: a non-heuristic ``kind``,
-    an out-of-range pair or a homogeneous pair raises ValueError.  The last
+    partitions.  The whole batch is checked first: a non-heuristic ``kind``
+    raises ValueError and an out-of-range pair GraphInputError.  The last
     four read ``index.commons``: whichever of them asks first for a batch
     scores all four over it (``_common_scores``), and the others on the same
     pairs read the kept arrays.  That pass takes the pairs by right node v,
@@ -361,8 +354,7 @@ def heuristic_scores(index: HeuristicIndex, kind: ScorerKind, pairs) -> np.ndarr
     """
     if kind not in HEURISTIC_KINDS:
         raise ValueError(f"{kind} is not a heuristic scorer")
-    pairs, lefts, rights = _as_index_arrays(pairs, index.g.n)
-    _left_right(pairs, lefts, rights, index.g.n_left)
+    lefts, rights = _pair_ends(pairs, index.g.n_left, index.g.n)
     if kind is ScorerKind.PREFERENTIAL_ATTACHMENT:
         return (index.degrees[lefts] * index.degrees[rights]).astype(np.float64)
     key = lefts.tobytes() + rights.tobytes()
@@ -400,9 +392,9 @@ class KatzIndex:
     reads ``adj`` alone.  The closed form reads ``blocks``, which its first
     call builds and every later call on the index shares: W, the dense
     block of ``adj`` whose rows are the larger side's nodes and whose
-    columns are the smaller side's (the left side on a tie); the Gram matrix
-    G = W^T W; the spectral radius, from G; and s_lo, the global index of
-    the smaller side's first node, 0 or n_left.
+    columns are the smaller side's (the left side on a tie), each side in
+    its local indices; the Gram matrix G = W^T W; the spectral radius, from
+    G; and whether the left side is the smaller one.
     """
 
     adj: sp.csr_matrix = field(repr=False)
@@ -410,14 +402,12 @@ class KatzIndex:
 
     @cached_property
     def blocks(self) -> tuple:
-        """(W, G, radius, s_lo); built on first use."""
+        """(W, G, radius, left_smaller); built on first use."""
         n_left = self.n_left
-        if n_left <= self.adj.shape[0] - n_left:
-            w, s_lo = self.adj[n_left:, :n_left].toarray(), 0
-        else:
-            w, s_lo = self.adj[:n_left, n_left:].toarray(), n_left
+        left_smaller = n_left <= self.adj.shape[0] - n_left
+        w = (self.adj[n_left:, :n_left] if left_smaller else self.adj[:n_left, n_left:]).toarray()
         gram = w.T @ w
-        return w, gram, adjacency_spectral_radius(gram), s_lo
+        return w, gram, adjacency_spectral_radius(gram), left_smaller
 
 
 def katz_index(g_train: BipartiteGraph) -> KatzIndex:
@@ -442,7 +432,8 @@ def _hop_at(damped: sp.csr_matrix, x: sp.csr_matrix, rows: np.ndarray, cols: np.
 
 
 def _closed_form(index: KatzIndex, beta: float, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
-    """[(I - beta A)^{-1} - I] at left-right pairs, through the smaller side.
+    """[(I - beta A)^{-1} - I] at the local (left, right) pairs, through the
+    smaller side.
 
     With S the smaller side, O the other, W the O x S block and
     M = I - beta^2 W^T W on S, the resolvent's O x S block is beta W M^{-1}.
@@ -452,20 +443,20 @@ def _closed_form(index: KatzIndex, beta: float, lefts: np.ndarray, rights: np.nd
     it, so solving for only the call's S ends would make a pair's score
     depend on the other pairs in the call.
     """
-    w, gram, radius, s_lo = index.blocks
+    w, gram, radius, left_smaller = index.blocks
     if radius > 0 and beta >= 1.0 / radius:
         raise KatzDivergenceError(
             f"beta={beta} >= 1/spectral_radius={1.0 / radius:.6g}; "
             "the resolvent series diverges"
         )
-    a, b = (lefts, rights) if s_lo == 0 else (rights, lefts)
+    a, b = (lefts, rights) if left_smaller else (rights, lefts)
     inverse = np.linalg.inv(np.eye(gram.shape[0]) - beta**2 * gram)
-    return beta * np.einsum("ij,ij->i", w[b - (index.n_left - s_lo)], inverse.T[a - s_lo])
+    return beta * np.einsum("ij,ij->i", w[b], inverse.T[a])
 
 
 def katz_score(index: KatzIndex, beta: float, pairs) -> np.ndarray:
-    """Katz index: damped walk counts (I - beta A)^{-1} - I at left-right
-    pairs; a same-side or self pair raises ValueError.
+    """Katz index: damped walk counts (I - beta A)^{-1} - I at local
+    (left, right) pairs.
 
     The graph size alone picks the form.  Up to ``DENSE_THRESHOLD`` nodes it
     is the closed form (``_closed_form``, one s x s inverse per call), which
@@ -483,12 +474,11 @@ def katz_score(index: KatzIndex, beta: float, pairs) -> np.ndarray:
     beta = check_real("beta", beta)
     a = index.adj
     n = a.shape[0]
-    pairs, lefts, rights = _as_index_arrays(pairs, n)
-    _left_right(pairs, lefts, rights, index.n_left)
+    lefts, rights = _pair_ends(pairs, index.n_left, n)
     if n <= DENSE_THRESHOLD:
-        scores = _closed_form(index, beta, lefts, rights)
+        scores = _closed_form(index, beta, lefts, rights - index.n_left)
     else:
-        scores = np.empty(len(pairs))
+        scores = np.empty(lefts.size)
         damped = beta * a
         targets, column = np.unique(rights, return_inverse=True)
         for lo in range(0, targets.size, _KATZ_COLUMNS):

@@ -10,8 +10,12 @@ from bihop.graph import BipartiteGraph, build_graph
 from bihop.metrics import MetricReport
 
 # Property tests draw the same examples on every run and keep no example
-# database, so the suite stays deterministic.
+# database, so the suite stays deterministic.  ``deterministic`` seeds each
+# test's examples from its own source, so its examples change only when the
+# test does; ``pytest --hypothesis-profile explore`` draws fresh random
+# examples, 500 per test, to search beyond that fixed set.
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.register_profile("explore", derandomize=False, database=None, deadline=None, max_examples=500)
 settings.load_profile("deterministic")
 
 
@@ -36,6 +40,19 @@ def toy_graph() -> BipartiteGraph:
 def pairs_of(arr) -> tuple:
     """The (u, v) int tuples of a (k, 2) pair array, for set and tuple oracles."""
     return tuple(map(tuple, np.asarray(arr).tolist()))
+
+
+def edge_list_ids(path) -> tuple:
+    """(left ids, right ids) of an edge-list file, each side in order of
+    first appearance: the node numbering ``load_edge_list`` gives, read
+    from the file's own tokens."""
+    left, right = {}, {}
+    for line in open(path, encoding="utf-8").read().splitlines():
+        tokens = line.split("#", 1)[0].split()
+        if tokens:
+            left.setdefault(tokens[0], len(left))
+            right.setdefault(tokens[1], len(right))
+    return tuple(left), tuple(right)
 
 
 def read_results(path) -> list:

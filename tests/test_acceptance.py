@@ -59,8 +59,8 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _heterogeneous_pairs(g):
-    return [(u, g.n_left + v) for u in range(g.n_left) for v in range(g.n_right)]
+def _left_right_pairs(g):
+    return [(u, v) for u in range(g.n_left) for v in range(g.n_right)]
 
 
 def test_criterion_1_lazy_scores_match_dense_oracle():
@@ -76,14 +76,14 @@ def test_criterion_1_lazy_scores_match_dense_oracle():
             Z=z, model_kind=ModelKind.LGAE,
             weights=(np.zeros((g.n, 5)),), loss_history=np.zeros(1),
         )
-        pairs = _heterogeneous_pairs(g)
-        arr = np.asarray(pairs)
+        pairs = _left_right_pairs(g)
+        arr = np.asarray(pairs) + (0, g.n_left)  # global ends, for the n x n oracles
         recon = _sigmoid(z @ z.T)
         mixed = norm.matrix.toarray() @ recon
         want_two_hop = 0.5 * (mixed[arr[:, 0], arr[:, 1]] + mixed[arr[:, 1], arr[:, 0]])
         want_recon = (recon @ recon)[arr[:, 0], arr[:, 1]]
-        got_two_hop = two_hop_score(model, norm, pairs)
-        got_recon = recon_two_hop_score(model, pairs)
+        got_two_hop = two_hop_score(model, norm, g.n_left, pairs)
+        got_recon = recon_two_hop_score(model, g.n_left, pairs)
         worst = max(
             worst,
             float(np.max(np.abs(got_two_hop - want_two_hop) / want_two_hop)),
@@ -330,11 +330,9 @@ def test_criterion_6b_southern_women_reference_value():
         split = split_edges(g, config.ratios, config.base_seed + r)
         artifacts = build_run_artifacts(g, split)
         model = artifacts.model(ModelKind.LGAE, params)
-        test_pos = [(u, g.n_left + v) for u, v in split.test_pos]
-        test_neg = [(u, g.n_left + v) for u, v in split.test_neg]
         for norm, aucs in ((artifacts.norm, rescored), (norm_full, leaky)):
-            pos = two_hop_score(model, norm, test_pos)
-            neg = two_hop_score(model, norm, test_neg)
+            pos = two_hop_score(model, norm, g.n_left, split.test_pos)
+            neg = two_hop_score(model, norm, g.n_left, split.test_neg)
             aucs.append(roc_auc(pos, neg))
     rescored_dev = abs(float(np.mean(rescored)) - clean)
     leaky_mean = float(np.mean(leaky))

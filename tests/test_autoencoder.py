@@ -207,35 +207,38 @@ class TestForward:
             forward((np.ones((3, 2)),), norm)
 
 
-def decoded(z, us, vs):
-    """``decode_score`` of the pairs (us[k], vs[k]) on a model whose
-    embeddings are ``z``."""
+def decoded(z, n_left, us, vs):
+    """``decode_score`` of the local pairs (us[k], vs[k]) on a model whose
+    embeddings are ``z`` and whose first ``n_left`` nodes are the left side."""
     model = EmbeddingModel(Z=z, model_kind=ModelKind.LGAE, weights=(), loss_history=np.zeros(1))
-    return decode_score(model, np.column_stack([us, vs]))
+    return decode_score(model, n_left, np.column_stack([us, vs]))
 
 
 class TestDecode:
     def test_zero_embedding_gives_half(self):
         z = np.zeros((4, 3))
-        assert decoded(z, [0], [2])[0] == 0.5
+        assert decoded(z, 2, [0], [0])[0] == 0.5
 
     def test_log3_norm_gives_three_quarters(self):
         z = np.full((2, 1), np.sqrt(np.log(3.0)))
-        assert decoded(z, [0], [1])[0] == pytest.approx(0.75, abs=1e-12)
+        assert decoded(z, 1, [0], [0])[0] == pytest.approx(0.75, abs=1e-12)
 
     def test_symmetry(self):
+        """Pair (u, v) decodes as (v, u) does with the sides swapped: the
+        right side's rows first."""
         rng = np.random.default_rng(35)
         z = rng.standard_normal((6, 4))
-        us, vs = np.divmod(np.arange(36), 6)
-        assert np.array_equal(decoded(z, us, vs), decoded(z, vs, us))
+        us, vs = np.divmod(np.arange(8), 4)  # 2 left x 4 right
+        swapped = np.concatenate([z[2:], z[:2]])
+        assert np.array_equal(decoded(z, 2, us, vs), decoded(swapped, 4, vs, us))
 
     def test_decode_matches_scalar(self):
         rng = np.random.default_rng(36)
         z = rng.standard_normal((8, 3))
-        us = rng.integers(0, 8, size=20)
-        vs = rng.integers(0, 8, size=20)
-        got = decoded(z, us, vs)
-        want = [expit(z[u] @ z[v]) for u, v in zip(us, vs)]
+        us = rng.integers(0, 3, size=20)
+        vs = rng.integers(0, 5, size=20)
+        got = decoded(z, 3, us, vs)
+        want = [expit(z[u] @ z[3 + v]) for u, v in zip(us, vs)]
         assert np.allclose(got, want, rtol=0, atol=1e-15)
 
 

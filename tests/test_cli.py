@@ -8,12 +8,12 @@ from bihop.cli import main
 from bihop.data import (
     generate_bipartite_er,
     generate_bipartite_sbm,
-    load_edge_list_detailed,
+    load_edge_list,
     southern_women_graph,
 )
 from bihop.splits import load_split, split_edges
 
-from conftest import assert_same_split, pairs_of, read_results
+from conftest import assert_same_split, edge_list_ids, pairs_of, read_results
 
 
 def run_cli(capsys, *argv):
@@ -39,14 +39,12 @@ class TestGenerate:
         assert stderr == ""
         expected = generate_bipartite_er(12, 9, 0.3, 5)
         assert f"wrote {expected.m} edges (12+9 nodes)" in stdout
-        loaded = load_edge_list_detailed(out)
-        assert loaded.graph.n_left == 12
-        assert loaded.graph.n_right == 9
-        assert loaded.graph.m == expected.m
-        by_id = {
-            (int(loaded.left_ids[u][1:]), int(loaded.right_ids[v][1:]))
-            for u, v in loaded.graph.edges
-        }
+        loaded = load_edge_list(out)
+        assert loaded.n_left == 12
+        assert loaded.n_right == 9
+        assert loaded.m == expected.m
+        left_ids, right_ids = edge_list_ids(out)
+        by_id = {(int(left_ids[u][1:]), int(right_ids[v][1:])) for u, v in loaded.edges}
         assert by_id == set(pairs_of(expected.edges))
 
     def test_sbm_round_trip(self, tmp_path, capsys):
@@ -59,8 +57,7 @@ class TestGenerate:
         assert code == 0
         expected = generate_bipartite_sbm((8, 8), (8, 8), 0.6, 0.05, 2)
         assert f"wrote {expected.m} edges" in stdout
-        loaded = load_edge_list_detailed(out)
-        assert loaded.graph.m == expected.m
+        assert load_edge_list(out).m == expected.m
 
     def test_negative_seed_accepted(self, tmp_path, capsys):
         """Seeds are taken modulo 2**64, as for splits and training."""

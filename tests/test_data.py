@@ -6,6 +6,7 @@ a four-sigma band so they are deterministic for the pinned seeds yet still
 meaningful.
 """
 
+import logging
 import re
 import tracemalloc
 
@@ -20,7 +21,7 @@ from bihop.data import (
     generate_bipartite_er,
     generate_bipartite_sbm,
     load_dataset,
-    load_edge_list_detailed,
+    load_edge_list,
     southern_women_graph,
     write_edge_list,
     write_report,
@@ -29,63 +30,63 @@ from bihop.graph import GraphInputError, build_graph
 from bihop.metrics import MetricReport, summarize
 from bihop.scoring import ScorerKind
 
-from conftest import pairs_of, random_bipartite, read_results
+from conftest import edge_list_ids, pairs_of, random_bipartite, read_results
 
 
 class TestEdgeListParsing:
-    def test_two_lines_two_left_one_right(self, tmp_path):
+    def test_two_lines_two_left_one_right(self, tmp_path, caplog):
         path = tmp_path / "g.edges"
         path.write_text("u1 v1\nu2 v1\n")
-        res = load_edge_list_detailed(path)
-        assert res.graph.n_left == 2
-        assert res.graph.n_right == 1
-        assert res.graph.m == 2
-        assert res.left_ids == ("u1", "u2")
-        assert res.right_ids == ("v1",)
-        assert res.duplicate_count == 0
+        with caplog.at_level(logging.WARNING, logger="bihop.data"):
+            g = load_edge_list(path)
+        assert (g.n_left, g.n_right, g.m) == (2, 1, 2)
+        assert pairs_of(g.edges) == ((0, 0), (1, 0))
+        assert caplog.messages == []
 
-    def test_duplicate_lines_collapse(self, tmp_path):
+    def test_duplicate_lines_collapse(self, tmp_path, caplog):
+        """Repeated lines are dropped, and their count is logged as a warning."""
         path = tmp_path / "g.edges"
         path.write_text("a x\na x\nb x\na x\n")
-        res = load_edge_list_detailed(path)
-        assert res.graph.m == 2
-        assert res.duplicate_count == 2
+        with caplog.at_level(logging.WARNING, logger="bihop.data"):
+            g = load_edge_list(path)
+        assert g.m == 2
+        assert caplog.messages == [f"{path}: 2 duplicate edge lines ignored"]
 
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "g.edges"
         path.write_text("# header\n\na x  # trailing comment\nb y\n")
-        g = load_edge_list_detailed(path).graph
+        g = load_edge_list(path)
         assert g.m == 2
 
     def test_malformed_line_names_line_number(self, tmp_path):
         path = tmp_path / "g.edges"
         path.write_text("a x\nbad\n")
         with pytest.raises(GraphInputError, match="line 2"):
-            load_edge_list_detailed(path)
+            load_edge_list(path)
 
     def test_three_tokens_rejected(self, tmp_path):
         path = tmp_path / "g.edges"
         path.write_text("a x 1.0\n")
         with pytest.raises(GraphInputError, match="expected 2 tokens"):
-            load_edge_list_detailed(path)
+            load_edge_list(path)
 
     def test_id_cannot_appear_in_both_columns(self, tmp_path):
         path = tmp_path / "g.edges"
         path.write_text("a x\nx b\n")
         with pytest.raises(GraphInputError, match="already used"):
-            load_edge_list_detailed(path)
+            load_edge_list(path)
 
     def test_right_id_already_a_left_id_rejected(self, tmp_path):
         path = tmp_path / "g.edges"
         path.write_text("a x\nb a\n")
         with pytest.raises(GraphInputError, match="line 2: id 'a' already used as a left node"):
-            load_edge_list_detailed(path)
+            load_edge_list(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "g.edges"
         path.write_text("# nothing\n")
         with pytest.raises(GraphInputError, match="no edges"):
-            load_edge_list_detailed(path)
+            load_edge_list(path)
 
     def test_write_then_load_round_trip(self, tmp_path):
         """A graph with an isolated node is refused (two of these five); every
@@ -101,14 +102,12 @@ class TestEdgeListParsing:
                 refused += 1
                 continue
             write_edge_list(g, path)
-            res = load_edge_list_detailed(path)
-            assert (res.graph.n_left, res.graph.n_right) == (g.n_left, g.n_right)
+            loaded = load_edge_list(path)
+            assert (loaded.n_left, loaded.n_right) == (g.n_left, g.n_right)
             # ids are written in edge order, so indices may permute; compare
-            # through the id mapping
-            back = {
-                (int(res.left_ids[u][1:]), int(res.right_ids[v][1:]))
-                for u, v in res.graph.edges
-            }
+            # through the ids the file lists
+            left_ids, right_ids = edge_list_ids(path)
+            back = {(int(left_ids[u][1:]), int(right_ids[v][1:])) for u, v in loaded.edges}
             assert back == set(pairs_of(g.edges))
         assert refused == 2
 
@@ -137,22 +136,24 @@ class TestEdgeListParsing:
         path = tmp_path / "g.edges"
         write_edge_list(g, path)
         assert path.read_text() == "l0 r1\nl1 r0\n"
-        assert load_edge_list_detailed(path).right_ids == ("r1", "r0")
+        assert edge_list_ids(path)[1] == ("r1", "r0")
+        assert pairs_of(load_edge_list(path).edges) == ((0, 0), (1, 1))
 
     def test_write_named_ids_round_trip(self, tmp_path):
-        """Any ids without whitespace or ``#`` load; the id mappings give
-        back the edges as written."""
+        """Any ids without whitespace or ``#`` load; the file's ids give
+        back the edges as written, and no line is a duplicate."""
         g = southern_women_graph()
         names = tuple(name.replace(" ", "_") for name in SOUTHERN_WOMEN_NAMES)
         path = tmp_path / "sw.edges"
         path.write_text("".join(f"{names[u]} {SOUTHERN_WOMEN_EVENTS[v]}\n" for u, v in g.edges))
-        res = load_edge_list_detailed(path)
+        loaded = load_edge_list(path)
+        left_ids, right_ids = edge_list_ids(path)
         back = {
-            (names.index(res.left_ids[u]), SOUTHERN_WOMEN_EVENTS.index(res.right_ids[v]))
-            for u, v in res.graph.edges
+            (names.index(left_ids[u]), SOUTHERN_WOMEN_EVENTS.index(right_ids[v]))
+            for u, v in loaded.edges
         }
         assert back == set(pairs_of(g.edges))
-        assert res.duplicate_count == 0
+        assert loaded.m == len(g.edges)
 
 
 class TestGenerators:

@@ -12,6 +12,7 @@ Checks, among other things:
 """
 
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -112,8 +113,8 @@ class TestBuildGraph:
             (lambda p: build_graph(2, 2, p), [(True, True)], 0),
             (lambda p: build_graph(2, 2, p), [(0, 0), (1, True)], 1),
             (lambda p: build_graph(2, 2, p), np.array([[False, True]]), 0),
-            (lambda p: heuristic_scores(heuristic_index(g), ScorerKind.COMMON_NEIGHBORS, p), [(0, 2), (True, 3)], 1),
-            (lambda p: decode_score(EmbeddingModel(np.ones((4, 1)), ModelKind.LGAE, (), np.zeros(1)), p),
+            (lambda p: heuristic_scores(heuristic_index(g), ScorerKind.COMMON_NEIGHBORS, p), [(0, 0), (True, 1)], 1),
+            (lambda p: decode_score(EmbeddingModel(np.ones((4, 1)), ModelKind.LGAE, (), np.zeros(1)), 2, p),
              np.array([[False, True]]), 0),
             (lambda p: sample_negatives(g, 1, exclude=p, seed=0), [(False, True)], 0),
         )
@@ -122,6 +123,21 @@ class TestBuildGraph:
                 call(pairs)
             assert exc.value.position == pos
             assert exc.value.pair is pairs[pos] or np.array_equal(exc.value.pair, pairs[pos])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.empty((0, 3), dtype=np.int64), np.empty((0,)), np.empty((0, 2), dtype=bool)],
+        ids=["int64-0x3", "float64-0", "bool-0x2"],
+    )
+    def test_malformed_empty_array_rejected(self, bad):
+        """An empty array passes the same shape and dtype test as any
+        other: nothing is reshaped and a bool is not an integer, so it is
+        refused instead of building an empty graph.  An empty list or a
+        (0, 2) integer array still holds zero pairs."""
+        with pytest.raises(GraphInputError, match=re.escape("is not (k, 2) integers")):
+            build_graph(2, 2, bad)
+        for empty in ([], (), np.empty((0, 2), dtype=np.int64), np.empty((0, 2), dtype=np.uint8)):
+            assert build_graph(2, 2, empty).m == 0
 
 
 

@@ -590,7 +590,7 @@ class TestLeakageDiscipline:
         model_a = a.model(ModelKind.LGAE, SMALL_GRID[0])
         model_b = b.model(ModelKind.LGAE, SMALL_GRID[0])
         assert np.array_equal(model_a.Z, model_b.Z)
-        probe = [(u, block_graph.n_left + v) for u in range(0, 30, 4) for v in range(30)]
+        probe = [(u, v) for u in range(0, 30, 4) for v in range(30)]
         for kind in HEURISTIC_KINDS:
             assert np.array_equal(
                 heuristic_scores(a.heuristics, kind, probe),
@@ -611,7 +611,7 @@ class TestLeakageDiscipline:
         g, other, split, epochs = case
         a = build_run_artifacts(g, split)
         b = build_run_artifacts(other, split)
-        probe = np.argwhere(np.ones((g.n_left, g.n_right), dtype=bool)) + (0, g.n_left)
+        probe = np.argwhere(np.ones((g.n_left, g.n_right), dtype=bool))
         params = dict.fromkeys(ScorerKind, {"learning_rate": 0.01, "epochs": epochs, "embed_dim": 4})
         params[ScorerKind.GAE] = dict(params[ScorerKind.GAE], hidden_dim=4)
         params[ScorerKind.KATZ] = {"beta": 0.01}
@@ -1025,6 +1025,15 @@ class TestDiagnose:
             assert cm.tp + cm.fp + cm.fn + cm.tn == cells
             assert cm.tp + cm.fn == g.m
 
+    def test_small_graph_population_is_every_local_pair(self, bundle):
+        """Up to CONFUSION_PAIR_LIMIT nodes the population is every local
+        (left, right) pair, left-major, labelled 1 exactly at the edges."""
+        g, _ = bundle
+        pairs, labels = harness._confusion_population(g, seed=11)
+        assert pairs.tolist() == [[u, v] for u in range(g.n_left) for v in range(g.n_right)]
+        assert labels.dtype == np.int64
+        assert labels.tolist() == [int(g.adj[u, g.n_left + v]) for u, v in pairs.tolist()]
+
     def test_large_graph_confusion_samples_one_non_edge_per_edge(self, bundle, monkeypatch):
         """Above CONFUSION_PAIR_LIMIT nodes the population is every edge plus
         as many sampled non-edges, not every cross pair."""
@@ -1033,8 +1042,8 @@ class TestDiagnose:
         pairs, labels = harness._confusion_population(g, seed=11)
         m = g.m
         assert pairs.shape == (2 * m, 2)
-        assert np.array_equal(pairs[:m], g.edges + (0, g.n_left))
-        sampled = pairs[m:] - (0, g.n_left)
+        assert np.array_equal(pairs[:m], g.edges)
+        sampled = pairs[m:]
         assert ((0 <= sampled) & (sampled < (g.n_left, g.n_right))).all()
         assert len({(u, v) for u, v in sampled.tolist()}) == m
         assert not any(g.adj[u, g.n_left + v] for u, v in sampled.tolist())
