@@ -4,8 +4,12 @@ Global node indexing convention: left nodes occupy indices ``0..n_left-1``,
 right nodes ``n_left..n_left+n_right-1``.  All matrices produced here are
 ``n x n`` with ``n = n_left + n_right``.
 
-A graph stores its edges once, as the symmetric 0/1 CSR adjacency ``adj``;
-the edge array and its cell keys are views computed from it on first use.
+A graph stores its edges once, as the two numpy arrays ``indptr`` and
+``indices`` of its symmetric 0/1 CSR adjacency; the scipy matrix ``adj``,
+the edge array and its cell keys are views of them built on first use.
+``scipy.sparse`` is imported only where a sparse matrix is built or
+multiplied (``adj``, ``normalize``, the training labels and Katz), so
+loading, splitting and the neighbourhood heuristics never load it.
 Pairs are read-only (k, 2) int64 arrays.
 ``pair_array``, ``check_int`` and ``check_real`` are the package's input
 rules for pairs, integers and reals; no other module keeps its own.
@@ -15,13 +19,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from numbers import Integral, Real
 
 import numpy as np
-import scipy.sparse as sp
 
 logger = logging.getLogger(__name__)
 
@@ -45,16 +48,21 @@ class GraphInputError(ValueError):
 class BipartiteGraph:
     """Immutable bipartite graph with two disjoint node partitions.
 
-    ``adj`` is the one edge store: the symmetric n x n 0/1 CSR adjacency in
-    global indexing, canonical and read-only, so row x's ``indices`` are
-    N(x), sorted.  ``edges`` (the sorted local (left, right) pairs, a
-    read-only (m, 2) int64 array) and ``edge_keys`` (their sorted cell keys)
-    are views of it.  Equality is identity.
+    ``indptr`` and ``indices`` are the one edge store: the CSR structure of
+    the symmetric n x n 0/1 adjacency in global indexing, canonical and
+    read-only, so ``indices[indptr[x]:indptr[x + 1]]`` is N(x), sorted.
+    Their index dtype is the one scipy gives the same matrix (int32 unless
+    n or 2m exceeds it).  ``adj`` (that adjacency as a scipy CSR matrix over
+    the two arrays, with read-only ones as data), ``edges`` (the sorted
+    local (left, right) pairs, a read-only (m, 2) int64 array) and
+    ``edge_keys`` (their sorted cell keys) are views of it, each built on
+    first read; only ``adj`` loads ``scipy.sparse``.  Equality is identity.
     """
 
     n_left: int
     n_right: int
-    adj: sp.csr_matrix
+    indptr: np.ndarray = field(repr=False)
+    indices: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -62,13 +70,25 @@ class BipartiteGraph:
 
     @property
     def m(self) -> int:
-        return self.adj.nnz // 2
+        return self.indices.size // 2
+
+    @cached_property
+    def adj(self) -> "scipy.sparse.csr_matrix":
+        """The adjacency as a scipy CSR matrix that shares ``indptr`` and
+        ``indices``; the same object on every read."""
+        import scipy.sparse as sp
+
+        data = np.ones(self.indices.size)
+        data.flags.writeable = False
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
     @cached_property
     def edges(self) -> np.ndarray:
-        """Sorted (left_index, right_index) pairs: the left rows of ``adj``."""
-        rows = self.adj[: self.n_left].tocoo()
-        return read_only(np.column_stack([rows.row, rows.col - self.n_left]).astype(np.int64))
+        """Sorted (left_index, right_index) pairs: the left rows of the store."""
+        edges = np.empty((self.m, 2), dtype=np.int64)
+        edges[:, 0] = np.repeat(np.arange(self.n_left), np.diff(self.indptr[: self.n_left + 1]))
+        edges[:, 1] = self.indices[: self.m] - self.n_left
+        return read_only(edges)
 
     @cached_property
     def edge_keys(self) -> np.ndarray:
@@ -81,7 +101,7 @@ class BipartiteGraph:
 
     def degrees(self) -> np.ndarray:
         """Per-node degree vector over global indices."""
-        return np.diff(self.adj.indptr).astype(np.int64)
+        return np.diff(self.indptr).astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +113,7 @@ class NormalizedAdjacency:
     is strictly positive and all entries lie in (0, 1].
     """
 
-    matrix: sp.csr_matrix
+    matrix: "scipy.sparse.csr_matrix"
 
     @property
     def n(self) -> int:
@@ -198,26 +218,41 @@ def build_graph(n_left: int, n_right: int, edge_pairs) -> BipartiteGraph:
     keys = keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0, so the first stays
     if len(pairs) > keys.size:
         logger.debug("dropped %d duplicate edge pair(s)", len(pairs) - keys.size)
-    us, vs = np.divmod(keys, max(n_right, 1))
-    rows, cols = np.concatenate([us, vs + n_left]), np.concatenate([vs + n_left, us])
-    adj = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n_left + n_right,) * 2)
-    for arr in (adj.data, adj.indices, adj.indptr):
-        arr.flags.writeable = False
-    return BipartiteGraph(n_left=n_left, n_right=n_right, adj=adj)
+    m, n = keys.size, n_left + n_right
+    us = keys // max(n_right, 1)  # floor_divide by a scalar is far faster than divmod
+    vs = keys - us * n_right
+    # scipy's COO -> CSR index dtype for an n x n matrix with 2m entries.
+    dtype = np.int32 if max(n, 2 * m) <= np.iinfo(np.int32).max else np.int64
+    # Left row u lists its vs in key order, so sorted; right row v lists its
+    # us, sorted by the transposed keys v * n_left + u.
+    indices = np.empty(2 * m, dtype=dtype)
+    np.add(vs, n_left, out=indices[:m], casting="unsafe")
+    transposed = np.sort(vs * n_left + us)
+    indices[m:] = transposed - transposed // max(n_left, 1) * n_left
+    indptr = np.zeros(n + 1, dtype=dtype)
+    np.cumsum(np.bincount(us, minlength=n_left), out=indptr[1 : n_left + 1])
+    np.cumsum(np.bincount(vs, minlength=n_right), out=indptr[n_left + 1 :])
+    indptr[n_left + 1 :] += m
+    indptr.flags.writeable = indices.flags.writeable = False
+    return BipartiteGraph(n_left=n_left, n_right=n_right, indptr=indptr, indices=indices)
 
 
-def adjacency(g: BipartiteGraph) -> sp.csr_matrix:
-    """``g.adj`` itself: symmetric, 0/1, read-only, zero within each partition."""
+def adjacency(g: BipartiteGraph) -> "scipy.sparse.csr_matrix":
+    """``g.adj``: the store ``g.indptr`` and ``g.indices`` as a scipy CSR
+    matrix, built and cached on first read.  Symmetric, 0/1, read-only,
+    zero within each partition."""
     return g.adj
 
 
-def normalize(a: sp.spmatrix) -> NormalizedAdjacency:
+def normalize(a: "scipy.sparse.spmatrix") -> NormalizedAdjacency:
     """Symmetric renormalization ``D~^{-1/2} (A + I) D~^{-1/2}``.
 
     ``D~`` is the degree matrix of ``A + I`` (each node's degree plus one for
     the added self-loop), so the result is always well defined: isolated
     nodes get a diagonal entry of exactly 1.
     """
+    import scipy.sparse as sp
+
     a = sp.csr_matrix(a, dtype=np.float64)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"adjacency must be square, got {a.shape}")

@@ -59,7 +59,6 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .autoencoder import EmbeddingModel, sigmoid
 from .graph import BipartiteGraph, NormalizedAdjacency, check_int, check_real, pair_array
@@ -133,7 +132,7 @@ def _check_model_size(model: EmbeddingModel, n: int):
         )
 
 
-def _gather_rows(mat: sp.csr_matrix, rows: np.ndarray):
+def _gather_rows(mat: "scipy.sparse.csr_matrix", rows: np.ndarray):
     """(seg, pos): entry ``pos[i]`` of ``mat``'s CSR arrays lies in row
     ``rows[seg[i]]``; the rows in the order given, each in stored order."""
     starts = mat.indptr[rows]
@@ -143,7 +142,7 @@ def _gather_rows(mat: sp.csr_matrix, rows: np.ndarray):
     return seg, pos
 
 
-def _row_hop(mat: sp.csr_matrix, z: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _row_hop(mat: "scipy.sparse.csr_matrix", z: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """sum_w mat[r, w] * sigmoid(z_w . z_c) for every (r, c): one CSR gather."""
     seg, pos = _gather_rows(mat, rows)
     dots = np.einsum("ij,ij->i", z[mat.indices[pos]], z[cols[seg]])
@@ -315,7 +314,7 @@ def heuristic_index(g_train: BipartiteGraph) -> HeuristicIndex:
     """The neighbourhood index of ``g_train``; reads its edges only."""
     degrees = g_train.degrees()
     deg = degrees.tolist()
-    indices, bounds = g_train.adj.indices.tolist(), g_train.adj.indptr.tolist()
+    indices, bounds = g_train.indices.tolist(), g_train.indptr.tolist()
     lists = tuple(indices[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
     return HeuristicIndex(
         g=g_train,
@@ -397,7 +396,7 @@ class KatzIndex:
     G; and whether the left side is the smaller one.
     """
 
-    adj: sp.csr_matrix = field(repr=False)
+    adj: "scipy.sparse.csr_matrix" = field(repr=False)
     n_left: int
 
     @cached_property
@@ -415,12 +414,14 @@ def katz_index(g_train: BipartiteGraph) -> KatzIndex:
     return KatzIndex(adj=g_train.adj, n_left=g_train.n_left)
 
 
-def _entries(x: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _entries(x: "scipy.sparse.csr_matrix", rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """x's stored values at (rows, cols), 0.0 where it stores none."""
     return np.asarray(x[rows, cols]).ravel() if rows.size else np.zeros(0)
 
 
-def _hop_at(damped: sp.csr_matrix, x: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _hop_at(
+    damped: "scipy.sparse.csr_matrix", x: "scipy.sparse.csr_matrix", rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
     """(damped @ x)[rows, cols] without the product: a gather of ``damped``'s
     rows and a ``bincount``.  bincount adds a row's terms in stored order, as
     scipy's CSR x CSR product does, and an entry missing from ``x`` adds
@@ -478,6 +479,8 @@ def katz_score(index: KatzIndex, beta: float, pairs) -> np.ndarray:
     if n <= DENSE_THRESHOLD:
         scores = _closed_form(index, beta, lefts, rights - index.n_left)
     else:
+        import scipy.sparse as sp
+
         scores = np.empty(lefts.size)
         damped = beta * a
         targets, column = np.unique(rights, return_inverse=True)

@@ -631,6 +631,19 @@ class TestTileInvariance:
         (want,) = closed_form_gradient((z,), enc, r)
         assert max_rel_error(gz, want) <= 1e-12
 
+    @pytest.mark.parametrize("d", [1, 16, 32])
+    @pytest.mark.parametrize("rows", sorted({TILE_SIDE} | {n % TILE_SIDE for n in (200, 1670, 4200)}))
+    def test_gemm_tile_equals_syrk_tile(self, rows, d):
+        """A diagonal tile's logits z[rows] @ z[rows].T would go to BLAS
+        syrk; the kernel takes them by gemm on a copy of Z^T, which must
+        give the same bytes, for a full tile and the last tile of n = 200,
+        1670 and 4200, in both the copied and the kernel's sliced form."""
+        z = np.random.default_rng(rows * 64 + d).standard_normal((rows + TILE_SIDE, d))
+        a, zt = z[TILE_SIDE:], np.ascontiguousarray(z.T)
+        want = (a @ a.T).tobytes()
+        assert (a @ np.ascontiguousarray(a.T)).tobytes() == want
+        assert (a @ zt[:, TILE_SIDE:]).tobytes() == want
+
     def test_training_tiles_keep_memory_small(self):
         """One loss+gradient at n = 1000 holds tile-sized temporaries only;
         a whole-row block of n logits would take 8 MB per array."""

@@ -6,16 +6,25 @@ Checks, among other things:
   * edges, edge_keys, the adjacency's rows and degrees match a pure-Python
     oracle
   * adjacency(g) is the graph's own read-only matrix
+  * the store's indptr and indices equal scipy's COO -> CSR of the same
+    pairs, arrays and index dtype alike, and adj wraps them without a copy
+  * loading, splitting, the heuristics and edge-list I/O never load
+    scipy.sparse; normalizing does
   * adjacency is symmetric 0/1 with zero diagonal and block structure
   * normalization matches the dense formula D~^{-1/2}(A+I)D~^{-1/2}
   * the 2-node single-edge graph normalizes to all entries exactly 0.5
 """
 
 import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -160,6 +169,17 @@ def shuffled_pairs_with_duplicates(draw):
     return n_left, n_right, draw(st.permutations(pairs)), draw(st.booleans())
 
 
+@st.composite
+def edge_inputs(draw):
+    """(n_left, n_right, pairs): either side may be empty, and the pairs,
+    possibly none, repeat and come in any order."""
+    n_left, n_right = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    cell = st.tuples(st.integers(0, max(n_left - 1, 0)), st.integers(0, max(n_right - 1, 0)))
+    pairs = draw(st.lists(cell, max_size=40)) if n_left and n_right else []
+    pairs = pairs + pairs[: draw(st.integers(0, len(pairs)))]
+    return n_left, n_right, draw(st.permutations(pairs))
+
+
 class TestSingleStore:
     @given(shuffled_pairs_with_duplicates())
     def test_views_match_oracle(self, case):
@@ -192,6 +212,55 @@ class TestSingleStore:
     def test_adjacency_is_read_only(self, toy_graph, field):
         with pytest.raises(ValueError):
             getattr(adjacency(toy_graph), field)[0] = 7
+
+    @given(edge_inputs())
+    def test_store_matches_scipy_coo_to_csr(self, case):
+        n_left, n_right, pairs = case
+        g = build_graph(n_left, n_right, pairs)
+        us = np.array([u for u, _ in pairs], dtype=np.int64)
+        vs = np.array([n_left + v for _, v in pairs], dtype=np.int64)
+        rows, cols = np.concatenate([us, vs]), np.concatenate([vs, us])
+        want = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(g.n, g.n))
+        assert want.has_canonical_format
+        for got in (g, g.adj):
+            for name in ("indptr", "indices"):
+                arr = getattr(got, name)
+                assert arr.dtype == getattr(want, name).dtype
+                assert np.array_equal(arr, getattr(want, name))
+        assert g.adj.has_canonical_format and g.adj.shape == want.shape
+        assert g.adj.dtype == np.float64 and np.array_equal(g.adj.data, np.ones(want.nnz))
+        assert g.adj is g.adj is adjacency(g)
+        assert np.shares_memory(g.adj.indptr, g.indptr)
+        assert not want.nnz or np.shares_memory(g.adj.indices, g.indices)
+        views = (g.indptr, g.indices, g.adj.data, g.adj.indices, g.adj.indptr, g.edges, g.edge_keys)
+        assert not any(arr.flags.writeable for arr in views)
+
+
+def test_heuristic_pipeline_leaves_scipy_sparse_unloaded(tmp_path):
+    """Loading a generated graph, splitting it, benchmarking the five
+    heuristics and an edge-list round trip never import ``scipy.sparse``,
+    whose import costs more than numpy's; ``normalize`` is where it loads."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = """
+import sys
+import bihop
+er = bihop.DatasetSpec(id="er", source={"model": "er", "n_left": 30, "n_right": 40, "p": 0.2, "seed": 1})
+g = bihop.load_dataset(er)
+bihop.split_edges(g, (0.8, 0.1, 0.1), seed=0)
+bihop.run_benchmark(bihop.BenchmarkConfig(datasets=(er,), scorers=("pa", "cn", "jc", "aa", "ra"), runs=2))
+bihop.write_edge_list(g, sys.argv[1])
+assert bihop.load_edge_list(sys.argv[1]).m == g.m
+print("scipy.sparse" in sys.modules)
+bihop.normalize(g.adj)
+print("scipy.sparse" in sys.modules)
+"""
+    child = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "er.edges")], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["False", "True"]
 
 
 class TestAdjacency:
@@ -280,8 +349,6 @@ class TestNormalize:
             assert top == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_non_square(self):
-        import scipy.sparse as sp
-
         with pytest.raises(ValueError):
             normalize(sp.csr_matrix(np.ones((2, 3))))
 
